@@ -624,7 +624,13 @@ def _tangent_from_json(g: UnitaryMatrix, obj, path: str) -> TangentVector:
         raise SchemaError(path, str(exc)) from None
 
 
-def _flag_tangents(obj: dict, pt) -> list:
+# tangents each flag-torus quantity is evaluated on
+FLAG_TANGENTS = {"curving": 2, "nu": 3, "df": 3}
+
+
+def _flag_tangents(obj: dict, quantity: str) -> list:
+    if quantity not in FLAG_TANGENTS:
+        raise SchemaError("$", f"flag-torus input does not support {quantity!r}")
     tans = []
     for i, t in enumerate(_require(obj, "tangents")):
         merged = {
@@ -634,6 +640,11 @@ def _flag_tangents(obj: dict, pt) -> list:
             "dP": _require(t, "dP", f"$.tangents[{i}]"),
         }
         tans.append(weyl.flag_point_from_json(merged, f"$.tangents[{i}]")[1])
+    need = FLAG_TANGENTS[quantity]
+    if len(tans) < need:
+        raise SchemaError(
+            "$.tangents", f"{quantity!r} needs {need} tangents, got {len(tans)}"
+        )
     return tans
 
 
@@ -643,7 +654,7 @@ def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict
 
     if "lambda" in obj:
         pt, _ = weyl.flag_point_from_json(obj)
-        tans = _flag_tangents(obj, pt)
+        tans = _flag_tangents(obj, quantity)
         if quantity == "curving":
             z = _cut_from_json(_require(obj, "z"), "$.z")
             value = weyl.pullback_curving_closed(pt, z, tans[0], tans[1])
@@ -663,8 +674,6 @@ def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict
             if with_oracle:
                 raw, _ = weyl.pullback_nu_closed(pt, *tans[:3])
                 record["residual_vs_oracle"] = abs(value - raw)
-        else:
-            raise SchemaError("$", f"flag-torus input does not support {quantity!r}")
         record.update(value_re=value.real, value_im=value.imag)
         return record
 
@@ -729,16 +738,7 @@ def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict
         x = _tangent_from_json(g, _require(obj, "X"), "$.X")
         y = _tangent_from_json(g, _require(obj, "Y"), "$.Y")
         if method == "fd":
-            pos, sign = forms._signed(ctx)
-            if sign == 0.0:
-                value = 0j
-            else:
-                p = projectors.arc_projector(pos)
-                dpx = projectors.projector_derivative(pos, x, method="fd")
-                dpy = projectors.projector_derivative(pos, y, method="fd")
-                value = sign * complex(
-                    np.trace(p @ dpx @ dpy) - np.trace(p @ dpy @ dpx)
-                )
+            value = forms.curvature_via_projectors(ctx, x, y, "fd")
         else:
             value = forms.curvature_via_contour(ctx, x, y, method)
         record.update(value_re=value.real, value_im=value.imag)

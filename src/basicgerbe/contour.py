@@ -4,13 +4,16 @@ The circle U(1) with the identity removed carries the partial order
 "z1 > z2 iff z2 rotates counter-clockwise into z1 without passing 1".
 This module implements that order, the betweenness predicate, the family
 of branch logarithms log_z with cut along the ray through z and
-log_z(1) = 0, annular-sector contours around spectral arcs, adaptive
-Gauss-Legendre contour quadrature, and a small residue engine for pole
-orders up to 3 (optionally with a log_z factor).
+log_z(1) = 0, the cut-exclusion check, annular-sector contours around
+spectral arcs and adaptive Gauss-Legendre contour quadrature.
+``residue_eval`` sums residues pole by pole (orders up to 3, optionally
+with a log_z factor); the closed forms do not call it, it is the
+reference the tests hold their vectorised residue weights against.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,6 +48,8 @@ class CutCirclePoint:
     def __post_init__(self):
         v = complex(self.value)
         object.__setattr__(self, "value", v)
+        if not cmath.isfinite(v):
+            raise BoundaryError(f"cut point {v!r} is not finite")
         if abs(abs(v) - 1.0) > POINT_TOL:
             raise BoundaryError(f"|z| = {abs(v)!r} is not on the unit circle")
         if abs(v - 1.0) <= POINT_TOL:
@@ -154,20 +159,6 @@ class Segment:
         p = self.point(t)
         return complex(p[0]), complex(p[1])
 
-    def to_json(self) -> dict:
-        if self.kind == "arc":
-            return {
-                "kind": "arc",
-                "radius": self.radius,
-                "theta0": self.theta0,
-                "theta1": self.theta1,
-            }
-        return {
-            "kind": "line",
-            "start": [self.start.real, self.start.imag],
-            "end": [self.end.real, self.end.imag],
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class Contour:
@@ -181,9 +172,6 @@ class Contour:
         for a, b in zip(segs, segs[1:] + segs[:1]):
             if abs(a.endpoints[1] - b.endpoints[0]) > 1e-9:
                 raise EvaluationError("contour is not closed")
-
-    def to_json(self) -> dict:
-        return {"segments": [s.to_json() for s in self.segments]}
 
 
 def annular_sector(
@@ -208,12 +196,14 @@ def annular_sector(
     return Contour(segs)
 
 
-def _check_cut_distance(z: CutCirclePoint, spec: SpectralDecomposition) -> None:
-    d = np.min(np.abs(spec.eigenvalues - z.value))
-    if d < CUT_EXCLUSION:
-        raise IllConditionedCutError(
-            f"cut point within {d:.2e} of an eigenvalue (limit {CUT_EXCLUSION:.0e})"
-        )
+def _check_cuts(eigenvalues: np.ndarray, *cuts: CutCirclePoint) -> None:
+    """Reject cuts closer than CUT_EXCLUSION to any of the eigenvalues."""
+    for z in cuts:
+        d = float(np.min(np.abs(eigenvalues - z.value)))
+        if d < CUT_EXCLUSION:
+            raise IllConditionedCutError(
+                f"cut within {d:.2e} of an eigenvalue (limit {CUT_EXCLUSION:.0e})"
+            )
 
 
 def arc_contour(
@@ -228,8 +218,7 @@ def arc_contour(
     excluded eigenvalue (or the identity), so the contour stays well away
     from every pole of the resolvent.
     """
-    _check_cut_distance(z1, spec)
-    _check_cut_distance(z2, spec)
+    _check_cuts(spec.eigenvalues, z1, z2)
     a_lo, a_hi = sorted((z1.angle, z2.angle))
     angles = np.angle(spec.eigenvalues) % TWO_PI
     inside = (angles > a_lo) & (angles < a_hi)
@@ -248,7 +237,7 @@ def spectrum_contour(
     rho: float = DEFAULT_RADIAL_HALF_WIDTH,
 ) -> Contour:
     """Annular-sector contour around all of spec(g), avoiding the ray R_z."""
-    _check_cut_distance(z, spec)
+    _check_cuts(spec.eigenvalues, z)
     a = z.angle
     shifted = (np.angle(spec.eigenvalues) - a) % TWO_PI
     gap_lo = shifted.min()
@@ -307,17 +296,10 @@ def quad_integrate(
     return prev if prev.shape else complex(prev)
 
 
-def residue_eval(
-    poles,
-    coeff=None,
-    with_log: CutCirclePoint | None = None,
-) -> complex:
-    """Sum of residues of coeff(xi) * [log_z(xi)] * prod (xi - lam_k)^{-m_k}.
+def residue_eval(poles, with_log: CutCirclePoint | None = None) -> complex:
+    """Sum of residues of [log_z(xi)] * prod (xi - lam_k)^{-m_k}.
 
-    ``poles`` is a sequence of (lam, order) with order <= 3.  ``coeff`` is
-    an optional sequence of callables (f, f', f'') giving the analytic
-    factor and as many derivatives as the highest pole order requires;
-    omitted entries default to the constant 1 and zero derivatives.
+    ``poles`` is a sequence of (lam, order) with order <= 3.
     """
     poles = [(complex(lam), int(m)) for lam, m in poles]
     for lam, m in poles:
@@ -327,16 +309,6 @@ def residue_eval(
         for j in range(i + 1, len(poles)):
             if abs(poles[i][0] - poles[j][0]) <= POINT_TOL:
                 raise IncomparableError("poles are not distinct")
-
-    def c_derivs(x: complex) -> tuple[complex, complex, complex]:
-        if coeff is None:
-            return 1.0, 0.0, 0.0
-        fs = list(coeff) + [None, None, None]
-        return (
-            fs[0](x) if fs[0] is not None else 1.0,
-            fs[1](x) if fs[1] is not None else 0.0,
-            fs[2](x) if fs[2] is not None else 0.0,
-        )
 
     total = 0j
     for k, (lam, m) in enumerate(poles):
@@ -352,19 +324,10 @@ def residue_eval(
             l2 = -1.0 / lam**2
         else:
             l0, l1, l2 = 1.0, 0.0, 0.0
-        c0, c1, c2 = c_derivs(lam)
         if m == 1:
-            total += c0 * l0 * r0
+            total += l0 * r0
         elif m == 2:
-            total += c1 * l0 * r0 + c0 * l1 * r0 + c0 * l0 * r1
+            total += l1 * r0 + l0 * r1
         else:
-            f2 = (
-                c2 * l0 * r0
-                + 2 * c1 * l1 * r0
-                + 2 * c1 * l0 * r1
-                + c0 * l2 * r0
-                + 2 * c0 * l1 * r1
-                + c0 * l0 * r2
-            )
-            total += f2 / 2
+            total += (l2 * r0 + 2 * l1 * r1 + l0 * r2) / 2
     return complex(total)

@@ -26,6 +26,7 @@ from .linalg import (
     SpectralDecomposition,
     UnitaryMatrix,
     _as_generator,
+    _perm_sign,
     random_unitary,
     spectral_decompose,
 )
@@ -33,6 +34,12 @@ from .projectors import ArcContext, Classification, arc_basis, classify
 
 ELEMENT_TOL = 1e-9
 FRAME_TOL = 1e-9
+# the kind of line each stratum carries
+LINE_KIND = {
+    Classification.POSITIVE: "det",
+    Classification.NEGATIVE: "dualdet",
+    Classification.NULL: "scalar",
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,11 +58,7 @@ class DetLineElement:
     coeff: complex
 
     def __post_init__(self):
-        expected = {
-            Classification.POSITIVE: "det",
-            Classification.NEGATIVE: "dualdet",
-            Classification.NULL: "scalar",
-        }[self.ctx.classification]
+        expected = LINE_KIND[self.ctx.classification]
         if self.kind != expected:
             raise IncomparableError(
                 f"kind {self.kind!r} does not match a "
@@ -82,12 +85,9 @@ def _canonical_frame(ctx: ArcContext) -> np.ndarray:
 
 def fiber_element(ctx: ArcContext, coeff: complex) -> DetLineElement:
     """The element coeff times the canonical frame wedge (or its dual)."""
-    kind = {
-        Classification.POSITIVE: "det",
-        Classification.NEGATIVE: "dualdet",
-        Classification.NULL: "scalar",
-    }[ctx.classification]
-    return DetLineElement(ctx, kind, _canonical_frame(ctx), coeff)
+    return DetLineElement(
+        ctx, LINE_KIND[ctx.classification], _canonical_frame(ctx), coeff
+    )
 
 
 def canonical_scalar(a: DetLineElement) -> complex:
@@ -164,13 +164,7 @@ class TripleSectionValue:
 def _sorted_desc(cuts):
     """Cuts in descending circular order plus the permutation sign."""
     idx = sorted(range(len(cuts)), key=lambda i: -cuts[i].angle)
-    sign = 1
-    perm = list(idx)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return [cuts[i] for i in idx], sign
+    return [cuts[i] for i in idx], _perm_sign(idx)
 
 
 def section_value(
@@ -216,12 +210,7 @@ def random_element(ctx: ArcContext, rng) -> DetLineElement:
     k = frame.shape[1]
     if k:
         frame = frame @ random_unitary(k, gen).mat
-    kind = {
-        Classification.POSITIVE: "det",
-        Classification.NEGATIVE: "dualdet",
-        Classification.NULL: "scalar",
-    }[ctx.classification]
-    return DetLineElement(ctx, kind, frame, coeff)
+    return DetLineElement(ctx, LINE_KIND[ctx.classification], frame, coeff)
 
 
 def associativity_check(

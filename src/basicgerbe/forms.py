@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -18,9 +17,9 @@ import scipy.linalg
 from .contour import (
     CutCirclePoint,
     arc_contour,
+    log_cut,
     log_cut_array,
     quad_integrate,
-    residue_eval,
     spectrum_contour,
 )
 from .errors import DimensionError, RealignmentError, StepTooLargeError
@@ -28,6 +27,9 @@ from .linalg import (
     SpectralDecomposition,
     TangentVector,
     UnitaryMatrix,
+    _differences,
+    _eigenbasis_sum,
+    _perm_sign,
     spectral_decompose,
 )
 from .projectors import (
@@ -42,33 +44,6 @@ from .projectors import (
 FD_STEP = 1e-5
 FD_STEP_NESTED = 1e-3
 REALIGN_LIMIT = 0.1
-
-
-@dataclass(frozen=True, eq=False)
-class FormPoint:
-    """A k-form at a point: an antisymmetric evaluator on k tangents."""
-
-    base: UnitaryMatrix
-    degree: int
-    evaluator: object  # callable on ``degree`` TangentVectors
-
-    def __call__(self, *tangents: TangentVector):
-        if len(tangents) != self.degree:
-            raise DimensionError(
-                f"form of degree {self.degree} got {len(tangents)} arguments"
-            )
-        for x in tangents:
-            if x.base.mat is not self.base.mat and not np.array_equal(
-                x.base.mat, self.base.mat
-            ):
-                raise DimensionError("tangent vector based at a different point")
-        return self.evaluator(*tangents)
-
-
-def mc_form(g: UnitaryMatrix) -> FormPoint:
-    """Left Maurer-Cartan form at g: X = gA maps to A (matrix-valued)."""
-    ginv = g.mat.conj().T
-    return FormPoint(g, 1, lambda x: ginv @ x.ambient)
 
 
 def wedge_trace_eval(mats, slots) -> complex:
@@ -92,19 +67,15 @@ def wedge_trace_eval(mats, slots) -> complex:
     return complex(total)
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+def _pair_sum(
+    spec: SpectralDecomposition, w: np.ndarray, xm: np.ndarray, ym: np.ndarray
+) -> complex:
+    """sum_ij w_ij [tr(P_i X P_j Y) - tr(P_i Y P_j X)].
 
-
-def _pair_trace(p_i, p_j, x, y) -> complex:
-    """tr(P_i X P_j Y) - tr(P_i Y P_j X)."""
-    return complex(np.trace(p_i @ x @ p_j @ y) - np.trace(p_i @ y @ p_j @ x))
+    The second trace is the first with w transposed, so one eigenbasis sum
+    with the antisymmetrized weights gives both.
+    """
+    return complex(np.sum(_eigenbasis_sum(spec, w - w.T, xm) * ym.T))
 
 
 def _wedge_resolvent_trace(
@@ -128,15 +99,18 @@ def _signed(ctx: ArcContext):
 
 
 def curvature_via_projectors(
-    ctx: ArcContext, x: TangentVector, y: TangentVector
+    ctx: ArcContext, x: TangentVector, y: TangentVector, method: str = "residue"
 ) -> complex:
-    """tr(P dP dP)(X, Y) with dP from the projector-derivative closed form."""
+    """tr(P dP dP)(X, Y), with dP from ``projector_derivative(method)``.
+
+    method "residue" uses the closed form of dP, "fd" central differences.
+    """
     pos, sign = _signed(ctx)
     if sign == 0.0:
         return 0j
     p = arc_projector(pos)
-    dpx = projector_derivative(pos, x)
-    dpy = projector_derivative(pos, y)
+    dpx = projector_derivative(pos, x, method)
+    dpy = projector_derivative(pos, y, method)
     return sign * complex(np.trace(p @ dpx @ dpy) - np.trace(p @ dpy @ dpx))
 
 
@@ -156,16 +130,11 @@ def curvature_via_contour(
         return 0j
     xm, ym = x.ambient, y.ambient
     if method == "residue":
-        lam = pos.spec.eigenvalues
-        proj = pos.spec.projectors
-        inside = set(pos.arc_indices)
-        total = 0j
-        for i in range(pos.spec.count):
-            if i in inside:
-                continue
-            for j in inside:
-                total -= _pair_trace(proj[i], proj[j], xm, ym) / (lam[i] - lam[j]) ** 2
-        return sign * total
+        spec = pos.spec
+        inside = np.zeros(spec.count)
+        inside[list(pos.arc_indices)] = 1.0
+        w = -np.outer(1.0 - inside, inside) / _differences(spec.eigenvalues) ** 2
+        return sign * _pair_sum(spec, w, xm, ym)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     g = pos.spec.matrix
@@ -205,6 +174,20 @@ def projector_inserted_curvature(
     )
 
 
+def _curving_weights(z: CutCirclePoint, lam: np.ndarray) -> np.ndarray:
+    """Residue sums of log_z(xi) / ((xi - lam_i)(xi - lam_j)^2) over all poles.
+
+    Off the diagonal:
+    (log_z lam_i - log_z lam_j) / (lam_i - lam_j)^2 - 1 / (lam_j (lam_i - lam_j));
+    on it, the order-3 residue -1 / (2 lam_i^2).
+    """
+    logs = np.array([log_cut(z, v) for v in lam])
+    d = _differences(lam)
+    w = (logs[:, None] - logs[None, :]) / d**2 - 1.0 / (lam[None, :] * d)
+    np.fill_diagonal(w, -0.5 / lam**2)
+    return w
+
+
 def curving_eval(
     z: CutCirclePoint,
     spec: SpectralDecomposition,
@@ -217,25 +200,14 @@ def curving_eval(
 
     quadrature: (1 / 8 pi^2) of the contour integral of
     log_z(xi) tr((xi-g)^{-1} dg (xi-g)^{-2} dg) around all of spec(g).
-    residue: the same value as a double sum over eigenvalue pairs, with
-    pole orders (1,2) off the diagonal and a single order-3 pole on it.
+    residue: (i / 4 pi) sum_ij w_ij [tr(P_i X P_j Y) - tr(P_i Y P_j X)],
+    with w_ij the residues of the integrand's scalar part at lam_i, lam_j
+    (``_curving_weights``), summed in the eigenbasis of g.
     """
     xm, ym = x.ambient, y.ambient
-    lam = spec.eigenvalues
-    proj = spec.projectors
     if method == "residue":
-        total = 0j
-        for i in range(spec.count):
-            for j in range(spec.count):
-                t = _pair_trace(proj[i], proj[j], xm, ym)
-                if abs(t) < 1e-300:
-                    continue
-                if i == j:
-                    c = residue_eval([(lam[i], 3)], with_log=z)
-                else:
-                    c = residue_eval([(lam[i], 1), (lam[j], 2)], with_log=z)
-                total += c * t
-        return complex(1j / (4 * math.pi) * total)
+        w = _curving_weights(z, spec.eigenvalues)
+        return complex(1j / (4 * math.pi) * _pair_sum(spec, w, xm, ym))
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     g = spec.matrix
@@ -348,20 +320,6 @@ def curving_z_derivative_fd(
 # the determinant-line connection in frames
 
 
-@dataclass(frozen=True, eq=False)
-class FrameAlongCurve:
-    """Arc-eigenspace frames along t -> g exp(tA), in a fixed smooth gauge.
-
-    The gauge pins each frame column's phase at the pivot row of the
-    t = 0 column, which is smooth in t as long as consecutive frames stay
-    close (enforced via the realignment limit).
-    """
-
-    ts: tuple
-    frames: tuple
-    direction: np.ndarray
-
-
 def _gauged_frame(
     z1: CutCirclePoint,
     z2: CutCirclePoint,
@@ -387,10 +345,14 @@ def _gauged_frame(
     return f
 
 
-def frame_along_curve(
-    ctx: ArcContext, a: np.ndarray, h: float = FD_STEP
-) -> FrameAlongCurve:
-    """Gauged frames at t in (-h, 0, h) along g exp(tA)."""
+def connection_one_form(ctx: ArcContext, a: np.ndarray, h: float = FD_STEP) -> complex:
+    """Value on A of the determinant connection: sum_i <b_i, b_i'>.
+
+    The frames b_i at t = -h, 0, h along g exp(tA) share one smooth gauge:
+    each column's phase is pinned at the pivot row of its t = 0 column,
+    which stays smooth while consecutive frames stay close (enforced via
+    the realignment limit).
+    """
     if ctx.classification is not Classification.POSITIVE:
         raise StepTooLargeError("frames need a positive context")
     g0 = UnitaryMatrix(ctx.spec.matrix)
@@ -399,19 +361,7 @@ def frame_along_curve(
     f0 = _gauged_frame(ctx.z1, ctx.z2, g0, pivots, None)
     fm = _gauged_frame(ctx.z1, ctx.z2, _shifted(g0, a, -h), pivots, f0)
     fp = _gauged_frame(ctx.z1, ctx.z2, _shifted(g0, a, h), pivots, f0)
-    return FrameAlongCurve(ts=(-h, 0.0, h), frames=(fm, f0, fp), direction=a)
-
-
-def connection_one_form(
-    ctx: ArcContext, a: np.ndarray, frame: FrameAlongCurve | None = None,
-    h: float = FD_STEP,
-) -> complex:
-    """Value on A of the determinant connection: sum_i <b_i, b_i'>."""
-    if frame is None:
-        frame = frame_along_curve(ctx, a, h)
-    fm, f0, fp = frame.frames
-    step = frame.ts[2] - frame.ts[1]
-    dot = (fp - fm) / (2 * step)
+    dot = (fp - fm) / (2 * h)
     return complex(np.einsum("ij,ij->", f0.conj(), dot))
 
 

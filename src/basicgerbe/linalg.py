@@ -75,6 +75,8 @@ class TangentVector:
         n = self.base.dim
         if a.shape != (n, n):
             raise DimensionError("tangent direction shape mismatch")
+        if not np.isfinite(a).all():
+            raise DimensionError("tangent direction has non-finite entries")
         if np.linalg.norm(a + a.conj().T) > UNITARITY_TOL * n * max(
             1.0, float(np.linalg.norm(a))
         ):
@@ -108,6 +110,17 @@ def tangent_random(g: UnitaryMatrix, rng) -> TangentVector:
     b = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
     a = (b - b.conj().T) / 2
     return TangentVector(g, a / np.linalg.norm(a))
+
+
+def _perm_sign(perm) -> int:
+    """Sign of a permutation given as a sequence of distinct integers."""
+    sign = 1
+    perm = list(perm)
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
 
 
 def _pivot_phase(v: np.ndarray) -> np.ndarray:
@@ -148,6 +161,28 @@ class SpectralDecomposition:
         return np.einsum(
             "i,ijk->jk", 1.0 / (xi - self.eigenvalues), self.projectors
         )
+
+
+def _eigenbasis_sum(
+    spec: SpectralDecomposition, weights: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """sum_ij w_ij P_i X P_j for an (m, m) weight matrix over the clusters.
+
+    In the eigenbasis U = [bases] this is U (W~ o U^H X U) U^H, where W~
+    repeats w_ij over the columns of clusters i and j (Daleckii-Krein).
+    """
+    u = np.hstack(spec.bases)
+    label = np.repeat(np.arange(spec.count), spec.multiplicities)
+    w = weights[label][:, label]
+    uh = u.conj().T
+    return u @ (w * (uh @ x @ u)) @ uh
+
+
+def _differences(lam: np.ndarray) -> np.ndarray:
+    """lam_i - lam_j, with ones on the diagonal so it can divide."""
+    d = lam[:, None] - lam[None, :]
+    np.fill_diagonal(d, 1.0)
+    return d
 
 
 def _cluster_circle(eigs: np.ndarray, tol: float) -> list[np.ndarray]:

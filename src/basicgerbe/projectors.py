@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contour import (
-    CUT_EXCLUSION,
     CutCirclePoint,
+    _check_cuts,
     arc_contour,
     circle_between,
     circle_gt,
@@ -34,6 +34,8 @@ from .linalg import (
     SpectralDecomposition,
     TangentVector,
     UnitaryMatrix,
+    _differences,
+    _eigenbasis_sum,
     spectral_decompose,
 )
 
@@ -83,20 +85,11 @@ class ArcEigenspace:
         return self.basis.shape[1]
 
 
-def _check_cuts(spec: SpectralDecomposition, *cuts: CutCirclePoint) -> None:
-    for z in cuts:
-        d = float(np.min(np.abs(spec.eigenvalues - z.value)))
-        if d < CUT_EXCLUSION:
-            raise IllConditionedCutError(
-                f"cut within {d:.2e} of an eigenvalue (limit {CUT_EXCLUSION:.0e})"
-            )
-
-
 def classify(
     z1: CutCirclePoint, z2: CutCirclePoint, spec: SpectralDecomposition
 ) -> ArcContext:
     """Classify (z1, z2, g) and record which eigenvalues lie between the cuts."""
-    _check_cuts(spec, z1, z2)
+    _check_cuts(spec.eigenvalues, z1, z2)
     arc = tuple(
         i
         for i, lam in enumerate(spec.eigenvalues)
@@ -165,6 +158,10 @@ def _fd_projector(ctx: ArcContext, x: TangentVector, h: float) -> np.ndarray:
     """Central finite difference of t -> arc projector at g exp(tA)."""
     import scipy.linalg
 
+    def arc_dim(c: ArcContext) -> int:
+        # counted with multiplicity: the step may split a repeated eigenvalue
+        return int(c.spec.multiplicities[list(c.arc_indices)].sum())
+
     vals = []
     for s in (h, -h):
         g2 = UnitaryMatrix(ctx.spec.matrix @ scipy.linalg.expm(s * x.direction))
@@ -175,12 +172,26 @@ def _fd_projector(ctx: ArcContext, x: TangentVector, h: float) -> np.ndarray:
             raise StepTooLargeError(
                 f"finite-difference step pushed an eigenvalue onto a cut: {exc}"
             ) from None
-        if len(ctx2.arc_indices) != len(ctx.arc_indices):
+        if arc_dim(ctx2) != arc_dim(ctx):
             raise StepTooLargeError(
                 "finite-difference step changed the arc eigenvalue count"
             )
         vals.append(arc_projector(ctx2))
     return (vals[0] - vals[1]) / (2 * h)
+
+
+def _indicator_derivative(
+    spec: SpectralDecomposition, indices, x: TangentVector
+) -> np.ndarray:
+    """Derivative along X of the sum of P_i over ``indices``.
+
+    sum_ij (chi_i - chi_j) / (lambda_i - lambda_j) P_i X P_j, the divided
+    difference of the indicator chi of ``indices``.
+    """
+    chi = np.zeros(spec.count)
+    chi[list(indices)] = 1.0
+    w = (chi[:, None] - chi[None, :]) / _differences(spec.eigenvalues)
+    return _eigenbasis_sum(spec, w, x.ambient)
 
 
 def projector_derivative(
@@ -197,19 +208,7 @@ def projector_derivative(
         return _fd_projector(ctx, x, fd_step)
     if method != "residue":
         raise ValueError(f"unknown method {method!r}")
-    lam = ctx.spec.eigenvalues
-    proj = ctx.spec.projectors
-    xm = x.ambient
-    inside = set(ctx.arc_indices)
-    out = np.zeros_like(xm)
-    for i in inside:
-        for j in range(ctx.spec.count):
-            if j in inside:
-                continue
-            w = 1.0 / (lam[i] - lam[j])
-            pi, pj = proj[i], proj[j]
-            out += w * (pi @ xm @ pj + pj @ xm @ pi)
-    return out
+    return _indicator_derivative(ctx.spec, ctx.arc_indices, x)
 
 
 def single_projector_derivative(
@@ -223,12 +222,4 @@ def single_projector_derivative(
         raise GapError(
             f"eigenvalue {k} is within {float(gaps.min()):.2e} of a neighbor"
         )
-    xm = x.ambient
-    out = np.zeros_like(xm)
-    for j in range(spec.count):
-        if j == k:
-            continue
-        w = 1.0 / (lam[k] - lam[j])
-        out += w * (spec.projectors[k] @ xm @ spec.projectors[j]
-                    + spec.projectors[j] @ xm @ spec.projectors[k])
-    return out
+    return _indicator_derivative(spec, [k], x)

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import CUT_EXCLUSION, CutCirclePoint, log_cut
+from .contour import CutCirclePoint, _check_cuts, log_cut
 from .errors import (
     DimensionError,
-    IllConditionedCutError,
     RegularityError,
     SamplingError,
     SchemaError,
@@ -28,6 +27,7 @@ from .linalg import (
     TangentVector,
     UnitaryMatrix,
     _as_generator,
+    _perm_sign,
     matrix_from_json,
     matrix_to_json,
     random_unitary,
@@ -55,6 +55,8 @@ class FlagTorusPoint:
         m, n = p.shape[0], p.shape[1]
         if p.shape != (m, n, n) or lam.shape != (m,):
             raise DimensionError("projector family shape mismatch")
+        if not (np.isfinite(p).all() and np.isfinite(lam).all()):
+            raise DimensionError("projector family has non-finite entries")
         if np.max(np.abs(np.abs(lam) - 1.0)) > PROJECTOR_TOL:
             raise DimensionError("torus values must have unit modulus")
         if np.linalg.norm(p.sum(axis=0) - np.eye(n)) > PROJECTOR_TOL * n:
@@ -106,6 +108,8 @@ class FlagTangent:
         m, n = pt.count, pt.dim
         if dlam.shape != (m,) or dp.shape != (m, n, n):
             raise DimensionError("tangent data shape mismatch")
+        if not (np.isfinite(dlam).all() and np.isfinite(dp).all()):
+            raise DimensionError("tangent data has non-finite entries")
         # dlambda_i must be tangent to the circle: dlam_i / (i lam_i) real
         radial = np.abs((dlam * np.conj(pt.torus_values)).real)
         if np.max(radial, initial=0.0) > PROJECTOR_TOL * max(
@@ -201,36 +205,12 @@ def torus_flag_tangent(pt: FlagTorusPoint, rates) -> FlagTangent:
     return FlagTangent(pt, dlam, dp)
 
 
-def _check_cut(pt: FlagTorusPoint, z: CutCirclePoint) -> None:
-    d = float(np.min(np.abs(pt.torus_values - z.value)))
-    if d < CUT_EXCLUSION:
-        raise IllConditionedCutError(
-            f"cut within {d:.2e} of a torus eigenvalue"
-        )
+def _trace_table(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """T[i, k] = tr(A_i [B_k, C_k]) for stacks (m, n, n) of matrices.
 
-
-def _antisym2(coeffs: np.ndarray, traces) -> complex:
-    """Evaluate sum coeff_ik tr(P_i dP_k dP_k) on two antisymmetrized slots.
-
-    ``traces(u, v)`` returns the (m, m) array tr(P_i dP_k[u] dP_k[v]).
+    The commutator antisymmetrizes the two slots B, C in one table.
     """
-    t = traces(0, 1) - traces(1, 0)
-    return complex(np.sum(coeffs * t))
-
-
-def _pk_traces(pt: FlagTorusPoint, tans):
-    """Closure over tr(P_i dP_k[u] dP_k[v]) for tangent slots u, v."""
-    proj = pt.projections
-
-    def traces(u: int, v: int) -> np.ndarray:
-        m = pt.count
-        out = np.empty((m, m), dtype=complex)
-        for i in range(m):
-            for k in range(m):
-                out[i, k] = np.trace(proj[i] @ tans[u].dP[k] @ tans[v].dP[k])
-        return out
-
-    return traces
+    return np.einsum("iab,kba->ik", a, b @ c - c @ b)
 
 
 def pullback_curving_closed(
@@ -243,30 +223,15 @@ def pullback_curving_closed(
         tr(P_i dP_k dP_k).
     """
     _require_regular(pt)
-    _check_cut(pt, z)
+    _check_cuts(pt.torus_values, z)
     lam = pt.torus_values
-    m = pt.count
     logs = np.array([log_cut(z, v) for v in lam])
-    coeffs = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for k in range(m):
-            if i != k:
-                coeffs[i, k] = logs[i] - logs[k] + (lam[k] - lam[i]) / lam[k]
-    val = _antisym2(coeffs, _pk_traces(pt, (tan1, tan2)))
+    # zero on the diagonal, where the sum excludes i == k
+    coeffs = (
+        logs[:, None] - logs[None, :] + (lam[None, :] - lam[:, None]) / lam[None, :]
+    )
+    val = np.sum(coeffs * _trace_table(pt.projections, tan1.dP, tan2.dP))
     return complex(1j / (4 * math.pi) * val)
-
-
-def _antisym3(fn, tans) -> complex:
-    total = 0j
-    for perm in itertools.permutations(range(3)):
-        sign = 1
-        p = list(perm)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if p[i] > p[j]:
-                    sign = -sign
-        total += sign * fn(tans[perm[0]], tans[perm[1]], tans[perm[2]])
-    return complex(total)
 
 
 def pullback_df_closed(
@@ -280,31 +245,32 @@ def pullback_df_closed(
     - (i / 4 pi) sum_{i != k} (lam_i / lam_k) tr(dP_i dP_k dP_k).
 
     Independent of the cut; also the simplified pulled-back 3-curvature.
+    The slot antisymmetrization is the cyclic sum over which tangent
+    fills the first slot, with the other two swapped in a commutator.
     """
     _require_regular(pt)
     lam = pt.torus_values
-    m = pt.count
-    proj = pt.projections
+    off = ~np.eye(pt.count, dtype=bool)
+    ratio = off * lam[:, None] / lam[None, :]
+    total = 0j
+    for u, v, w in ((tan1, tan2, tan3), (tan2, tan3, tan1), (tan3, tan1, tan2)):
+        rate = u.dlam / lam
+        bracket = off * (
+            rate[:, None]
+            - rate[None, :]
+            - u.dlam[:, None] / lam[None, :]
+            + lam[:, None] * u.dlam[None, :] / lam[None, :] ** 2
+        )
+        total += np.sum(bracket * _trace_table(pt.projections, v.dP, w.dP))
+        total -= np.sum(ratio * _trace_table(u.dP, v.dP, w.dP))
+    return complex(1j / (4 * math.pi) * total)
 
-    def term(u: FlagTangent, v: FlagTangent, w: FlagTangent) -> complex:
-        total = 0j
-        for i in range(m):
-            for k in range(m):
-                if i == k:
-                    continue
-                bracket = (
-                    u.dlam[i] / lam[i]
-                    - u.dlam[k] / lam[k]
-                    - u.dlam[i] / lam[k]
-                    + lam[i] * u.dlam[k] / lam[k] ** 2
-                )
-                total += bracket * np.trace(proj[i] @ v.dP[k] @ w.dP[k])
-                total -= (lam[i] / lam[k]) * np.trace(
-                    u.dP[i] @ v.dP[k] @ w.dP[k]
-                )
-        return complex(total)
 
-    return complex(1j / (4 * math.pi) * _antisym3(term, (tan1, tan2, tan3)))
+def _antisym3(fn, tans) -> complex:
+    total = 0j
+    for perm in itertools.permutations(range(3)):
+        total += _perm_sign(perm) * fn(*(tans[i] for i in perm))
+    return complex(total)
 
 
 def pullback_nu_closed(

@@ -3,8 +3,36 @@ import json
 import numpy as np
 import pytest
 
-from basicgerbe import matrix_to_json, random_unitary
+from basicgerbe import (
+    flag_point_to_json,
+    matrix_to_json,
+    random_flag_tangent,
+    sample_regular,
+    tangent_random,
+)
 from basicgerbe.cli import SUITES, SuiteConfig, eval_point, main, run_suite
+from basicgerbe.sampling import (
+    random_positive_context,
+    sample_rng,
+    well_separated_unitary,
+)
+
+
+def value(record):
+    return complex(record["value_re"], record["value_im"])
+
+
+def flag_point(n, tangents=3):
+    """A regular flag-torus point with ``tangents`` tangents, as JSON."""
+    rng = sample_rng(0, "cli-test", 0)
+    pt = sample_regular(n, rng)
+    obj = flag_point_to_json(pt)
+    obj["z"] = [-1.0, 0.0]
+    obj["tangents"] = []
+    for _ in range(tangents):
+        t = flag_point_to_json(pt, random_flag_tangent(pt, rng))
+        obj["tangents"].append({"dlambda": t["dlambda"], "dP": t["dP"]})
+    return obj
 
 
 def write_curvature_point(path):
@@ -94,22 +122,25 @@ class TestEvalPoint:
         assert "$.g" in str(err.value)
 
     def test_flag_input(self):
-        from basicgerbe import flag_point_to_json, random_flag_tangent, sample_regular
-        from basicgerbe.sampling import sample_rng
-
-        rng = sample_rng(0, "cli-test", 0)
-        pt = sample_regular(3, rng)
-        tans = [random_flag_tangent(pt, rng) for _ in range(3)]
-        obj = flag_point_to_json(pt)
-        obj["tangents"] = [
-            {
-                "dlambda": flag_point_to_json(pt, t)["dlambda"],
-                "dP": flag_point_to_json(pt, t)["dP"],
-            }
-            for t in tans
-        ]
-        rec = eval_point(obj, "df", "residue", True)
+        rec = eval_point(flag_point(3), "df", "residue", True)
         assert rec["residual_vs_oracle"] < 1e-9
+
+    def test_curvature_fd_matches_residue(self):
+        rng = sample_rng(0, "cli-test", 1)
+        g, spec = well_separated_unitary(4, rng)
+        ctx = random_positive_context(spec, rng)
+        obj = {
+            "g": matrix_to_json(g.mat),
+            "z1": [ctx.z1.value.real, ctx.z1.value.imag],
+            "z2": [ctx.z2.value.real, ctx.z2.value.imag],
+            "X": matrix_to_json(tangent_random(g, rng).direction),
+            "Y": matrix_to_json(tangent_random(g, rng).direction),
+        }
+        fd = eval_point(obj, "curvature", "fd", True)
+        res = eval_point(obj, "curvature", "residue", False)
+        assert abs(fd["value_im"]) > 1e-3
+        assert abs(value(fd) - value(res)) < 1e-6
+        assert fd["residual_vs_oracle"] < 1e-6
 
 
 class TestMain:
@@ -175,6 +206,20 @@ class TestMain:
         p.write_text(json.dumps({"g": matrix_to_json(np.eye(2))}))
         code = main(["eval", "--input", str(p), "--quantity", "curvature"])
         assert code == 2
+        assert "$.z1" in capsys.readouterr().err
+
+    def test_eval_too_few_flag_tangents_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(flag_point(3, tangents=2)))
+        assert main(["eval", "--input", str(p), "--quantity", "nu"]) == 2
+        assert "needs 3 tangents" in capsys.readouterr().err
+
+    def test_eval_nan_cut_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "p.json"
+        obj = write_curvature_point(p)
+        obj["z1"] = [float("nan"), 0.0]
+        p.write_text(json.dumps(obj))
+        assert main(["eval", "--input", str(p), "--quantity", "curvature"]) == 2
         assert "$.z1" in capsys.readouterr().err
 
     def test_eval_missing_file_exit_two(self, tmp_path):

@@ -8,7 +8,9 @@ from basicgerbe import (
     DimensionError,
     TangentVector,
     UnitaryMatrix,
+    projector_derivative,
     projector_inserted_curvature,
+    random_unitary,
     basic_three_form,
     classify,
     connection_curvature_fd,
@@ -19,13 +21,17 @@ from basicgerbe import (
     cut_point,
     delta_pairs,
     exterior_derivative_fd,
-    mc_form,
     spectral_decompose,
     tangent_random,
     three_curvature,
     wedge_trace_eval,
 )
-from basicgerbe.forms import curving_form_on_group, curving_z_derivative_fd
+from basicgerbe.contour import residue_eval
+from basicgerbe.forms import (
+    _curving_weights,
+    curving_form_on_group,
+    curving_z_derivative_fd,
+)
 from basicgerbe.sampling import (
     random_null_pair,
     random_positive_context,
@@ -81,20 +87,6 @@ class TestWedgeTrace:
     def test_count_mismatch(self):
         with pytest.raises(DimensionError):
             wedge_trace_eval([np.eye(2)], [np.eye(2), np.eye(2)])
-
-
-class TestMaurerCartan:
-    def test_returns_direction(self):
-        g = UnitaryMatrix(np.diag([1j, -1j]))
-        a = np.array([[0, 1], [-1, 0]], dtype=complex)
-        x = TangentVector(g, a)
-        assert np.linalg.norm(mc_form(g)(x) - a) < 1e-12
-
-    def test_degree_mismatch(self):
-        g = UnitaryMatrix(np.eye(2))
-        x = tangent_random(g, 0)
-        with pytest.raises(DimensionError):
-            mc_form(g)(x, x)
 
 
 class TestCurvature:
@@ -167,12 +159,66 @@ class TestCurving:
             z = random_null_pair(spec, rng)[0]
             assert abs(curving_z_derivative_fd(z, spec, x, y)) < 1e-6
 
+    def test_weights_match_residue_eval(self):
+        rng = np.random.default_rng(12)
+        z = cut_point(0.1)
+        for n in range(1, 7):
+            for _ in range(5):
+                lam = np.exp(1j * np.sort(rng.uniform(0.3, 2 * np.pi - 0.2, n)))
+                w = _curving_weights(z, lam)
+                for i in range(n):
+                    for j in range(n):
+                        poles = [(lam[i], 3)] if i == j else [(lam[i], 1), (lam[j], 2)]
+                        want = residue_eval(poles, with_log=z)
+                        assert abs(w[i, j] - want) <= 1e-12 * max(1.0, abs(want))
+
     def test_dim_one_vanishes(self):
         g = UnitaryMatrix(np.diag([np.exp(0.9j)]))
         spec = spectral_decompose(g)
         x = TangentVector(g, np.array([[1j]]))
         y = TangentVector(g, np.array([[2j]]))
         assert abs(curving_eval(cut_point(3.0), spec, x, y)) < 1e-12
+
+
+def repeated_instance(seed):
+    """Spectrum of a g in U(4) with a doubly repeated eigenvalue, two tangents."""
+    rng = np.random.default_rng(seed)
+    q = random_unitary(4, rng).mat
+    ang = np.array([0.9, 0.9, 2.6, 4.4])
+    g = UnitaryMatrix((q * np.exp(1j * ang)) @ q.conj().T)
+    spec = spectral_decompose(g)
+    assert list(spec.multiplicities) == [2, 1, 1]
+    return spec, tangent_random(g, rng), tangent_random(g, rng)
+
+
+class TestRepeatedEigenvalue:
+    # arcs around the double eigenvalue (angle 0.9) and around a simple one
+    ARCS = [(1.75, 0.45), (3.5, 1.75)]
+
+    def test_projector_derivative(self):
+        for seed in range(3):
+            spec, x, _ = repeated_instance(seed)
+            for a1, a2 in self.ARCS:
+                ctx = classify(cut_point(a1), cut_point(a2), spec)
+                dp = projector_derivative(ctx, x)
+                dp_fd = projector_derivative(ctx, x, method="fd")
+                assert np.max(np.abs(dp - dp_fd)) < 1e-6
+
+    def test_curvature(self):
+        for seed in range(3):
+            spec, x, y = repeated_instance(seed)
+            for a1, a2 in self.ARCS:
+                ctx = classify(cut_point(a1), cut_point(a2), spec)
+                res = curvature_via_contour(ctx, x, y, "residue")
+                assert abs(res - curvature_via_contour(ctx, x, y, "quadrature")) < 1e-8
+                assert abs(res - curvature_via_projectors(ctx, x, y, "fd")) < 1e-6
+
+    def test_curving(self):
+        for seed in range(3):
+            spec, x, y = repeated_instance(seed)
+            z = cut_point(5.4)
+            res = curving_eval(z, spec, x, y, "residue")
+            assert abs(res - curving_eval(z, spec, x, y, "quadrature")) < 1e-9
 
 
 class TestDeltaCurving:

@@ -16,6 +16,7 @@ from basicgerbe import (
     tangent_random,
     unitary_check,
 )
+from basicgerbe.linalg import _eigenbasis_sum
 
 
 class TestUnitaryCheck:
@@ -114,6 +115,25 @@ class TestSpectralDecompose:
         assert np.linalg.norm(spec.resolvent(xi) - direct) < 1e-10
 
 
+class TestEigenbasisSum:
+    def test_matches_projector_loop(self):
+        # a doubly repeated eigenvalue exercises the expansion by cluster
+        rng = np.random.default_rng(11)
+        q = random_unitary(5, rng).mat
+        ang = np.array([0.7, 0.7, 2.0, 3.3, 5.1])
+        spec = spectral_decompose(UnitaryMatrix((q * np.exp(1j * ang)) @ q.conj().T))
+        assert list(spec.multiplicities) == [2, 1, 1, 1]
+        m = spec.count
+        w = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        want = sum(
+            w[i, j] * spec.projectors[i] @ x @ spec.projectors[j]
+            for i in range(m)
+            for j in range(m)
+        )
+        assert np.max(np.abs(_eigenbasis_sum(spec, w, x) - want)) < 1e-13
+
+
 class TestTangentRandom:
     def test_skew_hermitian(self):
         g = random_unitary(3, 1)
@@ -139,6 +159,12 @@ class TestTangentRandom:
         g = random_unitary(2, 1)
         with pytest.raises(DimensionError):
             TangentVector(g, np.eye(2))
+
+    def test_rejects_non_finite(self):
+        g = random_unitary(2, 1)
+        a = np.array([[0.0, np.nan], [np.nan, 0.0]], dtype=complex)
+        with pytest.raises(DimensionError):
+            TangentVector(g, a)
 
 
 class TestEmbedding:

@@ -65,6 +65,14 @@ class TestFlagTorusPoint:
         pt = FlagTorusPoint(p, np.array([1j, 1j * np.exp(1e-8j)]))
         assert not pt.is_regular()
 
+    def test_non_finite_rejected(self):
+        p = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        with pytest.raises(DimensionError):
+            FlagTorusPoint(p, np.array([1j, complex(np.nan, 0.0)]))
+        p[0, 0, 1] = np.nan
+        with pytest.raises(DimensionError):
+            FlagTorusPoint(p, np.array([1j, -1j]))
+
 
 class TestFlagTangent:
     def test_radial_dlam_rejected(self):
@@ -78,6 +86,13 @@ class TestFlagTangent:
         bad[0] += np.eye(pt.dim) * 0.1
         with pytest.raises(DimensionError):
             FlagTangent(pt, tans[0].dlam, bad)
+
+    def test_non_finite_rejected(self):
+        _, pt, tans = regular_instance(4)
+        dlam = tans[0].dlam.copy()
+        dlam[0] = np.nan
+        with pytest.raises(DimensionError):
+            FlagTangent(pt, dlam, tans[0].dP)
 
     def test_commutator_tangents_accepted(self):
         _, pt, tans = regular_instance(3)
