@@ -193,11 +193,11 @@ def _suite_curvature(cfg: SuiteConfig) -> _Checks:
             abs(forms.projector_inserted_curvature(ctx, x, y) - f2),
         )
 
-        # a direction commuting with g: a function of g itself
-        a_comm = 1j * (spec.matrix + spec.matrix.conj().T)
-        a_comm /= max(1.0, np.linalg.norm(a_comm))
-        xc = TangentVector(g, a_comm)
-        checks.add("torus-directions", abs(forms.curvature_via_contour(ctx, xc, xc)))
+        # two distinct directions commuting with g: functions of g itself
+        gm, gh = spec.matrix, spec.matrix.conj().T
+        xc, yc = (TangentVector(g, a / max(1.0, np.linalg.norm(a)))
+                  for a in (1j * (gm + gh), gm @ gm - gh @ gh))
+        checks.add("torus-directions", abs(forms.curvature_via_contour(ctx, xc, yc)))
 
         s = float(rng.uniform(0.5, 2.0))
         xs = TangentVector(g, s * x.direction)
@@ -258,7 +258,8 @@ def _suite_delta_curving(cfg: SuiteConfig) -> _Checks:
         checks.add("delta-positive", abs(delta - curv))
         checks.add(
             "delta-swap",
-            abs(delta + forms.delta_pairs(forms.curving_eval, z2, z1, spec, x, y)),
+            abs(forms.delta_pairs(forms.curving_eval, z2, z1, spec, x, y)
+                - forms.curvature_via_projectors(classify(z2, z1, spec), x, y)),
         )
         w1, w2 = sampling.random_null_pair(spec, rng)
         checks.add(

@@ -245,6 +245,11 @@ def spectrum_contour(
     return annular_sector(a + gap_lo / 2, a + TWO_PI - gap_hi / 2, rho)
 
 
+def _resolvent(g: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """(xi - g)^{-1} at every node xi of ``xs``, stacked along the first axis."""
+    return np.linalg.inv(xs[:, None, None] * np.eye(g.shape[0]) - g)
+
+
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
     x, w = np.polynomial.legendre.leggauss(n)

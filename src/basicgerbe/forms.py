@@ -16,6 +16,8 @@ import scipy.linalg
 
 from .contour import (
     CutCirclePoint,
+    _check_cuts,
+    _resolvent,
     arc_contour,
     log_cut,
     log_cut_array,
@@ -79,14 +81,20 @@ def _pair_sum(
 
 
 def _wedge_resolvent_trace(
-    r: np.ndarray, xm: np.ndarray, ym: np.ndarray, eye: np.ndarray,
-    insert: np.ndarray | None = None,
+    r: np.ndarray, xm: np.ndarray, ym: np.ndarray, insert: np.ndarray | None = None
 ) -> np.ndarray:
-    """tr(R X R^2 [insert] Y) - tr(R Y R^2 [insert] X), batched over nodes."""
-    r2 = r @ r if insert is None else r @ r @ insert
-    fwd = np.einsum("nij,jk,nkl,li->n", r, xm, r2, ym, optimize=True)
-    bwd = np.einsum("nij,jk,nkl,li->n", r, ym, r2, xm, optimize=True)
-    return fwd - bwd
+    """tr(R X R^2 [insert] Y) - tr(R Y R^2 [insert] X) at every node R = r[k].
+
+    As tr((R X R)(R [insert] Y)): R X and R Y (and R [insert] X, Y) are one
+    2-D product each over the stacked nodes, then two batched products.
+    """
+
+    def times(m: np.ndarray) -> np.ndarray:  # R m at every node
+        return (r.reshape(-1, m.shape[0]) @ m).reshape(r.shape)
+
+    rx, ry = times(xm), times(ym)
+    rpx, rpy = (rx, ry) if insert is None else (times(insert @ xm), times(insert @ ym))
+    return np.einsum("nij,nji->n", rx @ r, rpy) - np.einsum("nij,nji->n", ry @ r, rpx)
 
 
 def _signed(ctx: ArcContext):
@@ -137,15 +145,10 @@ def curvature_via_contour(
         return sign * _pair_sum(spec, w, xm, ym)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    g = pos.spec.matrix
-    eye = np.eye(pos.dim)
-
-    def integrand(xs: np.ndarray) -> np.ndarray:
-        r = np.linalg.inv(xs[:, None, None] * eye - g)
-        return _wedge_resolvent_trace(r, xm, ym, eye)
-
     return sign * 0.5 * quad_integrate(
-        arc_contour(pos.z1, pos.z2, pos.spec), integrand, vectorized=True
+        arc_contour(pos.z1, pos.z2, pos.spec),
+        lambda xs: _wedge_resolvent_trace(_resolvent(pos.spec.matrix, xs), xm, ym),
+        vectorized=True,
     )
 
 
@@ -163,14 +166,10 @@ def projector_inserted_curvature(
     xm, ym = x.ambient, y.ambient
     g = pos.spec.matrix
     p = arc_projector(pos)
-    eye = np.eye(pos.dim)
-
-    def integrand(xs: np.ndarray) -> np.ndarray:
-        r = np.linalg.inv(xs[:, None, None] * eye - g)
-        return _wedge_resolvent_trace(r, xm, ym, eye, insert=p)
-
     return sign * quad_integrate(
-        arc_contour(pos.z1, pos.z2, pos.spec), integrand, vectorized=True
+        arc_contour(pos.z1, pos.z2, pos.spec),
+        lambda xs: _wedge_resolvent_trace(_resolvent(g, xs), xm, ym, insert=p),
+        vectorized=True,
     )
 
 
@@ -206,16 +205,15 @@ def curving_eval(
     """
     xm, ym = x.ambient, y.ambient
     if method == "residue":
+        _check_cuts(spec.eigenvalues, z)
         w = _curving_weights(z, spec.eigenvalues)
         return complex(1j / (4 * math.pi) * _pair_sum(spec, w, xm, ym))
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    g = spec.matrix
-    eye = np.eye(spec.dim)
 
     def integrand(xs: np.ndarray) -> np.ndarray:
-        r = np.linalg.inv(xs[:, None, None] * eye - g)
-        return log_cut_array(z, xs) * _wedge_resolvent_trace(r, xm, ym, eye)
+        r = _resolvent(spec.matrix, xs)
+        return log_cut_array(z, xs) * _wedge_resolvent_trace(r, xm, ym)
 
     return complex(
         1j

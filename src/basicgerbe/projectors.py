@@ -18,6 +18,7 @@ import numpy as np
 from .contour import (
     CutCirclePoint,
     _check_cuts,
+    _resolvent,
     arc_contour,
     circle_between,
     circle_gt,
@@ -122,12 +123,7 @@ def arc_projector(ctx: ArcContext, method: str = "residue") -> np.ndarray:
     if method == "quadrature":
         contour = arc_contour(ctx.z1, ctx.z2, ctx.spec)
         g = ctx.spec.matrix
-        eye = np.eye(n)
-
-        def resolvent(xs: np.ndarray) -> np.ndarray:
-            return np.linalg.inv(xs[:, None, None] * eye - g)
-
-        return quad_integrate(contour, resolvent, vectorized=True)
+        return quad_integrate(contour, lambda xs: _resolvent(g, xs), vectorized=True)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -222,6 +222,22 @@ class TestMain:
         assert main(["eval", "--input", str(p), "--quantity", "curvature"]) == 2
         assert "$.z1" in capsys.readouterr().err
 
+    def test_eval_curving_cut_at_eigenvalue_exit_two(self, tmp_path, capsys):
+        g = np.diag(np.exp(1j * np.array([1.0, 2.5, 4.0])))
+        a = np.zeros((3, 3), dtype=complex)
+        a[0, 1], a[1, 0] = 1.0, -1.0
+        obj = {
+            "g": matrix_to_json(g),
+            "z": [np.cos(2.5 + 1e-8), np.sin(2.5 + 1e-8)],
+            "X": matrix_to_json(a),
+            "Y": matrix_to_json(1j * np.abs(a)),
+        }
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(obj))
+        args = ["eval", "--input", str(p), "--quantity", "curving", "--no-oracle"]
+        assert main(args) == 2
+        assert "IllConditionedCutError" in capsys.readouterr().err
+
     def test_eval_missing_file_exit_two(self, tmp_path):
         assert (
             main(["eval", "--input", str(tmp_path / "no.json"), "--quantity", "nu"])

@@ -21,7 +21,7 @@ from basicgerbe import (
     spectral_decompose,
     spectrum_contour,
 )
-from basicgerbe.contour import Segment, annular_sector
+from basicgerbe.contour import DEFAULT_NODES, Segment, annular_sector
 
 
 def winding(contour, pole):
@@ -222,6 +222,23 @@ class TestQuadrature:
         v1 = quad_integrate(annular_sector(0.6, 1.6, rho=0.5), f)
         v2 = quad_integrate(annular_sector(0.8, 1.4, rho=0.3), f)
         assert abs(v1 - v2) < 1e-10
+
+    @pytest.mark.parametrize(
+        "pole, start, stop, passes",
+        [(np.exp(0.7j), DEFAULT_NODES, 1024, 2), (0.51 * np.exp(0.7j), 8, 64, 4)],
+    )
+    def test_vectorized_one_call_per_segment_per_pass(self, pole, start, stop, passes):
+        # pass p evaluates start * 2**p nodes on every segment, one call each
+        c = annular_sector(0.2, 1.2)
+        seen = []
+
+        def integrand(xs):
+            seen.append(len(xs))
+            return 1.0 / (xs - pole)
+
+        quad_integrate(c, integrand, start_nodes=start, max_nodes=stop, vectorized=True)
+        segs = len(c.segments)
+        assert seen == [start * 2**p for p in range(passes) for _ in range(segs)]
 
 
 class TestResidues:

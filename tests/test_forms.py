@@ -6,6 +6,7 @@ import pytest
 from basicgerbe import (
     Classification,
     DimensionError,
+    IllConditionedCutError,
     TangentVector,
     UnitaryMatrix,
     projector_derivative,
@@ -29,6 +30,7 @@ from basicgerbe import (
 from basicgerbe.contour import residue_eval
 from basicgerbe.forms import (
     _curving_weights,
+    _wedge_resolvent_trace,
     curving_form_on_group,
     curving_z_derivative_fd,
 )
@@ -127,6 +129,25 @@ class TestCurvature:
             assert abs(v.real) < 1e-10  # iR-valued on skew directions
 
 
+class TestWedgeResolventTrace:
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    @pytest.mark.parametrize("inserted", [False, True])
+    def test_matches_node_loop(self, n, inserted):
+        rng = np.random.default_rng(n)
+        g = random_unitary(n, rng)
+        xs = np.exp(1j * rng.uniform(0, 2 * np.pi, 9)) * rng.uniform(0.5, 1.5, 9)
+        r = np.linalg.inv(xs[:, None, None] * np.eye(n) - g.mat)
+        xm, ym = tangent_random(g, rng).ambient, tangent_random(g, rng).ambient
+        p = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        insert = p if inserted else None
+        pm = p if inserted else np.eye(n)
+        fwd = np.array([np.trace(rk @ xm @ rk @ rk @ pm @ ym) for rk in r])
+        bwd = np.array([np.trace(rk @ ym @ rk @ rk @ pm @ xm) for rk in r])
+        got = _wedge_resolvent_trace(r, xm, ym, insert)
+        scale = np.max(np.abs(fwd) + np.abs(bwd))
+        assert np.max(np.abs(got - (fwd - bwd))) <= 1e-12 * scale
+
+
 class TestProjectorInsertion:
     def test_matches_curvature(self):
         for k in range(15):
@@ -171,6 +192,14 @@ class TestCurving:
                         poles = [(lam[i], 3)] if i == j else [(lam[i], 1), (lam[j], 2)]
                         want = residue_eval(poles, with_log=z)
                         assert abs(w[i, j] - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("method", ["residue", "quadrature"])
+    def test_cut_at_eigenvalue_rejected(self, method):
+        g = UnitaryMatrix(np.diag(np.exp(1j * np.array([1.0, 2.5, 4.0]))))
+        rng = np.random.default_rng(3)
+        x, y = tangent_random(g, rng), tangent_random(g, rng)
+        with pytest.raises(IllConditionedCutError):
+            curving_eval(cut_point(2.5 + 1e-8), spectral_decompose(g), x, y, method)
 
     def test_dim_one_vanishes(self):
         g = UnitaryMatrix(np.diag([np.exp(0.9j)]))
@@ -240,6 +269,20 @@ class TestDeltaCurving:
         fwd = delta_pairs(curving_eval, ctx.z1, ctx.z2, spec, x, y)
         bwd = delta_pairs(curving_eval, ctx.z2, ctx.z1, spec, x, y)
         assert abs(fwd + bwd) < 1e-12
+
+    def test_swapped_pair_gives_negative_context_curvature(self):
+        # fails if the negative stratum lost its sign in _signed
+        proper = 0
+        for k in range(20):
+            _, _, spec, ctx, x, y = random_instance(1100 + k)
+            neg = classify(ctx.z2, ctx.z1, spec)
+            assert neg.classification is Classification.NEGATIVE
+            f = curvature_via_projectors(neg, x, y)
+            assert abs(f + curvature_via_projectors(ctx, x, y)) < 1e-12
+            d = delta_pairs(curving_eval, ctx.z2, ctx.z1, spec, x, y)
+            assert abs(d - f) < 1e-10
+            proper += len(ctx.arc_indices) < spec.count
+        assert proper >= 5  # arcs holding every eigenvalue give P = 1, curvature 0
 
 
 class TestThreeForm:
