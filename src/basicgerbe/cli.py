@@ -629,18 +629,15 @@ def _tangent_from_json(g: UnitaryMatrix, obj, path: str) -> TangentVector:
 FLAG_TANGENTS = {"curving": 2, "nu": 3, "df": 3}
 
 
-def _flag_tangents(obj: dict, quantity: str) -> list:
+def _flag_tangents(pt: weyl.FlagTorusPoint, obj: dict, quantity: str) -> list:
     if quantity not in FLAG_TANGENTS:
         raise SchemaError("$", f"flag-torus input does not support {quantity!r}")
     tans = []
     for i, t in enumerate(_require(obj, "tangents")):
-        merged = {
-            "lambda": obj["lambda"],
-            "projections": obj["projections"],
-            "dlambda": _require(t, "dlambda", f"$.tangents[{i}]"),
-            "dP": _require(t, "dP", f"$.tangents[{i}]"),
-        }
-        tans.append(weyl.flag_point_from_json(merged, f"$.tangents[{i}]")[1])
+        path = f"$.tangents[{i}]"
+        _require(t, "dlambda", path)
+        _require(t, "dP", path)
+        tans.append(weyl.flag_tangent_from_json(pt, t, path))
     need = FLAG_TANGENTS[quantity]
     if len(tans) < need:
         raise SchemaError(
@@ -655,7 +652,7 @@ def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict
 
     if "lambda" in obj:
         pt, _ = weyl.flag_point_from_json(obj)
-        tans = _flag_tangents(obj, quantity)
+        tans = _flag_tangents(pt, obj, quantity)
         if quantity == "curving":
             z = _cut_from_json(_require(obj, "z"), "$.z")
             value = weyl.pullback_curving_closed(pt, z, tans[0], tans[1])

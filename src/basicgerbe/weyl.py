@@ -59,12 +59,16 @@ class FlagTorusPoint:
             raise DimensionError("projector family has non-finite entries")
         if np.max(np.abs(np.abs(lam) - 1.0)) > PROJECTOR_TOL:
             raise DimensionError("torus values must have unit modulus")
+        if np.max(np.abs(p - p.conj().transpose(0, 2, 1))) > PROJECTOR_TOL:
+            raise DimensionError("projector family is not Hermitian")
         if np.linalg.norm(p.sum(axis=0) - np.eye(n)) > PROJECTOR_TOL * n:
             raise DimensionError("projector family is not complete")
-        prod = np.einsum("aij,bjk->abik", p, p, optimize=True)
-        want = np.zeros_like(prod)
-        want[np.arange(m), np.arange(m)] = p
-        if float(np.max(np.abs(prod - want))) > PROJECTOR_TOL:
+        # one GEMM: block (a, b) of the (m n, m n) product is P_a P_b
+        prod = p.reshape(m * n, n) @ p.transpose(1, 0, 2).reshape(n, m * n)
+        prod = prod.reshape(m, n, m, n)
+        diag = np.arange(m)
+        prod[diag, :, diag, :] -= p
+        if np.max(np.abs(prod)) > PROJECTOR_TOL:
             raise DimensionError("projector family is not orthogonal")
 
     @property
@@ -76,14 +80,13 @@ class FlagTorusPoint:
         return self.projections.shape[0]
 
     def is_regular(self, gap: float = REGULARITY_GAP) -> bool:
+        """Full flag, and every pair of torus values at least ``gap`` apart."""
         if self.count != self.dim:
             return False
         lam = self.torus_values
-        for i in range(self.count):
-            for j in range(i + 1, self.count):
-                if abs(lam[i] - lam[j]) < gap:
-                    return False
-        return True
+        dist = np.abs(lam[:, None] - lam[None, :])
+        off = ~np.eye(self.count, dtype=bool)
+        return bool(np.min(dist[off], initial=np.inf) >= gap)
 
 
 def _require_regular(pt: FlagTorusPoint) -> None:
@@ -118,10 +121,10 @@ class FlagTangent:
             raise DimensionError("dlambda is not tangent to the unit circle")
         if np.linalg.norm(dp.sum(axis=0)) > PROJECTOR_TOL * n:
             raise DimensionError("sum of dP_i must vanish")
-        for i in range(m):
-            p = pt.projections[i]
-            if np.linalg.norm(p @ dp[i] + dp[i] @ p - dp[i]) > PROJECTOR_TOL * n:
-                raise DimensionError("dP_i must be off-diagonal for P_i")
+        p = pt.projections
+        diagonal = np.linalg.norm(p @ dp + dp @ p - dp, axis=(1, 2))
+        if np.max(diagonal, initial=0.0) > PROJECTOR_TOL * n:
+            raise DimensionError("dP_i must be off-diagonal for P_i")
 
 
 def weyl_apply(pt: FlagTorusPoint) -> UnitaryMatrix:
@@ -151,15 +154,9 @@ def weyl_tangent(tan: FlagTangent) -> TangentVector:
 def preimage_count(g: UnitaryMatrix) -> int:
     """Number of flag-torus points mapping to a regular g (equals n!)."""
     spec = spectral_decompose(g)
-    if spec.count != g.dim:
-        raise RegularityError("g has a repeated eigenvalue")
     lam = spec.eigenvalues
-    for i in range(len(lam)):
-        for j in range(i + 1, len(lam)):
-            if abs(lam[i] - lam[j]) < REGULARITY_GAP:
-                raise RegularityError("eigenvalue gap below regularity threshold")
     # the projector family is validated once; each sheet reorders it
-    FlagTorusPoint(spec.projectors, lam)
+    _require_regular(FlagTorusPoint(spec.projectors, lam))
     count = 0
     for perm in itertools.permutations(range(spec.count)):
         order = list(perm)
@@ -349,6 +346,16 @@ def flag_point_from_json(obj: dict, path: str = "$") -> tuple:
         raise SchemaError(path, "dlambda and dP must be given together")
     if "dlambda" not in obj:
         return pt, None
+    return pt, flag_tangent_from_json(pt, obj, path)
+
+
+def flag_tangent_from_json(
+    pt: FlagTorusPoint, obj: dict, path: str = "$"
+) -> FlagTangent:
+    """Parse {"dlambda", "dP"} into a tangent at the already parsed ``pt``.
+
+    Both fields must be present; the tangent is validated against ``pt``.
+    """
     dlam = np.array(
         [
             _complex_from_json(v, f"{path}.dlambda[{i}]")
@@ -362,10 +369,9 @@ def flag_point_from_json(obj: dict, path: str = "$") -> tuple:
         ]
     )
     try:
-        tan = FlagTangent(pt, dlam, dp)
+        return FlagTangent(pt, dlam, dp)
     except DimensionError as exc:
         raise SchemaError(path, str(exc)) from None
-    return pt, tan
 
 
 def flag_point_to_json(pt: FlagTorusPoint, tan: FlagTangent | None = None) -> dict:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from basicgerbe import (
+    SchemaError,
     flag_point_to_json,
     matrix_to_json,
     random_flag_tangent,
     sample_regular,
     tangent_random,
 )
+from basicgerbe import weyl
 from basicgerbe.cli import SUITES, SuiteConfig, eval_point, main, run_suite
 from basicgerbe.sampling import (
     random_positive_context,
@@ -115,8 +117,6 @@ class TestEvalPoint:
         assert rec["residual_vs_oracle"] < 1e-10
 
     def test_missing_field(self):
-        from basicgerbe import SchemaError
-
         with pytest.raises(SchemaError) as err:
             eval_point({}, "curvature", "residue", True)
         assert "$.g" in str(err.value)
@@ -124,6 +124,31 @@ class TestEvalPoint:
     def test_flag_input(self):
         rec = eval_point(flag_point(3), "df", "residue", True)
         assert rec["residual_vs_oracle"] < 1e-9
+
+    @pytest.mark.parametrize("quantity", ["curving", "nu", "df"])
+    def test_flag_point_built_once(self, quantity, monkeypatch):
+        obj = flag_point(3)
+        built = []
+        check = weyl.FlagTorusPoint.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(weyl.FlagTorusPoint, "__post_init__", counting)
+        eval_point(obj, quantity, "residue", True)
+        assert len(built) == 1
+
+    def test_flag_tangent_error_paths(self):
+        obj = flag_point(3)
+        dp = obj["tangents"][1]["dP"]
+        dp[0], dp[1] = dp[1], dp[0]
+        with pytest.raises(SchemaError, match=r"^\$\.tangents\[1\]: .*off-diagonal"):
+            eval_point(obj, "df", "residue", True)
+        obj = flag_point(3)
+        del obj["tangents"][0]["dlambda"]
+        with pytest.raises(SchemaError, match=r"^\$\.tangents\[0\]\.dlambda: "):
+            eval_point(obj, "df", "residue", True)
 
     def test_curvature_fd_matches_residue(self):
         rng = sample_rng(0, "cli-test", 1)
@@ -213,6 +238,34 @@ class TestMain:
         p.write_text(json.dumps(flag_point(3, tangents=2)))
         assert main(["eval", "--input", str(p), "--quantity", "nu"]) == 2
         assert "needs 3 tangents" in capsys.readouterr().err
+
+    def test_eval_bad_flag_tangent_exit_two(self, tmp_path, capsys):
+        obj = flag_point(3)
+        dp = obj["tangents"][1]["dP"]
+        dp[0], dp[1] = dp[1], dp[0]
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(obj))
+        assert main(["eval", "--input", str(p), "--quantity", "df"]) == 2
+        assert "$.tangents[1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quantity", ["nu", "df"])
+    def test_eval_oblique_projectors_exit_two(self, quantity, tmp_path, capsys):
+        # complete, P_a P_b = delta_ab P_a, but P0 and P1 are not Hermitian
+        proj = np.zeros((3, 3, 3), dtype=complex)
+        proj[0, 0, 0], proj[0, 0, 1] = 1.0, 0.7
+        proj[1, 1, 1], proj[1, 0, 1] = 1.0, -0.7
+        proj[2, 2, 2] = 1.0
+        lam = np.exp(1j * np.array([0.3, 1.1, 2.0]))
+        zero = {"dlambda": [[0.0, 0.0]] * 3, "dP": [matrix_to_json(0 * proj[0])] * 3}
+        obj = {
+            "lambda": [[v.real, v.imag] for v in lam],
+            "projections": [matrix_to_json(q) for q in proj],
+            "tangents": [zero] * 3,
+        }
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(obj))
+        assert main(["eval", "--input", str(p), "--quantity", quantity]) == 2
+        assert "not Hermitian" in capsys.readouterr().err
 
     def test_eval_nan_cut_exit_two(self, tmp_path, capsys):
         p = tmp_path / "p.json"

@@ -55,6 +55,27 @@ class TestFlagTorusPoint:
         with pytest.raises(DimensionError):
             FlagTorusPoint(p.astype(complex), np.exp(1j * np.array([0.3, 1.1])))
 
+    @pytest.mark.parametrize("e, accepted", [(1e-3, False), (1e-7, True)])
+    def test_orthogonality_bound(self, e, accepted):
+        # complete and Hermitian; P0^2 - P0 = e^2 I, below the tol for 1e-7
+        p0 = np.array([[1.0, e], [e, 0.0]], dtype=complex)
+        p = np.stack([p0, np.eye(2) - p0])
+        lam = np.exp(1j * np.array([0.3, 1.1]))
+        if accepted:
+            FlagTorusPoint(p, lam)
+        else:
+            with pytest.raises(DimensionError, match="not orthogonal"):
+                FlagTorusPoint(p, lam)
+
+    def test_oblique_rejected(self):
+        # complete idempotents with P_a P_b = 0, but P0 and P1 not Hermitian
+        p = np.zeros((3, 3, 3), dtype=complex)
+        p[0, 0, 0], p[0, 0, 1] = 1.0, 0.7
+        p[1, 1, 1], p[1, 0, 1] = 1.0, -0.7
+        p[2, 2, 2] = 1.0
+        with pytest.raises(DimensionError, match="not Hermitian"):
+            FlagTorusPoint(p, np.exp(1j * np.array([0.3, 1.1, 2.0])))
+
     def test_non_unit_values_rejected(self):
         p = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
         with pytest.raises(DimensionError):
@@ -85,6 +106,16 @@ class TestFlagTangent:
         bad = tans[0].dP.copy()
         bad[0] += np.eye(pt.dim) * 0.1
         with pytest.raises(DimensionError):
+            FlagTangent(pt, tans[0].dlam, bad)
+
+    def test_diagonal_dP_rejected(self):
+        # a block of dP_i inside P_i moves P_i off the projectors
+        _, pt, tans = regular_instance(5)
+        last = pt.count - 1
+        bad = tans[0].dP.copy()
+        bad[last] += 0.1 * pt.projections[last]
+        bad[0] -= 0.1 * pt.projections[last]
+        with pytest.raises(DimensionError, match="off-diagonal"):
             FlagTangent(pt, tans[0].dlam, bad)
 
     def test_non_finite_rejected(self):
