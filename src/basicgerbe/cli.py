@@ -47,46 +47,6 @@ class SuiteConfig:
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
     tolerances: dict = field(default_factory=dict)
-    report_path: str | None = None
-
-    def validate(self) -> None:
-        if self.suite not in SUITES:
-            raise ValueError(
-                f"unknown suite {self.suite!r}; choose from {sorted(SUITES)}"
-            )
-        if self.dim < 1 or self.samples < 1:
-            raise ValueError("dim and samples must be positive")
-
-
-class _Checks:
-    """Accumulates per-check absolute errors during a suite run."""
-
-    def __init__(self, cfg: SuiteConfig, defaults: dict):
-        self.cfg = cfg
-        self.defaults = defaults
-        self.errors: dict[str, list[float]] = {name: [] for name in defaults}
-
-    def add(self, name: str, err: float) -> None:
-        self.errors[name].append(float(err))
-
-    def results(self) -> list[dict]:
-        out = []
-        for name, (identity, tol) in self.defaults.items():
-            tol = float(self.cfg.tolerances.get(name, tol))
-            errs = self.errors[name]
-            failures = sum(1 for e in errs if e > tol)
-            out.append(
-                {
-                    "name": name,
-                    "identity": identity,
-                    "samples": len(errs),
-                    "max_abs_error": max(errs) if errs else 0.0,
-                    "mean_abs_error": (sum(errs) / len(errs)) if errs else 0.0,
-                    "tolerance": tol,
-                    "failures": failures,
-                }
-            )
-        return out
 
 
 def _max_abs(m) -> float:
@@ -94,487 +54,449 @@ def _max_abs(m) -> float:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: a check table {name: (identity, default tolerance)} and a function
+# computing one sample's {name: error}; a check absent from a sample's dict
+# was not run on it
 
 
-def _suite_projectors(cfg: SuiteConfig) -> _Checks:
-    checks = _Checks(
-        cfg,
-        {
-            "residue-vs-quadrature": (
-                "arc projector: eigenprojector sum vs resolvent contour integral",
-                1e-10,
-            ),
-            "projector-algebra": (
-                "arc projector idempotent and Hermitian",
-                1e-10,
-            ),
-            "integer-trace": ("trace of the arc projector is an integer", 1e-10),
-            "derivative-residue-vs-fd": (
-                "projector derivative: residue formula vs central differences",
-                1e-6,
-            ),
-            "derivative-off-diagonal": (
-                "P dP P = 0 and dP = P dP (1-P) + (1-P) dP P",
-                1e-10,
-            ),
-            "derivative-sum-zero": (
-                "sum of single-eigenvalue projector derivatives vanishes",
-                1e-10,
-            ),
-        },
+_PROJECTORS = {
+    "residue-vs-quadrature": (
+        "arc projector: eigenprojector sum vs resolvent contour integral",
+        1e-10,
+    ),
+    "projector-algebra": (
+        "arc projector idempotent and Hermitian",
+        1e-10,
+    ),
+    "integer-trace": ("trace of the arc projector is an integer", 1e-10),
+    "derivative-residue-vs-fd": (
+        "projector derivative: residue formula vs central differences",
+        1e-6,
+    ),
+    "derivative-off-diagonal": (
+        "P dP P = 0 and dP = P dP (1-P) + (1-P) dP P",
+        1e-10,
+    ),
+    "derivative-sum-zero": (
+        "sum of single-eigenvalue projector derivatives vanishes",
+        1e-10,
+    ),
+}
+
+
+def _projectors(cfg: SuiteConfig, i: int, rng) -> dict:
+    g, spec = sampling.well_separated_unitary(cfg.dim, rng)
+    ctx = sampling.random_positive_context(spec, rng)
+    x = tangent_random(g, rng)
+
+    p_res = projectors.arc_projector(ctx, "residue")
+    p_quad = projectors.arc_projector(ctx, "quadrature")
+    tr = complex(np.trace(p_res))
+    dp = projectors.projector_derivative(ctx, x)
+    dp_fd = projectors.projector_derivative(ctx, x, method="fd")
+    q = np.eye(cfg.dim) - p_res
+    total = sum(
+        projectors.single_projector_derivative(spec, k, x)
+        for k in range(spec.count)
     )
-    for i in range(cfg.samples):
-        rng = sampling.sample_rng(cfg.seed, cfg.suite, i)
-        g, spec = sampling.well_separated_unitary(cfg.dim, rng)
-        ctx = sampling.random_positive_context(spec, rng)
-        x = tangent_random(g, rng)
-
-        p_res = projectors.arc_projector(ctx, "residue")
-        p_quad = projectors.arc_projector(ctx, "quadrature")
-        checks.add("residue-vs-quadrature", _max_abs(p_res - p_quad))
-        checks.add(
-            "projector-algebra",
-            max(_max_abs(p_res @ p_res - p_res), _max_abs(p_res - p_res.conj().T)),
-        )
-        tr = complex(np.trace(p_res))
-        checks.add("integer-trace", abs(tr - round(tr.real)))
-
-        dp = projectors.projector_derivative(ctx, x)
-        dp_fd = projectors.projector_derivative(ctx, x, method="fd")
-        checks.add("derivative-residue-vs-fd", _max_abs(dp - dp_fd))
-        q = np.eye(cfg.dim) - p_res
-        checks.add(
-            "derivative-off-diagonal",
-            max(
-                _max_abs(p_res @ dp @ p_res),
-                _max_abs(dp - p_res @ dp @ q - q @ dp @ p_res),
-            ),
-        )
-        total = sum(
-            projectors.single_projector_derivative(spec, k, x)
-            for k in range(spec.count)
-        )
-        checks.add("derivative-sum-zero", _max_abs(total))
-    return checks
+    return {
+        "residue-vs-quadrature": _max_abs(p_res - p_quad),
+        "projector-algebra": max(
+            _max_abs(p_res @ p_res - p_res), _max_abs(p_res - p_res.conj().T)
+        ),
+        "integer-trace": abs(tr - round(tr.real)),
+        "derivative-residue-vs-fd": _max_abs(dp - dp_fd),
+        "derivative-off-diagonal": max(
+            _max_abs(p_res @ dp @ p_res),
+            _max_abs(dp - p_res @ dp @ q - q @ dp @ p_res),
+        ),
+        "derivative-sum-zero": _max_abs(total),
+    }
 
 
-def _suite_curvature(cfg: SuiteConfig) -> _Checks:
-    checks = _Checks(
-        cfg,
-        {
-            "three-route": (
-                "curvature: tr(P dP dP) vs contour quadrature vs residue form",
-                1e-8,
-            ),
-            "projector-insertion": (
-                "projector-inserted contour integral equals the curvature",
-                1e-9,
-            ),
-            "torus-directions": ("curvature vanishes on commuting directions", 1e-10),
-            "bilinear-antisymmetric": (
-                "curvature antisymmetric and bilinear in the tangents",
-                1e-10,
-            ),
-        },
-    )
-    for i in range(cfg.samples):
-        rng = sampling.sample_rng(cfg.seed, cfg.suite, i)
-        g, spec = sampling.well_separated_unitary(cfg.dim, rng)
-        ctx = sampling.random_positive_context(spec, rng)
-        x = tangent_random(g, rng)
-        y = tangent_random(g, rng)
-        f1 = forms.curvature_via_projectors(ctx, x, y)
-        f2 = forms.curvature_via_contour(ctx, x, y, "residue")
-        f3 = forms.curvature_via_contour(ctx, x, y, "quadrature")
-        checks.add("three-route", max(abs(f1 - f2), abs(f1 - f3), abs(f2 - f3)))
-        checks.add(
-            "projector-insertion",
-            abs(forms.projector_inserted_curvature(ctx, x, y) - f2),
-        )
-
-        # two distinct directions commuting with g: functions of g itself
-        gm, gh = spec.matrix, spec.matrix.conj().T
-        xc, yc = (TangentVector(g, a / max(1.0, np.linalg.norm(a)))
-                  for a in (1j * (gm + gh), gm @ gm - gh @ gh))
-        checks.add("torus-directions", abs(forms.curvature_via_contour(ctx, xc, yc)))
-
-        s = float(rng.uniform(0.5, 2.0))
-        xs = TangentVector(g, s * x.direction)
-        checks.add(
-            "bilinear-antisymmetric",
-            max(
-                abs(f2 + forms.curvature_via_contour(ctx, y, x)),
-                abs(forms.curvature_via_contour(ctx, xs, y) - s * f2),
-            ),
-        )
-    return checks
+_CURVATURE = {
+    "three-route": (
+        "curvature: tr(P dP dP) vs contour quadrature vs residue form",
+        1e-8,
+    ),
+    "projector-insertion": (
+        "projector-inserted contour integral equals the curvature",
+        1e-9,
+    ),
+    "torus-directions": ("curvature vanishes on commuting directions", 1e-10),
+    "bilinear-antisymmetric": (
+        "curvature antisymmetric and bilinear in the tangents",
+        1e-10,
+    ),
+}
 
 
-def _suite_delta_curving(cfg: SuiteConfig) -> _Checks:
-    checks = _Checks(
-        cfg,
-        {
-            "residue-vs-quadrature": (
-                "curving: residue closed form vs log-weighted contour quadrature",
-                1e-9,
-            ),
-            "contour-deformation": (
-                "curving quadrature unchanged under contour deformation",
-                1e-10,
-            ),
-            "cut-derivative-zero": (
-                "derivative of the curving in the cut direction vanishes",
-                1e-6,
-            ),
-            "delta-positive": (
-                "difference of curvings across a positive pair equals the curvature",
-                1e-8,
-            ),
-            "delta-null": ("difference of curvings across a null pair vanishes", 1e-8),
-            "delta-swap": ("delta of the curving flips sign under cut swap", 1e-10),
-        },
-    )
-    for i in range(cfg.samples):
-        rng = sampling.sample_rng(cfg.seed, cfg.suite, i)
-        g, spec = sampling.well_separated_unitary(cfg.dim, rng)
-        x = tangent_random(g, rng)
-        y = tangent_random(g, rng)
-        ctx = sampling.random_positive_context(spec, rng)
-        z1, z2 = ctx.z1, ctx.z2
+def _curvature(cfg: SuiteConfig, i: int, rng) -> dict:
+    g, spec = sampling.well_separated_unitary(cfg.dim, rng)
+    ctx = sampling.random_positive_context(spec, rng)
+    x = tangent_random(g, rng)
+    y = tangent_random(g, rng)
+    f1 = forms.curvature_via_projectors(ctx, x, y)
+    f2 = forms.curvature_via_contour(ctx, x, y, "residue")
+    f3 = forms.curvature_via_contour(ctx, x, y, "quadrature")
 
-        f_res = forms.curving_eval(z1, spec, x, y, "residue")
-        f_quad = forms.curving_eval(z1, spec, x, y, "quadrature")
-        checks.add("residue-vs-quadrature", abs(f_res - f_quad))
-        f_quad2 = forms.curving_eval(z1, spec, x, y, "quadrature", rho=0.25)
-        checks.add("contour-deformation", abs(f_quad - f_quad2))
-        checks.add(
-            "cut-derivative-zero",
-            abs(forms.curving_z_derivative_fd(z1, spec, x, y)),
-        )
+    # two distinct directions commuting with g: functions of g itself
+    gm, gh = spec.matrix, spec.matrix.conj().T
+    xc, yc = (TangentVector(g, a / max(1.0, np.linalg.norm(a)))
+              for a in (1j * (gm + gh), gm @ gm - gh @ gh))
 
-        delta = forms.delta_pairs(forms.curving_eval, z1, z2, spec, x, y)
-        curv = forms.curvature_via_projectors(ctx, x, y)
-        checks.add("delta-positive", abs(delta - curv))
-        checks.add(
-            "delta-swap",
-            abs(forms.delta_pairs(forms.curving_eval, z2, z1, spec, x, y)
-                - forms.curvature_via_projectors(classify(z2, z1, spec), x, y)),
-        )
-        w1, w2 = sampling.random_null_pair(spec, rng)
-        checks.add(
-            "delta-null",
-            abs(forms.delta_pairs(forms.curving_eval, w1, w2, spec, x, y)),
-        )
-    return checks
+    s = float(rng.uniform(0.5, 2.0))
+    xs = TangentVector(g, s * x.direction)
+    return {
+        "three-route": max(abs(f1 - f2), abs(f1 - f3), abs(f2 - f3)),
+        "projector-insertion": abs(
+            forms.projector_inserted_curvature(ctx, x, y) - f2
+        ),
+        "torus-directions": abs(forms.curvature_via_contour(ctx, xc, yc)),
+        "bilinear-antisymmetric": max(
+            abs(f2 + forms.curvature_via_contour(ctx, y, x)),
+            abs(forms.curvature_via_contour(ctx, xs, y) - s * f2),
+        ),
+    }
 
 
-def _suite_three_curvature(cfg: SuiteConfig) -> _Checks:
-    checks = _Checks(
-        cfg,
-        {
-            "fd-exterior-derivative": (
-                "exterior derivative of the curving equals 2 pi i times the "
-                "basic three-form",
-                1e-4,
-            ),
-            "raw-vs-simplified": (
-                "pulled-back three-curvature: raw two-term sum vs simplified form",
-                1e-9,
-            ),
-            "closed-vs-group": (
-                "pulled-back three-curvature matches the group three-form",
-                1e-8,
-            ),
-        },
-    )
-    fd_samples = max(1, cfg.samples // 5)
-    for i in range(cfg.samples):
-        rng = sampling.sample_rng(cfg.seed, cfg.suite, i)
-        pt = weyl.sample_regular(cfg.dim, rng)
-        tans = [weyl.random_flag_tangent(pt, rng) for _ in range(3)]
-        raw, simplified = weyl.pullback_nu_closed(pt, *tans)
-        checks.add("raw-vs-simplified", abs(raw - simplified))
-        g = weyl.weyl_apply(pt)
-        omega = forms.three_curvature(g, *(weyl.weyl_tangent(t) for t in tans))
-        checks.add("closed-vs-group", abs(raw - omega))
-
-        if i < fd_samples:
-            gg, spec = sampling.well_separated_unitary(cfg.dim, rng)
-            z = sampling.random_cuts(spec, rng, 1)[0]
-            xs = [tangent_random(gg, rng) for _ in range(3)]
-            d_fd = forms.exterior_derivative_fd(
-                forms.curving_form_on_group(z), gg, *xs
-            )
-            checks.add(
-                "fd-exterior-derivative",
-                abs(d_fd - forms.three_curvature(gg, *xs)),
-            )
-    return checks
+_DELTA_CURVING = {
+    "residue-vs-quadrature": (
+        "curving: residue closed form vs log-weighted contour quadrature",
+        1e-9,
+    ),
+    "contour-deformation": (
+        "curving quadrature unchanged under contour deformation",
+        1e-10,
+    ),
+    "cut-derivative-zero": (
+        "derivative of the curving in the cut direction vanishes",
+        1e-6,
+    ),
+    "delta-positive": (
+        "difference of curvings across a positive pair equals the curvature",
+        1e-8,
+    ),
+    "delta-null": ("difference of curvings across a null pair vanishes", 1e-8),
+    "delta-swap": ("delta of the curving flips sign under cut swap", 1e-10),
+}
 
 
-def _suite_weyl(cfg: SuiteConfig) -> _Checks:
-    checks = _Checks(
-        cfg,
-        {
-            "preimage-count": (
-                "the parametrization has n! preimages over a regular element",
-                0.5,
-            ),
-            "mc-pullback": (
-                "pullback of the Maurer-Cartan form matches its closed form",
-                1e-10,
-            ),
-            "pullback-curving": (
-                "closed pulled-back curving matches the curving at the image",
-                1e-8,
-            ),
-            "df-closed-vs-raw": (
-                "closed exterior-derivative form equals the raw pulled-back "
-                "three-curvature",
-                1e-9,
-            ),
-        },
-    )
-    for i in range(cfg.samples):
-        rng = sampling.sample_rng(cfg.seed, cfg.suite, i)
-        pt = weyl.sample_regular(cfg.dim, rng)
-        g = weyl.weyl_apply(pt)
-        checks.add(
-            "preimage-count",
-            abs(weyl.preimage_count(g) - math.factorial(cfg.dim)),
-        )
-        tans = [weyl.random_flag_tangent(pt, rng) for _ in range(3)]
-        # exact linearization of sum lambda_i P_i
-        t = tans[0]
-        dg = np.einsum("i,ijk->jk", t.dlam, pt.projections) + np.einsum(
-            "j,jkl->kl", pt.torus_values, t.dP
-        )
-        checks.add("mc-pullback", _max_abs(weyl.weyl_tangent(t).ambient - dg))
+def _delta_curving(cfg: SuiteConfig, i: int, rng) -> dict:
+    g, spec = sampling.well_separated_unitary(cfg.dim, rng)
+    x = tangent_random(g, rng)
+    y = tangent_random(g, rng)
+    ctx = sampling.random_positive_context(spec, rng)
+    z1, z2 = ctx.z1, ctx.z2
 
-        spec = spectral_decompose(g)
+    f_res = forms.curving_eval(z1, spec, x, y, "residue")
+    f_quad = forms.curving_eval(z1, spec, x, y, "quadrature")
+    f_quad2 = forms.curving_eval(z1, spec, x, y, "quadrature", rho=0.25)
+    delta = forms.delta_pairs(forms.curving_eval, z1, z2, spec, x, y)
+    w1, w2 = sampling.random_null_pair(spec, rng)
+    return {
+        "residue-vs-quadrature": abs(f_res - f_quad),
+        "contour-deformation": abs(f_quad - f_quad2),
+        "cut-derivative-zero": abs(forms.curving_z_derivative_fd(z1, spec, x, y)),
+        "delta-positive": abs(delta - forms.curvature_via_projectors(ctx, x, y)),
+        "delta-swap": abs(
+            forms.delta_pairs(forms.curving_eval, z2, z1, spec, x, y)
+            - forms.curvature_via_projectors(classify(z2, z1, spec), x, y)
+        ),
+        "delta-null": abs(forms.delta_pairs(forms.curving_eval, w1, w2, spec, x, y)),
+    }
+
+
+_THREE_CURVATURE = {
+    "fd-exterior-derivative": (
+        "exterior derivative of the curving equals 2 pi i times the "
+        "basic three-form",
+        1e-4,
+    ),
+    "raw-vs-simplified": (
+        "pulled-back three-curvature: raw two-term sum vs simplified form",
+        1e-9,
+    ),
+    "closed-vs-group": (
+        "pulled-back three-curvature matches the group three-form",
+        1e-8,
+    ),
+}
+
+
+def _three_curvature(cfg: SuiteConfig, i: int, rng) -> dict:
+    pt = weyl.sample_regular(cfg.dim, rng)
+    tans = [weyl.random_flag_tangent(pt, rng) for _ in range(3)]
+    raw = weyl.pullback_nu_closed(pt, *tans)
+    g = weyl.weyl_apply(pt)
+    omega = forms.three_curvature(g, *(weyl.weyl_tangent(t) for t in tans))
+    out = {
+        "raw-vs-simplified": abs(raw - weyl.pullback_df_closed(pt, *tans)),
+        "closed-vs-group": abs(raw - omega),
+    }
+    # the nested finite difference runs on the first fifth of the samples
+    if i < max(1, cfg.samples // 5):
+        gg, spec = sampling.well_separated_unitary(cfg.dim, rng)
         z = sampling.random_cuts(spec, rng, 1)[0]
-        closed = weyl.pullback_curving_closed(pt, z, tans[0], tans[1])
-        direct = forms.curving_eval(
-            z, spec, weyl.weyl_tangent(tans[0]), weyl.weyl_tangent(tans[1])
-        )
-        checks.add("pullback-curving", abs(closed - direct))
-
-        raw, _ = weyl.pullback_nu_closed(pt, *tans)
-        checks.add(
-            "df-closed-vs-raw", abs(weyl.pullback_df_closed(pt, *tans) - raw)
-        )
-    return checks
+        xs = [tangent_random(gg, rng) for _ in range(3)]
+        d_fd = forms.exterior_derivative_fd(forms.curving_form_on_group(z), gg, *xs)
+        out["fd-exterior-derivative"] = abs(d_fd - forms.three_curvature(gg, *xs))
+    return out
 
 
-def _suite_equivariance(cfg: SuiteConfig) -> _Checks:
-    checks = _Checks(
-        cfg,
-        {
-            "projector-conjugation": (
-                "arc projector commutes with conjugation of the group element",
-                1e-9,
-            ),
-            "product-conjugation": (
-                "fiber conjugation commutes with the gerbe product",
-                1e-9,
-            ),
-            "section-conjugation": (
-                "the multiplication section is conjugation invariant",
-                1e-9,
-            ),
-            "fiber-map-products": (
-                "the flag-torus fiber map respects gerbe products",
-                1e-9,
-            ),
-        },
+_WEYL = {
+    "preimage-count": (
+        "the parametrization has n! preimages over a regular element",
+        0.5,
+    ),
+    "mc-pullback": (
+        "pullback of the Maurer-Cartan form matches its closed form",
+        1e-10,
+    ),
+    "pullback-curving": (
+        "closed pulled-back curving matches the curving at the image",
+        1e-8,
+    ),
+    "df-closed-vs-raw": (
+        "closed exterior-derivative form equals the raw pulled-back "
+        "three-curvature",
+        1e-9,
+    ),
+}
+
+
+def _weyl(cfg: SuiteConfig, i: int, rng) -> dict:
+    pt = weyl.sample_regular(cfg.dim, rng)
+    g = weyl.weyl_apply(pt)
+    tans = [weyl.random_flag_tangent(pt, rng) for _ in range(3)]
+    # exact linearization of sum lambda_i P_i
+    t = tans[0]
+    dg = np.einsum("i,ijk->jk", t.dlam, pt.projections) + np.einsum(
+        "j,jkl->kl", pt.torus_values, t.dP
     )
-    for i in range(cfg.samples):
-        rng = sampling.sample_rng(cfg.seed, cfg.suite, i)
-        g, spec = sampling.well_separated_unitary(cfg.dim, rng)
-        k = random_unitary(cfg.dim, rng)
-        z1, z2, z3 = sampling.descending_cuts(spec, rng, 3)
-        gk = g.conjugate_by(k)
-        speck = spectral_decompose(gk)
-
-        ctx = classify(z1, z2, spec)
-        ctxk = classify(z1, z2, speck)
-        if ctx.classification is Classification.NEGATIVE:
-            ctx, ctxk = ctx.swapped(), ctxk.swapped()
-        if ctx.classification is Classification.POSITIVE:
-            p = projectors.arc_projector(ctx)
-            pk = projectors.arc_projector(ctxk)
-            checks.add(
-                "projector-conjugation",
-                _max_abs(pk - k.mat @ p @ k.mat.conj().T),
-            )
-
-        a = fibers.random_element(classify(z1, z2, spec), rng)
-        b = fibers.random_element(classify(z2, z3, spec), rng)
-        lhs = fibers.conjugate_fiber(k, fibers.gerbe_product(a, b))
-        rhs = fibers.gerbe_product(
-            fibers.conjugate_fiber(k, a), fibers.conjugate_fiber(k, b)
-        )
-        checks.add("product-conjugation", fibers.same_element(lhs, rhs)[1])
-        sv = fibers.section_value(z1, z2, z3, spec)
-        svk = fibers.section_value(z1, z2, z3, speck)
-        checks.add("section-conjugation", abs(sv.value - svk.value))
-
-        pt = weyl.sample_regular(cfg.dim, rng)
-        tmat = UnitaryMatrix(np.diag(pt.torus_values))
-        tspec = spectral_decompose(tmat)
-        w1, w2, w3 = sampling.descending_cuts(tspec, rng, 3)
-        av = fibers.random_element(classify(w1, w2, tspec), rng)
-        bv = fibers.random_element(classify(w2, w3, tspec), rng)
-        gf = random_unitary(cfg.dim, rng)
-        lhs2 = fibers.weyl_line_map(gf, fibers.gerbe_product(av, bv))
-        rhs2 = fibers.gerbe_product(
-            fibers.weyl_line_map(gf, av), fibers.weyl_line_map(gf, bv)
-        )
-        checks.add("fiber-map-products", fibers.same_element(lhs2, rhs2)[1])
-    return checks
-
-
-def _suite_gerbe_axioms(cfg: SuiteConfig) -> _Checks:
-    checks = _Checks(
-        cfg,
-        {
-            "section-unit-norm": ("the multiplication section has length one", 1e-10),
-            "antisymmetry": (
-                "section values over argument permutations follow the sign rule",
-                1e-9,
-            ),
-            "associativity": (
-                "the gerbe product is associative (the section has trivial delta)",
-                1e-9,
-            ),
-            "norm-multiplicative": ("the gerbe product multiplies norms", 1e-10),
-            "swap-pairing": (
-                "swap transport pairs to one against the original element",
-                1e-9,
-            ),
-        },
+    spec = spectral_decompose(g)
+    z = sampling.random_cuts(spec, rng, 1)[0]
+    closed = weyl.pullback_curving_closed(pt, z, tans[0], tans[1])
+    direct = forms.curving_eval(
+        z, spec, weyl.weyl_tangent(tans[0]), weyl.weyl_tangent(tans[1])
     )
-    for i in range(cfg.samples):
-        rng = sampling.sample_rng(cfg.seed, cfg.suite, i)
-        g, spec = sampling.well_separated_unitary(cfg.dim, rng)
-        cuts = sampling.descending_cuts(spec, rng, min(4, cfg.dim + 1))
-        while len(cuts) < 4:
-            w1, w2 = sampling.random_null_pair(spec, rng)
-            cuts.extend([w1, w2])
-        z1, z2, z3, z4 = cuts[:4]
-
-        sv = fibers.section_value(z1, z2, z3, spec)
-        checks.add("section-unit-norm", abs(abs(sv.value) - 1.0))
-        base = fibers.section_value(
-            *sorted([z1, z2, z3], key=lambda c: -c.angle), spec
-        ).value
-        worst = 0.0
-        for perm in itertools.permutations([z1, z2, z3]):
-            sign = fibers._sorted_desc(list(perm))[1]
-            got = fibers.section_value(*perm, spec).value
-            want = base if sign > 0 else 1.0 / base
-            worst = max(worst, abs(got - want))
-        checks.add("antisymmetry", worst)
-
-        checks.add(
-            "associativity", fibers.associativity_check(z1, z2, z3, z4, spec, rng)
-        )
-
-        a = fibers.random_element(classify(z1, z2, spec), rng)
-        b = fibers.random_element(classify(z2, z3, spec), rng)
-        ab = fibers.gerbe_product(a, b)
-        checks.add("norm-multiplicative", abs(ab.norm - a.norm * b.norm))
-        if a.kind == "det":
-            pairing = fibers.dual_pairing(fibers.swap_transport(a), a)
-            checks.add("swap-pairing", abs(pairing - 1.0))
-    return checks
+    return {
+        "preimage-count": abs(weyl.preimage_count(g) - math.factorial(cfg.dim)),
+        "mc-pullback": _max_abs(weyl.weyl_tangent(t).ambient - dg),
+        "pullback-curving": abs(closed - direct),
+        "df-closed-vs-raw": abs(
+            weyl.pullback_df_closed(pt, *tans) - weyl.pullback_nu_closed(pt, *tans)
+        ),
+    }
 
 
-def _suite_truncation(cfg: SuiteConfig) -> _Checks:
-    checks = _Checks(
-        cfg,
-        {
-            "curvature-invariance": (
-                "curvature unchanged under unital block embedding",
-                1e-10,
-            ),
-            "curving-invariance": (
-                "curving unchanged under unital block embedding",
-                1e-10,
-            ),
-            "three-form-invariance": (
-                "basic three-form unchanged under unital block embedding",
-                1e-10,
-            ),
-            "section-invariance": (
-                "section value unchanged under unital block embedding",
-                1e-9,
-            ),
-        },
+_EQUIVARIANCE = {
+    "projector-conjugation": (
+        "arc projector commutes with conjugation of the group element",
+        1e-9,
+    ),
+    "product-conjugation": (
+        "fiber conjugation commutes with the gerbe product",
+        1e-9,
+    ),
+    "section-conjugation": (
+        "the multiplication section is conjugation invariant",
+        1e-9,
+    ),
+    "fiber-map-products": (
+        "the flag-torus fiber map respects gerbe products",
+        1e-9,
+    ),
+}
+
+
+def _equivariance(cfg: SuiteConfig, i: int, rng) -> dict:
+    g, spec = sampling.well_separated_unitary(cfg.dim, rng)
+    k = random_unitary(cfg.dim, rng)
+    z1, z2, z3 = sampling.descending_cuts(spec, rng, 3)
+    gk = g.conjugate_by(k)
+    speck = spectral_decompose(gk)
+    out = {}
+
+    ctx = classify(z1, z2, spec)
+    ctxk = classify(z1, z2, speck)
+    if ctx.classification is Classification.NEGATIVE:
+        ctx, ctxk = ctx.swapped(), ctxk.swapped()
+    if ctx.classification is Classification.POSITIVE:
+        p = projectors.arc_projector(ctx)
+        pk = projectors.arc_projector(ctxk)
+        out["projector-conjugation"] = _max_abs(pk - k.mat @ p @ k.mat.conj().T)
+
+    a = fibers.random_element(classify(z1, z2, spec), rng)
+    b = fibers.random_element(classify(z2, z3, spec), rng)
+    lhs = fibers.conjugate_fiber(k, fibers.gerbe_product(a, b))
+    rhs = fibers.gerbe_product(
+        fibers.conjugate_fiber(k, a), fibers.conjugate_fiber(k, b)
     )
-    for i in range(cfg.samples):
-        rng = sampling.sample_rng(cfg.seed, cfg.suite, i)
-        g, spec = sampling.well_separated_unitary(cfg.dim, rng)
-        ctx = sampling.random_positive_context(spec, rng)
-        z1, z2 = ctx.z1, ctx.z2
-        x = tangent_random(g, rng)
-        y = tangent_random(g, rng)
-        w = tangent_random(g, rng)
-        big = cfg.dim + int(rng.integers(1, 5))
-        ge = embed_block(g, big)
-        spece = spectral_decompose(ge)
-        xe, ye, we = (embed_tangent(v, big) for v in (x, y, w))
-        ctxe = classify(z1, z2, spece)
+    out["product-conjugation"] = fibers.same_element(lhs, rhs)[1]
+    sv = fibers.section_value(z1, z2, z3, spec)
+    svk = fibers.section_value(z1, z2, z3, speck)
+    out["section-conjugation"] = abs(sv.value - svk.value)
 
-        checks.add(
-            "curvature-invariance",
-            abs(
-                forms.curvature_via_projectors(ctxe, xe, ye)
-                - forms.curvature_via_projectors(ctx, x, y)
-            ),
-        )
-        checks.add(
-            "curving-invariance",
-            abs(
-                forms.curving_eval(z1, spece, xe, ye)
-                - forms.curving_eval(z1, spec, x, y)
-            ),
-        )
-        checks.add(
-            "three-form-invariance",
-            abs(
-                forms.basic_three_form(ge, xe, ye, we)
-                - forms.basic_three_form(g, x, y, w)
-            ),
-        )
-        z3 = sampling.descending_cuts(spec, rng, 3)[2]
-        checks.add(
-            "section-invariance",
-            abs(
-                fibers.section_value(z1, z2, z3, spece).value
-                - fibers.section_value(z1, z2, z3, spec).value
-            ),
-        )
-    return checks
+    pt = weyl.sample_regular(cfg.dim, rng)
+    tmat = UnitaryMatrix(np.diag(pt.torus_values))
+    tspec = spectral_decompose(tmat)
+    w1, w2, w3 = sampling.descending_cuts(tspec, rng, 3)
+    av = fibers.random_element(classify(w1, w2, tspec), rng)
+    bv = fibers.random_element(classify(w2, w3, tspec), rng)
+    gf = random_unitary(cfg.dim, rng)
+    lhs2 = fibers.weyl_line_map(gf, fibers.gerbe_product(av, bv))
+    rhs2 = fibers.gerbe_product(
+        fibers.weyl_line_map(gf, av), fibers.weyl_line_map(gf, bv)
+    )
+    out["fiber-map-products"] = fibers.same_element(lhs2, rhs2)[1]
+    return out
+
+
+_GERBE_AXIOMS = {
+    "section-unit-norm": ("the multiplication section has length one", 1e-10),
+    "antisymmetry": (
+        "section values over argument permutations follow the sign rule",
+        1e-9,
+    ),
+    "associativity": (
+        "the gerbe product is associative (the section has trivial delta)",
+        1e-9,
+    ),
+    "norm-multiplicative": ("the gerbe product multiplies norms", 1e-10),
+    "swap-pairing": (
+        "swap transport pairs to one against the original element",
+        1e-9,
+    ),
+}
+
+
+def _gerbe_axioms(cfg: SuiteConfig, i: int, rng) -> dict:
+    g, spec = sampling.well_separated_unitary(cfg.dim, rng)
+    cuts = sampling.descending_cuts(spec, rng, min(4, cfg.dim + 1))
+    while len(cuts) < 4:
+        w1, w2 = sampling.random_null_pair(spec, rng)
+        cuts.extend([w1, w2])
+    z1, z2, z3, z4 = cuts[:4]
+
+    sv = fibers.section_value(z1, z2, z3, spec)
+    base = fibers.section_value(
+        *sorted([z1, z2, z3], key=lambda c: -c.angle), spec
+    ).value
+    worst = 0.0
+    for perm in itertools.permutations([z1, z2, z3]):
+        sign = fibers._sorted_desc(list(perm))[1]
+        got = fibers.section_value(*perm, spec).value
+        want = base if sign > 0 else 1.0 / base
+        worst = max(worst, abs(got - want))
+    out = {
+        "section-unit-norm": abs(abs(sv.value) - 1.0),
+        "antisymmetry": worst,
+        "associativity": fibers.associativity_check(z1, z2, z3, z4, spec, rng),
+    }
+
+    a = fibers.random_element(classify(z1, z2, spec), rng)
+    b = fibers.random_element(classify(z2, z3, spec), rng)
+    ab = fibers.gerbe_product(a, b)
+    out["norm-multiplicative"] = abs(ab.norm - a.norm * b.norm)
+    if a.kind == "det":
+        pairing = fibers.dual_pairing(fibers.swap_transport(a), a)
+        out["swap-pairing"] = abs(pairing - 1.0)
+    return out
+
+
+_TRUNCATION = {
+    "curvature-invariance": (
+        "curvature unchanged under unital block embedding",
+        1e-10,
+    ),
+    "curving-invariance": (
+        "curving unchanged under unital block embedding",
+        1e-10,
+    ),
+    "three-form-invariance": (
+        "basic three-form unchanged under unital block embedding",
+        1e-10,
+    ),
+    "section-invariance": (
+        "section value unchanged under unital block embedding",
+        1e-9,
+    ),
+}
+
+
+def _truncation(cfg: SuiteConfig, i: int, rng) -> dict:
+    g, spec = sampling.well_separated_unitary(cfg.dim, rng)
+    ctx = sampling.random_positive_context(spec, rng)
+    z1, z2 = ctx.z1, ctx.z2
+    x = tangent_random(g, rng)
+    y = tangent_random(g, rng)
+    w = tangent_random(g, rng)
+    big = cfg.dim + int(rng.integers(1, 5))
+    ge = embed_block(g, big)
+    spece = spectral_decompose(ge)
+    xe, ye, we = (embed_tangent(v, big) for v in (x, y, w))
+    ctxe = classify(z1, z2, spece)
+    z3 = sampling.descending_cuts(spec, rng, 3)[2]
+    return {
+        "curvature-invariance": abs(
+            forms.curvature_via_projectors(ctxe, xe, ye)
+            - forms.curvature_via_projectors(ctx, x, y)
+        ),
+        "curving-invariance": abs(
+            forms.curving_eval(z1, spece, xe, ye) - forms.curving_eval(z1, spec, x, y)
+        ),
+        "three-form-invariance": abs(
+            forms.basic_three_form(ge, xe, ye, we) - forms.basic_three_form(g, x, y, w)
+        ),
+        "section-invariance": abs(
+            fibers.section_value(z1, z2, z3, spece).value
+            - fibers.section_value(z1, z2, z3, spec).value
+        ),
+    }
 
 
 SUITES = {
-    "projectors": _suite_projectors,
-    "curvature-equivalence": _suite_curvature,
-    "delta-curving": _suite_delta_curving,
-    "three-curvature": _suite_three_curvature,
-    "weyl": _suite_weyl,
-    "equivariance": _suite_equivariance,
-    "gerbe-axioms": _suite_gerbe_axioms,
-    "truncation": _suite_truncation,
+    "projectors": (_projectors, _PROJECTORS),
+    "curvature-equivalence": (_curvature, _CURVATURE),
+    "delta-curving": (_delta_curving, _DELTA_CURVING),
+    "three-curvature": (_three_curvature, _THREE_CURVATURE),
+    "weyl": (_weyl, _WEYL),
+    "equivariance": (_equivariance, _EQUIVARIANCE),
+    "gerbe-axioms": (_gerbe_axioms, _GERBE_AXIOMS),
+    "truncation": (_truncation, _TRUNCATION),
 }
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
     """Execute a suite and return the report as a JSON-ready dict."""
-    cfg.validate()
-    checks = SUITES[cfg.suite](cfg).results()
+    if cfg.suite not in SUITES:
+        raise ValueError(
+            f"unknown suite {cfg.suite!r}; choose from {sorted(SUITES)}"
+        )
+    if cfg.dim < 1 or cfg.samples < 1:
+        raise ValueError("dim and samples must be positive")
+    sample, table = SUITES[cfg.suite]
+    errors = {name: [] for name in table}
+    for i in range(cfg.samples):
+        rng = sampling.sample_rng(cfg.seed, cfg.suite, i)
+        for name, err in sample(cfg, i, rng).items():
+            errors[name].append(float(err))
+    checks = []
+    for name, (identity, tol) in table.items():
+        tol = float(cfg.tolerances.get(name, tol))
+        errs = errors[name]
+        checks.append(
+            {
+                "name": name,
+                "identity": identity,
+                "samples": len(errs),
+                "max_abs_error": max(errs, default=0.0),
+                "mean_abs_error": (sum(errs) / len(errs)) if errs else 0.0,
+                "tolerance": tol,
+                "failures": sum(1 for e in errs if e > tol),
+            }
+        )
     return {
         "suite": cfg.suite,
         "config": {
@@ -592,177 +514,129 @@ def run_suite(cfg: SuiteConfig) -> dict:
 # point evaluation
 
 
-def _require(obj: dict, key: str, path: str = "$"):
+def _require(obj: dict, key: str):
     if key not in obj:
-        raise SchemaError(f"{path}.{key}", "missing field")
+        raise SchemaError(f"$.{key}", "missing field")
     return obj[key]
 
 
-def _cut_from_json(obj, path: str) -> CutCirclePoint:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise SchemaError(path, "expected a cut point as [re, im]")
+def _at(path: str, build, *args):
+    """``build(*args)``, with a GerbeError it raises reported at ``path``."""
     try:
-        return CutCirclePoint(complex(obj[0], obj[1]))
+        return build(*args)
     except GerbeError as exc:
-        raise SchemaError(path, str(exc)) from None
-
-
-def _unitary_from_json(obj, path: str) -> UnitaryMatrix:
-    try:
-        return UnitaryMatrix(matrix_from_json(obj, path))
-    except GerbeError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(path, str(exc)) from None
-
-
-def _tangent_from_json(g: UnitaryMatrix, obj, path: str) -> TangentVector:
-    try:
-        return TangentVector(g, matrix_from_json(obj, path))
-    except GerbeError as exc:
-        if isinstance(exc, SchemaError):
-            raise
         raise SchemaError(path, str(exc)) from None
 
 
 # tangents each flag-torus quantity is evaluated on
 FLAG_TANGENTS = {"curving": 2, "nu": 3, "df": 3}
 
+# the cross-check route of each route that has one
+_ORACLE = {"residue": "quadrature", "quadrature": "residue"}
+
 
 def _flag_tangents(pt: weyl.FlagTorusPoint, obj: dict, quantity: str) -> list:
+    """The tangents ``quantity`` is evaluated on, parsed at ``pt``."""
     if quantity not in FLAG_TANGENTS:
         raise SchemaError("$", f"flag-torus input does not support {quantity!r}")
-    tans = []
-    for i, t in enumerate(_require(obj, "tangents")):
-        path = f"$.tangents[{i}]"
-        _require(t, "dlambda", path)
-        _require(t, "dP", path)
-        tans.append(weyl.flag_tangent_from_json(pt, t, path))
+    items = weyl._list_from_json(_require(obj, "tangents"), "$.tangents")
+    tans = [
+        weyl.flag_tangent_from_json(pt, t, f"$.tangents[{i}]")
+        for i, t in enumerate(items)
+    ]
     need = FLAG_TANGENTS[quantity]
     if len(tans) < need:
         raise SchemaError(
             "$.tangents", f"{quantity!r} needs {need} tangents, got {len(tans)}"
         )
-    return tans
+    return tans[:need]
 
 
 def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict:
     """Evaluate one quantity at a JSON-described point."""
+    if not isinstance(obj, dict):
+        raise SchemaError("$", "expected an object")
     record = {"quantity": quantity, "method": method, "residual_vs_oracle": None}
+    # each branch sets the complex value (None for the projector matrix) and,
+    # where the quantity has a cross-check, the oracle giving its residual
+    value, oracle = None, None
+
+    def cut(key: str) -> CutCirclePoint:
+        path = f"$.{key}"
+        z = weyl._complex_from_json(_require(obj, key), path)
+        return _at(path, CutCirclePoint, z)
 
     if "lambda" in obj:
-        pt, _ = weyl.flag_point_from_json(obj)
+        pt = weyl.flag_point_from_json(obj)
         tans = _flag_tangents(pt, obj, quantity)
         if quantity == "curving":
-            z = _cut_from_json(_require(obj, "z"), "$.z")
-            value = weyl.pullback_curving_closed(pt, z, tans[0], tans[1])
-            if with_oracle:
+            z = cut("z")
+            value = weyl.pullback_curving_closed(pt, z, *tans)
+
+            def oracle():
                 spec = spectral_decompose(weyl.weyl_apply(pt))
-                direct = forms.curving_eval(
-                    z, spec, weyl.weyl_tangent(tans[0]), weyl.weyl_tangent(tans[1])
-                )
-                record["residual_vs_oracle"] = abs(value - direct)
+                xs = (weyl.weyl_tangent(t) for t in tans)
+                return abs(value - forms.curving_eval(z, spec, *xs))
         elif quantity == "nu":
-            raw, simplified = weyl.pullback_nu_closed(pt, *tans[:3])
+            raw = weyl.pullback_nu_closed(pt, *tans)
             value = raw / (2j * math.pi)
-            if with_oracle:
-                record["residual_vs_oracle"] = abs(raw - simplified)
-        elif quantity == "df":
-            value = weyl.pullback_df_closed(pt, *tans[:3])
-            if with_oracle:
-                raw, _ = weyl.pullback_nu_closed(pt, *tans[:3])
-                record["residual_vs_oracle"] = abs(value - raw)
-        record.update(value_re=value.real, value_im=value.imag)
-        return record
-
-    g = _unitary_from_json(_require(obj, "g"), "$.g")
-
-    if quantity == "projector":
-        spec = spectral_decompose(g)
-        ctx = classify(
-            _cut_from_json(_require(obj, "z1"), "$.z1"),
-            _cut_from_json(_require(obj, "z2"), "$.z2"),
-            spec,
-        )
-        mth = "quadrature" if method == "quadrature" else "residue"
-        p = projectors.arc_projector(ctx, mth)
-        record["method"] = mth
-        record["matrix"] = matrix_to_json(p)
-        if with_oracle:
-            other = "residue" if mth == "quadrature" else "quadrature"
-            record["residual_vs_oracle"] = _max_abs(
-                p - projectors.arc_projector(ctx, other)
-            )
-        return record
-
-    if quantity == "section":
-        spec = spectral_decompose(g)
-        cuts = [
-            _cut_from_json(_require(obj, k), f"$.{k}") for k in ("z1", "z2", "z3")
-        ]
-        sv = fibers.section_value(*cuts, spec)
-        record.update(value_re=sv.value.real, value_im=sv.value.imag)
-        if with_oracle:
-            record["residual_vs_oracle"] = abs(abs(sv.value) - 1.0)
-        return record
-
-    if quantity == "nu":
-        x, y, w = (
-            _tangent_from_json(g, _require(obj, k), f"$.{k}") for k in ("X", "Y", "Z")
-        )
-        value = forms.basic_three_form(g, x, y, w)
-        record.update(value_re=value.real, value_im=value.imag)
-        return record
-
-    if quantity == "df":
-        z = _cut_from_json(_require(obj, "z"), "$.z")
-        x, y, w = (
-            _tangent_from_json(g, _require(obj, k), f"$.{k}") for k in ("X", "Y", "Z")
-        )
-        value = forms.exterior_derivative_fd(forms.curving_form_on_group(z), g, x, y, w)
-        record["method"] = "fd"
-        record.update(value_re=value.real, value_im=value.imag)
-        if with_oracle:
-            record["residual_vs_oracle"] = abs(value - forms.three_curvature(g, x, y, w))
-        return record
-
-    if quantity == "curvature":
-        spec = spectral_decompose(g)
-        ctx = classify(
-            _cut_from_json(_require(obj, "z1"), "$.z1"),
-            _cut_from_json(_require(obj, "z2"), "$.z2"),
-            spec,
-        )
-        x = _tangent_from_json(g, _require(obj, "X"), "$.X")
-        y = _tangent_from_json(g, _require(obj, "Y"), "$.Y")
-        if method == "fd":
-            value = forms.curvature_via_projectors(ctx, x, y, "fd")
+            oracle = lambda: abs(raw - weyl.pullback_df_closed(pt, *tans))
         else:
-            value = forms.curvature_via_contour(ctx, x, y, method)
-        record.update(value_re=value.real, value_im=value.imag)
-        if with_oracle:
-            record["residual_vs_oracle"] = abs(
-                value - forms.curvature_via_contour(ctx, x, y, "residue")
-            )
-        return record
+            value = weyl.pullback_df_closed(pt, *tans)
+            oracle = lambda: abs(value - weyl.pullback_nu_closed(pt, *tans))
+    else:
+        g = _at("$.g", UnitaryMatrix, matrix_from_json(_require(obj, "g"), "$.g"))
 
-    if quantity == "curving":
-        spec = spectral_decompose(g)
-        z = _cut_from_json(_require(obj, "z"), "$.z")
-        x = _tangent_from_json(g, _require(obj, "X"), "$.X")
-        y = _tangent_from_json(g, _require(obj, "Y"), "$.Y")
-        mth = "quadrature" if method == "quadrature" else "residue"
-        value = forms.curving_eval(z, spec, x, y, mth)
-        record["method"] = mth
-        record.update(value_re=value.real, value_im=value.imag)
-        if with_oracle:
-            other = "residue" if mth == "quadrature" else "quadrature"
-            record["residual_vs_oracle"] = abs(
-                value - forms.curving_eval(z, spec, x, y, other)
-            )
-        return record
+        def tangent(key: str) -> TangentVector:
+            path = f"$.{key}"
+            m = matrix_from_json(_require(obj, key), path)
+            return _at(path, TangentVector, g, m)
 
-    raise SchemaError("$", f"unknown quantity {quantity!r}")
+        route = "quadrature" if method == "quadrature" else "residue"
+        if quantity == "projector":
+            spec = spectral_decompose(g)
+            ctx = classify(cut("z1"), cut("z2"), spec)
+            p = projectors.arc_projector(ctx, route)
+            record.update(method=route, matrix=matrix_to_json(p))
+            oracle = lambda: _max_abs(p - projectors.arc_projector(ctx, _ORACLE[route]))
+        elif quantity == "section":
+            spec = spectral_decompose(g)
+            value = fibers.section_value(cut("z1"), cut("z2"), cut("z3"), spec).value
+            oracle = lambda: abs(abs(value) - 1.0)
+        elif quantity == "nu":
+            value = forms.basic_three_form(g, tangent("X"), tangent("Y"), tangent("Z"))
+        elif quantity == "df":
+            z = cut("z")
+            x, y, w = tangent("X"), tangent("Y"), tangent("Z")
+            curving = forms.curving_form_on_group(z)
+            value = forms.exterior_derivative_fd(curving, g, x, y, w)
+            record["method"] = "fd"
+            oracle = lambda: abs(value - forms.three_curvature(g, x, y, w))
+        elif quantity == "curvature":
+            spec = spectral_decompose(g)
+            ctx = classify(cut("z1"), cut("z2"), spec)
+            x, y = tangent("X"), tangent("Y")
+            if method == "fd":
+                value = forms.curvature_via_projectors(ctx, x, y, "fd")
+            else:
+                value = forms.curvature_via_contour(ctx, x, y, method)
+            oracle = lambda: abs(value - forms.curvature_via_contour(ctx, x, y))
+        elif quantity == "curving":
+            spec = spectral_decompose(g)
+            z, x, y = cut("z"), tangent("X"), tangent("Y")
+            value = forms.curving_eval(z, spec, x, y, route)
+            record["method"] = route
+            oracle = lambda: abs(
+                value - forms.curving_eval(z, spec, x, y, _ORACLE[route])
+            )
+        else:
+            raise SchemaError("$", f"unknown quantity {quantity!r}")
+
+    if value is not None:
+        record.update(value_re=value.real, value_im=value.imag)
+    if with_oracle and oracle is not None:
+        record["residual_vs_oracle"] = oracle()
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +694,6 @@ def main(argv=None) -> int:
                 samples=args.samples,
                 seed=args.seed,
                 tolerances=_parse_tols(args.tol),
-                report_path=args.report,
             )
             report = run_suite(cfg)
             for c in report["checks"]:
@@ -831,8 +704,8 @@ def main(argv=None) -> int:
                     f"({c['samples']} samples, {c['failures']} failures)"
                 )
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-            if cfg.report_path:
-                with open(cfg.report_path, "w") as fh:
+            if args.report:
+                with open(args.report, "w") as fh:
                     fh.write(text)
             return 0 if report["passed"] else 1
 

@@ -53,23 +53,26 @@ class DetLineElement:
     """
 
     ctx: ArcContext
-    kind: str  # "det" | "dualdet" | "scalar"
-    frame: np.ndarray  # n x k, orthonormal; shape (n, 0) for scalar
+    frame: np.ndarray  # n x k, orthonormal, k = ctx.arc_dim (0 for scalar)
     coeff: complex
 
     def __post_init__(self):
-        expected = LINE_KIND[self.ctx.classification]
-        if self.kind != expected:
-            raise IncomparableError(
-                f"kind {self.kind!r} does not match a "
-                f"{self.ctx.classification.value} context"
-            )
         f = np.asarray(self.frame, dtype=complex)
         object.__setattr__(self, "frame", f)
         object.__setattr__(self, "coeff", complex(self.coeff))
         k = f.shape[1]
+        if k != self.ctx.arc_dim:
+            raise DimensionError(
+                f"frame has {k} columns, the {self.ctx.classification.value} "
+                f"context's arc has dimension {self.ctx.arc_dim}"
+            )
         if k and np.linalg.norm(f.conj().T @ f - np.eye(k)) > FRAME_TOL:
             raise DimensionError("frame is not orthonormal")
+
+    @property
+    def kind(self) -> str:
+        """"det", "dualdet" or "scalar", from the context's classification."""
+        return LINE_KIND[self.ctx.classification]
 
     @property
     def norm(self) -> float:
@@ -85,9 +88,7 @@ def _canonical_frame(ctx: ArcContext) -> np.ndarray:
 
 def fiber_element(ctx: ArcContext, coeff: complex) -> DetLineElement:
     """The element coeff times the canonical frame wedge (or its dual)."""
-    return DetLineElement(
-        ctx, LINE_KIND[ctx.classification], _canonical_frame(ctx), coeff
-    )
+    return DetLineElement(ctx, _canonical_frame(ctx), coeff)
 
 
 def canonical_scalar(a: DetLineElement) -> complex:
@@ -210,7 +211,7 @@ def random_element(ctx: ArcContext, rng) -> DetLineElement:
     k = frame.shape[1]
     if k:
         frame = frame @ random_unitary(k, gen).mat
-    return DetLineElement(ctx, LINE_KIND[ctx.classification], frame, coeff)
+    return DetLineElement(ctx, frame, coeff)
 
 
 def associativity_check(
@@ -242,7 +243,7 @@ def conjugate_fiber(k: UnitaryMatrix, a: DetLineElement) -> DetLineElement:
         raise DimensionError("conjugator dimension mismatch")
     g2 = UnitaryMatrix(ctx.spec.matrix).conjugate_by(k)
     ctx2 = classify(ctx.z1, ctx.z2, spectral_decompose(g2))
-    return DetLineElement(ctx2, a.kind, k.mat @ a.frame, a.coeff)
+    return DetLineElement(ctx2, k.mat @ a.frame, a.coeff)
 
 
 def weyl_line_map(g: UnitaryMatrix, a: DetLineElement) -> DetLineElement:

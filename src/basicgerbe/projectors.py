@@ -64,6 +64,11 @@ class ArcContext:
     def dim(self) -> int:
         return self.spec.dim
 
+    @property
+    def arc_dim(self) -> int:
+        """Eigenvalues between the cuts, counted with multiplicity."""
+        return int(self.spec.multiplicities[list(self.arc_indices)].sum())
+
     def swapped(self) -> "ArcContext":
         cls = {
             Classification.POSITIVE: Classification.NEGATIVE,
@@ -154,10 +159,6 @@ def _fd_projector(ctx: ArcContext, x: TangentVector, h: float) -> np.ndarray:
     """Central finite difference of t -> arc projector at g exp(tA)."""
     import scipy.linalg
 
-    def arc_dim(c: ArcContext) -> int:
-        # counted with multiplicity: the step may split a repeated eigenvalue
-        return int(c.spec.multiplicities[list(c.arc_indices)].sum())
-
     vals = []
     for s in (h, -h):
         g2 = UnitaryMatrix(ctx.spec.matrix @ scipy.linalg.expm(s * x.direction))
@@ -168,7 +169,8 @@ def _fd_projector(ctx: ArcContext, x: TangentVector, h: float) -> np.ndarray:
             raise StepTooLargeError(
                 f"finite-difference step pushed an eigenvalue onto a cut: {exc}"
             ) from None
-        if arc_dim(ctx2) != arc_dim(ctx):
+        # with multiplicity: the step may split a repeated eigenvalue
+        if ctx2.arc_dim != ctx.arc_dim:
             raise StepTooLargeError(
                 "finite-difference step changed the arc eigenvalue count"
             )

@@ -272,13 +272,13 @@ def _antisym3(fn, tans) -> complex:
 
 def pullback_nu_closed(
     pt: FlagTorusPoint, tan1: FlagTangent, tan2: FlagTangent, tan3: FlagTangent
-) -> tuple[complex, complex]:
-    """Pulled-back 3-curvature 2 pi i nu: (raw two-term sum, simplified form).
+) -> complex:
+    """Pulled-back 3-curvature 2 pi i nu as the raw two-term sum:
 
-    raw: -(i / 4 pi) tr(Lam2 D g^{-1} D) - (i / 12 pi) tr((g^{-1} D)^3)
+    -(i / 4 pi) tr(Lam2 D g^{-1} D) - (i / 12 pi) tr((g^{-1} D)^3)
     with Lam2 = sum lam_i^{-2} dlam_i P_i and D = sum lam_j dP_j,
-    antisymmetrized over the three slots.  simplified: pullback_df_closed.
-    The pair doubles as a regression check on the wedge convention.
+    antisymmetrized over the three slots.  Its simplified form is
+    pullback_df_closed; comparing the two checks the wedge convention.
     """
     _require_regular(pt)
     lam = pt.torus_values
@@ -297,9 +297,7 @@ def pullback_nu_closed(
         t2 = np.trace(ginv @ dmat(u) @ ginv @ dmat(v) @ ginv @ dmat(w))
         return complex(-1j / (4 * math.pi) * t1 - 1j / (12 * math.pi) * t2)
 
-    raw = _antisym3(term, tans)
-    simplified = pullback_df_closed(pt, tan1, tan2, tan3)
-    return raw, simplified
+    return _antisym3(term, tans)
 
 
 # ---------------------------------------------------------------------------
@@ -316,37 +314,43 @@ def _complex_from_json(obj, path: str) -> complex:
     return complex(obj[0], obj[1])
 
 
-def flag_point_from_json(obj: dict, path: str = "$") -> tuple:
-    """Parse {"lambda", "projections", "dlambda", "dP"} into (point, tangent).
+def _list_from_json(obj, path: str) -> list:
+    if not isinstance(obj, (list, tuple)) or not obj:
+        raise SchemaError(path, "expected a non-empty list")
+    return obj
 
-    "dlambda"/"dP" are optional; the tangent is None when both are absent.
-    """
+
+def _stacks_from_json(obj: dict, path: str, values: str, matrices: str) -> tuple:
+    """The list of [re, im] under ``values`` and the matrices under ``matrices``."""
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
-    for key in ("lambda", "projections"):
+    for key in (values, matrices):
         if key not in obj:
             raise SchemaError(f"{path}.{key}", "missing field")
-    lam = np.array(
+    vec = np.array(
         [
-            _complex_from_json(v, f"{path}.lambda[{i}]")
-            for i, v in enumerate(obj["lambda"])
+            _complex_from_json(v, f"{path}.{values}[{i}]")
+            for i, v in enumerate(_list_from_json(obj[values], f"{path}.{values}"))
         ]
     )
-    proj = np.stack(
+    mats = np.stack(
         [
-            matrix_from_json(p, f"{path}.projections[{i}]")
-            for i, p in enumerate(obj["projections"])
+            matrix_from_json(m, f"{path}.{matrices}[{i}]")
+            for i, m in enumerate(
+                _list_from_json(obj[matrices], f"{path}.{matrices}")
+            )
         ]
     )
+    return vec, mats
+
+
+def flag_point_from_json(obj: dict, path: str = "$") -> FlagTorusPoint:
+    """Parse {"lambda": [[re, im], ...], "projections": [matrix, ...]}."""
+    lam, proj = _stacks_from_json(obj, path, "lambda", "projections")
     try:
-        pt = FlagTorusPoint(proj, lam)
+        return FlagTorusPoint(proj, lam)
     except DimensionError as exc:
         raise SchemaError(path, str(exc)) from None
-    if ("dlambda" in obj) != ("dP" in obj):
-        raise SchemaError(path, "dlambda and dP must be given together")
-    if "dlambda" not in obj:
-        return pt, None
-    return pt, flag_tangent_from_json(pt, obj, path)
 
 
 def flag_tangent_from_json(
@@ -356,30 +360,22 @@ def flag_tangent_from_json(
 
     Both fields must be present; the tangent is validated against ``pt``.
     """
-    dlam = np.array(
-        [
-            _complex_from_json(v, f"{path}.dlambda[{i}]")
-            for i, v in enumerate(obj["dlambda"])
-        ]
-    )
-    dp = np.stack(
-        [
-            matrix_from_json(p, f"{path}.dP[{i}]")
-            for i, p in enumerate(obj["dP"])
-        ]
-    )
+    dlam, dp = _stacks_from_json(obj, path, "dlambda", "dP")
     try:
         return FlagTangent(pt, dlam, dp)
     except DimensionError as exc:
         raise SchemaError(path, str(exc)) from None
 
 
-def flag_point_to_json(pt: FlagTorusPoint, tan: FlagTangent | None = None) -> dict:
-    out = {
+def flag_point_to_json(pt: FlagTorusPoint) -> dict:
+    return {
         "lambda": [[v.real, v.imag] for v in pt.torus_values],
         "projections": [matrix_to_json(p) for p in pt.projections],
     }
-    if tan is not None:
-        out["dlambda"] = [[v.real, v.imag] for v in tan.dlam]
-        out["dP"] = [matrix_to_json(p) for p in tan.dP]
-    return out
+
+
+def flag_tangent_to_json(tan: FlagTangent) -> dict:
+    return {
+        "dlambda": [[v.real, v.imag] for v in tan.dlam],
+        "dP": [matrix_to_json(p) for p in tan.dP],
+    }

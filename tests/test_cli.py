@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,10 @@ from basicgerbe.sampling import (
     well_separated_unitary,
 )
 
+# (name, identity, tolerance, samples, failures) per check of every suite
+# at dim 3, 5 samples, seed 0
+CHECK_TABLES = json.loads((Path(__file__).parent / "check_tables.json").read_text())
+
 
 def value(record):
     return complex(record["value_re"], record["value_im"])
@@ -32,8 +37,7 @@ def flag_point(n, tangents=3):
     obj["z"] = [-1.0, 0.0]
     obj["tangents"] = []
     for _ in range(tangents):
-        t = flag_point_to_json(pt, random_flag_tangent(pt, rng))
-        obj["tangents"].append({"dlambda": t["dlambda"], "dP": t["dP"]})
+        obj["tangents"].append(weyl.flag_tangent_to_json(random_flag_tangent(pt, rng)))
     return obj
 
 
@@ -59,6 +63,16 @@ class TestRunSuite:
             for c in report["checks"]:
                 assert c["samples"] >= 1
                 assert c["max_abs_error"] <= c["tolerance"]
+
+    def test_check_tables_pinned(self):
+        assert list(SUITES) == list(CHECK_TABLES)
+        for suite, want in CHECK_TABLES.items():
+            report = run_suite(SuiteConfig(suite=suite, dim=3, samples=5, seed=0))
+            got = [
+                [c["name"], c["identity"], c["tolerance"], c["samples"], c["failures"]]
+                for c in report["checks"]
+            ]
+            assert got == want, suite
 
     def test_report_deterministic(self):
         cfg = lambda: SuiteConfig(suite="projectors", dim=3, samples=4, seed=9)
@@ -266,6 +280,43 @@ class TestMain:
         p.write_text(json.dumps(obj))
         assert main(["eval", "--input", str(p), "--quantity", quantity]) == 2
         assert "not Hermitian" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, bad, path",
+        [
+            ("tangents", 5, "$.tangents"),
+            ("tangents", [5, 5, 5], "$.tangents[0]"),
+            ("dlambda", 3, "$.tangents[0].dlambda"),
+            ("dP", 3, "$.tangents[0].dP"),
+            ("lambda", 5, "$.lambda"),
+            ("projections", 5, "$.projections"),
+            ("projections", [], "$.projections"),
+            ("z1", ["a", "b"], "$.z1"),
+            ("z1", [[1], [0]], "$.z1"),
+            (None, 5, "$"),
+        ],
+        ids=[
+            "tangents-number", "tangent-number", "dlambda-number", "dP-number",
+            "lambda-number", "projections-number", "projections-empty",
+            "cut-strings", "cut-lists", "top-level-number",
+        ],
+    )
+    def test_eval_malformed_json_exit_two(self, field, bad, path, tmp_path, capsys):
+        if field is None:
+            obj, quantity = bad, "curvature"
+        elif field == "z1":
+            obj, quantity = write_curvature_point(tmp_path / "p.json"), "curvature"
+            obj[field] = bad
+        else:
+            obj, quantity = flag_point(3), "nu"
+            if field in ("dlambda", "dP"):
+                obj["tangents"][0][field] = bad
+            else:
+                obj[field] = bad
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(obj))
+        assert main(["eval", "--input", str(p), "--quantity", quantity]) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
 
     def test_eval_nan_cut_exit_two(self, tmp_path, capsys):
         p = tmp_path / "p.json"

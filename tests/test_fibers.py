@@ -36,12 +36,13 @@ def descending_triple(spec, rng):
 
 
 class TestDetLineElement:
-    def test_kind_must_match(self):
+    def test_frame_width_must_match_arc(self):
         rng = sample_rng(0, "fiber-test", 0)
         _, spec = well_separated_unitary(3, rng)
         ctx = random_positive_context(spec, rng)
-        with pytest.raises(IncomparableError):
-            DetLineElement(ctx, "scalar", np.zeros((3, 0)), 1.0)
+        assert ctx.arc_dim >= 1
+        with pytest.raises(DimensionError):
+            DetLineElement(ctx, np.zeros((3, 0)), 1.0)
 
     def test_frame_must_be_orthonormal(self):
         rng = sample_rng(0, "fiber-test", 1)
@@ -49,7 +50,7 @@ class TestDetLineElement:
         ctx = random_positive_context(spec, rng)
         k = len(ctx.arc_indices)
         with pytest.raises(DimensionError):
-            DetLineElement(ctx, "det", 2.0 * np.eye(3)[:, :k], 1.0)
+            DetLineElement(ctx, 2.0 * np.eye(3)[:, :k], 1.0)
 
     def test_norm(self):
         rng = sample_rng(0, "fiber-test", 2)
