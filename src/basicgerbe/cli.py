@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from . import fibers, forms, projectors, sampling, weyl
 from .contour import CutCirclePoint
@@ -531,6 +532,9 @@ def _at(path: str, build, *args):
 # tangents each flag-torus quantity is evaluated on
 FLAG_TANGENTS = {"curving": 2, "nu": 3, "df": 3}
 
+# the route of a quantity computed by its closed formula, whatever --method asks
+CLOSED_FORM = "closed-form"
+
 # the cross-check route of each route that has one
 _ORACLE = {"residue": "quadrature", "quadrature": "residue"}
 
@@ -556,9 +560,10 @@ def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict
     """Evaluate one quantity at a JSON-described point."""
     if not isinstance(obj, dict):
         raise SchemaError("$", "expected an object")
-    record = {"quantity": quantity, "method": method, "residual_vs_oracle": None}
-    # each branch sets the complex value (None for the projector matrix) and,
-    # where the quantity has a cross-check, the oracle giving its residual
+    record = {"quantity": quantity, "residual_vs_oracle": None}
+    # each branch sets the route that ran, the complex value (None for the
+    # projector matrix) and, where the quantity has a cross-check, the oracle
+    # giving its residual
     value, oracle = None, None
 
     def cut(key: str) -> CutCirclePoint:
@@ -569,6 +574,7 @@ def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict
     if "lambda" in obj:
         pt = weyl.flag_point_from_json(obj)
         tans = _flag_tangents(pt, obj, quantity)
+        ran = CLOSED_FORM
         if quantity == "curving":
             z = cut("z")
             value = weyl.pullback_curving_closed(pt, z, *tans)
@@ -597,25 +603,29 @@ def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict
             spec = spectral_decompose(g)
             ctx = classify(cut("z1"), cut("z2"), spec)
             p = projectors.arc_projector(ctx, route)
-            record.update(method=route, matrix=matrix_to_json(p))
+            ran = route
+            record["matrix"] = matrix_to_json(p)
             oracle = lambda: _max_abs(p - projectors.arc_projector(ctx, _ORACLE[route]))
         elif quantity == "section":
             spec = spectral_decompose(g)
             value = fibers.section_value(cut("z1"), cut("z2"), cut("z3"), spec).value
+            ran = CLOSED_FORM
             oracle = lambda: abs(abs(value) - 1.0)
         elif quantity == "nu":
             value = forms.basic_three_form(g, tangent("X"), tangent("Y"), tangent("Z"))
+            ran = CLOSED_FORM
         elif quantity == "df":
             z = cut("z")
             x, y, w = tangent("X"), tangent("Y"), tangent("Z")
             curving = forms.curving_form_on_group(z)
             value = forms.exterior_derivative_fd(curving, g, x, y, w)
-            record["method"] = "fd"
+            ran = "fd"
             oracle = lambda: abs(value - forms.three_curvature(g, x, y, w))
         elif quantity == "curvature":
             spec = spectral_decompose(g)
             ctx = classify(cut("z1"), cut("z2"), spec)
             x, y = tangent("X"), tangent("Y")
+            ran = method
             if method == "fd":
                 value = forms.curvature_via_projectors(ctx, x, y, "fd")
             else:
@@ -625,13 +635,14 @@ def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict
             spec = spectral_decompose(g)
             z, x, y = cut("z"), tangent("X"), tangent("Y")
             value = forms.curving_eval(z, spec, x, y, route)
-            record["method"] = route
+            ran = route
             oracle = lambda: abs(
                 value - forms.curving_eval(z, spec, x, y, _ORACLE[route])
             )
         else:
             raise SchemaError("$", f"unknown quantity {quantity!r}")
 
+    record["method"] = ran
     if value is not None:
         record.update(value_re=value.real, value_im=value.imag)
     if with_oracle and oracle is not None:
@@ -641,6 +652,20 @@ def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+def _decode(data: bytes):
+    """The JSON document in ``data``, decoded as ``json.loads`` decodes it.
+
+    orjson gives the same values, floats bit for bit, except that an
+    integer beyond 64 bits becomes a float.  What it rejects goes through
+    ``json``, which accepts the NaN and Infinity literals, out-of-range
+    numbers and lone surrogates that Python's ``json.dumps`` writes.
+    """
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return json.loads(data.decode())
 
 
 def _parse_tols(pairs: list[str]) -> dict:
@@ -709,8 +734,8 @@ def main(argv=None) -> int:
                     fh.write(text)
             return 0 if report["passed"] else 1
 
-        with open(args.input) as fh:
-            obj = json.load(fh)
+        with open(args.input, "rb") as fh:
+            obj = _decode(fh.read())
         record = eval_point(obj, args.quantity, args.method, not args.no_oracle)
         print(json.dumps(record, indent=2, sort_keys=True))
         return 0

@@ -6,9 +6,6 @@ This module implements that order, the betweenness predicate, the family
 of branch logarithms log_z with cut along the ray through z and
 log_z(1) = 0, the cut-exclusion check, annular-sector contours around
 spectral arcs and adaptive Gauss-Legendre contour quadrature.
-``residue_eval`` sums residues pole by pole (orders up to 3, optionally
-with a log_z factor); the closed forms do not call it, it is the
-reference the tests hold their vectorised residue weights against.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from .errors import (
     EvaluationError,
     IllConditionedCutError,
     IncomparableError,
-    UnsupportedOrderError,
 )
 from .linalg import TWO_PI, SpectralDecomposition
 
@@ -299,40 +295,3 @@ def quad_integrate(
             return cur if cur.shape else complex(cur)
         prev = cur
     return prev if prev.shape else complex(prev)
-
-
-def residue_eval(poles, with_log: CutCirclePoint | None = None) -> complex:
-    """Sum of residues of [log_z(xi)] * prod (xi - lam_k)^{-m_k}.
-
-    ``poles`` is a sequence of (lam, order) with order <= 3.
-    """
-    poles = [(complex(lam), int(m)) for lam, m in poles]
-    for lam, m in poles:
-        if m > 3 or m < 1:
-            raise UnsupportedOrderError(f"pole order {m} is not supported")
-    for i in range(len(poles)):
-        for j in range(i + 1, len(poles)):
-            if abs(poles[i][0] - poles[j][0]) <= POINT_TOL:
-                raise IncomparableError("poles are not distinct")
-
-    total = 0j
-    for k, (lam, m) in enumerate(poles):
-        others = [(mu, mm) for i, (mu, mm) in enumerate(poles) if i != k]
-        r0 = np.prod([(lam - mu) ** (-mm) for mu, mm in others]) if others else 1.0
-        s1 = sum(-mm / (lam - mu) for mu, mm in others)
-        s2 = sum(mm / (lam - mu) ** 2 for mu, mm in others)
-        r1 = r0 * s1
-        r2 = r0 * (s1 * s1 + s2)
-        if with_log is not None:
-            l0 = log_cut(with_log, lam)
-            l1 = 1.0 / lam
-            l2 = -1.0 / lam**2
-        else:
-            l0, l1, l2 = 1.0, 0.0, 0.0
-        if m == 1:
-            total += l0 * r0
-        elif m == 2:
-            total += l1 * r0 + l0 * r1
-        else:
-            total += (l2 * r0 + 2 * l1 * r1 + l0 * r2) / 2
-    return complex(total)

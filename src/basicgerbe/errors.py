@@ -35,10 +35,6 @@ class IncomparableError(GerbeError):
     """Two cut points (or two fiber elements) cannot be compared."""
 
 
-class UnsupportedOrderError(GerbeError):
-    """Residue evaluation requested for a pole order above 3."""
-
-
 class EmptySpaceError(GerbeError):
     """A determinant-line operation was asked for an empty eigenspace."""
 

@@ -63,13 +63,14 @@ class FlagTorusPoint:
             raise DimensionError("projector family is not Hermitian")
         if np.linalg.norm(p.sum(axis=0) - np.eye(n)) > PROJECTOR_TOL * n:
             raise DimensionError("projector family is not complete")
-        # one GEMM: block (a, b) of the (m n, m n) product is P_a P_b
-        prod = p.reshape(m * n, n) @ p.transpose(1, 0, 2).reshape(n, m * n)
-        prod = prod.reshape(m, n, m, n)
-        diag = np.arange(m)
-        prod[diag, :, diag, :] -= p
-        if np.max(np.abs(prod)) > PROJECTOR_TOL:
-            raise DimensionError("projector family is not orthogonal")
+        # block b of P_a [P_0 ... P_{m-1}] is P_a P_b; one block row at a time
+        # keeps the temporary at n x m n, not the whole (m n)^2 product
+        cols = p.transpose(1, 0, 2).reshape(n, m * n)
+        for a in range(m):
+            row = p[a] @ cols
+            row[:, a * n:(a + 1) * n] -= p[a]
+            if np.max(np.abs(row)) > PROJECTOR_TOL:
+                raise DimensionError("projector family is not orthogonal")
 
     @property
     def dim(self) -> int:

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 from basicgerbe import (
@@ -13,8 +14,9 @@ from basicgerbe import (
     tangent_random,
 )
 from basicgerbe import weyl
-from basicgerbe.cli import SUITES, SuiteConfig, eval_point, main, run_suite
+from basicgerbe.cli import SUITES, SuiteConfig, _decode, eval_point, main, run_suite
 from basicgerbe.sampling import (
+    descending_cuts,
     random_positive_context,
     sample_rng,
     well_separated_unitary,
@@ -38,6 +40,19 @@ def flag_point(n, tangents=3):
     obj["tangents"] = []
     for _ in range(tangents):
         obj["tangents"].append(weyl.flag_tangent_to_json(random_flag_tangent(pt, rng)))
+    return obj
+
+
+def group_point(n):
+    """A group point with every field a group quantity reads, as JSON."""
+    rng = sample_rng(0, "cli-test", 2)
+    g, spec = well_separated_unitary(n, rng)
+    ctx = random_positive_context(spec, rng)
+    cut = lambda z: [z.value.real, z.value.imag]
+    obj = {"g": matrix_to_json(g.mat), "z1": cut(ctx.z1), "z2": cut(ctx.z2),
+           "z3": cut(descending_cuts(spec, rng, 3)[2]), "z": cut(ctx.z1)}
+    for key in "XYZ":
+        obj[key] = matrix_to_json(tangent_random(g, rng).direction)
     return obj
 
 
@@ -134,6 +149,24 @@ class TestEvalPoint:
         with pytest.raises(SchemaError) as err:
             eval_point({}, "curvature", "residue", True)
         assert "$.g" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "quantity, flag, asked, ran",
+        [
+            ("nu", False, "quadrature", "closed-form"),
+            ("section", False, "quadrature", "closed-form"),
+            ("df", True, "quadrature", "closed-form"),
+            ("curving", True, "quadrature", "closed-form"),
+            ("nu", True, "residue", "closed-form"),
+            ("df", False, "residue", "fd"),
+            ("projector", False, "fd", "residue"),
+            ("curving", False, "quadrature", "quadrature"),
+            ("curvature", False, "fd", "fd"),
+        ],
+    )
+    def test_method_names_the_route_that_ran(self, quantity, flag, asked, ran):
+        obj = flag_point(3) if flag else group_point(3)
+        assert eval_point(obj, quantity, asked, False)["method"] == ran
 
     def test_flag_input(self):
         rec = eval_point(flag_point(3), "df", "residue", True)
@@ -325,6 +358,65 @@ class TestMain:
         p.write_text(json.dumps(obj))
         assert main(["eval", "--input", str(p), "--quantity", "curvature"]) == 2
         assert "$.z1" in capsys.readouterr().err
+
+    def test_decode_bit_identical_to_json(self):
+        obj = flag_point(8)
+        obj["edges"] = [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                        -0.0, 0.1, 1e23, 2**63 - 1, -(2**63)]
+        data = json.dumps(obj).encode()
+        got, want = _decode(data), json.loads(data)
+        orjson.loads(data)  # the fast path is the one compared
+        # repr round-trips every float exactly, signed zeros included
+        assert repr(got) == repr(want)
+        a, b = weyl.flag_point_from_json(got), weyl.flag_point_from_json(want)
+        assert a.projections.tobytes() == b.projections.tobytes()
+        assert a.torus_values.tobytes() == b.torus_values.tobytes()
+
+    @pytest.mark.parametrize(
+        "key, bad, raw, path",
+        [
+            ("z1", [float("inf"), 0.0], None, "$.z1"),
+            ("z1", [float("-inf"), 0.0], None, "$.z1"),
+            ("z1", [12345.5, 0.0], (b"12345.5", b"1e400"), "$.z1"),
+            ("z1", "\ud800", None, "$.z1"),
+            ("dim", 2**64, None, "$.g"),
+            ("z1", "XX", (b'"XX"', b'"\xff\xfe"'), None),
+        ],
+        ids=["infinity", "minus-infinity", "1e400", "lone-surrogate",
+             "dim-beyond-64-bits", "invalid-utf8"],
+    )
+    def test_eval_nonstandard_json_exit_two(self, key, bad, raw, path, tmp_path,
+                                            capsys):
+        # literals orjson rejects and json accepts (or rejects as well) give
+        # the exit code and $ path that decoding with json alone gives; NaN
+        # is test_eval_nan_cut_exit_two.  An integer beyond 64 bits decodes
+        # as a float, and the shape check still fails on it
+        p = tmp_path / "p.json"
+        obj = write_curvature_point(p)
+        if key == "dim":
+            obj["g"]["dim"] = bad
+        else:
+            obj[key] = bad
+        data = json.dumps(obj).encode()
+        if raw:
+            data = data.replace(*raw)
+        p.write_bytes(data)
+        assert main(["eval", "--input", str(p), "--quantity", "curvature"]) == 2
+        err = capsys.readouterr().err
+        if path is None:
+            assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        else:
+            assert err.startswith(f"error: {path}: ")
+
+    def test_eval_deep_nesting_exit_two(self, tmp_path, capsys):
+        # json gives up on nesting this deep with a RecursionError; orjson
+        # decodes it and the schema check rejects it
+        p = tmp_path / "p.json"
+        obj = write_curvature_point(p)
+        obj["z1"] = "DEEP"
+        p.write_text(json.dumps(obj).replace('"DEEP"', "[" * 3000 + "]" * 3000))
+        assert main(["eval", "--input", str(p), "--quantity", "curvature"]) == 2
+        assert capsys.readouterr().err.startswith("error: $.z1: ")
 
     def test_eval_curving_cut_at_eigenvalue_exit_two(self, tmp_path, capsys):
         g = np.diag(np.exp(1j * np.array([1.0, 2.5, 4.0])))

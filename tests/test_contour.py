@@ -10,18 +10,17 @@ from basicgerbe import (
     IllConditionedCutError,
     IncomparableError,
     UnitaryMatrix,
-    UnsupportedOrderError,
     arc_contour,
     circle_between,
     circle_gt,
     cut_point,
     log_cut,
     quad_integrate,
-    residue_eval,
     spectral_decompose,
     spectrum_contour,
 )
 from basicgerbe.contour import DEFAULT_NODES, Segment, annular_sector
+from residue_reference import UnsupportedOrderError, residue_eval
 
 
 def winding(contour, pole):

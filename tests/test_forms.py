@@ -27,7 +27,6 @@ from basicgerbe import (
     three_curvature,
     wedge_trace_eval,
 )
-from basicgerbe.contour import residue_eval
 from basicgerbe.forms import (
     _curving_weights,
     _wedge_resolvent_trace,
@@ -40,6 +39,7 @@ from basicgerbe.sampling import (
     sample_rng,
     well_separated_unitary,
 )
+from residue_reference import residue_eval
 
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),

@@ -29,6 +29,7 @@ from basicgerbe import (
 )
 from basicgerbe.sampling import sample_rng
 from basicgerbe.weyl import (
+    PROJECTOR_TOL,
     flag_tangent_from_json,
     flag_tangent_to_json,
     torus_flag_tangent,
@@ -68,6 +69,37 @@ class TestFlagTorusPoint:
         if accepted:
             FlagTorusPoint(p, lam)
         else:
+            with pytest.raises(DimensionError, match="not orthogonal"):
+                FlagTorusPoint(p, lam)
+
+    @pytest.mark.parametrize("defect", [0.0, 0.95])
+    @pytest.mark.parametrize("rank", [1, 2], ids=["m=n", "m<n"])
+    def test_orthogonality_defect_below_diagonal(self, rank, defect):
+        # orthonormal real frame (v, u, w); the last projector is w w^T and
+        # the first gets E = -i d w v^T, which maps range(P_0) into
+        # range(P_last): P_0 stays idempotent, the family complete to |E|,
+        # and every block but P_last P_0 = E stays exact.  E - E^H =
+        # -i d (w v^T + v w^T) is entrywise smaller than E, so at ``defect``
+        # times the Hermitian bound E still exceeds the orthogonality bound
+        c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
+        w = np.array([0.0, c, s])
+        v = np.array([np.sin(np.pi / 10), np.cos(np.pi / 10) * s,
+                      -np.cos(np.pi / 10) * c])
+        u = np.cross(v, w)
+        e = np.outer(w, v)
+        e = -1j * defect * PROJECTOR_TOL / np.max(np.abs(e + e.T)) * e
+        vv, uu, ww = np.outer(v, v), np.outer(u, u), np.outer(w, w)
+        # m = n = 3, or m = 2 < n with P_0 of rank 2
+        p = np.stack([vv + e, uu, ww] if rank == 1 else [vv + uu + e, ww])
+        m = len(p)
+        lam = np.exp(1j * np.array([0.3, 1.1, 2.0][:m]))
+        over = [(a, b) for a in range(m) for b in range(m)
+                if np.max(np.abs(p[a] @ p[b] - (a == b) * p[a])) > PROJECTOR_TOL]
+        if not defect:
+            assert over == []
+            FlagTorusPoint(p, lam)
+        else:
+            assert over == [(m - 1, 0)]
             with pytest.raises(DimensionError, match="not orthogonal"):
                 FlagTorusPoint(p, lam)
 
