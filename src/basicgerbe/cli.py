@@ -478,6 +478,12 @@ def run_suite(cfg: SuiteConfig) -> dict:
     if cfg.dim < 1 or cfg.samples < 1:
         raise ValueError("dim and samples must be positive")
     sample, table = SUITES[cfg.suite]
+    for name, tol in cfg.tolerances.items():
+        if name not in table or not 0.0 <= float(tol) < math.inf:
+            raise ValueError(
+                f"tolerance {name!r}={tol!r}: needs a check of suite "
+                f"{cfg.suite!r} ({', '.join(table)}) and a finite value >= 0"
+            )
     errors = {name: [] for name in table}
     for i in range(cfg.samples):
         rng = sampling.sample_rng(cfg.seed, cfg.suite, i)
@@ -495,7 +501,8 @@ def run_suite(cfg: SuiteConfig) -> dict:
                 "max_abs_error": max(errs, default=0.0),
                 "mean_abs_error": (sum(errs) / len(errs)) if errs else 0.0,
                 "tolerance": tol,
-                "failures": sum(1 for e in errs if e > tol),
+                # a NaN error fails: it is not within any tolerance
+                "failures": sum(1 for e in errs if not e <= tol),
             }
         )
     return {

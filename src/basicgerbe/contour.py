@@ -102,13 +102,7 @@ def log_cut(z: CutCirclePoint, xi: complex) -> complex:
     xi = complex(xi)
     if _ray_distance(z, xi) < POINT_TOL:
         raise BranchCutError("argument lies on the branch cut")
-    a = z.angle
-    phi = math.atan2(xi.imag, xi.real)
-    while phi >= a:
-        phi -= TWO_PI
-    while phi < a - TWO_PI:
-        phi += TWO_PI
-    return complex(math.log(abs(xi)), phi)
+    return complex(log_cut_array(z, np.array([xi]))[0])
 
 
 def log_cut_array(z: CutCirclePoint, xs: np.ndarray) -> np.ndarray:

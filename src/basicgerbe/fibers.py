@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import POINT_TOL, CutCirclePoint, circle_gt
+from .contour import POINT_TOL, CutCirclePoint
 from .errors import DimensionError, IncomparableError
 from .linalg import (
     SpectralDecomposition,
@@ -83,7 +83,7 @@ def _canonical_frame(ctx: ArcContext) -> np.ndarray:
     if ctx.classification is Classification.NULL:
         return np.zeros((ctx.dim, 0), dtype=complex)
     pos = ctx if ctx.classification is Classification.POSITIVE else ctx.swapped()
-    return arc_basis(pos).basis
+    return arc_basis(pos)
 
 
 def fiber_element(ctx: ArcContext, coeff: complex) -> DetLineElement:
@@ -189,15 +189,9 @@ def section_value(
         int(c12.classification is Classification.POSITIVE),
         int(c23.classification is Classification.POSITIVE),
     )
-    if t == (1, 1):
-        concat = np.hstack([_canonical_frame(c12), _canonical_frame(c23)])
-        val = complex(np.linalg.det(_canonical_frame(c13).conj().T @ concat))
-    elif t == (1, 0):
-        val = complex(np.linalg.det(_canonical_frame(c13).conj().T @ _canonical_frame(c12)))
-    elif t == (0, 1):
-        val = complex(np.linalg.det(_canonical_frame(c13).conj().T @ _canonical_frame(c23)))
-    else:
-        val = 1.0 + 0j
+    # a null pair's frame has no columns, and a 0 x 0 determinant is 1
+    concat = np.hstack([_canonical_frame(c12), _canonical_frame(c23)])
+    val = complex(np.linalg.det(_canonical_frame(c13).conj().T @ concat))
     if sign < 0:
         val = 1.0 / val
     return TripleSectionValue((z1, z2, z3, spec), val, t)

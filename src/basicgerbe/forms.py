@@ -4,34 +4,35 @@ Wedge-evaluation convention used everywhere: a k-form written as a trace
 with k matrix-one-form slots is evaluated on k tangent vectors as the
 full signed sum over all k! slot permutations, with no 1/k! factor.
 Under this convention tr(M dg N dg)(X, Y) = tr(M X N Y) - tr(M Y N X).
+For nu = -(1 / 24 pi^2) tr((g^{-1} dg)^3) the six signed slot orders are,
+by cyclicity of the trace, three copies of tr(A [B, C]), so nu is
+evaluated as -(1 / 8 pi^2) tr(A [B, C]) on directions A, B, C.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .contour import (
     CutCirclePoint,
     _check_cuts,
     _resolvent,
     arc_contour,
-    log_cut,
+    cut_point,
     log_cut_array,
     quad_integrate,
     spectrum_contour,
 )
-from .errors import DimensionError, RealignmentError, StepTooLargeError
+from .errors import RealignmentError, StepTooLargeError
 from .linalg import (
     SpectralDecomposition,
     TangentVector,
     UnitaryMatrix,
     _differences,
     _eigenbasis_sum,
-    _perm_sign,
+    _shifted,
     spectral_decompose,
 )
 from .projectors import (
@@ -46,27 +47,6 @@ from .projectors import (
 FD_STEP = 1e-5
 FD_STEP_NESTED = 1e-3
 REALIGN_LIMIT = 0.1
-
-
-def wedge_trace_eval(mats, slots) -> complex:
-    """tr(M1 dg M2 dg ... Mk dg) evaluated on k slot matrices.
-
-    Full permutation sum with signs, no 1/k! factor.  ``mats`` are the k
-    coefficient matrices, ``slots`` the k ambient tangent matrices.
-    """
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    slots = [np.asarray(s, dtype=complex) for s in slots]
-    if len(mats) != len(slots):
-        raise DimensionError("coefficient/slot count mismatch")
-    k = len(slots)
-    total = 0j
-    for perm in itertools.permutations(range(k)):
-        sign = _perm_sign(perm)
-        acc = np.eye(mats[0].shape[0], dtype=complex)
-        for m, p in zip(mats, perm):
-            acc = acc @ m @ slots[p]
-        total += sign * np.trace(acc)
-    return complex(total)
 
 
 def _pair_sum(
@@ -180,7 +160,7 @@ def _curving_weights(z: CutCirclePoint, lam: np.ndarray) -> np.ndarray:
     (log_z lam_i - log_z lam_j) / (lam_i - lam_j)^2 - 1 / (lam_j (lam_i - lam_j));
     on it, the order-3 residue -1 / (2 lam_i^2).
     """
-    logs = np.array([log_cut(z, v) for v in lam])
+    logs = log_cut_array(z, lam)
     d = _differences(lam)
     w = (logs[:, None] - logs[None, :]) / d**2 - 1.0 / (lam[None, :] * d)
     np.fill_diagonal(w, -0.5 / lam**2)
@@ -241,10 +221,10 @@ def delta_pairs(
 def basic_three_form(
     g: UnitaryMatrix, x: TangentVector, y: TangentVector, z: TangentVector
 ) -> complex:
-    """nu = -(1 / 24 pi^2) tr((g^{-1} dg)^3), the canonical closed 3-form."""
-    eye = np.eye(g.dim)
-    val = wedge_trace_eval([eye, eye, eye], [x.direction, y.direction, z.direction])
-    return complex(-val / (24 * math.pi**2))
+    """nu = -(1 / 24 pi^2) tr((g^{-1} dg)^3) = -(1 / 8 pi^2) tr(A [B, C])."""
+    a, b, c = x.direction, y.direction, z.direction
+    val = np.einsum("ij,ji->", a, b @ c - c @ b)
+    return complex(-val / (8 * math.pi**2))
 
 
 def three_curvature(
@@ -252,10 +232,6 @@ def three_curvature(
 ) -> complex:
     """omega = 2 pi i nu = -(i / 12 pi) tr((g^{-1} dg)^3)."""
     return 2j * math.pi * basic_three_form(g, x, y, z)
-
-
-def _shifted(g: UnitaryMatrix, a: np.ndarray, t: float) -> UnitaryMatrix:
-    return UnitaryMatrix(g.mat @ scipy.linalg.expm(t * a))
 
 
 def exterior_derivative_fd(
@@ -309,8 +285,7 @@ def curving_z_derivative_fd(
     h: float = FD_STEP,
 ) -> complex:
     """Derivative of the curving in the cut direction (contract: zero)."""
-    zp = CutCirclePoint(complex(np.exp(1j * (z.angle + h))))
-    zm = CutCirclePoint(complex(np.exp(1j * (z.angle - h))))
+    zp, zm = cut_point(z.angle + h), cut_point(z.angle - h)
     return (curving_eval(zp, spec, x, y) - curving_eval(zm, spec, x, y)) / (2 * h)
 
 
@@ -318,49 +293,52 @@ def curving_z_derivative_fd(
 # the determinant-line connection in frames
 
 
-def _gauged_frame(
-    z1: CutCirclePoint,
-    z2: CutCirclePoint,
-    g: UnitaryMatrix,
-    pivots,
-    reference: np.ndarray | None,
-) -> np.ndarray:
-    ctx = classify(z1, z2, spectral_decompose(g))
-    if ctx.classification is not Classification.POSITIVE:
-        raise StepTooLargeError("curve left the positive stratum")
-    f = arc_basis(ctx).basis.copy()
-    if reference is not None and f.shape != reference.shape:
-        raise StepTooLargeError("arc dimension changed along the curve")
-    for j, p in enumerate(pivots):
-        ph = f[p, j]
-        if abs(ph) < 1e-12:
-            raise RealignmentError("pivot entry vanished along the curve")
-        f[:, j] *= abs(ph) / ph
-    if reference is not None:
-        q = reference.conj().T @ f
-        if float(np.linalg.norm(q - np.eye(q.shape[0]))) > REALIGN_LIMIT:
-            raise RealignmentError("frame drifted too far to align continuously")
-    return f
+def _frame_chart(ctx: ArcContext):
+    """The gauged arc frame at g exp(M), as a function of the exponent M.
 
-
-def connection_one_form(ctx: ArcContext, a: np.ndarray, h: float = FD_STEP) -> complex:
-    """Value on A of the determinant connection: sum_i <b_i, b_i'>.
-
-    The frames b_i at t = -h, 0, h along g exp(tA) share one smooth gauge:
-    each column's phase is pinned at the pivot row of its t = 0 column,
-    which stays smooth while consecutive frames stay close (enforced via
+    Each column's phase is pinned at the pivot row of its frame at g,
+    which stays smooth while frames stay close to that one (enforced via
     the realignment limit).
     """
     if ctx.classification is not Classification.POSITIVE:
         raise StepTooLargeError("frames need a positive context")
     g0 = UnitaryMatrix(ctx.spec.matrix)
-    f0 = arc_basis(ctx).basis
-    pivots = [int(np.argmax(np.abs(f0[:, j]))) for j in range(f0.shape[1])]
-    f0 = _gauged_frame(ctx.z1, ctx.z2, g0, pivots, None)
-    fm = _gauged_frame(ctx.z1, ctx.z2, _shifted(g0, a, -h), pivots, f0)
-    fp = _gauged_frame(ctx.z1, ctx.z2, _shifted(g0, a, h), pivots, f0)
-    dot = (fp - fm) / (2 * h)
-    return complex(np.einsum("ij,ij->", f0.conj(), dot))
+    pivots = np.argmax(np.abs(arc_basis(ctx)), axis=0)
+
+    def frame(g: UnitaryMatrix, reference: np.ndarray | None) -> np.ndarray:
+        sub = classify(ctx.z1, ctx.z2, spectral_decompose(g))
+        if sub.classification is not Classification.POSITIVE:
+            raise StepTooLargeError("curve left the positive stratum")
+        f = arc_basis(sub).copy()
+        if reference is not None and f.shape != reference.shape:
+            raise StepTooLargeError("arc dimension changed along the curve")
+        for j, p in enumerate(pivots):
+            ph = f[p, j]
+            if abs(ph) < 1e-12:
+                raise RealignmentError("pivot entry vanished along the curve")
+            f[:, j] *= abs(ph) / ph
+        if reference is not None:
+            q = reference.conj().T @ f
+            if float(np.linalg.norm(q - np.eye(q.shape[0]))) > REALIGN_LIMIT:
+                raise RealignmentError("frame drifted too far to align continuously")
+        return f
+
+    ref = frame(g0, None)
+    return lambda m: frame(_shifted(g0, m, 1.0), ref)
+
+
+def _connection_fd(frame_at, m: np.ndarray, a: np.ndarray, h: float) -> complex:
+    """sum_i <b_i, b_i'> along t -> g exp(M + tA) at t = 0, central differences."""
+    dot = (frame_at(m + h * a) - frame_at(m - h * a)) / (2 * h)
+    return complex(np.einsum("ij,ij->", frame_at(m).conj(), dot))
+
+
+def connection_one_form(ctx: ArcContext, a: np.ndarray, h: float = FD_STEP) -> complex:
+    """Value on A of the determinant connection: sum_i <b_i, b_i'>.
+
+    The frames b_i along g exp(tA) share the smooth gauge of ``_frame_chart``.
+    """
+    return _connection_fd(_frame_chart(ctx), np.zeros_like(a), a, h)
 
 
 def connection_curvature_fd(
@@ -371,27 +349,11 @@ def connection_curvature_fd(
     Uses the chart (s, t) -> g exp(sA + tB); coordinate fields commute, so
     the curvature on (gA, gB) is d/ds a(d_t) - d/dt a(d_s) at the origin.
     """
-    if ctx.classification is not Classification.POSITIVE:
-        raise StepTooLargeError("curvature stencil needs a positive context")
-    g0 = UnitaryMatrix(ctx.spec.matrix)
-    f0 = arc_basis(ctx).basis
-    pivots = [int(np.argmax(np.abs(f0[:, j]))) for j in range(f0.shape[1])]
-    ref = _gauged_frame(ctx.z1, ctx.z2, g0, pivots, None)
+    frame_at = _frame_chart(ctx)
 
-    def frame_at(s: float, t: float) -> np.ndarray:
-        g = UnitaryMatrix(g0.mat @ scipy.linalg.expm(s * a + t * b))
-        return _gauged_frame(ctx.z1, ctx.z2, g, pivots, ref)
+    def conn(m: np.ndarray, u: np.ndarray) -> complex:
+        return _connection_fd(frame_at, m, u, h)
 
-    def conn_t(s: float) -> complex:
-        fc = frame_at(s, 0.0)
-        dot = (frame_at(s, h) - frame_at(s, -h)) / (2 * h)
-        return complex(np.einsum("ij,ij->", fc.conj(), dot))
-
-    def conn_s(t: float) -> complex:
-        fc = frame_at(0.0, t)
-        dot = (frame_at(h, t) - frame_at(-h, t)) / (2 * h)
-        return complex(np.einsum("ij,ij->", fc.conj(), dot))
-
-    ds_at = (conn_t(h) - conn_t(-h)) / (2 * h)
-    dt_as = (conn_s(h) - conn_s(-h)) / (2 * h)
+    ds_at = (conn(h * a, b) - conn(-h * a, b)) / (2 * h)
+    dt_as = (conn(h * b, a) - conn(-h * b, a)) / (2 * h)
     return complex(ds_at - dt_as)

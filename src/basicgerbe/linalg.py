@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import AmbiguousClusterError, DimensionError
+from .errors import AmbiguousClusterError, DimensionError, SchemaError
 
 UNITARITY_TOL = 1e-12
 DEFAULT_CLUSTER_TOL = 1e-9
@@ -112,6 +112,11 @@ def tangent_random(g: UnitaryMatrix, rng) -> TangentVector:
     return TangentVector(g, a / np.linalg.norm(a))
 
 
+def _shifted(g: UnitaryMatrix, a: np.ndarray, t: float) -> UnitaryMatrix:
+    """g exp(tA), the point t along the left-invariant curve through g."""
+    return UnitaryMatrix(g.mat @ scipy.linalg.expm(t * a))
+
+
 def _perm_sign(perm) -> int:
     """Sign of a permutation given as a sequence of distinct integers."""
     sign = 1
@@ -155,12 +160,6 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         return np.einsum("i,ijk->jk", self.eigenvalues, self.projectors)
-
-    def resolvent(self, xi: complex) -> np.ndarray:
-        """(xi - g)^{-1} via the spectral resolution."""
-        return np.einsum(
-            "i,ijk->jk", 1.0 / (xi - self.eigenvalues), self.projectors
-        )
 
 
 def _eigenbasis_sum(
@@ -299,8 +298,6 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict, path: str = "$") -> np.ndarray:
     """Parse the {"dim", "re", "im"} matrix schema."""
-    from .errors import SchemaError
-
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
     for key in ("dim", "re", "im"):
@@ -310,8 +307,8 @@ def matrix_from_json(obj: dict, path: str = "$") -> np.ndarray:
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(path, f"matrix entries are not numeric: {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(path, f"matrix entries are not doubles: {exc}") from None
     if re.shape != (n, n) or im.shape != (n, n):
         raise SchemaError(path, f"expected {n}x{n} 're' and 'im' blocks")
     return re + 1j * im

@@ -37,6 +37,7 @@ from .linalg import (
     UnitaryMatrix,
     _differences,
     _eigenbasis_sum,
+    _shifted,
     spectral_decompose,
 )
 
@@ -76,19 +77,6 @@ class ArcContext:
             Classification.NULL: Classification.NULL,
         }[self.classification]
         return ArcContext(self.z2, self.z1, self.spec, cls, self.arc_indices)
-
-
-@dataclass(frozen=True, eq=False)
-class ArcEigenspace:
-    """Ordered orthonormal basis of the sum of arc eigenspaces."""
-
-    context: ArcContext
-    basis: np.ndarray  # n x dim, columns ordered from z1 toward z2
-    eigenvalues: np.ndarray  # eigenvalue of each column
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
 
 
 def classify(
@@ -132,8 +120,8 @@ def arc_projector(ctx: ArcContext, method: str = "residue") -> np.ndarray:
     raise ValueError(f"unknown method {method!r}")
 
 
-def arc_basis(ctx: ArcContext) -> ArcEigenspace:
-    """Canonically ordered orthonormal basis of the arc eigenspace.
+def arc_basis(ctx: ArcContext) -> np.ndarray:
+    """Canonically ordered orthonormal basis (n x arc_dim) of the arc eigenspace.
 
     Columns are ordered by angular position descending from z1 toward z2;
     within a repeated eigenvalue the decomposition's order is kept.
@@ -145,24 +133,15 @@ def arc_basis(ctx: ArcContext) -> ArcEigenspace:
     def key(i: int) -> float:
         return (a1 - float(np.angle(ctx.spec.eigenvalues[i]))) % TWO_PI
 
-    order = sorted(ctx.arc_indices, key=key)
-    cols = []
-    lams = []
-    for i in order:
-        b = ctx.spec.bases[i]
-        cols.append(b)
-        lams.extend([ctx.spec.eigenvalues[i]] * b.shape[1])
-    return ArcEigenspace(ctx, np.hstack(cols), np.array(lams))
+    return np.hstack([ctx.spec.bases[i] for i in sorted(ctx.arc_indices, key=key)])
 
 
 def _fd_projector(ctx: ArcContext, x: TangentVector, h: float) -> np.ndarray:
     """Central finite difference of t -> arc projector at g exp(tA)."""
-    import scipy.linalg
-
+    g = UnitaryMatrix(ctx.spec.matrix)
     vals = []
     for s in (h, -h):
-        g2 = UnitaryMatrix(ctx.spec.matrix @ scipy.linalg.expm(s * x.direction))
-        spec2 = spectral_decompose(g2)
+        spec2 = spectral_decompose(_shifted(g, x.direction, s))
         try:
             ctx2 = classify(ctx.z1, ctx.z2, spec2)
         except IllConditionedCutError as exc:

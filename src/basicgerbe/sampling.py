@@ -43,11 +43,9 @@ def well_separated_unitary(
     for _ in range(MAX_TRIES):
         g = random_unitary(n, gen)
         spec = spectral_decompose(g)
-        marks = np.sort(
-            np.concatenate([np.angle(spec.eigenvalues) % TWO_PI, [0.0]])
-        )
-        gaps = np.diff(np.concatenate([marks, [marks[0] + TWO_PI]]))
-        if float(gaps.min()) >= min_gap:
+        gaps = _gap_list(spec)
+        # a mark at the identity leaves a zero-width gap, which the list drops
+        if len(gaps) == spec.count + 1 and min(b - a for a, b in gaps) >= min_gap:
             return g, spec
     raise SamplingError(f"no well-separated spectrum in {MAX_TRIES} draws")
 

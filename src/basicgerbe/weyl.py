@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import CutCirclePoint, _check_cuts, log_cut
+from .contour import CutCirclePoint, _check_cuts, log_cut_array
 from .errors import (
     DimensionError,
     RegularityError,
@@ -153,18 +153,23 @@ def weyl_tangent(tan: FlagTangent) -> TangentVector:
 
 
 def preimage_count(g: UnitaryMatrix) -> int:
-    """Number of flag-torus points mapping to a regular g (equals n!)."""
+    """Number of flag-torus points mapping to a regular g (equals n!).
+
+    They are the n! reorderings of the eigenline family (lambda_i, P_i),
+    each a preimage exactly when the family is one: when the match table
+    ||(g - lambda_j) P_i|| <= tol is the identity.  Any other table counts 0.
+    """
     spec = spectral_decompose(g)
     lam = spec.eigenvalues
-    # the projector family is validated once; each sheet reorders it
     _require_regular(FlagTorusPoint(spec.projectors, lam))
-    count = 0
-    for perm in itertools.permutations(range(spec.count)):
-        order = list(perm)
-        image = np.einsum("i,ijk->jk", lam[order], spec.projectors[order])
-        if np.linalg.norm(image - g.mat) <= 1e-10 * g.dim:
-            count += 1
-    return count
+    # P_i = b_i b_i^H for the unit rows b_i of b, so the table is ||(g - lambda_j) b_i||
+    b = np.hstack(spec.bases).T
+    gb = b @ g.mat.T
+    resid = gb[:, None, :] - lam[None, :, None] * b[:, None, :]
+    match = np.linalg.norm(resid, axis=2) <= 1e-10 * g.dim
+    if not np.array_equal(match, np.eye(spec.count, dtype=bool)):
+        return 0
+    return math.factorial(spec.count)
 
 
 def sample_regular(n: int, rng, min_gap: float = SAMPLING_GAP) -> FlagTorusPoint:
@@ -223,7 +228,7 @@ def pullback_curving_closed(
     _require_regular(pt)
     _check_cuts(pt.torus_values, z)
     lam = pt.torus_values
-    logs = np.array([log_cut(z, v) for v in lam])
+    logs = log_cut_array(z, lam)
     # zero on the diagonal, where the sum excludes i == k
     coeffs = (
         logs[:, None] - logs[None, :] + (lam[None, :] - lam[:, None]) / lam[None, :]
@@ -312,7 +317,10 @@ def _complex_from_json(obj, path: str) -> complex:
         or not all(isinstance(v, (int, float)) for v in obj)
     ):
         raise SchemaError(path, "expected [re, im]")
-    return complex(obj[0], obj[1])
+    try:
+        return complex(obj[0], obj[1])
+    except OverflowError:
+        raise SchemaError(path, "[re, im] is beyond the double range") from None
 
 
 def _list_from_json(obj, path: str) -> list:

@@ -255,6 +255,31 @@ class TestMain:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_verify_nan_error_exit_one(self, monkeypatch, capsys):
+        # a NaN error is within no tolerance, so its check fails
+        sample, table = SUITES["truncation"]
+
+        def nan_sample(cfg, i, rng):
+            errs = sample(cfg, i, rng)
+            errs[next(iter(table))] = float("nan")
+            return errs
+
+        monkeypatch.setitem(SUITES, "truncation", (nan_sample, table))
+        argv = ["verify", "--suite", "truncation", "--dim", "2", "--samples", "1"]
+        assert main(argv) == 1
+        assert f"FAIL truncation/{next(iter(table))}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "tol",
+        ["three-rout=1e-30", "three-route=nan", "three-route=inf", "three-route=-1e-9"],
+        ids=["unknown-check", "nan", "infinity", "negative"],
+    )
+    def test_verify_bad_tolerance_exit_two(self, tol, capsys):
+        argv = ["verify", "--suite", "curvature-equivalence", "--dim", "2",
+                "--samples", "1", "--tol", tol]
+        assert main(argv) == 2
+        assert repr(tol.split("=")[0]) in capsys.readouterr().err
+
     def test_reports_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
@@ -381,20 +406,26 @@ class TestMain:
             ("z1", "\ud800", None, "$.z1"),
             ("dim", 2**64, None, "$.g"),
             ("z1", "XX", (b'"XX"', b'"\xff\xfe"'), None),
+            ("z1", [10**400, 0.0], None, "$.z1"),
+            ("re", 10**400, None, "$.g"),
         ],
         ids=["infinity", "minus-infinity", "1e400", "lone-surrogate",
-             "dim-beyond-64-bits", "invalid-utf8"],
+             "dim-beyond-64-bits", "invalid-utf8", "cut-integer-beyond-double",
+             "matrix-integer-beyond-double"],
     )
     def test_eval_nonstandard_json_exit_two(self, key, bad, raw, path, tmp_path,
                                             capsys):
         # literals orjson rejects and json accepts (or rejects as well) give
         # the exit code and $ path that decoding with json alone gives; NaN
         # is test_eval_nan_cut_exit_two.  An integer beyond 64 bits decodes
-        # as a float, and the shape check still fails on it
+        # as a float, and the shape check still fails on it; one beyond the
+        # double range decodes through json as an int no float can hold
         p = tmp_path / "p.json"
         obj = write_curvature_point(p)
         if key == "dim":
             obj["g"]["dim"] = bad
+        elif key == "re":
+            obj["g"]["re"][0][0] = bad
         else:
             obj[key] = bad
         data = json.dumps(obj).encode()

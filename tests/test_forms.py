@@ -25,7 +25,6 @@ from basicgerbe import (
     spectral_decompose,
     tangent_random,
     three_curvature,
-    wedge_trace_eval,
 )
 from basicgerbe.forms import (
     _curving_weights,
@@ -40,6 +39,7 @@ from basicgerbe.sampling import (
     well_separated_unitary,
 )
 from residue_reference import residue_eval
+from wedge_reference import wedge_trace_eval
 
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -286,6 +286,20 @@ class TestThreeForm:
         val = basic_three_form(g, *xs)
         assert abs(val - (-1.0 / (2 * math.pi**2))) < 1e-12
         assert abs(three_curvature(g, *xs) - 2j * math.pi * val) < 1e-15
+
+    def test_matches_slot_permutation_sum(self):
+        # the commutator trace is the six signed slot orders, by cyclicity
+        for n in range(1, 7):
+            rng = sample_rng(0, "three-form-test", n)
+            g = random_unitary(n, rng)
+            xs = [tangent_random(g, rng) for _ in range(3)]
+            eye = np.eye(n)
+            ref = -wedge_trace_eval([eye] * 3, [x.direction for x in xs]) / (
+                24 * math.pi**2
+            )
+            # relative to |A| |B| |C|, which bounds every slot-order trace
+            scale = math.prod(np.linalg.norm(x.direction) for x in xs)
+            assert abs(basic_three_form(g, *xs) - ref) <= 1e-15 * scale
 
     def test_alternating(self):
         rng, g, spec, _, x, y = random_instance(1100)

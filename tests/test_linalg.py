@@ -107,13 +107,6 @@ class TestSpectralDecompose:
         with pytest.raises(AmbiguousClusterError):
             spectral_decompose(g, cluster_tol=tol)
 
-    def test_resolvent(self):
-        g = random_unitary(3, 5)
-        spec = spectral_decompose(g)
-        xi = 2.0 + 0.5j
-        direct = np.linalg.inv(xi * np.eye(3) - g.mat)
-        assert np.linalg.norm(spec.resolvent(xi) - direct) < 1e-10
-
 
 class TestEigenbasisSum:
     def test_matches_projector_loop(self):

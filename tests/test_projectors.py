@@ -97,19 +97,19 @@ class TestArcBasis:
     def test_order_descending_from_first_cut(self):
         g = UnitaryMatrix(np.diag(np.exp(1j * np.array([0.5, 1.5, 2.5]))))
         ctx = classify(cut_point(3.0), cut_point(0.2), spectral_decompose(g))
-        eig = arc_basis(ctx)
-        assert np.allclose(np.angle(eig.eigenvalues), [2.5, 1.5, 0.5])
-        assert np.linalg.norm(
-            eig.basis.conj().T @ eig.basis - np.eye(3)
-        ) < 1e-12
+        basis = arc_basis(ctx)
+        # each column's eigenvalue, read as b^H g b
+        lams = np.einsum("ij,ik,kj->j", basis.conj(), g.mat, basis)
+        assert np.allclose(np.angle(lams), [2.5, 1.5, 0.5])
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(3)) < 1e-12
 
     def test_spans_projector(self):
         for k in range(10):
             rng = sample_rng(1, "proj-test", k)
             _, spec = well_separated_unitary(4, rng)
             ctx = random_positive_context(spec, rng)
-            eig = arc_basis(ctx)
-            p = eig.basis @ eig.basis.conj().T
+            basis = arc_basis(ctx)
+            p = basis @ basis.conj().T
             assert np.linalg.norm(p - arc_projector(ctx)) < 1e-12
 
     def test_requires_positive(self, diag_spec):

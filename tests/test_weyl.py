@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,8 @@ from basicgerbe import (
     weyl_apply,
     weyl_tangent,
 )
+from basicgerbe import weyl
+from basicgerbe.cli import SuiteConfig, run_suite
 from basicgerbe.sampling import sample_rng
 from basicgerbe.weyl import (
     PROJECTOR_TOL,
@@ -179,6 +182,24 @@ class TestWeylMap:
             rng = sample_rng(1, "weyl-test", n)
             pt = sample_regular(n, rng)
             assert preimage_count(weyl_apply(pt)) == math.factorial(n)
+
+    def test_preimage_count_fails_on_mispaired_family(self, monkeypatch):
+        # eigenvalues rolled by one against their projectors: the family no
+        # longer maps to g, so the count and the weyl suite's row must fail
+        real = weyl.spectral_decompose
+
+        def rolled(g):
+            spec = real(g)
+            return dataclasses.replace(spec, eigenvalues=np.roll(spec.eigenvalues, 1))
+
+        monkeypatch.setattr(weyl, "spectral_decompose", rolled)
+        for n in (2, 3):
+            pt = sample_regular(n, sample_rng(1, "weyl-test", n))
+            assert preimage_count(weyl_apply(pt)) != math.factorial(n)
+        report = run_suite(SuiteConfig(suite="weyl", dim=3, samples=2, seed=0))
+        row = next(c for c in report["checks"] if c["name"] == "preimage-count")
+        assert row["failures"] == 2
+        assert not report["passed"]
 
     def test_preimage_rejects_irregular(self):
         g = UnitaryMatrix(np.diag([1j, 1j, -1j]))
