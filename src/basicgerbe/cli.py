@@ -11,6 +11,7 @@ Exit codes: 0 pass, 1 check failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -493,13 +494,16 @@ def run_suite(cfg: SuiteConfig) -> dict:
     for name, (identity, tol) in table.items():
         tol = float(cfg.tolerances.get(name, tol))
         errs = errors[name]
+        # null for a NaN or infinite error: max() can skip a NaN, and
+        # json.dumps writes a bare NaN or Infinity, which is not JSON
+        finite = all(math.isfinite(e) for e in errs)
         checks.append(
             {
                 "name": name,
                 "identity": identity,
                 "samples": len(errs),
-                "max_abs_error": max(errs, default=0.0),
-                "mean_abs_error": (sum(errs) / len(errs)) if errs else 0.0,
+                "max_abs_error": max(errs, default=0.0) if finite else None,
+                "mean_abs_error": sum(errs) / max(1, len(errs)) if finite else None,
                 "tolerance": tol,
                 # a NaN error fails: it is not within any tolerance
                 "failures": sum(1 for e in errs if not e <= tol),
@@ -685,7 +689,9 @@ def _parse_tols(pairs: list[str]) -> dict:
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="basicgerbe", description="gerbe identity verification harness"
     )
@@ -717,7 +723,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             cfg = SuiteConfig(
@@ -730,9 +736,11 @@ def main(argv=None) -> int:
             report = run_suite(cfg)
             for c in report["checks"]:
                 status = "PASS" if c["failures"] == 0 else "FAIL"
+                worst = c["max_abs_error"]
+                worst = "non-finite" if worst is None else f"{worst:.3e}"
                 print(
                     f"{status} {report['suite']}/{c['name']}: "
-                    f"max {c['max_abs_error']:.3e} tol {c['tolerance']:.0e} "
+                    f"max {worst} tol {c['tolerance']:.0e} "
                     f"({c['samples']} samples, {c['failures']} failures)"
                 )
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"

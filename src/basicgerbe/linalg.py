@@ -184,6 +184,11 @@ def _differences(lam: np.ndarray) -> np.ndarray:
     return d
 
 
+def _diameter(vals: np.ndarray) -> float:
+    """Largest distance between two of the values."""
+    return float(np.max(np.abs(vals[:, None] - vals[None, :])))
+
+
 def _cluster_circle(eigs: np.ndarray, tol: float) -> list[np.ndarray]:
     """Group unit-circle values into clusters by chordal distance.
 
@@ -200,7 +205,7 @@ def _cluster_circle(eigs: np.ndarray, tol: float) -> list[np.ndarray]:
         linked[j] = abs(a - b) < tol
     if linked.all():
         # single chain around the whole circle
-        if max(abs(eigs[i] - eigs[j]) for i in range(m) for j in range(m)) >= tol:
+        if _diameter(eigs) >= tol:
             raise AmbiguousClusterError(
                 "eigenvalue chain spans more than the clustering tolerance"
             )
@@ -216,7 +221,7 @@ def _cluster_circle(eigs: np.ndarray, tol: float) -> list[np.ndarray]:
         elif j + 1 < m:
             clusters.append([rot[j + 1]])
     for cl in clusters:
-        diam = max(abs(eigs[i] - eigs[j]) for i in cl for j in cl)
+        diam = _diameter(eigs[cl]) if len(cl) > 1 else 0.0
         if diam >= tol:
             raise AmbiguousClusterError(
                 f"cluster diameter {diam:.3e} >= tolerance {tol:.3e}"
@@ -231,7 +236,7 @@ def spectral_decompose(
 
     Uses the complex Schur form (diagonal for normal matrices, with
     exactly orthonormal Schur vectors), clusters nearby eigenvalues, and
-    re-orthonormalizes each cluster basis with modified Gram-Schmidt.
+    re-orthonormalizes the basis of each repeated cluster with one QR.
     """
     t, z = scipy.linalg.schur(g.mat, output="complex")
     raw = np.diagonal(t).copy()
@@ -242,14 +247,13 @@ def spectral_decompose(
     for cl in clusters:
         mean = raw[cl].mean()
         reps.append(mean / abs(mean))
-        basis = z[:, np.sort(cl)].copy()
-        # modified Gram-Schmidt; a near no-op since Schur vectors are orthonormal
-        for j in range(basis.shape[1]):
-            for i in range(j):
-                basis[:, j] -= (basis[:, i].conj() @ basis[:, j]) * basis[:, i]
-            basis[:, j] /= np.linalg.norm(basis[:, j])
-            basis[:, j] = _pivot_phase(basis[:, j])
-        bases.append(basis)
+        if len(cl) == 1:
+            v = z[:, cl[0]]
+            bases.append(_pivot_phase(v / np.linalg.norm(v))[:, None])
+        else:
+            # one QR; a near no-op, since Schur vectors are orthonormal
+            q = np.linalg.qr(z[:, np.sort(cl)])[0]
+            bases.append(np.column_stack([_pivot_phase(v) for v in q.T]))
 
     reps_arr = np.array(reps)
     order = np.argsort(np.angle(reps_arr) % TWO_PI)

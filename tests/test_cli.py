@@ -255,19 +255,41 @@ class TestMain:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_verify_nan_error_exit_one(self, monkeypatch, capsys):
-        # a NaN error is within no tolerance, so its check fails
+    def test_verify_nan_error_exit_one(self, monkeypatch, tmp_path, capsys):
+        # a NaN error is within no tolerance, so its check fails; it comes
+        # after a finite error, which max() alone would report
         sample, table = SUITES["truncation"]
+        name = next(iter(table))
 
         def nan_sample(cfg, i, rng):
             errs = sample(cfg, i, rng)
-            errs[next(iter(table))] = float("nan")
+            if i == 1:
+                errs[name] = float("nan")
             return errs
 
+        def reject(literal):
+            raise ValueError(f"non-JSON literal {literal}")
+
         monkeypatch.setitem(SUITES, "truncation", (nan_sample, table))
-        argv = ["verify", "--suite", "truncation", "--dim", "2", "--samples", "1"]
+        report = tmp_path / "r.json"
+        argv = ["verify", "--suite", "truncation", "--dim", "2", "--samples", "2",
+                "--report", str(report)]
         assert main(argv) == 1
-        assert f"FAIL truncation/{next(iter(table))}" in capsys.readouterr().out
+        assert f"FAIL truncation/{name}: max non-finite" in capsys.readouterr().out
+        check = json.loads(report.read_text(), parse_constant=reject)["checks"][0]
+        assert check["name"] == name and check["failures"] == 1
+        assert check["max_abs_error"] is None and check["mean_abs_error"] is None
+
+    def test_verify_tolerances_not_shared_between_calls(self, tmp_path):
+        # --tol appends to a list default; the parser is built once per process
+        reports = [tmp_path / f"{i}.json" for i in range(3)]
+        tols = [["--tol", "integer-trace=0.5"], [], ["--tol", "projector-algebra=0.5"]]
+        for report, tol in zip(reports, tols):
+            argv = ["verify", "--suite", "projectors", "--dim", "2", "--samples", "1",
+                    "--report", str(report), *tol]
+            assert main(argv) == 0
+        seen = [json.loads(r.read_text())["config"]["tolerances"] for r in reports]
+        assert seen == [{"integer-trace": 0.5}, {}, {"projector-algebra": 0.5}]
 
     @pytest.mark.parametrize(
         "tol",

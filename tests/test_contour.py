@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,7 +20,7 @@ from basicgerbe import (
     spectral_decompose,
     spectrum_contour,
 )
-from basicgerbe.contour import DEFAULT_NODES, Segment, annular_sector
+from basicgerbe.contour import DEFAULT_NODES, Segment, _leggauss, annular_sector
 from residue_reference import UnsupportedOrderError, residue_eval
 
 
@@ -238,6 +239,68 @@ class TestQuadrature:
         quad_integrate(c, integrand, start_nodes=start, max_nodes=stop, vectorized=True)
         segs = len(c.segments)
         assert seen == [start * 2**p for p in range(passes) for _ in range(segs)]
+
+
+def mp_gauss_legendre(n: int, t0: float) -> tuple:
+    """The node of the n-point Gauss-Legendre rule on [0, 1] next to t0, and
+    its weight, by Newton's method on the recurrence at 40 digits."""
+    def legendre(x):
+        p0, p1 = mpmath.mpf(1), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        return p1, n * (p0 - x * p1) / (1 - x * x)
+
+    with mpmath.workdps(40):
+        x = 2 * mpmath.mpf(t0) - 1
+        for _ in range(2):  # from a double, 2 steps reach 40 digits
+            p, dp = legendre(x)
+            x -= p / dp
+        p, dp = legendre(x)
+        return (x + 1) / 2, 1 / ((1 - x * x) * dp * dp)
+
+
+def rule_errors(n: int, t: np.ndarray, w: np.ndarray, idx) -> tuple:
+    """Largest absolute node error and relative weight error over ``idx``."""
+    dt = dw = 0.0
+    for i in idx:
+        ref_t, ref_w = mp_gauss_legendre(n, t[i])
+        dt = max(dt, abs(float(ref_t - mpmath.mpf(t[i]))))
+        dw = max(dw, abs(float((mpmath.mpf(w[i]) - ref_w) / ref_w)))
+    return dt, dw
+
+
+class TestGaussLegendre:
+    # every node at n=64; at n=1024 the first and last 8 and every 64th
+    INDICES = {
+        64: range(64),
+        1024: sorted({*range(8), *range(0, 1024, 64), *range(1016, 1024)}),
+    }
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_matches_high_precision(self, n):
+        t, w = _leggauss(n)
+        assert len(t) == n and np.all(np.diff(t) > 0)
+        dt, dw = rule_errors(n, t, w, self.INDICES[n])
+        assert dt < 1e-15 and dw < 1e-11
+
+    def test_bound_fails_numpy_eigenvalue_rule(self):
+        # the weights of the companion-matrix rule miss the bound at 1024
+        x, w = np.polynomial.legendre.leggauss(1024)
+        dt, dw = rule_errors(1024, (x + 1) / 2, w / 2, range(8))
+        assert dt < 1e-15 and dw > 1e-11
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_exact_for_degree_below_2n(self, n):
+        t, w = _leggauss(n)
+        for k in range(2 * n):
+            assert abs(w @ t**k - 1 / (k + 1)) < 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 1024])
+    def test_symmetric_and_normalized(self, n):
+        t, w = _leggauss(n)
+        assert np.max(np.abs(t + t[::-1] - 1)) < 1e-15
+        assert np.array_equal(w, w[::-1]) and np.all(w > 0)
+        assert abs(w.sum() - 1) < 1e-14
 
 
 class TestResidues:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from basicgerbe import (
     AmbiguousClusterError,
@@ -16,7 +17,37 @@ from basicgerbe import (
     tangent_random,
     unitary_check,
 )
-from basicgerbe.linalg import _eigenbasis_sum
+from basicgerbe.linalg import (
+    DEFAULT_CLUSTER_TOL,
+    TWO_PI,
+    _cluster_circle,
+    _eigenbasis_sum,
+    _pivot_phase,
+)
+
+
+def mgs_projectors(g: UnitaryMatrix) -> np.ndarray:
+    """Cluster projectors with each cluster basis re-orthonormalized by a
+    modified Gram-Schmidt loop: the reference for spectral_decompose."""
+    t, z = scipy.linalg.schur(g.mat, output="complex")
+    raw = np.diagonal(t)
+    out = []
+    for cl in _cluster_circle(raw, DEFAULT_CLUSTER_TOL):
+        basis = z[:, np.sort(cl)].copy()
+        for j in range(basis.shape[1]):
+            for i in range(j):
+                basis[:, j] -= (basis[:, i].conj() @ basis[:, j]) * basis[:, i]
+            basis[:, j] /= np.linalg.norm(basis[:, j])
+            basis[:, j] = _pivot_phase(basis[:, j])
+        out.append((np.angle(raw[cl].mean()) % TWO_PI, basis @ basis.conj().T))
+    return np.stack([p for _, p in sorted(out, key=lambda item: item[0])])
+
+
+def with_multiplicities(rng) -> UnitaryMatrix:
+    """A random conjugate of diag(e^{0.4i} x3, e^{2.1i} x2, e^{4.0i} x4)."""
+    q = random_unitary(9, rng).mat
+    lam = np.exp(1j * np.repeat([0.4, 2.1, 4.0], [3, 2, 4]))
+    return UnitaryMatrix((q * lam) @ q.conj().T)
 
 
 class TestUnitaryCheck:
@@ -106,6 +137,20 @@ class TestSpectralDecompose:
         g = UnitaryMatrix(np.diag(np.exp(1j * angles)))
         with pytest.raises(AmbiguousClusterError):
             spectral_decompose(g, cluster_tol=tol)
+
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda rng: embed_block(random_unitary(4, rng), 64), with_multiplicities],
+        ids=["U(4)-in-U(64)", "multiplicities-3-2-4"],
+    )
+    def test_repeated_clusters_match_gram_schmidt(self, make):
+        g = make(np.random.default_rng(21))
+        spec = spectral_decompose(g)
+        assert max(spec.multiplicities) > 1
+        assert np.max(np.abs(spec.projectors - mgs_projectors(g))) < 1e-13
+        for b in spec.bases:
+            assert np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) < 1e-13
 
 
 class TestEigenbasisSum:
