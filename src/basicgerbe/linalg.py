@@ -140,14 +140,13 @@ class SpectralDecomposition:
     """g = sum_i lambda_i P_i with distinct unit-circle eigenvalues.
 
     ``bases[i]`` is an orthonormal basis (n x k_i) of the lambda_i
-    eigenspace; ``projectors[i] = bases[i] @ bases[i]^H``.  Eigenvalues are
-    sorted by angle in [0, 2*pi).
+    eigenspace and the only stored eigenspace data: a projector
+    P_i = bases[i] @ bases[i]^H is formed on demand, where it is used.
+    Eigenvalues are sorted by angle in [0, 2*pi).
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    projectors: np.ndarray
-    multiplicities: np.ndarray
     bases: tuple
 
     @property
@@ -158,8 +157,9 @@ class SpectralDecomposition:
     def count(self) -> int:
         return len(self.eigenvalues)
 
-    def reconstruct(self) -> np.ndarray:
-        return np.einsum("i,ijk->jk", self.eigenvalues, self.projectors)
+    @property
+    def multiplicities(self) -> np.ndarray:
+        return np.array([b.shape[1] for b in self.bases])
 
 
 def _eigenbasis_sum(
@@ -257,16 +257,10 @@ def spectral_decompose(
 
     reps_arr = np.array(reps)
     order = np.argsort(np.angle(reps_arr) % TWO_PI)
-    reps_arr = reps_arr[order]
-    bases = [bases[i] for i in order]
-    projectors = np.stack([b @ b.conj().T for b in bases])
-    mult = np.array([b.shape[1] for b in bases])
     return SpectralDecomposition(
         matrix=g.mat,
-        eigenvalues=reps_arr,
-        projectors=projectors,
-        multiplicities=mult,
-        bases=tuple(bases),
+        eigenvalues=reps_arr[order],
+        bases=tuple(bases[i] for i in order),
     )
 
 

@@ -112,7 +112,8 @@ def arc_projector(ctx: ArcContext, method: str = "residue") -> np.ndarray:
             "negative context: swap the cuts and work with the dual line"
         )
     if method == "residue":
-        return ctx.spec.projectors[list(ctx.arc_indices)].sum(axis=0)
+        b = arc_basis(ctx)
+        return b @ b.conj().T
     if method == "quadrature":
         contour = arc_contour(ctx.z1, ctx.z2, ctx.spec)
         g = ctx.spec.matrix

@@ -87,7 +87,7 @@ def random_positive_context(spec: SpectralDecomposition, rng) -> ArcContext:
         if ctx.classification is Classification.POSITIVE:
             return ctx
         if ctx.classification is Classification.NEGATIVE:
-            return classify(z2, z1, spec)
+            return ctx.swapped()
     raise SamplingError("failed to draw a positive pair of cuts")
 
 

@@ -32,12 +32,20 @@ from .linalg import (
     matrix_to_json,
     random_unitary,
     spectral_decompose,
+    unitary_check,
 )
 
 PROJECTOR_TOL = 1e-10
 SAMPLING_GAP = 1e-3
 REGULARITY_GAP = 1e-6
 MAX_RESAMPLE = 1000
+
+
+def _separated(vals: np.ndarray, gap: float) -> bool:
+    """Every pair of the values at least ``gap`` apart (chordal distance)."""
+    dist = np.abs(vals[:, None] - vals[None, :])
+    np.fill_diagonal(dist, np.inf)
+    return bool(np.min(dist, initial=np.inf) >= gap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,12 +90,7 @@ class FlagTorusPoint:
 
     def is_regular(self, gap: float = REGULARITY_GAP) -> bool:
         """Full flag, and every pair of torus values at least ``gap`` apart."""
-        if self.count != self.dim:
-            return False
-        lam = self.torus_values
-        dist = np.abs(lam[:, None] - lam[None, :])
-        off = ~np.eye(self.count, dtype=bool)
-        return bool(np.min(dist[off], initial=np.inf) >= gap)
+        return self.count == self.dim and _separated(self.torus_values, gap)
 
 
 def _require_regular(pt: FlagTorusPoint) -> None:
@@ -161,9 +164,14 @@ def preimage_count(g: UnitaryMatrix) -> int:
     """
     spec = spectral_decompose(g)
     lam = spec.eigenvalues
-    _require_regular(FlagTorusPoint(spec.projectors, lam))
-    # P_i = b_i b_i^H for the unit rows b_i of b, so the table is ||(g - lambda_j) b_i||
+    # for rank-one P_i = b_i b_i^H, a unitary eigenbasis is the same condition
+    # as a Hermitian, complete and orthogonal projector family
     b = np.hstack(spec.bases).T
+    if not unitary_check(b)[0]:
+        raise DimensionError("eigenbasis of g is not unitary")
+    if spec.count != g.dim or not _separated(lam, REGULARITY_GAP):
+        raise RegularityError("g is not regular (repeated or close eigenvalues)")
+    # P_i = b_i b_i^H for the unit rows b_i of b, so the table is ||(g - lambda_j) b_i||
     gb = b @ g.mat.T
     resid = gb[:, None, :] - lam[None, :, None] * b[:, None, :]
     match = np.linalg.norm(resid, axis=2) <= 1e-10 * g.dim
@@ -179,11 +187,7 @@ def sample_regular(n: int, rng, min_gap: float = SAMPLING_GAP) -> FlagTorusPoint
     proj = np.stack([np.outer(q[:, i], q[:, i].conj()) for i in range(n)])
     for _ in range(MAX_RESAMPLE):
         lam = np.exp(1j * gen.uniform(0.0, 2 * math.pi, size=n))
-        gaps = [abs(lam[i] - 1.0) for i in range(n)]
-        gaps += [
-            abs(lam[i] - lam[j]) for i in range(n) for j in range(i + 1, n)
-        ]
-        if min(gaps) >= min_gap:
+        if _separated(np.append(lam, 1.0), min_gap):
             return FlagTorusPoint(proj, lam)
     raise SamplingError(f"no regular spectrum found in {MAX_RESAMPLE} draws")
 

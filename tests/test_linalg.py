@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -41,6 +43,11 @@ def mgs_projectors(g: UnitaryMatrix) -> np.ndarray:
             basis[:, j] = _pivot_phase(basis[:, j])
         out.append((np.angle(raw[cl].mean()) % TWO_PI, basis @ basis.conj().T))
     return np.stack([p for _, p in sorted(out, key=lambda item: item[0])])
+
+
+def cluster_projectors(spec) -> np.ndarray:
+    """P_i = b_i b_i^H from the stored eigenbasis of each cluster."""
+    return np.stack([b @ b.conj().T for b in spec.bases])
 
 
 def with_multiplicities(rng) -> UnitaryMatrix:
@@ -96,32 +103,35 @@ class TestSpectralDecompose:
         spec = spectral_decompose(UnitaryMatrix(np.eye(2)))
         assert spec.count == 1
         assert spec.multiplicities[0] == 2
-        assert np.allclose(spec.projectors[0], np.eye(2))
+        assert np.allclose(cluster_projectors(spec)[0], np.eye(2))
 
     def test_diag_pair(self):
         spec = spectral_decompose(UnitaryMatrix(np.diag([1j, -1j])))
         assert spec.count == 2
         assert np.allclose(spec.eigenvalues, [1j, -1j])
-        assert np.allclose(spec.projectors[0], np.diag([1.0, 0.0]))
-        assert np.allclose(spec.projectors[1], np.diag([0.0, 1.0]))
+        proj = cluster_projectors(spec)
+        assert np.allclose(proj[0], np.diag([1.0, 0.0]))
+        assert np.allclose(proj[1], np.diag([0.0, 1.0]))
 
     def test_reconstruction(self):
         g = random_unitary(5, 11)
         spec = spectral_decompose(g)
-        assert np.linalg.norm(spec.reconstruct() - g.mat) < 1e-10
+        rebuilt = np.einsum("i,ijk->jk", spec.eigenvalues, cluster_projectors(spec))
+        assert np.linalg.norm(rebuilt - g.mat) < 1e-10
 
     def test_projector_algebra_sweep(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             spec = spectral_decompose(random_unitary(4, rng))
-            total = spec.projectors.sum(axis=0)
+            proj = cluster_projectors(spec)
+            total = proj.sum(axis=0)
             assert np.linalg.norm(total - np.eye(4)) < 1e-10
             for i in range(spec.count):
-                p = spec.projectors[i]
+                p = proj[i]
                 assert np.linalg.norm(p @ p - p) < 1e-10
                 assert np.linalg.norm(p - p.conj().T) < 1e-10
                 for j in range(i + 1, spec.count):
-                    assert np.linalg.norm(p @ spec.projectors[j]) < 1e-10
+                    assert np.linalg.norm(p @ proj[j]) < 1e-10
 
     def test_cluster_merging(self):
         eps = 1e-12
@@ -138,6 +148,18 @@ class TestSpectralDecompose:
         with pytest.raises(AmbiguousClusterError):
             spectral_decompose(g, cluster_tol=tol)
 
+    def test_regular_memory_is_quadratic(self):
+        # a regular U(128) has 128 clusters; one dense n x n projector per
+        # cluster would hold 128^3 complex entries, 32 MB
+        g = random_unitary(128, 5)
+        tracemalloc.start()
+        try:
+            spec = spectral_decompose(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.count == 128
+        assert peak <= 8 * 2**20
 
     @pytest.mark.parametrize(
         "make",
@@ -148,7 +170,7 @@ class TestSpectralDecompose:
         g = make(np.random.default_rng(21))
         spec = spectral_decompose(g)
         assert max(spec.multiplicities) > 1
-        assert np.max(np.abs(spec.projectors - mgs_projectors(g))) < 1e-13
+        assert np.max(np.abs(cluster_projectors(spec) - mgs_projectors(g))) < 1e-13
         for b in spec.bases:
             assert np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) < 1e-13
 
@@ -164,8 +186,9 @@ class TestEigenbasisSum:
         m = spec.count
         w = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        proj = cluster_projectors(spec)
         want = sum(
-            w[i, j] * spec.projectors[i] @ x @ spec.projectors[j]
+            w[i, j] * proj[i] @ x @ proj[j]
             for i in range(m)
             for j in range(m)
         )
@@ -224,12 +247,12 @@ class TestEmbedding:
         bigspec = spectral_decompose(embed_block(g, 5))
         non_unit = [
             (v, p)
-            for v, p in zip(bigspec.eigenvalues, bigspec.projectors)
+            for v, p in zip(bigspec.eigenvalues, cluster_projectors(bigspec))
             if abs(v - 1.0) > 1e-8
         ]
         small = {
             round(float(np.angle(v)), 6): p
-            for v, p in zip(spec.eigenvalues, spec.projectors)
+            for v, p in zip(spec.eigenvalues, cluster_projectors(spec))
         }
         assert len(non_unit) == len(small)
         for v, p in non_unit:

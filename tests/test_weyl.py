@@ -22,6 +22,7 @@ from basicgerbe import (
     pullback_df_closed,
     pullback_nu_closed,
     random_flag_tangent,
+    random_unitary,
     sample_regular,
     spectral_decompose,
     three_curvature,
@@ -175,7 +176,10 @@ class TestWeylMap:
         _, pt, _ = regular_instance(4)
         g = weyl_apply(pt)
         spec = spectral_decompose(g)
-        assert np.linalg.norm(spec.reconstruct() - g.mat) < 1e-10
+        rebuilt = sum(
+            lam * b @ b.conj().T for lam, b in zip(spec.eigenvalues, spec.bases)
+        )
+        assert np.linalg.norm(rebuilt - g.mat) < 1e-10
 
     def test_preimage_count(self):
         for n in (2, 3):
@@ -205,6 +209,31 @@ class TestWeylMap:
         g = UnitaryMatrix(np.diag([1j, 1j, -1j]))
         with pytest.raises(RegularityError):
             preimage_count(g)
+
+    def test_preimage_rejects_close_eigenvalues(self):
+        # 1e-8 apart: separate clusters (tol 1e-9), closer than REGULARITY_GAP
+        q = random_unitary(3, 6).mat
+        lam = np.array([1j, 1j * np.exp(1e-8j), -1j])
+        g = UnitaryMatrix((q * lam) @ q.conj().T)
+        assert spectral_decompose(g).count == 3
+        with pytest.raises(RegularityError):
+            preimage_count(g)
+
+    def test_preimage_rejects_non_unitary_eigenbasis(self, monkeypatch):
+        # one eigenvector tilted toward another: the rank-one projectors
+        # are no longer orthogonal, so the family guard must fail
+        real = weyl.spectral_decompose
+
+        def tilted(g):
+            spec = real(g)
+            b0, b1 = spec.bases[0], spec.bases[1]
+            tilt = (b0 + 1e-3 * b1) / np.linalg.norm(b0 + 1e-3 * b1)
+            return dataclasses.replace(spec, bases=(tilt,) + spec.bases[1:])
+
+        monkeypatch.setattr(weyl, "spectral_decompose", tilted)
+        pt = sample_regular(3, sample_rng(1, "weyl-test", 3))
+        with pytest.raises(DimensionError, match="not unitary"):
+            preimage_count(weyl_apply(pt))
 
     def test_mc_pullback_exact(self):
         # linearization: dg = sum dlam_i P_i + sum lam_j dP_j = g * pullback
