@@ -155,13 +155,6 @@ def swap_transport(a: DetLineElement) -> DetLineElement:
     return fiber_element(a.ctx.swapped(), 1.0 / canonical_scalar(a))
 
 
-@dataclass(frozen=True, eq=False)
-class TripleSectionValue:
-    point: tuple  # (z1, z2, z3, spec)
-    value: complex
-    type_class: tuple  # (i, j) of the descending-sorted triple
-
-
 def _sorted_desc(cuts):
     """Cuts in descending circular order plus the permutation sign."""
     idx = sorted(range(len(cuts)), key=lambda i: -cuts[i].angle)
@@ -173,7 +166,7 @@ def section_value(
     z2: CutCirclePoint,
     z3: CutCirclePoint,
     spec: SpectralDecomposition,
-) -> TripleSectionValue:
+) -> complex:
     """Scalar of the multiplication section in canonical frames.
 
     For a descending triple it is the determinant comparing the outer
@@ -182,19 +175,11 @@ def section_value(
     antisymmetry, raising the sorted value to the permutation sign.
     """
     (w1, w2, w3), sign = _sorted_desc([z1, z2, z3])
-    c12 = classify(w1, w2, spec)
-    c23 = classify(w2, w3, spec)
-    c13 = classify(w1, w3, spec)
-    t = (
-        int(c12.classification is Classification.POSITIVE),
-        int(c23.classification is Classification.POSITIVE),
-    )
+    inner = [_canonical_frame(classify(a, b, spec)) for a, b in ((w1, w2), (w2, w3))]
+    outer = _canonical_frame(classify(w1, w3, spec))
     # a null pair's frame has no columns, and a 0 x 0 determinant is 1
-    concat = np.hstack([_canonical_frame(c12), _canonical_frame(c23)])
-    val = complex(np.linalg.det(_canonical_frame(c13).conj().T @ concat))
-    if sign < 0:
-        val = 1.0 / val
-    return TripleSectionValue((z1, z2, z3, spec), val, t)
+    val = complex(np.linalg.det(outer.conj().T @ np.hstack(inner)))
+    return val if sign > 0 else 1.0 / val
 
 
 def random_element(ctx: ArcContext, rng) -> DetLineElement:

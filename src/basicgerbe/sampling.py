@@ -34,18 +34,17 @@ def sample_rng(seed: int, suite: str, index: int) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
-def well_separated_unitary(
-    n: int, rng, min_gap: float = MIN_SPECTRAL_GAP
-) -> tuple[UnitaryMatrix, SpectralDecomposition]:
+def well_separated_unitary(n: int, rng) -> tuple[UnitaryMatrix, SpectralDecomposition]:
     """Haar sample resampled until all angular gaps (and the gap to the
-    identity) are at least min_gap."""
+    identity) are at least ``MIN_SPECTRAL_GAP``."""
     gen = _as_generator(rng)
     for _ in range(MAX_TRIES):
         g = random_unitary(n, gen)
         spec = spectral_decompose(g)
         gaps = _gap_list(spec)
+        narrowest = min(b - a for a, b in gaps)
         # a mark at the identity leaves a zero-width gap, which the list drops
-        if len(gaps) == spec.count + 1 and min(b - a for a, b in gaps) >= min_gap:
+        if len(gaps) == spec.count + 1 and narrowest >= MIN_SPECTRAL_GAP:
             return g, spec
     raise SamplingError(f"no well-separated spectrum in {MAX_TRIES} draws")
 

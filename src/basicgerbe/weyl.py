@@ -1,11 +1,12 @@
-"""The flag-torus parametrization (P, lambda) -> sum lambda_i P_i.
+"""The flag-torus parametrization (Q, lambda) -> sum lambda_i q_i q_i^H.
 
-Points of (flag manifold) x (torus) are full rank-1 projector families
-with distinct unit eigenvalues; the parametrization is an n!-sheeted
-covering over regular unitaries.  Includes the Maurer-Cartan pullback,
-tangent transport, and the closed forms for the pulled-back curving, its
-exterior derivative, and the pulled-back three-curvature (raw and
-simplified, kept separately as a regression pair).
+A point of (full flag manifold) x (torus) is a unitary frame Q, column q_i
+spanning the line of P_i = q_i q_i^H, with distinct unit eigenvalues; the
+parametrization is an n!-sheeted covering over regular unitaries.  Sums
+sum c_i P_i are (Q * c) Q^H.  Includes the Maurer-Cartan pullback, tangent
+transport, and the closed forms for the pulled-back curving, its exterior
+derivative, and the pulled-back three-curvature (raw and simplified, kept
+separately as a regression pair).
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contour import CutCirclePoint, _check_cuts, log_cut_array
-from .errors import (
-    DimensionError,
-    RegularityError,
-    SamplingError,
-    SchemaError,
-)
+from .errors import DimensionError, RegularityError, SamplingError, SchemaError
 from .linalg import (
     TangentVector,
     UnitaryMatrix,
@@ -50,47 +46,66 @@ def _separated(vals: np.ndarray, gap: float) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class FlagTorusPoint:
-    """A full orthogonal projector family with distinct torus eigenvalues."""
+    """A unitary frame of a full flag with distinct torus eigenvalues."""
 
-    projections: np.ndarray  # (m, n, n)
-    torus_values: np.ndarray  # (m,) unit modulus, distinct
+    frame: np.ndarray  # (n, n) unitary, column i spans the line of P_i
+    torus_values: np.ndarray  # (n,) unit modulus, distinct
 
     def __post_init__(self):
-        p = np.asarray(self.projections, dtype=complex)
+        q = np.asarray(self.frame, dtype=complex)
         lam = np.asarray(self.torus_values, dtype=complex)
-        object.__setattr__(self, "projections", p)
+        object.__setattr__(self, "frame", q)
         object.__setattr__(self, "torus_values", lam)
-        m, n = p.shape[0], p.shape[1]
-        if p.shape != (m, n, n) or lam.shape != (m,):
-            raise DimensionError("projector family shape mismatch")
-        if not (np.isfinite(p).all() and np.isfinite(lam).all()):
-            raise DimensionError("projector family has non-finite entries")
-        if np.max(np.abs(np.abs(lam) - 1.0)) > PROJECTOR_TOL:
-            raise DimensionError("torus values must have unit modulus")
-        if np.max(np.abs(p - p.conj().transpose(0, 2, 1))) > PROJECTOR_TOL:
-            raise DimensionError("projector family is not Hermitian")
-        if np.linalg.norm(p.sum(axis=0) - np.eye(n)) > PROJECTOR_TOL * n:
-            raise DimensionError("projector family is not complete")
-        # block b of P_a [P_0 ... P_{m-1}] is P_a P_b; one block row at a time
-        # keeps the temporary at n x m n, not the whole (m n)^2 product
-        cols = p.transpose(1, 0, 2).reshape(n, m * n)
-        for a in range(m):
-            row = p[a] @ cols
-            row[:, a * n:(a + 1) * n] -= p[a]
-            if np.max(np.abs(row)) > PROJECTOR_TOL:
-                raise DimensionError("projector family is not orthogonal")
+        n = lam.size
+        if n == 0 or q.shape != (n, n) or lam.shape != (n,):
+            raise DimensionError("flag frame and torus values shape mismatch")
+        if not np.all(np.abs(np.abs(lam) - 1.0) <= PROJECTOR_TOL):
+            raise DimensionError("torus values must be finite, of unit modulus")
+        # a unitary frame (NaN fails it) is the same condition as a complete,
+        # orthogonal family of rank-one Hermitian projectors q_i q_i^H
+        if not unitary_check(q)[0]:
+            raise DimensionError("projections are not complete and orthogonal")
 
     @property
     def dim(self) -> int:
-        return self.projections.shape[1]
+        return len(self.torus_values)
 
     @property
-    def count(self) -> int:
-        return self.projections.shape[0]
+    def projections(self) -> np.ndarray:
+        """The (n, n, n) stack P_i = q_i q_i^H, formed on each call."""
+        q = self.frame.T
+        return q[:, :, None] * q.conj()[:, None, :]
 
-    def is_regular(self, gap: float = REGULARITY_GAP) -> bool:
-        """Full flag, and every pair of torus values at least ``gap`` apart."""
-        return self.count == self.dim and _separated(self.torus_values, gap)
+    def is_regular(self) -> bool:
+        """Every pair of torus values at least ``REGULARITY_GAP`` apart."""
+        return _separated(self.torus_values, REGULARITY_GAP)
+
+
+def _frame_sum(pt: FlagTorusPoint, coeffs: np.ndarray) -> np.ndarray:
+    """sum_i c_i P_i = (Q * c) Q^H."""
+    return (pt.frame * coeffs) @ pt.frame.conj().T
+
+
+def _flag_frame(p: np.ndarray) -> np.ndarray:
+    """The frame Q with P_i = q_i q_i^H, from an (n, n, n) projector stack.
+
+    q_i is P_i's column at its largest diagonal entry, scaled to unit length
+    there; P_i must equal q_i q_i^H, so be Hermitian of rank one.  Whether Q
+    is unitary is the point's own check.
+    """
+    n = p.shape[-1]
+    if p.shape != (n, n, n) or not np.isfinite(p).all():
+        raise DimensionError(f"a full flag of U({n}) needs {n} finite projections")
+    i = np.arange(n)
+    pivot = np.argmax(p[:, i, i].real, axis=1)
+    # no positive diagonal entry: q_i = 0 (not unitary) or q_i q_i^H is not P_i
+    top = np.maximum(p[i, pivot, pivot].real, np.finfo(float).tiny)
+    q = p[i, :, pivot].T / np.sqrt(top)
+    defect = np.max(np.abs(p - q.T[:, :, None] * q.T.conj()[:, None, :]), axis=(1, 2))
+    bad = np.flatnonzero(defect > PROJECTOR_TOL)
+    if bad.size:
+        raise DimensionError(f"projection {bad[0]} is not Hermitian of rank one")
+    return q
 
 
 def _require_regular(pt: FlagTorusPoint) -> None:
@@ -103,8 +118,8 @@ class FlagTangent:
     """Tangent data (dlambda_i, dP_i) at a flag-torus point."""
 
     point: FlagTorusPoint
-    dlam: np.ndarray  # (m,), each tangent to U(1) at lambda_i
-    dP: np.ndarray  # (m, n, n)
+    dlam: np.ndarray  # (n,), each tangent to U(1) at lambda_i
+    dP: np.ndarray  # (n, n, n), each Hermitian
 
     def __post_init__(self):
         dlam = np.asarray(self.dlam, dtype=complex)
@@ -112,28 +127,29 @@ class FlagTangent:
         object.__setattr__(self, "dlam", dlam)
         object.__setattr__(self, "dP", dp)
         pt = self.point
-        m, n = pt.count, pt.dim
-        if dlam.shape != (m,) or dp.shape != (m, n, n):
+        n = pt.dim
+        if dlam.shape != (n,) or dp.shape != (n, n, n):
             raise DimensionError("tangent data shape mismatch")
         if not (np.isfinite(dlam).all() and np.isfinite(dp).all()):
             raise DimensionError("tangent data has non-finite entries")
         # dlambda_i must be tangent to the circle: dlam_i / (i lam_i) real
-        radial = np.abs((dlam * np.conj(pt.torus_values)).real)
-        if np.max(radial, initial=0.0) > PROJECTOR_TOL * max(
-            1.0, float(np.max(np.abs(dlam), initial=0.0))
-        ):
+        radial = np.max(np.abs((dlam * np.conj(pt.torus_values)).real))
+        if radial > PROJECTOR_TOL * max(1.0, np.max(np.abs(dlam))):
             raise DimensionError("dlambda is not tangent to the unit circle")
         if np.linalg.norm(dp.sum(axis=0)) > PROJECTOR_TOL * n:
             raise DimensionError("sum of dP_i must vanish")
+        skew = np.linalg.norm(dp - dp.conj().transpose(0, 2, 1), axis=(1, 2))
+        if np.max(skew) > PROJECTOR_TOL * n:
+            raise DimensionError("dP_i must be Hermitian")
         p = pt.projections
         diagonal = np.linalg.norm(p @ dp + dp @ p - dp, axis=(1, 2))
-        if np.max(diagonal, initial=0.0) > PROJECTOR_TOL * n:
+        if np.max(diagonal) > PROJECTOR_TOL * n:
             raise DimensionError("dP_i must be off-diagonal for P_i")
 
 
 def weyl_apply(pt: FlagTorusPoint) -> UnitaryMatrix:
     """g = sum_i lambda_i P_i."""
-    return UnitaryMatrix(np.einsum("i,ijk->jk", pt.torus_values, pt.projections))
+    return UnitaryMatrix(_frame_sum(pt, pt.torus_values))
 
 
 def mc_pullback(tan: FlagTangent) -> np.ndarray:
@@ -143,16 +159,13 @@ def mc_pullback(tan: FlagTangent) -> np.ndarray:
     """
     pt = tan.point
     lam = pt.torus_values
-    torus = np.einsum("i,ijk->jk", tan.dlam / lam, pt.projections)
     d = np.einsum("j,jkl->kl", lam, tan.dP)
-    ginv = np.einsum("i,ijk->jk", 1.0 / lam, pt.projections)
-    return torus + ginv @ d
+    return _frame_sum(pt, tan.dlam / lam) + _frame_sum(pt, 1.0 / lam) @ d
 
 
 def weyl_tangent(tan: FlagTangent) -> TangentVector:
     """The image tangent vector X = g * (pullback of g^{-1} dg)."""
-    g = weyl_apply(tan.point)
-    return TangentVector(g, mc_pullback(tan))
+    return TangentVector(weyl_apply(tan.point), mc_pullback(tan))
 
 
 def preimage_count(g: UnitaryMatrix) -> int:
@@ -171,24 +184,22 @@ def preimage_count(g: UnitaryMatrix) -> int:
         raise DimensionError("eigenbasis of g is not unitary")
     if spec.count != g.dim or not _separated(lam, REGULARITY_GAP):
         raise RegularityError("g is not regular (repeated or close eigenvalues)")
-    # P_i = b_i b_i^H for the unit rows b_i of b, so the table is ||(g - lambda_j) b_i||
+    # P_i = b_i b_i^H for the unit rows b_i of b, so the table is
+    # ||(g - lambda_j) b_i||, built one column j at a time to stay n x n
     gb = b @ g.mat.T
-    resid = gb[:, None, :] - lam[None, :, None] * b[:, None, :]
-    match = np.linalg.norm(resid, axis=2) <= 1e-10 * g.dim
-    if not np.array_equal(match, np.eye(spec.count, dtype=bool)):
-        return 0
-    return math.factorial(spec.count)
+    resid = np.stack([np.linalg.norm(gb - v * b, axis=1) for v in lam], axis=1)
+    match = np.array_equal(resid <= 1e-10 * g.dim, np.eye(spec.count, dtype=bool))
+    return math.factorial(spec.count) if match else 0
 
 
-def sample_regular(n: int, rng, min_gap: float = SAMPLING_GAP) -> FlagTorusPoint:
-    """Random regular point: Haar frame columns, well-separated eigenvalues."""
+def sample_regular(n: int, rng) -> FlagTorusPoint:
+    """Random regular point: Haar frame, eigenvalues ``SAMPLING_GAP`` apart."""
     gen = _as_generator(rng)
     q = random_unitary(n, gen).mat
-    proj = np.stack([np.outer(q[:, i], q[:, i].conj()) for i in range(n)])
     for _ in range(MAX_RESAMPLE):
         lam = np.exp(1j * gen.uniform(0.0, 2 * math.pi, size=n))
-        if _separated(np.append(lam, 1.0), min_gap):
-            return FlagTorusPoint(proj, lam)
+        if _separated(np.append(lam, 1.0), SAMPLING_GAP):
+            return FlagTorusPoint(q, lam)
     raise SamplingError(f"no regular spectrum found in {MAX_RESAMPLE} draws")
 
 
@@ -200,24 +211,28 @@ def random_flag_tangent(pt: FlagTorusPoint, rng) -> FlagTangent:
     a = (b - b.conj().T) / 2
     a /= np.linalg.norm(a)
     dp = np.stack([a @ p - p @ a for p in pt.projections])
-    dlam = 1j * pt.torus_values * gen.standard_normal(pt.count)
+    dlam = 1j * pt.torus_values * gen.standard_normal(n)
     return FlagTangent(pt, dlam, dp)
 
 
 def torus_flag_tangent(pt: FlagTorusPoint, rates) -> FlagTangent:
     """Pure torus tangent dlam_i = i * rate_i * lam_i, dP = 0."""
-    rates = np.asarray(rates, dtype=float)
-    dlam = 1j * rates * pt.torus_values
-    dp = np.zeros_like(pt.projections)
-    return FlagTangent(pt, dlam, dp)
+    dlam = 1j * np.asarray(rates, dtype=float) * pt.torus_values
+    return FlagTangent(pt, dlam, np.zeros((pt.dim,) * 3))
 
 
 def _trace_table(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """T[i, k] = tr(A_i [B_k, C_k]) for stacks (m, n, n) of matrices.
+    """T[i, k] = tr(A_i [B_k, C_k]) for stacks (n, n, n) of matrices.
 
     The commutator antisymmetrizes the two slots B, C in one table.
     """
     return np.einsum("iab,kba->ik", a, b @ c - c @ b)
+
+
+def _frame_trace_table(pt: FlagTorusPoint, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """T[i, k] = tr(P_i [B_k, C_k]) = q_i^H [B_k, C_k] q_i, the first slot P."""
+    q = pt.frame
+    return np.einsum("ai,kai->ik", q.conj(), (b @ c - c @ b) @ q)
 
 
 def pullback_curving_closed(
@@ -237,7 +252,7 @@ def pullback_curving_closed(
     coeffs = (
         logs[:, None] - logs[None, :] + (lam[None, :] - lam[:, None]) / lam[None, :]
     )
-    val = np.sum(coeffs * _trace_table(pt.projections, tan1.dP, tan2.dP))
+    val = np.sum(coeffs * _frame_trace_table(pt, tan1.dP, tan2.dP))
     return complex(1j / (4 * math.pi) * val)
 
 
@@ -257,7 +272,7 @@ def pullback_df_closed(
     """
     _require_regular(pt)
     lam = pt.torus_values
-    off = ~np.eye(pt.count, dtype=bool)
+    off = ~np.eye(pt.dim, dtype=bool)
     ratio = off * lam[:, None] / lam[None, :]
     total = 0j
     for u, v, w in ((tan1, tan2, tan3), (tan2, tan3, tan1), (tan3, tan1, tan2)):
@@ -268,7 +283,7 @@ def pullback_df_closed(
             - u.dlam[:, None] / lam[None, :]
             + lam[:, None] * u.dlam[None, :] / lam[None, :] ** 2
         )
-        total += np.sum(bracket * _trace_table(pt.projections, v.dP, w.dP))
+        total += np.sum(bracket * _frame_trace_table(pt, v.dP, w.dP))
         total -= np.sum(ratio * _trace_table(u.dP, v.dP, w.dP))
     return complex(1j / (4 * math.pi) * total)
 
@@ -292,12 +307,10 @@ def pullback_nu_closed(
     """
     _require_regular(pt)
     lam = pt.torus_values
-    proj = pt.projections
-    ginv = np.einsum("i,ijk->jk", 1.0 / lam, proj)
-    tans = (tan1, tan2, tan3)
+    ginv = _frame_sum(pt, 1.0 / lam)
 
     def lam2(t: FlagTangent) -> np.ndarray:
-        return np.einsum("i,ijk->jk", t.dlam / lam**2, proj)
+        return _frame_sum(pt, t.dlam / lam**2)
 
     def dmat(t: FlagTangent) -> np.ndarray:
         return np.einsum("j,jkl->kl", lam, t.dP)
@@ -307,7 +320,7 @@ def pullback_nu_closed(
         t2 = np.trace(ginv @ dmat(u) @ ginv @ dmat(v) @ ginv @ dmat(w))
         return complex(-1j / (4 * math.pi) * t1 - 1j / (12 * math.pi) * t2)
 
-    return _antisym3(term, tans)
+    return _antisym3(term, (tan1, tan2, tan3))
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +371,14 @@ def _stacks_from_json(obj: dict, path: str, values: str, matrices: str) -> tuple
 
 
 def flag_point_from_json(obj: dict, path: str = "$") -> FlagTorusPoint:
-    """Parse {"lambda": [[re, im], ...], "projections": [matrix, ...]}."""
+    """Parse {"lambda": [[re, im], ...], "projections": [matrix, ...]}.
+
+    The projections must be a full flag: n rank-one Hermitian projectors of
+    U(n) whose unit vectors make a unitary frame.
+    """
     lam, proj = _stacks_from_json(obj, path, "lambda", "projections")
     try:
-        return FlagTorusPoint(proj, lam)
+        return FlagTorusPoint(_flag_frame(proj), lam)
     except DimensionError as exc:
         raise SchemaError(path, str(exc)) from None
 

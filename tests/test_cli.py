@@ -342,6 +342,20 @@ class TestMain:
         assert main(["eval", "--input", str(p), "--quantity", "df"]) == 2
         assert "$.tangents[1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("quantity", ["curving", "nu", "df"])
+    def test_eval_non_hermitian_dP_exit_two(self, quantity, tmp_path, capsys):
+        # dP_i = [H, P_i] for Hermitian H: sums to zero, off-diagonal, but
+        # skew-Hermitian, so no curve of projectors has it as its velocity
+        obj = flag_point(3)
+        pt = weyl.flag_point_from_json(obj)
+        h = np.diag([1.0, 2.0, 3.0]) + np.ones((3, 3))
+        dp = [h @ q - q @ h for q in pt.projections]
+        obj["tangents"][1]["dP"] = [matrix_to_json(d) for d in dp]
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(obj))
+        assert main(["eval", "--input", str(p), "--quantity", quantity]) == 2
+        assert "$.tangents[1]: dP_i must be Hermitian" in capsys.readouterr().err
+
     @pytest.mark.parametrize("quantity", ["nu", "df"])
     def test_eval_oblique_projectors_exit_two(self, quantity, tmp_path, capsys):
         # complete, P_a P_b = delta_ab P_a, but P0 and P1 are not Hermitian

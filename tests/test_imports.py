@@ -1,8 +1,12 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no public
+function or class of the package goes unused.
 
 No linter ships with the project, so this reads each module's syntax tree
 with ``ast``: a name bound by an import must appear as a name somewhere
-else in the module.  ``__init__.py`` imports only to re-export.
+else in the module.  ``__init__.py`` imports only to re-export.  A public
+top-level function or class must be named (called, read or referenced as
+an attribute) somewhere in the package, its tests or the benchmark; its
+definition and its re-export do not count.
 """
 
 import ast
@@ -10,8 +14,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "basicgerbe"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "basicgerbe"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+# everywhere a public name of the package may be used
+USERS = [SRC / m for m in MODULES] + sorted(
+    p for d in ("tests", "perfbench") for p in (ROOT / d).glob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +47,34 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unused_definitions(modules: dict[str, str], users: list[str]) -> list[str]:
+    """Public top-level defs of ``modules`` that no source in ``users`` names."""
+    named = set()
+    for source in users:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return [
+        f"{module}: {node.name}"
+        for module, source in modules.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in named
+    ]
+
+
+def test_detects_an_unused_definition():
+    module = "def used():\n    pass\n\ndef planted():\n    pass\n\nclass _Own:\n    pass\n"
+    assert unused_definitions({"m.py": module}, [module, "used()\n"]) == [
+        "m.py: planted"
+    ]
+
+
+def test_no_unused_definitions():
+    modules = {m: (SRC / m).read_text() for m in MODULES}
+    assert unused_definitions(modules, [p.read_text() for p in USERS]) == []

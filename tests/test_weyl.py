@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,22 +48,71 @@ def regular_instance(index, n=4):
     return rng, pt, tans
 
 
+def stack_point(p, lam):
+    """The point of a projector stack, built as the JSON parse builds it."""
+    return FlagTorusPoint(weyl._flag_frame(np.asarray(p, dtype=complex)), lam)
+
+
+def peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 class TestFlagTorusPoint:
     def test_valid_from_columns(self):
         _, pt, _ = regular_instance(0)
         assert pt.is_regular()
-        assert pt.count == pt.dim == 4
+        assert pt.dim == 4
+        assert pt.frame.shape == (4, 4)
+        q = pt.frame[:, 2]
+        assert np.array_equal(pt.projections[2], np.outer(q, q.conj()))
+
+    def test_frame_recovered_from_projections(self):
+        _, pt, _ = regular_instance(6)
+        again = stack_point(pt.projections, pt.torus_values)
+        # each column is recovered up to a unit phase
+        overlap = np.abs(np.sum(again.frame.conj() * pt.frame, axis=0))
+        assert np.max(np.abs(overlap - 1.0)) < 1e-12
+
+    def test_frame_must_be_unitary(self):
+        lam = np.exp(1j * np.array([0.3, 1.1]))
+        q = np.array([[1.0, 0.1], [0.0, 1.0]])
+        with pytest.raises(DimensionError, match="not complete and orthogonal"):
+            FlagTorusPoint(q, lam)
+        # each projector Hermitian of rank one, but onto lines 45 degrees apart
+        p = np.stack([np.outer(c, c) for c in ([1.0, 0.0], np.ones(2) / 2**0.5)])
+        with pytest.raises(DimensionError, match="not complete and orthogonal"):
+            stack_point(p, lam)
+
+    def test_sample_regular_memory_is_quadratic(self):
+        # an n x n x n projector stack at n = 128 would take 32 MB
+        rng = sample_rng(0, "weyl-test", 128)
+        pt, peak = peak_bytes(sample_regular, 128, rng)
+        assert pt.frame.shape == (128, 128)
+        assert peak <= 4 * 2**20
 
     def test_incomplete_rejected(self):
         q = np.eye(3)
         proj = np.stack([np.outer(q[:, i], q[:, i]) for i in range(2)])
         with pytest.raises(DimensionError):
-            FlagTorusPoint(proj, np.exp(1j * np.array([0.3, 1.1])))
+            stack_point(proj, np.exp(1j * np.array([0.3, 1.1])))
+
+    def test_zero_rank_family_rejected(self):
+        # complete, Hermitian and orthogonal, but P_0 = 0 and P_1 has rank 2
+        p = np.zeros((3, 3, 3))
+        p[1, 0, 0] = p[1, 1, 1] = p[2, 2, 2] = 1.0
+        with pytest.raises(DimensionError):
+            stack_point(p, np.exp(1j * np.array([2.0, 4.0, 1.0])))
 
     def test_non_orthogonal_rejected(self):
         p = np.stack([np.diag([1.0, 0.0]), np.diag([0.3, 1.0])])
         with pytest.raises(DimensionError):
-            FlagTorusPoint(p.astype(complex), np.exp(1j * np.array([0.3, 1.1])))
+            stack_point(p, np.exp(1j * np.array([0.3, 1.1])))
 
     @pytest.mark.parametrize("e, accepted", [(1e-3, False), (1e-7, True)])
     def test_orthogonality_bound(self, e, accepted):
@@ -71,20 +121,25 @@ class TestFlagTorusPoint:
         p = np.stack([p0, np.eye(2) - p0])
         lam = np.exp(1j * np.array([0.3, 1.1]))
         if accepted:
-            FlagTorusPoint(p, lam)
+            stack_point(p, lam)
         else:
-            with pytest.raises(DimensionError, match="not orthogonal"):
-                FlagTorusPoint(p, lam)
+            with pytest.raises(DimensionError, match="rank one"):
+                stack_point(p, lam)
 
-    @pytest.mark.parametrize("defect", [0.0, 0.95])
-    @pytest.mark.parametrize("rank", [1, 2], ids=["m=n", "m<n"])
+    @pytest.mark.parametrize(
+        "rank, defect",
+        [(1, 0.0), (1, 0.95), (2, 0.95)],
+        ids=["m=n-0.0", "m=n-0.95", "m<n-0.95"],
+    )
     def test_orthogonality_defect_below_diagonal(self, rank, defect):
         # orthonormal real frame (v, u, w); the last projector is w w^T and
         # the first gets E = -i d w v^T, which maps range(P_0) into
         # range(P_last): P_0 stays idempotent, the family complete to |E|,
         # and every block but P_last P_0 = E stays exact.  E - E^H =
         # -i d (w v^T + v w^T) is entrywise smaller than E, so at ``defect``
-        # times the Hermitian bound E still exceeds the orthogonality bound
+        # times the Hermitian bound E still exceeds the orthogonality bound,
+        # and P_0 is farther than PROJECTOR_TOL from q_0 q_0^H.  A partial
+        # flag (m < n) is rejected whatever its defect
         c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
         w = np.array([0.0, c, s])
         v = np.array([np.sin(np.pi / 10), np.cos(np.pi / 10) * s,
@@ -101,11 +156,11 @@ class TestFlagTorusPoint:
                 if np.max(np.abs(p[a] @ p[b] - (a == b) * p[a])) > PROJECTOR_TOL]
         if not defect:
             assert over == []
-            FlagTorusPoint(p, lam)
+            stack_point(p, lam)
         else:
             assert over == [(m - 1, 0)]
-            with pytest.raises(DimensionError, match="not orthogonal"):
-                FlagTorusPoint(p, lam)
+            with pytest.raises(DimensionError):
+                stack_point(p, lam)
 
     def test_oblique_rejected(self):
         # complete idempotents with P_a P_b = 0, but P0 and P1 not Hermitian
@@ -114,25 +169,25 @@ class TestFlagTorusPoint:
         p[1, 1, 1], p[1, 0, 1] = 1.0, -0.7
         p[2, 2, 2] = 1.0
         with pytest.raises(DimensionError, match="not Hermitian"):
-            FlagTorusPoint(p, np.exp(1j * np.array([0.3, 1.1, 2.0])))
+            stack_point(p, np.exp(1j * np.array([0.3, 1.1, 2.0])))
 
     def test_non_unit_values_rejected(self):
         p = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
         with pytest.raises(DimensionError):
-            FlagTorusPoint(p, np.array([2.0, 1j]))
+            stack_point(p, np.array([2.0, 1j]))
 
     def test_repeated_values_irregular(self):
         p = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
-        pt = FlagTorusPoint(p, np.array([1j, 1j * np.exp(1e-8j)]))
+        pt = stack_point(p, np.array([1j, 1j * np.exp(1e-8j)]))
         assert not pt.is_regular()
 
     def test_non_finite_rejected(self):
         p = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
         with pytest.raises(DimensionError):
-            FlagTorusPoint(p, np.array([1j, complex(np.nan, 0.0)]))
+            stack_point(p, np.array([1j, complex(np.nan, 0.0)]))
         p[0, 0, 1] = np.nan
         with pytest.raises(DimensionError):
-            FlagTorusPoint(p, np.array([1j, -1j]))
+            stack_point(p, np.array([1j, -1j]))
 
 
 class TestFlagTangent:
@@ -151,12 +206,22 @@ class TestFlagTangent:
     def test_diagonal_dP_rejected(self):
         # a block of dP_i inside P_i moves P_i off the projectors
         _, pt, tans = regular_instance(5)
-        last = pt.count - 1
+        last = pt.dim - 1
         bad = tans[0].dP.copy()
         bad[last] += 0.1 * pt.projections[last]
         bad[0] -= 0.1 * pt.projections[last]
         with pytest.raises(DimensionError, match="off-diagonal"):
             FlagTangent(pt, tans[0].dlam, bad)
+
+    def test_non_hermitian_dP_rejected(self):
+        # dP_i = [H, P_i] for Hermitian H is skew-Hermitian; it sums to zero
+        # and is off-diagonal for P_i, so only the Hermitian check sees it
+        _, pt, tans = regular_instance(7)
+        b = random_unitary(pt.dim, 7).mat
+        h = b + b.conj().T
+        dp = np.stack([h @ p - p @ h for p in pt.projections])
+        with pytest.raises(DimensionError, match="Hermitian"):
+            FlagTangent(pt, tans[0].dlam, dp)
 
     def test_non_finite_rejected(self):
         _, pt, tans = regular_instance(4)
@@ -204,6 +269,13 @@ class TestWeylMap:
         row = next(c for c in report["checks"] if c["name"] == "preimage-count")
         assert row["failures"] == 2
         assert not report["passed"]
+
+    def test_preimage_memory_is_quadratic(self):
+        # the match table of a U(128) as one n x n x n residual took 65 MB
+        g = random_unitary(128, 5)
+        count, peak = peak_bytes(preimage_count, g)
+        assert count == math.factorial(128)
+        assert peak <= 8 * 2**20
 
     def test_preimage_rejects_irregular(self):
         g = UnitaryMatrix(np.diag([1j, 1j, -1j]))
