@@ -271,10 +271,11 @@ def _weyl(cfg: SuiteConfig, i: int, rng) -> dict:
     pt = weyl.sample_regular(cfg.dim, rng)
     g = weyl.weyl_apply(pt)
     tans = [weyl.random_flag_tangent(pt, rng) for _ in range(3)]
-    # exact linearization of sum lambda_i P_i
+    # exact linearization of sum lambda_i P_i: dg = [A, g] + Q diag(dlam) Q^H
     t = tans[0]
     q = pt.frame
-    dg = (q * t.dlam) @ q.conj().T + np.einsum("j,jkl->kl", pt.torus_values, t.dP)
+    a = q @ t.generator @ q.conj().T
+    dg = a @ g.mat - g.mat @ a + (q * t.dlam) @ q.conj().T
     spec = spectral_decompose(g)
     z = sampling.random_cuts(spec, rng, 1)[0]
     closed = weyl.pullback_curving_closed(pt, z, tans[0], tans[1])

@@ -2,11 +2,11 @@
 
 A point of (full flag manifold) x (torus) is a unitary frame Q, column q_i
 spanning the line of P_i = q_i q_i^H, with distinct unit eigenvalues; the
-parametrization is an n!-sheeted covering over regular unitaries.  Sums
-sum c_i P_i are (Q * c) Q^H.  Includes the Maurer-Cartan pullback, tangent
-transport, and the closed forms for the pulled-back curving, its exterior
-derivative, and the pulled-back three-curvature (raw and simplified, kept
-separately as a regression pair).
+parametrization is an n!-sheeted covering over regular unitaries.  A tangent
+is dlambda and a frame generator G, dP_i = Q [G, E_ii] Q^H.  Includes the
+Maurer-Cartan pullback, tangent transport, and the closed forms for the
+pulled-back curving, its exterior derivative, and the pulled-back
+three-curvature (raw and simplified, kept separately as a regression pair).
 """
 
 from __future__ import annotations
@@ -81,11 +81,6 @@ class FlagTorusPoint:
         return _separated(self.torus_values, REGULARITY_GAP)
 
 
-def _frame_sum(pt: FlagTorusPoint, coeffs: np.ndarray) -> np.ndarray:
-    """sum_i c_i P_i = (Q * c) Q^H."""
-    return (pt.frame * coeffs) @ pt.frame.conj().T
-
-
 def _flag_frame(p: np.ndarray) -> np.ndarray:
     """The frame Q with P_i = q_i q_i^H, from an (n, n, n) projector stack.
 
@@ -115,52 +110,86 @@ def _require_regular(pt: FlagTorusPoint) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FlagTangent:
-    """Tangent data (dlambda_i, dP_i) at a flag-torus point."""
+    """Tangent data (dlambda_i, G) at a flag-torus point.
+
+    Each flag tangent is dP_i = [A, P_i] for a skew-Hermitian A; G is Q^H A Q
+    less its diagonal, which moves no P_i, so dP_i = Q [G, E_ii] Q^H.
+    """
 
     point: FlagTorusPoint
     dlam: np.ndarray  # (n,), each tangent to U(1) at lambda_i
-    dP: np.ndarray  # (n, n, n), each Hermitian
+    generator: np.ndarray  # (n, n), skew-Hermitian with a zero diagonal
 
     def __post_init__(self):
         dlam = np.asarray(self.dlam, dtype=complex)
-        dp = np.asarray(self.dP, dtype=complex)
+        gen = np.asarray(self.generator, dtype=complex)
         object.__setattr__(self, "dlam", dlam)
-        object.__setattr__(self, "dP", dp)
+        object.__setattr__(self, "generator", gen)
         pt = self.point
         n = pt.dim
-        if dlam.shape != (n,) or dp.shape != (n, n, n):
+        if dlam.shape != (n,) or gen.shape != (n, n):
             raise DimensionError("tangent data shape mismatch")
-        if not (np.isfinite(dlam).all() and np.isfinite(dp).all()):
+        if not (np.isfinite(dlam).all() and np.isfinite(gen).all()):
             raise DimensionError("tangent data has non-finite entries")
         # dlambda_i must be tangent to the circle: dlam_i / (i lam_i) real
         radial = np.max(np.abs((dlam * np.conj(pt.torus_values)).real))
         if radial > PROJECTOR_TOL * max(1.0, np.max(np.abs(dlam))):
             raise DimensionError("dlambda is not tangent to the unit circle")
-        if np.linalg.norm(dp.sum(axis=0)) > PROJECTOR_TOL * n:
-            raise DimensionError("sum of dP_i must vanish")
-        skew = np.linalg.norm(dp - dp.conj().transpose(0, 2, 1), axis=(1, 2))
-        if np.max(skew) > PROJECTOR_TOL * n:
+        # dP_i - dP_i^H = Q [G + G^H, E_ii] Q^H
+        if np.linalg.norm(gen + gen.conj().T) > PROJECTOR_TOL * n:
             raise DimensionError("dP_i must be Hermitian")
-        p = pt.projections
-        diagonal = np.linalg.norm(p @ dp + dp @ p - dp, axis=(1, 2))
-        if np.max(diagonal) > PROJECTOR_TOL * n:
-            raise DimensionError("dP_i must be off-diagonal for P_i")
+        # the bracket tables are exactly 0 on their diagonals only if G's is
+        if np.diagonal(gen).any():
+            raise DimensionError("the frame generator must have a zero diagonal")
+
+    @property
+    def dP(self) -> np.ndarray:
+        """The (n, n, n) stack dP_i, formed on each call."""
+        return _generator_stack(self.point.frame, self.generator)
+
+
+def _generator_stack(q: np.ndarray, gen: np.ndarray) -> np.ndarray:
+    """dP_k = Q [G, E_kk] Q^H = (Q G)[:, k] q_k^H - q_k (G Q^H)[k, :]."""
+    qg, gq, qt = (q @ gen).T, gen @ q.conj().T, q.T
+    return qg[:, :, None] * qt.conj()[:, None, :] - qt[:, :, None] * gq[:, None, :]
+
+
+def _flag_generator(q: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """G_jk = q_j^H dP_k q_k (j != k), from an (n, n, n) stack dP at the frame Q.
+
+    dP must equal its reconstruction from G: each dP_k off-diagonal for P_k,
+    summing to zero.  G skew-Hermitian (dP_k Hermitian) is the tangent's check.
+    """
+    n = q.shape[0]
+    if dp.shape != (n, n, n) or not np.isfinite(dp).all():
+        raise DimensionError(f"a tangent of U({n}) needs {n} finite {n} x {n} dP_i")
+    gen = q.conj().T @ np.einsum("kab,bk->ak", dp, q)
+    np.fill_diagonal(gen, 0)
+    defect = np.linalg.norm(dp - _generator_stack(q, gen), axis=(1, 2))
+    if np.max(defect) > PROJECTOR_TOL * n:
+        raise DimensionError("dP_i must be off-diagonal for P_i and sum to zero")
+    return gen
+
+
+def _flag_mc(tan: FlagTangent) -> np.ndarray:
+    """g^{-1} sum_j lam_j dP_j in the frame: Lam^{-1} (G Lam - Lam G)."""
+    lam, gen = tan.point.torus_values, tan.generator
+    return gen * lam / lam[:, None] - gen
 
 
 def weyl_apply(pt: FlagTorusPoint) -> UnitaryMatrix:
     """g = sum_i lambda_i P_i."""
-    return UnitaryMatrix(_frame_sum(pt, pt.torus_values))
+    return UnitaryMatrix((pt.frame * pt.torus_values) @ pt.frame.conj().T)
 
 
 def mc_pullback(tan: FlagTangent) -> np.ndarray:
     """Pullback of g^{-1} dg on the tangent:
 
-    sum_i lam_i^{-1} dlam_i P_i + sum_{i,j} lam_i^{-1} lam_j P_i dP_j.
+    sum_i lam_i^{-1} dlam_i P_i + sum_{i,j} lam_i^{-1} lam_j P_i dP_j,
+    which is Q (diag(dlam / lam) + Lam^{-1} (G Lam - Lam G)) Q^H.
     """
-    pt = tan.point
-    lam = pt.torus_values
-    d = np.einsum("j,jkl->kl", lam, tan.dP)
-    return _frame_sum(pt, tan.dlam / lam) + _frame_sum(pt, 1.0 / lam) @ d
+    q, lam = tan.point.frame, tan.point.torus_values
+    return q @ (np.diag(tan.dlam / lam) + _flag_mc(tan)) @ q.conj().T
 
 
 def weyl_tangent(tan: FlagTangent) -> TangentVector:
@@ -210,29 +239,20 @@ def random_flag_tangent(pt: FlagTorusPoint, rng) -> FlagTangent:
     b = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
     a = (b - b.conj().T) / 2
     a /= np.linalg.norm(a)
-    dp = np.stack([a @ p - p @ a for p in pt.projections])
+    frame_gen = pt.frame.conj().T @ a @ pt.frame
+    np.fill_diagonal(frame_gen, 0)
     dlam = 1j * pt.torus_values * gen.standard_normal(n)
-    return FlagTangent(pt, dlam, dp)
+    return FlagTangent(pt, dlam, frame_gen)
 
 
-def torus_flag_tangent(pt: FlagTorusPoint, rates) -> FlagTangent:
-    """Pure torus tangent dlam_i = i * rate_i * lam_i, dP = 0."""
-    dlam = 1j * np.asarray(rates, dtype=float) * pt.torus_values
-    return FlagTangent(pt, dlam, np.zeros((pt.dim,) * 3))
+def _p_bracket(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """T[i, k] = tr(P_i [dP^v_k, dP^w_k]) for i != k (0 if i == k), from V, W."""
+    return w * v.T - v * w.T
 
 
-def _trace_table(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """T[i, k] = tr(A_i [B_k, C_k]) for stacks (n, n, n) of matrices.
-
-    The commutator antisymmetrizes the two slots B, C in one table.
-    """
-    return np.einsum("iab,kba->ik", a, b @ c - c @ b)
-
-
-def _frame_trace_table(pt: FlagTorusPoint, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """T[i, k] = tr(P_i [B_k, C_k]) = q_i^H [B_k, C_k] q_i, the first slot P."""
-    q = pt.frame
-    return np.einsum("ai,kai->ik", q.conj(), (b @ c - c @ b) @ q)
+def _dp_bracket(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """T[i, k] = tr(dP^u_i [dP^v_k, dP^w_k]), from the frame generators U, V, W."""
+    return -v * (w @ u).T + w * (v @ u).T + (u @ v) * w.T - (u @ w) * v.T
 
 
 def pullback_curving_closed(
@@ -241,18 +261,15 @@ def pullback_curving_closed(
     """Closed form of the pulled-back curving at a regular point:
 
     (i / 4 pi) sum_{i != k}
-        (log_z lam_i - log_z lam_k + (lam_k - lam_i) / lam_k)
-        tr(P_i dP_k dP_k).
+        (log_z lam_i - log_z lam_k + 1 - lam_i / lam_k) tr(P_i dP_k dP_k).
     """
     _require_regular(pt)
     _check_cuts(pt.torus_values, z)
     lam = pt.torus_values
     logs = log_cut_array(z, lam)
     # zero on the diagonal, where the sum excludes i == k
-    coeffs = (
-        logs[:, None] - logs[None, :] + (lam[None, :] - lam[:, None]) / lam[None, :]
-    )
-    val = np.sum(coeffs * _frame_trace_table(pt, tan1.dP, tan2.dP))
+    coeffs = logs[:, None] - logs[None, :] + 1 - lam[:, None] / lam[None, :]
+    val = np.sum(coeffs * _p_bracket(tan1.generator, tan2.generator))
     return complex(1j / (4 * math.pi) * val)
 
 
@@ -261,9 +278,8 @@ def pullback_df_closed(
 ) -> complex:
     """Closed form of the exterior derivative of the pulled-back curving.
 
-    (i / 4 pi) sum_{i != k}
-        (dlam_i / lam_i - dlam_k / lam_k - dlam_i / lam_k
-         + lam_i dlam_k / lam_k^2) tr(P_i dP_k dP_k)
+    (i / 4 pi) sum_{i != k} (dlam_i / lam_i - dlam_k / lam_k)
+        (1 - lam_i / lam_k) tr(P_i dP_k dP_k)
     - (i / 4 pi) sum_{i != k} (lam_i / lam_k) tr(dP_i dP_k dP_k).
 
     Independent of the cut; also the simplified pulled-back 3-curvature.
@@ -272,27 +288,14 @@ def pullback_df_closed(
     """
     _require_regular(pt)
     lam = pt.torus_values
-    off = ~np.eye(pt.dim, dtype=bool)
-    ratio = off * lam[:, None] / lam[None, :]
+    ratio = lam[:, None] / lam[None, :]
     total = 0j
     for u, v, w in ((tan1, tan2, tan3), (tan2, tan3, tan1), (tan3, tan1, tan2)):
         rate = u.dlam / lam
-        bracket = off * (
-            rate[:, None]
-            - rate[None, :]
-            - u.dlam[:, None] / lam[None, :]
-            + lam[:, None] * u.dlam[None, :] / lam[None, :] ** 2
-        )
-        total += np.sum(bracket * _frame_trace_table(pt, v.dP, w.dP))
-        total -= np.sum(ratio * _trace_table(u.dP, v.dP, w.dP))
+        bracket = (rate[:, None] - rate[None, :]) * (1 - ratio)
+        total += np.sum(bracket * _p_bracket(v.generator, w.generator))
+        total -= np.sum(ratio * _dp_bracket(u.generator, v.generator, w.generator))
     return complex(1j / (4 * math.pi) * total)
-
-
-def _antisym3(fn, tans) -> complex:
-    total = 0j
-    for perm in itertools.permutations(range(3)):
-        total += _perm_sign(perm) * fn(*(tans[i] for i in perm))
-    return complex(total)
 
 
 def pullback_nu_closed(
@@ -304,23 +307,20 @@ def pullback_nu_closed(
     with Lam2 = sum lam_i^{-2} dlam_i P_i and D = sum lam_j dP_j,
     antisymmetrized over the three slots.  Its simplified form is
     pullback_df_closed; comparing the two checks the wedge convention.
+    The traces are taken in the frame, where g^{-1} D is _flag_mc and
+    Lam2 D g^{-1} D is diag(dlam / lam) (g^{-1} D)^2.
     """
     _require_regular(pt)
     lam = pt.torus_values
-    ginv = _frame_sum(pt, 1.0 / lam)
-
-    def lam2(t: FlagTangent) -> np.ndarray:
-        return _frame_sum(pt, t.dlam / lam**2)
-
-    def dmat(t: FlagTangent) -> np.ndarray:
-        return np.einsum("j,jkl->kl", lam, t.dP)
-
-    def term(u: FlagTangent, v: FlagTangent, w: FlagTangent) -> complex:
-        t1 = np.trace(lam2(u) @ dmat(v) @ ginv @ dmat(w))
-        t2 = np.trace(ginv @ dmat(u) @ ginv @ dmat(v) @ ginv @ dmat(w))
-        return complex(-1j / (4 * math.pi) * t1 - 1j / (12 * math.pi) * t2)
-
-    return _antisym3(term, (tan1, tan2, tan3))
+    tans = (tan1, tan2, tan3)
+    m = [_flag_mc(t) for t in tans]
+    total = 0j
+    for perm in itertools.permutations(range(3)):
+        u, v, w = perm
+        t1 = np.trace(np.diag(tans[u].dlam / lam) @ m[v] @ m[w])
+        t2 = np.trace(m[u] @ m[v] @ m[w])
+        total += _perm_sign(perm) * (t1 / (4 * math.pi) + t2 / (12 * math.pi))
+    return complex(-1j * total)
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +359,12 @@ def _stacks_from_json(obj: dict, path: str, values: str, matrices: str) -> tuple
             for i, v in enumerate(_list_from_json(obj[values], f"{path}.{values}"))
         ]
     )
-    mats = np.stack(
-        [
-            matrix_from_json(m, f"{path}.{matrices}[{i}]")
-            for i, m in enumerate(
-                _list_from_json(obj[matrices], f"{path}.{matrices}")
-            )
-        ]
-    )
-    return vec, mats
+    mats = []
+    for i, m in enumerate(_list_from_json(obj[matrices], f"{path}.{matrices}")):
+        mats.append(matrix_from_json(m, f"{path}.{matrices}[{i}]"))
+        if mats[i].shape != mats[0].shape:
+            raise SchemaError(f"{path}.{matrices}[{i}]", "size differs from [0]")
+    return vec, np.stack(mats)
 
 
 def flag_point_from_json(obj: dict, path: str = "$") -> FlagTorusPoint:
@@ -392,7 +389,7 @@ def flag_tangent_from_json(
     """
     dlam, dp = _stacks_from_json(obj, path, "dlambda", "dP")
     try:
-        return FlagTangent(pt, dlam, dp)
+        return FlagTangent(pt, dlam, _flag_generator(pt.frame, dp))
     except DimensionError as exc:
         raise SchemaError(path, str(exc)) from None
 

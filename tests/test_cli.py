@@ -56,6 +56,10 @@ def group_point(n):
     return obj
 
 
+# a 2 x 2 matrix among 3 x 3 ones
+MIXED_SIZES = [matrix_to_json(np.eye(m)) for m in (3, 2, 3)]
+
+
 def write_curvature_point(path):
     g = np.diag([1j, -1j])
     obj = {
@@ -382,16 +386,19 @@ class TestMain:
             ("tangents", [5, 5, 5], "$.tangents[0]"),
             ("dlambda", 3, "$.tangents[0].dlambda"),
             ("dP", 3, "$.tangents[0].dP"),
+            ("dP", MIXED_SIZES, "$.tangents[0].dP[1]"),
             ("lambda", 5, "$.lambda"),
             ("projections", 5, "$.projections"),
             ("projections", [], "$.projections"),
+            ("projections", MIXED_SIZES, "$.projections[1]"),
             ("z1", ["a", "b"], "$.z1"),
             ("z1", [[1], [0]], "$.z1"),
             (None, 5, "$"),
         ],
         ids=[
             "tangents-number", "tangent-number", "dlambda-number", "dP-number",
-            "lambda-number", "projections-number", "projections-empty",
+            "dP-mixed-size", "lambda-number", "projections-number",
+            "projections-empty", "projections-mixed-size",
             "cut-strings", "cut-lists", "top-level-number",
         ],
     )

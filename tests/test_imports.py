@@ -1,12 +1,13 @@
-"""No module of the package imports a name it never uses, and no public
+"""No module of the package imports a name it never uses, and no top-level
 function or class of the package goes unused.
 
 No linter ships with the project, so this reads each module's syntax tree
 with ``ast``: a name bound by an import must appear as a name somewhere
-else in the module.  ``__init__.py`` imports only to re-export.  A public
-top-level function or class must be named (called, read or referenced as
-an attribute) somewhere in the package, its tests or the benchmark; its
-definition and its re-export do not count.
+else in the module.  ``__init__.py`` imports only to re-export.  A
+top-level function or class, public or private, must be named (called, read
+or referenced as an attribute) somewhere in the package, its own module
+included, its tests or the benchmark; its definition and its re-export do
+not count.
 """
 
 import ast
@@ -50,7 +51,7 @@ def test_no_unused_imports(module):
 
 
 def unused_definitions(modules: dict[str, str], users: list[str]) -> list[str]:
-    """Public top-level defs of ``modules`` that no source in ``users`` names."""
+    """Top-level defs of ``modules`` that no source in ``users`` names."""
     named = set()
     for source in users:
         for node in ast.walk(ast.parse(source)):
@@ -63,15 +64,18 @@ def unused_definitions(modules: dict[str, str], users: list[str]) -> list[str]:
         for module, source in modules.items()
         for node in ast.parse(source).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
         and node.name not in named
     ]
 
 
 def test_detects_an_unused_definition():
-    module = "def used():\n    pass\n\ndef planted():\n    pass\n\nclass _Own:\n    pass\n"
+    module = (
+        "def used():\n    _helper()\n\ndef planted():\n    pass\n\n"
+        "def _helper():\n    pass\n\ndef _planted():\n    pass\n"
+    )
     assert unused_definitions({"m.py": module}, [module, "used()\n"]) == [
-        "m.py: planted"
+        "m.py: planted",
+        "m.py: _planted",
     ]
 
 

@@ -32,13 +32,13 @@ from basicgerbe import (
 )
 from basicgerbe import weyl
 from basicgerbe.cli import SuiteConfig, run_suite
-from basicgerbe.sampling import sample_rng
+from basicgerbe.sampling import random_cuts, sample_rng
 from basicgerbe.weyl import (
     PROJECTOR_TOL,
     flag_tangent_from_json,
     flag_tangent_to_json,
-    torus_flag_tangent,
 )
+from flag_reference import pullback_curving, pullback_df
 
 
 def regular_instance(index, n=4):
@@ -51,6 +51,20 @@ def regular_instance(index, n=4):
 def stack_point(p, lam):
     """The point of a projector stack, built as the JSON parse builds it."""
     return FlagTorusPoint(weyl._flag_frame(np.asarray(p, dtype=complex)), lam)
+
+
+def stack_tangent(pt, dlam, dp):
+    """The tangent of a dP stack, built as the JSON parse builds it."""
+    gen = weyl._flag_generator(pt.frame, np.asarray(dp, dtype=complex))
+    return FlagTangent(pt, dlam, gen)
+
+
+def cayley_step(pt, e):
+    """U = (1 - eS/2)^{-1} (1 + eS/2) for a unit skew-Hermitian S: 1 + eS + O(e^2)."""
+    b = random_unitary(pt.dim, 9).mat
+    s = (b - b.conj().T) / np.linalg.norm(b - b.conj().T)
+    one = np.eye(pt.dim)
+    return np.linalg.solve(one - e * s / 2, one + e * s / 2)
 
 
 def peak_bytes(fn, *args):
@@ -194,14 +208,14 @@ class TestFlagTangent:
     def test_radial_dlam_rejected(self):
         _, pt, _ = regular_instance(1)
         with pytest.raises(DimensionError):
-            FlagTangent(pt, pt.torus_values.copy(), np.zeros_like(pt.projections))
+            stack_tangent(pt, pt.torus_values.copy(), np.zeros_like(pt.projections))
 
     def test_dP_sum_must_vanish(self):
         _, pt, tans = regular_instance(2)
         bad = tans[0].dP.copy()
         bad[0] += np.eye(pt.dim) * 0.1
         with pytest.raises(DimensionError):
-            FlagTangent(pt, tans[0].dlam, bad)
+            stack_tangent(pt, tans[0].dlam, bad)
 
     def test_diagonal_dP_rejected(self):
         # a block of dP_i inside P_i moves P_i off the projectors
@@ -211,7 +225,7 @@ class TestFlagTangent:
         bad[last] += 0.1 * pt.projections[last]
         bad[0] -= 0.1 * pt.projections[last]
         with pytest.raises(DimensionError, match="off-diagonal"):
-            FlagTangent(pt, tans[0].dlam, bad)
+            stack_tangent(pt, tans[0].dlam, bad)
 
     def test_non_hermitian_dP_rejected(self):
         # dP_i = [H, P_i] for Hermitian H is skew-Hermitian; it sums to zero
@@ -221,14 +235,51 @@ class TestFlagTangent:
         h = b + b.conj().T
         dp = np.stack([h @ p - p @ h for p in pt.projections])
         with pytest.raises(DimensionError, match="Hermitian"):
-            FlagTangent(pt, tans[0].dlam, dp)
+            stack_tangent(pt, tans[0].dlam, dp)
 
     def test_non_finite_rejected(self):
         _, pt, tans = regular_instance(4)
         dlam = tans[0].dlam.copy()
         dlam[0] = np.nan
         with pytest.raises(DimensionError):
-            FlagTangent(pt, dlam, tans[0].dP)
+            stack_tangent(pt, dlam, tans[0].dP)
+
+    def test_generator_diagonal_rejected(self):
+        # the diagonal moves no P_i, and the closed forms read it as zero
+        _, pt, tans = regular_instance(8)
+        gen = tans[0].generator + 1j * np.eye(pt.dim)
+        with pytest.raises(DimensionError, match="zero diagonal"):
+            FlagTangent(pt, tans[0].dlam, gen)
+
+    @pytest.mark.parametrize("e, accepted", [(1e-3, False), (1e-7, True)])
+    @pytest.mark.parametrize("route, message", [("stack", "off-diagonal"),
+                                                ("generator", "Hermitian")])
+    def test_tangent_bound(self, route, message, e, accepted):
+        # a step U = 1 + eS + O(e^2) along a skew-Hermitian S: the stack
+        # U P_i U^H - P_i is off [eS, P_i] and the generator of U - 1 is off
+        # skew-Hermitian by O(e^2), below the tol for 1e-7
+        _, pt, tans = regular_instance(9)
+        uq = cayley_step(pt, e) @ pt.frame
+        if route == "stack":
+            moved = uq.T[:, :, None] * uq.T.conj()[:, None, :]
+            build = lambda: stack_tangent(pt, tans[0].dlam, moved - pt.projections)
+        else:
+            gen = pt.frame.conj().T @ uq - np.eye(pt.dim)
+            np.fill_diagonal(gen, 0)
+            build = lambda: FlagTangent(pt, tans[0].dlam, gen)
+        if accepted:
+            build()
+        else:
+            with pytest.raises(DimensionError, match=message):
+                build()
+
+    def test_random_tangent_memory_is_quadratic(self):
+        # one n x n x n dP stack at n = 128 would take 32 MB
+        rng = sample_rng(0, "weyl-test", 128)
+        pt = sample_regular(128, rng)
+        tan, peak = peak_bytes(random_flag_tangent, pt, rng)
+        assert tan.generator.shape == (128, 128)
+        assert peak <= 8 * 2**20
 
     def test_commutator_tangents_accepted(self):
         _, pt, tans = regular_instance(3)
@@ -346,8 +397,9 @@ class TestPullbackForms:
 
     def test_torus_directions_kill_curving(self):
         _, pt, _ = regular_instance(70)
-        t1 = torus_flag_tangent(pt, [1.0, 0.0, 0.0, 0.0])
-        t2 = torus_flag_tangent(pt, [0.0, 1.0, 0.0, 0.0])
+        # pure torus tangents dlam_i = i rate_i lam_i, with generator 0
+        t1, t2 = (FlagTangent(pt, 1j * r * pt.torus_values, np.zeros((4, 4)))
+                  for r in np.eye(4)[:2])
         z = cut_point(np.angle(pt.torus_values[0]) % (2 * np.pi) + 1e-2)
         # tr(P_i dP_k dP_k) vanishes when dP = 0
         assert pullback_curving_closed(pt, z, t1, t2) == 0j
@@ -366,6 +418,14 @@ class TestPullbackForms:
             up = pullback_df_closed(pt, *tans)
             down = three_curvature(g, *xs)
             assert abs(up - down) < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 32])
+    def test_closed_forms_match_stack_reference(self, n):
+        rng, pt, tans = regular_instance(140 + n, n)
+        z = random_cuts(spectral_decompose(weyl_apply(pt)), rng, 1)[0]
+        curving = pullback_curving_closed(pt, z, tans[0], tans[1])
+        assert abs(curving - pullback_curving(pt, z, tans[0], tans[1])) < 1e-13
+        assert abs(pullback_df_closed(pt, *tans) - pullback_df(pt, *tans)) < 1e-13
 
     def test_curving_constant_within_gap(self):
         # moving the cut inside one spectral gap leaves the pullback unchanged
