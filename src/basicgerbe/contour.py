@@ -7,12 +7,17 @@ of branch logarithms log_z with cut along the ray through z and
 log_z(1) = 0, the cut-exclusion check, annular-sector contours around
 spectral arcs and adaptive Gauss-Legendre contour quadrature.
 
-Quadrature applies one Gauss-Legendre rule to every segment of a contour.
-It starts at DEFAULT_NODES = 64 nodes per segment and doubles, one
-integrand call per segment per pass, until two successive estimates agree
-to QUAD_RTOL relative to max(1, |value|), or MAX_NODES = 1024 is reached.
-The rules are built once per node count by Newton's method on the
-Legendre recurrence, in O(n^2) operations.
+An annular sector is a chain of panels: each arc of radius r is cut into
+equal panels at most 4 |log r| wide in angle, and each radial edge is cut
+at |xi| = 1, so every pole on the unit circle stays outside the golden
+Bernstein ellipse of each arc panel and sits at an end of a radial one.
+Quadrature applies one Gauss-Legendre rule to every panel.  It starts at
+DEFAULT_NODES = 32 nodes per panel and doubles until two successive
+estimates agree to QUAD_RTOL relative to max(1, |value|); if they still
+differ at MAX_NODES = 1024 nodes per panel, it raises QuadratureError.  A
+vectorized integrand gets all panels of a pass in as few calls as hold
+them, at most ``max_nodes`` nodes each.  The rules are built once per node
+count by Newton's method on the Legendre recurrence, in O(n^2) operations.
 """
 
 from __future__ import annotations
@@ -31,13 +36,14 @@ from .errors import (
     EvaluationError,
     IllConditionedCutError,
     IncomparableError,
+    QuadratureError,
 )
 from .linalg import TWO_PI, SpectralDecomposition
 
 POINT_TOL = 1e-12
 CUT_EXCLUSION = 1e-6  # minimal chordal distance between a cut and an eigenvalue
 DEFAULT_RADIAL_HALF_WIDTH = 0.5
-DEFAULT_NODES = 64
+DEFAULT_NODES = 32
 MAX_NODES = 1024
 QUAD_RTOL = 1e-12
 
@@ -171,26 +177,28 @@ class Contour:
                 raise EvaluationError("contour is not closed")
 
 
+def _arc_panels(radius: float, theta0: float, theta1: float) -> tuple:
+    """Equal arcs from theta0 to theta1, each at most 4 |log radius| wide."""
+    k = max(1, math.ceil(abs(theta1 - theta0) / (4 * abs(math.log(radius)))))
+    ts = np.linspace(theta0, theta1, k + 1)
+    return tuple(Segment("arc", radius=radius, theta0=a, theta1=b)
+                 for a, b in zip(ts[:-1], ts[1:]))
+
+
 def annular_sector(
     theta_lo: float, theta_hi: float, rho: float = DEFAULT_RADIAL_HALF_WIDTH
 ) -> Contour:
     """CCW boundary of {1-rho <= |xi| <= 1+rho, theta_lo <= arg xi <= theta_hi}."""
     r_in, r_out = 1.0 - rho, 1.0 + rho
-    segs = (
-        Segment("arc", radius=r_out, theta0=theta_lo, theta1=theta_hi),
-        Segment(
-            "line",
-            start=r_out * np.exp(1j * theta_hi),
-            end=r_in * np.exp(1j * theta_hi),
-        ),
-        Segment("arc", radius=r_in, theta0=theta_hi, theta1=theta_lo),
-        Segment(
-            "line",
-            start=r_in * np.exp(1j * theta_lo),
-            end=r_out * np.exp(1j * theta_lo),
-        ),
-    )
-    return Contour(segs)
+    hi, lo = np.exp(1j * theta_hi), np.exp(1j * theta_lo)
+    return Contour((
+        *_arc_panels(r_out, theta_lo, theta_hi),
+        Segment("line", start=r_out * hi, end=hi),
+        Segment("line", start=hi, end=r_in * hi),
+        *_arc_panels(r_in, theta_hi, theta_lo),
+        Segment("line", start=r_in * lo, end=lo),
+        Segment("line", start=lo, end=r_out * lo),
+    ))
 
 
 def _check_cuts(eigenvalues: np.ndarray, *cuts: CutCirclePoint) -> None:
@@ -286,20 +294,21 @@ def _leggauss(n: int):
     return t, np.concatenate((w, w[:m][::-1])) / 2.0
 
 
-def _quad_once(contour: Contour, integrand, nodes: int, vectorized: bool):
+def _quad_once(contour: Contour, integrand, nodes: int, max_nodes: int,
+               vectorized: bool):
     t, w = _leggauss(nodes)
-    total = None
-    for seg in contour.segments:
-        xs = seg.point(t)
-        ds = seg.derivative(t)
+    xs = np.concatenate([seg.point(t) for seg in contour.segments])
+    wds = np.concatenate([w * seg.derivative(t) for seg in contour.segments])
+    total = 0j
+    for i in range(0, len(xs), max_nodes):  # all panels, max_nodes per call
+        chunk = xs[i:i + max_nodes]
         if vectorized:
-            vals = np.asarray(integrand(xs), dtype=complex)
+            vals = np.asarray(integrand(chunk), dtype=complex)
         else:
-            vals = np.asarray([integrand(complex(x)) for x in xs], dtype=complex)
+            vals = np.asarray([integrand(complex(x)) for x in chunk], dtype=complex)
         if not np.all(np.isfinite(vals)):
             raise EvaluationError("integrand is not finite on the contour")
-        term = np.tensordot(w * ds, vals, axes=(0, 0))
-        total = term if total is None else total + term
+        total = total + np.tensordot(wds[i:i + max_nodes], vals, axes=(0, 0))
     return np.asarray(total) / (2j * np.pi)
 
 
@@ -313,18 +322,23 @@ def quad_integrate(
 ):
     """(1/2*pi*i) times the contour integral of ``integrand``.
 
-    Composite Gauss-Legendre per segment; the node count doubles until two
-    successive estimates agree to ``rtol`` (relative to max(1, |value|)).
-    The integrand may return a scalar or an ndarray; with ``vectorized``
-    it receives the whole node array at once (leading axis = nodes).
+    Composite Gauss-Legendre per panel (segment); the node count per panel
+    doubles until two successive estimates agree to ``rtol`` (relative to
+    max(1, |value|)), and QuadratureError is raised if they still differ
+    at ``max_nodes``.  The integrand may return a scalar or an ndarray;
+    with ``vectorized`` it receives the nodes of all panels, at most
+    ``max_nodes`` per call (leading axis = nodes).
     """
-    nodes = start_nodes
-    prev = _quad_once(contour, integrand, nodes, vectorized)
+    nodes, diff = start_nodes, math.inf
+    prev = _quad_once(contour, integrand, nodes, max_nodes, vectorized)
     while nodes < max_nodes:
         nodes *= 2
-        cur = _quad_once(contour, integrand, nodes, vectorized)
-        scale = max(1.0, float(np.max(np.abs(cur))))
-        if float(np.max(np.abs(cur - prev))) <= rtol * scale:
+        cur = _quad_once(contour, integrand, nodes, max_nodes, vectorized)
+        diff = float(np.max(np.abs(cur - prev)))
+        if diff <= rtol * max(1.0, float(np.max(np.abs(cur)))):
             return cur if cur.shape else complex(cur)
         prev = cur
-    return prev if prev.shape else complex(prev)
+    raise QuadratureError(
+        f"no convergence on {len(contour.segments)} panels at {nodes} nodes "
+        f"each: last difference {diff:.2e}"
+    )

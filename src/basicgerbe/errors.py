@@ -55,6 +55,10 @@ class EvaluationError(GerbeError):
     """An integrand produced a non-finite value."""
 
 
+class QuadratureError(EvaluationError):
+    """Contour quadrature reached its node limit without converging."""
+
+
 class RegularityError(GerbeError):
     """The group element is not regular (has a repeated eigenvalue)."""
 

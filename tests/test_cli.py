@@ -419,6 +419,20 @@ class TestMain:
         assert main(["eval", "--input", str(p), "--quantity", quantity]) == 2
         assert f"error: {path}: " in capsys.readouterr().err
 
+    def test_eval_quadrature_node_limit_exit_two(self, tmp_path, capsys):
+        # the cut is 2e-6 from the excluded eigenvalue (CUT_EXCLUSION is
+        # 1e-6), so a radial edge passes 1e-6 from two poles
+        g = np.diag(np.exp(1j * np.array([1.0, 1.0 + 4e-6, 4.0])))
+        cut = lambda a: [np.cos(a), np.sin(a)]
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"g": matrix_to_json(g), "z1": cut(1.0 + 2e-6),
+                                 "z2": cut(0.5)}))
+        args = ["eval", "--input", str(p), "--quantity", "projector", "--no-oracle"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args + ["--method", "quadrature"]) == 2
+        assert "QuadratureError" in capsys.readouterr().err
+
     def test_eval_nan_cut_exit_two(self, tmp_path, capsys):
         p = tmp_path / "p.json"
         obj = write_curvature_point(p)
