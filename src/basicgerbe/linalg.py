@@ -7,7 +7,7 @@ U(n) -> U(N), g |-> diag(g, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -139,15 +139,15 @@ def _pivot_phase(v: np.ndarray) -> np.ndarray:
 class SpectralDecomposition:
     """g = sum_i lambda_i P_i with distinct unit-circle eigenvalues.
 
-    ``bases[i]`` is an orthonormal basis (n x k_i) of the lambda_i
-    eigenspace and the only stored eigenspace data: a projector
-    P_i = bases[i] @ bases[i]^H is formed on demand, where it is used.
-    Eigenvalues are sorted by angle in [0, 2*pi).
+    ``bases[i]`` is an orthonormal basis (n x k_i) of the lambda_i eigenspace;
+    P_i = bases[i] @ bases[i]^H is formed on demand.  ``arcs`` is the
+    ``projectors.classify`` memo.  Eigenvalues are sorted by angle in [0, 2*pi).
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     bases: tuple
+    arcs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:

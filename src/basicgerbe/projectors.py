@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +54,11 @@ class Classification(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class ArcContext:
-    """A pair of cut points with the eigenvalues of g caught between them."""
+    """A pair of cut points with the eigenvalues of g caught between them.
+
+    ``classify`` memoizes one per cut pair on the decomposition, and
+    ``basis`` caches its canonical arc basis.
+    """
 
     z1: CutCirclePoint
     z2: CutCirclePoint
@@ -71,18 +76,33 @@ class ArcContext:
         return int(self.spec.multiplicities[list(self.arc_indices)].sum())
 
     def swapped(self) -> "ArcContext":
-        cls = {
-            Classification.POSITIVE: Classification.NEGATIVE,
-            Classification.NEGATIVE: Classification.POSITIVE,
-            Classification.NULL: Classification.NULL,
-        }[self.classification]
-        return ArcContext(self.z2, self.z1, self.spec, cls, self.arc_indices)
+        return classify(self.z2, self.z1, self.spec)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The canonical arc basis, read-only; ``arc_basis`` returns it."""
+        if self.classification is not Classification.POSITIVE:
+            raise EmptySpaceError("arc basis requires a positive context")
+        a1 = self.z1.angle
+        # angular distance of each arc eigenvalue below z1, increasing
+        def key(i: int) -> float:
+            return (a1 - float(np.angle(self.spec.eigenvalues[i]))) % TWO_PI
+
+        b = np.hstack([self.spec.bases[i] for i in sorted(self.arc_indices, key=key)])
+        b.flags.writeable = False
+        return b
 
 
 def classify(
     z1: CutCirclePoint, z2: CutCirclePoint, spec: SpectralDecomposition
 ) -> ArcContext:
-    """Classify (z1, z2, g) and record which eigenvalues lie between the cuts."""
+    """Classify (z1, z2, g) and record which eigenvalues lie between the cuts.
+
+    Memoized in ``spec.arcs``: a pair seen before on this decomposition
+    returns the same object.  A rejected cut is not stored; it raises again.
+    """
+    if (z1.value, z2.value) in spec.arcs:
+        return spec.arcs[z1.value, z2.value]
     _check_cuts(spec.eigenvalues, z1, z2)
     arc = tuple(
         i
@@ -95,7 +115,8 @@ def classify(
         cls = Classification.POSITIVE
     else:
         cls = Classification.NEGATIVE
-    return ArcContext(z1, z2, spec, cls, arc)
+    ctx = spec.arcs[z1.value, z2.value] = ArcContext(z1, z2, spec, cls, arc)
+    return ctx
 
 
 def arc_projector(ctx: ArcContext, method: str = "residue") -> np.ndarray:
@@ -125,16 +146,10 @@ def arc_basis(ctx: ArcContext) -> np.ndarray:
     """Canonically ordered orthonormal basis (n x arc_dim) of the arc eigenspace.
 
     Columns are ordered by angular position descending from z1 toward z2;
-    within a repeated eigenvalue the decomposition's order is kept.
+    within a repeated eigenvalue the decomposition's order is kept.  The
+    array is cached on the context and read-only.
     """
-    if ctx.classification is not Classification.POSITIVE:
-        raise EmptySpaceError("arc basis requires a positive context")
-    a1 = ctx.z1.angle
-    # angular distance of each arc eigenvalue below z1, increasing
-    def key(i: int) -> float:
-        return (a1 - float(np.angle(ctx.spec.eigenvalues[i]))) % TWO_PI
-
-    return np.hstack([ctx.spec.bases[i] for i in sorted(ctx.arc_indices, key=key)])
+    return ctx.basis
 
 
 def _fd_projector(ctx: ArcContext, x: TangentVector, h: float) -> np.ndarray:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from basicgerbe import (
     spectral_decompose,
     tangent_random,
 )
+from basicgerbe.contour import CUT_EXCLUSION
+from basicgerbe.fibers import _canonical_frame
 from basicgerbe.sampling import (
     random_null_pair,
     random_positive_context,
@@ -57,6 +61,65 @@ class TestClassify:
         assert sw.classification is Classification.NEGATIVE
         assert sw.z1 is ctx.z2 and sw.z2 is ctx.z1
         assert sw.swapped().classification is Classification.POSITIVE
+
+
+def _sorted_hstack_basis(ctx):
+    """Reference arc basis: the eigenspace bases stacked by angle below z1."""
+    a1 = ctx.z1.angle
+    order = sorted(
+        ctx.arc_indices,
+        key=lambda i: (a1 - float(np.angle(ctx.spec.eigenvalues[i]))) % (2 * np.pi),
+    )
+    return np.hstack([ctx.spec.bases[i] for i in order])
+
+
+class TestArcMemo:
+    def test_repeat_returns_same_context(self, diag_spec):
+        ctx = classify(cut_point(3 * np.pi / 4), cut_point(np.pi / 4), diag_spec)
+        # equal cut values, new CutCirclePoint objects
+        again = classify(cut_point(3 * np.pi / 4), cut_point(np.pi / 4), diag_spec)
+        assert again is ctx
+        assert ctx.swapped() is ctx.swapped()
+        assert ctx.swapped().swapped() is ctx
+        assert len(diag_spec.arcs) == 2
+
+    def test_fresh_decomposition_does_not_share(self):
+        g = UnitaryMatrix(np.diag([1j, -1j]))
+        z1, z2 = cut_point(3 * np.pi / 4), cut_point(np.pi / 4)
+        spec_a, spec_b = spectral_decompose(g), spectral_decompose(g)
+        ctx_a, ctx_b = classify(z1, z2, spec_a), classify(z1, z2, spec_b)
+        assert ctx_a is not ctx_b
+        assert ctx_a.spec is spec_a and ctx_b.spec is spec_b
+        assert arc_basis(ctx_a) is not arc_basis(ctx_b)
+        assert dataclasses.replace(spec_a).arcs == {}
+
+    def test_rejected_cut_raises_every_call(self, diag_spec):
+        near = cut_point(np.pi / 2 + 0.5 * CUT_EXCLUSION)
+        for _ in range(2):
+            with pytest.raises(IllConditionedCutError):
+                classify(near, cut_point(np.pi / 4), diag_spec)
+        assert diag_spec.arcs == {}
+
+    def test_cached_basis_is_read_only_and_unchanged(self):
+        for k in range(10):
+            rng = sample_rng(4, "proj-test", k)
+            _, spec = well_separated_unitary(5, rng)
+            ctx = random_positive_context(spec, rng)
+            basis = arc_basis(ctx)
+            assert arc_basis(ctx) is basis
+            assert not basis.flags.writeable
+            with pytest.raises(ValueError):
+                basis[0, 0] = 0.0
+            assert np.array_equal(basis, _sorted_hstack_basis(ctx))
+
+    def test_negative_frame_is_swapped_positive_basis(self):
+        for k in range(10):
+            rng = sample_rng(5, "proj-test", k)
+            _, spec = well_separated_unitary(4, rng)
+            pos = random_positive_context(spec, rng)
+            neg = classify(pos.z2, pos.z1, spec)
+            assert neg.classification is Classification.NEGATIVE
+            assert np.array_equal(_canonical_frame(neg), arc_basis(pos))
 
 
 class TestArcProjector:
