@@ -12,7 +12,6 @@ from .errors import (
     IllConditionedCutError,
     IncomparableError,
     QuadratureError,
-    RealignmentError,
     RegularityError,
     SamplingError,
     SchemaError,
@@ -67,8 +66,7 @@ from .fibers import (
 )
 from .forms import (
     basic_three_form,
-    connection_curvature_fd,
-    connection_one_form,
+    connection_holonomy,
     curvature_via_contour,
     curvature_via_projectors,
     curving_eval,

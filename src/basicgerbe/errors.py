@@ -40,15 +40,11 @@ class EmptySpaceError(GerbeError):
 
 
 class StepTooLargeError(GerbeError):
-    """A finite-difference excursion would push an eigenvalue across a cut."""
+    """A finite-difference or loop step put an eigenvalue on or across a cut."""
 
 
 class GapError(GerbeError):
     """An eigenvalue is not isolated well enough for the requested formula."""
-
-
-class RealignmentError(GerbeError):
-    """Frames along a curve drifted too far to be continuously aligned."""
 
 
 class EvaluationError(GerbeError):

@@ -102,12 +102,18 @@ def canonical_scalar(a: DetLineElement) -> complex:
     return a.coeff / det
 
 
+def _same_base(a: SpectralDecomposition, b: SpectralDecomposition) -> bool:
+    """Whether a and b decompose one group element, to 1e-12 n in norm."""
+    if a.dim != b.dim:
+        return False
+    return float(np.linalg.norm(a.matrix - b.matrix)) <= 1e-12 * a.dim
+
+
 def _same_ctx(a: ArcContext, b: ArcContext) -> bool:
     return (
         abs(a.z1.value - b.z1.value) <= POINT_TOL
         and abs(a.z2.value - b.z2.value) <= POINT_TOL
-        and a.spec.dim == b.spec.dim
-        and float(np.linalg.norm(a.spec.matrix - b.spec.matrix)) <= 1e-12 * a.spec.dim
+        and _same_base(a.spec, b.spec)
     )
 
 
@@ -129,7 +135,7 @@ def gerbe_product(a: DetLineElement, b: DetLineElement) -> DetLineElement:
     """
     if abs(a.ctx.z2.value - b.ctx.z1.value) > POINT_TOL:
         raise IncomparableError("middle cut points do not match")
-    if float(np.linalg.norm(a.ctx.spec.matrix - b.ctx.spec.matrix)) > 1e-12 * a.ctx.dim:
+    if not _same_base(a.ctx.spec, b.ctx.spec):
         raise IncomparableError("group elements do not match")
     target = classify(a.ctx.z1, b.ctx.z2, a.ctx.spec)
     return fiber_element(target, canonical_scalar(a) * canonical_scalar(b))

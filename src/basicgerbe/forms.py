@@ -25,7 +25,6 @@ from .contour import (
     quad_integrate,
     spectrum_contour,
 )
-from .errors import RealignmentError, StepTooLargeError
 from .linalg import (
     SpectralDecomposition,
     TangentVector,
@@ -36,17 +35,15 @@ from .linalg import (
     spectral_decompose,
 )
 from .projectors import (
+    FD_STEP,
     ArcContext,
     Classification,
-    arc_basis,
+    _context_at,
     arc_projector,
-    classify,
     projector_derivative,
 )
 
-FD_STEP = 1e-5
-FD_STEP_NESTED = 1e-3
-REALIGN_LIMIT = 0.1
+LOOP_STEP = 1e-3
 
 
 def _pair_sum(
@@ -290,70 +287,23 @@ def curving_z_derivative_fd(
 
 
 # ---------------------------------------------------------------------------
-# the determinant-line connection in frames
+# the determinant-line connection as a plaquette holonomy
+
+_SQUARE = ((1, 1), (-1, 1), (-1, -1), (1, -1))  # corners in (s, t), counter-clockwise
 
 
-def _frame_chart(ctx: ArcContext):
-    """The gauged arc frame at g exp(M), as a function of the exponent M.
-
-    Each column's phase is pinned at the pivot row of its frame at g,
-    which stays smooth while frames stay close to that one (enforced via
-    the realignment limit).
-    """
-    if ctx.classification is not Classification.POSITIVE:
-        raise StepTooLargeError("frames need a positive context")
-    g0 = UnitaryMatrix(ctx.spec.matrix)
-    pivots = np.argmax(np.abs(arc_basis(ctx)), axis=0)
-
-    def frame(g: UnitaryMatrix, reference: np.ndarray | None) -> np.ndarray:
-        sub = classify(ctx.z1, ctx.z2, spectral_decompose(g))
-        if sub.classification is not Classification.POSITIVE:
-            raise StepTooLargeError("curve left the positive stratum")
-        f = arc_basis(sub).copy()
-        if reference is not None and f.shape != reference.shape:
-            raise StepTooLargeError("arc dimension changed along the curve")
-        for j, p in enumerate(pivots):
-            ph = f[p, j]
-            if abs(ph) < 1e-12:
-                raise RealignmentError("pivot entry vanished along the curve")
-            f[:, j] *= abs(ph) / ph
-        if reference is not None:
-            q = reference.conj().T @ f
-            if float(np.linalg.norm(q - np.eye(q.shape[0]))) > REALIGN_LIMIT:
-                raise RealignmentError("frame drifted too far to align continuously")
-        return f
-
-    ref = frame(g0, None)
-    return lambda m: frame(_shifted(g0, m, 1.0), ref)
-
-
-def _connection_fd(frame_at, m: np.ndarray, a: np.ndarray, h: float) -> complex:
-    """sum_i <b_i, b_i'> along t -> g exp(M + tA) at t = 0, central differences."""
-    dot = (frame_at(m + h * a) - frame_at(m - h * a)) / (2 * h)
-    return complex(np.einsum("ij,ij->", frame_at(m).conj(), dot))
-
-
-def connection_one_form(ctx: ArcContext, a: np.ndarray, h: float = FD_STEP) -> complex:
-    """Value on A of the determinant connection: sum_i <b_i, b_i'>.
-
-    The frames b_i along g exp(tA) share the smooth gauge of ``_frame_chart``.
-    """
-    return _connection_fd(_frame_chart(ctx), np.zeros_like(a), a, h)
-
-
-def connection_curvature_fd(
-    ctx: ArcContext, a: np.ndarray, b: np.ndarray, h: float = FD_STEP_NESTED
+def connection_holonomy(
+    ctx: ArcContext, a: np.ndarray, b: np.ndarray, h: float = LOOP_STEP
 ) -> complex:
-    """Curvature of the determinant connection by nested finite differences.
+    """Holonomy of the connection sum_i <b_i, db_i> round a square of side h.
 
-    Uses the chart (s, t) -> g exp(sA + tB); coordinate fields commute, so
-    the curvature on (gA, gB) is d/ds a(d_t) - d/dt a(d_s) at the origin.
+    The square is centred at g in the chart (s, t) -> g exp(sA + tB) and runs
+    counter-clockwise.  The holonomy is the product of the link determinants
+    det(F_k^H F_{k+1}) of the corner arc frames F_k (Fukui, Hatsugai & Suzuki
+    2005), in which any choice of frame cancels; only a positive context has
+    frames.  1j * angle(hol) / h**2 is the curvature on (gA, gB) up to O(h^2).
     """
-    frame_at = _frame_chart(ctx)
-
-    def conn(m: np.ndarray, u: np.ndarray) -> complex:
-        return _connection_fd(frame_at, m, u, h)
-
-    ds_at = (conn(h * a, b) - conn(-h * a, b)) / (2 * h)
-    dt_as = (conn(h * b, a) - conn(-h * b, a)) / (2 * h)
-    return complex(ds_at - dt_as)
+    f = np.array([_context_at(ctx, s * a + t * b, h / 2).basis for s, t in _SQUARE])
+    # link k is det(F_k^H F_{k+1}); the last one closes the loop
+    links = np.linalg.det(f.conj().swapaxes(1, 2) @ np.roll(f, -1, axis=0))
+    return complex(np.prod(links))

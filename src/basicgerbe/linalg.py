@@ -103,13 +103,17 @@ def random_unitary(n: int, rng) -> UnitaryMatrix:
     return UnitaryMatrix(q)
 
 
-def tangent_random(g: UnitaryMatrix, rng) -> TangentVector:
-    """Random unit-Frobenius-norm skew-Hermitian direction at g."""
-    gen = _as_generator(rng)
-    n = g.dim
+def _random_skew(n: int, gen: np.random.Generator) -> np.ndarray:
+    """Unit-Frobenius-norm skew-Hermitian (b - b^H) / 2 from complex Gaussian b."""
     b = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
     a = (b - b.conj().T) / 2
-    return TangentVector(g, a / np.linalg.norm(a))
+    a /= np.linalg.norm(a)
+    return a
+
+
+def tangent_random(g: UnitaryMatrix, rng) -> TangentVector:
+    """Random unit-Frobenius-norm skew-Hermitian direction at g."""
+    return TangentVector(g, _random_skew(g.dim, _as_generator(rng)))
 
 
 def _shifted(g: UnitaryMatrix, a: np.ndarray, t: float) -> UnitaryMatrix:

@@ -152,25 +152,23 @@ def arc_basis(ctx: ArcContext) -> np.ndarray:
     return ctx.basis
 
 
+def _context_at(ctx: ArcContext, a: np.ndarray, t: float) -> ArcContext:
+    """The same cut pair at g exp(tA); it must catch as many eigenvalues."""
+    spec2 = spectral_decompose(_shifted(UnitaryMatrix(ctx.spec.matrix), a, t))
+    try:
+        ctx2 = classify(ctx.z1, ctx.z2, spec2)
+    except IllConditionedCutError as exc:
+        raise StepTooLargeError(f"a step put an eigenvalue on a cut: {exc}") from None
+    # with multiplicity: the step may split a repeated eigenvalue
+    if ctx2.arc_dim != ctx.arc_dim:
+        raise StepTooLargeError("step changed the arc eigenvalue count")
+    return ctx2
+
+
 def _fd_projector(ctx: ArcContext, x: TangentVector, h: float) -> np.ndarray:
     """Central finite difference of t -> arc projector at g exp(tA)."""
-    g = UnitaryMatrix(ctx.spec.matrix)
-    vals = []
-    for s in (h, -h):
-        spec2 = spectral_decompose(_shifted(g, x.direction, s))
-        try:
-            ctx2 = classify(ctx.z1, ctx.z2, spec2)
-        except IllConditionedCutError as exc:
-            raise StepTooLargeError(
-                f"finite-difference step pushed an eigenvalue onto a cut: {exc}"
-            ) from None
-        # with multiplicity: the step may split a repeated eigenvalue
-        if ctx2.arc_dim != ctx.arc_dim:
-            raise StepTooLargeError(
-                "finite-difference step changed the arc eigenvalue count"
-            )
-        vals.append(arc_projector(ctx2))
-    return (vals[0] - vals[1]) / (2 * h)
+    plus, minus = (arc_projector(_context_at(ctx, x.direction, s)) for s in (h, -h))
+    return (plus - minus) / (2 * h)
 
 
 def _indicator_derivative(

@@ -24,6 +24,7 @@ from .linalg import (
     UnitaryMatrix,
     _as_generator,
     _perm_sign,
+    _random_skew,
     matrix_from_json,
     matrix_to_json,
     random_unitary,
@@ -235,13 +236,9 @@ def sample_regular(n: int, rng) -> FlagTorusPoint:
 def random_flag_tangent(pt: FlagTorusPoint, rng) -> FlagTangent:
     """Random tangent: dP_i = [A, P_i] for skew-Hermitian A, circular dlam."""
     gen = _as_generator(rng)
-    n = pt.dim
-    b = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-    a = (b - b.conj().T) / 2
-    a /= np.linalg.norm(a)
-    frame_gen = pt.frame.conj().T @ a @ pt.frame
+    frame_gen = pt.frame.conj().T @ _random_skew(pt.dim, gen) @ pt.frame
     np.fill_diagonal(frame_gen, 0)
-    dlam = 1j * pt.torus_values * gen.standard_normal(n)
+    dlam = 1j * pt.torus_values * gen.standard_normal(pt.dim)
     return FlagTangent(pt, dlam, frame_gen)
 
 

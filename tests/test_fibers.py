@@ -108,6 +108,18 @@ class TestGerbeProduct:
         with pytest.raises(IncomparableError):
             gerbe_product(a, c)
 
+    def test_base_point_mismatch(self):
+        # same cuts over another element of the same or of another U(n)
+        def element(angles, u, v):
+            g = UnitaryMatrix(np.diag(np.exp(1j * np.array(angles))))
+            spec = spectral_decompose(g)
+            return fiber_element(classify(cut_point(u), cut_point(v), spec), 1.0)
+
+        a = element([1.0, 3.0, 5.0], 4.0, 2.0)
+        for angles in ([1.0, 3.0, 5.1], [1.0, 3.0]):
+            with pytest.raises(IncomparableError, match="group elements"):
+                gerbe_product(a, element(angles, 2.0, 0.5))
+
     def test_norm_multiplicative(self):
         for k in range(20):
             rng = sample_rng(2, "fiber-test", 200 + k)

@@ -6,7 +6,9 @@ import pytest
 from basicgerbe import (
     Classification,
     DimensionError,
+    EmptySpaceError,
     IllConditionedCutError,
+    StepTooLargeError,
     TangentVector,
     UnitaryMatrix,
     projector_derivative,
@@ -14,8 +16,7 @@ from basicgerbe import (
     random_unitary,
     basic_three_form,
     classify,
-    connection_curvature_fd,
-    connection_one_form,
+    connection_holonomy,
     curvature_via_contour,
     curvature_via_projectors,
     curving_eval,
@@ -27,12 +28,14 @@ from basicgerbe import (
     three_curvature,
 )
 from basicgerbe.forms import (
+    LOOP_STEP,
     _curving_weights,
     _wedge_resolvent_trace,
     curving_form_on_group,
     curving_z_derivative_fd,
 )
 from basicgerbe.sampling import (
+    descending_cuts,
     random_null_pair,
     random_positive_context,
     sample_rng,
@@ -334,34 +337,68 @@ class TestThreeForm:
             assert abs(df - om) < 1e-4
 
 
-class TestConnection:
-    def test_connection_additive_over_products(self):
-        # a_{13} = a_{12} + a_{23} for descending cuts (det of a block frame)
-        from basicgerbe.sampling import descending_cuts
+def holonomy_instance(index, n, suite="forms-conn"):
+    rng = sample_rng(0, suite, index)
+    g, spec = well_separated_unitary(n, rng)
+    ctx = random_positive_context(spec, rng)
+    return rng, g, spec, ctx, tangent_random(g, rng), tangent_random(g, rng)
 
-        for k in range(5):
-            rng = sample_rng(0, "forms-conn", k)
+
+def holonomy_curvature(ctx, a, b, h=LOOP_STEP):
+    return 1j * np.angle(connection_holonomy(ctx, a, b, h)) / h**2
+
+
+class TestConnection:
+    def test_holonomy_curvature_matches_two_form(self):
+        for n in (2, 3, 4, 5, 6):
+            for k in range(4):
+                _, _, _, ctx, x, y = holonomy_instance(10 * n + k, n)
+                got = holonomy_curvature(ctx, x.direction, y.direction)
+                assert abs(got - curvature_via_projectors(ctx, x, y)) < 1e-4
+
+    def test_holonomy_curvature_converges_at_second_order(self):
+        # halving the side of a centred square quarters the curvature error
+        for k in range(6):
+            _, _, _, ctx, x, y = holonomy_instance(100 + k, 4)
+            want = curvature_via_projectors(ctx, x, y)
+            err = [
+                abs(holonomy_curvature(ctx, x.direction, y.direction, h) - want)
+                for h in (0.1, 0.05)
+            ]
+            assert abs(err[0] / err[1] - 4.0) < 0.3
+
+    def test_holonomy_phase_additive_over_descending_cuts(self):
+        # the outer arc frame is the two inner frames side by side
+        for k in range(20):
+            rng = sample_rng(0, "forms-conn-add", k)
             g, spec = well_separated_unitary(4, rng)
             z1, z2, z3 = descending_cuts(spec, rng, 3)
-            a = tangent_random(g, rng).direction
-            vals = {}
-            for key, (u, v) in {
-                "12": (z1, z2), "23": (z2, z3), "13": (z1, z3)
-            }.items():
-                ctx = classify(u, v, spec)
-                if ctx.classification is not Classification.POSITIVE:
-                    break
-                vals[key] = connection_one_form(ctx, a)
-            else:
-                assert abs(vals["13"] - vals["12"] - vals["23"]) < 1e-8
+            a, b = tangent_random(g, rng).direction, tangent_random(g, rng).direction
+            p12, p23, p13 = (
+                np.angle(connection_holonomy(classify(u, v, spec), a, b))
+                for u, v in ((z1, z2), (z2, z3), (z1, z3))
+            )
+            assert abs(p13 - p12 - p23) < 1e-12
 
-    def test_curvature_matches_two_form(self):
-        for k in range(3):
-            rng = sample_rng(1, "forms-conn", k)
-            g, spec = well_separated_unitary(3, rng)
-            ctx = random_positive_context(spec, rng)
-            x = tangent_random(g, rng)
-            y = tangent_random(g, rng)
-            fd = connection_curvature_fd(ctx, x.direction, y.direction)
-            want = curvature_via_projectors(ctx, x, y)
-            assert abs(fd - want) < 1e-4
+    def test_holonomy_invariant_under_conjugation(self):
+        for n in (2, 3, 4, 5, 6):
+            for k in range(10):
+                rng, g, _, ctx, x, y = holonomy_instance(10 * n + k, n, "forms-conn-k")
+                km = random_unitary(n, rng).mat
+                g2, a2, b2 = (
+                    km @ m @ km.conj().T for m in (g.mat, x.direction, y.direction)
+                )
+                ctx2 = classify(ctx.z1, ctx.z2, spectral_decompose(UnitaryMatrix(g2)))
+                hol = connection_holonomy(ctx, x.direction, y.direction)
+                hol2 = connection_holonomy(ctx2, a2, b2)
+                assert abs(np.angle(hol) - np.angle(hol2)) < 1e-14
+
+    def test_holonomy_needs_a_positive_context(self):
+        _, _, _, ctx, x, y = holonomy_instance(0, 3)
+        with pytest.raises(EmptySpaceError):
+            connection_holonomy(ctx.swapped(), x.direction, y.direction)
+
+    def test_holonomy_rejects_a_square_that_changes_the_arc(self):
+        _, _, _, ctx, x, y = holonomy_instance(0, 4)
+        with pytest.raises(StepTooLargeError):
+            connection_holonomy(ctx, x.direction, y.direction, h=20.0)

@@ -1,13 +1,13 @@
 """No module of the package imports a name it never uses, and no top-level
-function or class of the package goes unused.
+function, class or constant of the package goes unused.
 
 No linter ships with the project, so this reads each module's syntax tree
 with ``ast``: a name bound by an import must appear as a name somewhere
 else in the module.  ``__init__.py`` imports only to re-export.  A
-top-level function or class, public or private, must be named (called, read
-or referenced as an attribute) somewhere in the package, its own module
-included, its tests or the benchmark; its definition and its re-export do
-not count.
+top-level function, class or constant, public or private, must be read
+(called, named or referenced as an attribute) somewhere in the package, its
+own module included, its tests or the benchmark; its definition, its
+assignment and its re-export do not count.
 """
 
 import ast
@@ -50,21 +50,31 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
+def top_level_names(source: str):
+    """Names bound at module level by a def, a class or a plain assignment."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
 def unused_definitions(modules: dict[str, str], users: list[str]) -> list[str]:
-    """Top-level defs of ``modules`` that no source in ``users`` names."""
+    """Top-level defs and constants of ``modules`` that no source in ``users``
+    reads; an assignment binds its name without reading it."""
     named = set()
     for source in users:
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
     return [
-        f"{module}: {node.name}"
+        f"{module}: {name}"
         for module, source in modules.items()
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in named
+        for name in top_level_names(source)
+        if name not in named
     ]
 
 
@@ -76,6 +86,17 @@ def test_detects_an_unused_definition():
     assert unused_definitions({"m.py": module}, [module, "used()\n"]) == [
         "m.py: planted",
         "m.py: _planted",
+    ]
+
+
+def test_detects_an_unused_constant():
+    module = (
+        "STEP = 1e-3\nLIMIT: float = 0.1\n_SPARE = STEP\n\n"
+        "def f(h=STEP):\n    pass\n"
+    )
+    assert unused_definitions({"m.py": module}, [module, "f()\n"]) == [
+        "m.py: LIMIT",
+        "m.py: _SPARE",
     ]
 
 
