@@ -283,7 +283,7 @@ def _weyl(cfg: SuiteConfig, i: int, rng) -> dict:
         z, spec, weyl.weyl_tangent(tans[0]), weyl.weyl_tangent(tans[1])
     )
     return {
-        "preimage-count": abs(weyl.preimage_count(g) - math.factorial(cfg.dim)),
+        "preimage-count": abs(weyl.preimage_count(spec) - math.factorial(cfg.dim)),
         "mc-pullback": _max_abs(weyl.weyl_tangent(t).ambient - dg),
         "pullback-curving": abs(closed - direct),
         "df-closed-vs-raw": abs(

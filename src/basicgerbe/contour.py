@@ -7,13 +7,16 @@ of branch logarithms log_z with cut along the ray through z and
 log_z(1) = 0, the cut-exclusion check, annular-sector contours around
 spectral arcs and adaptive Gauss-Legendre contour quadrature.
 
-An annular sector is a chain of panels: each arc of radius r is cut into
-equal panels at most 4 |log r| wide in angle, and each radial edge is cut
-at |xi| = 1, so every pole on the unit circle stays outside the golden
-Bernstein ellipse of each arc panel and sits at an end of a radial one.
-Quadrature applies one Gauss-Legendre rule to every panel.  It starts at
-DEFAULT_NODES = 32 nodes per panel and doubles until two successive
-estimates agree to QUAD_RTOL relative to max(1, |value|); if they still
+In polar coordinates (r, theta) the annular sector
+{1-rho <= |xi| <= 1+rho, theta_lo <= arg xi <= theta_hi} is the rectangle
+[1-rho, 1+rho] x [theta_lo, theta_hi], and its panels are straight pieces
+of that rectangle's boundary, mapped by xi = r e^{i theta}: each arc of
+radius r is cut into equal panels at most 4 |log r| wide in angle, and each
+radial side is cut at r = 1, so every pole on the unit circle stays outside
+the golden Bernstein ellipse of each arc panel and sits at an end of a
+radial one.  Quadrature applies one Gauss-Legendre rule to every panel.
+It starts at DEFAULT_NODES = 32 nodes per panel and doubles until two
+successive estimates agree to QUAD_RTOL relative to max(1, |value|); if they still
 differ at MAX_NODES = 1024 nodes per panel, it raises QuadratureError.  A
 vectorized integrand gets all panels of a pass in as few calls as hold
 them, at most ``max_nodes`` nodes each.  The rules are built once per node
@@ -131,74 +134,27 @@ def log_cut_array(z: CutCirclePoint, xs: np.ndarray) -> np.ndarray:
 # contours
 
 
-@dataclass(frozen=True, eq=False)
-class Segment:
-    """One smooth piece of a contour: a circular arc about 0 or a line."""
+@dataclass(frozen=True)
+class Contour:
+    """CCW boundary of {1-rho <= |xi| <= 1+rho, theta_lo <= arg xi <= theta_hi}."""
 
-    kind: str  # "arc" | "line"
-    # arc: radius, theta0 -> theta1 (oriented); line: start -> end
-    radius: float = 0.0
-    theta0: float = 0.0
-    theta1: float = 0.0
-    start: complex = 0j
-    end: complex = 0j
-
-    def point(self, t: np.ndarray) -> np.ndarray:
-        if self.kind == "arc":
-            theta = self.theta0 + (self.theta1 - self.theta0) * t
-            return self.radius * np.exp(1j * theta)
-        return self.start + (self.end - self.start) * t
-
-    def derivative(self, t: np.ndarray) -> np.ndarray:
-        if self.kind == "arc":
-            theta = self.theta0 + (self.theta1 - self.theta0) * t
-            return 1j * (self.theta1 - self.theta0) * self.radius * np.exp(1j * theta)
-        return np.full_like(np.asarray(t, dtype=float), self.end - self.start,
-                            dtype=complex)
+    theta_lo: float
+    theta_hi: float
+    rho: float = DEFAULT_RADIAL_HALF_WIDTH
 
     @property
-    def endpoints(self) -> tuple[complex, complex]:
-        t = np.array([0.0, 1.0])
-        p = self.point(t)
-        return complex(p[0]), complex(p[1])
-
-
-@dataclass(frozen=True, eq=False)
-class Contour:
-    """A closed, counter-clockwise oriented chain of segments."""
-
-    segments: tuple
-
-    def __post_init__(self):
-        segs = tuple(self.segments)
-        object.__setattr__(self, "segments", segs)
-        for a, b in zip(segs, segs[1:] + segs[:1]):
-            if abs(a.endpoints[1] - b.endpoints[0]) > 1e-9:
-                raise EvaluationError("contour is not closed")
-
-
-def _arc_panels(radius: float, theta0: float, theta1: float) -> tuple:
-    """Equal arcs from theta0 to theta1, each at most 4 |log radius| wide."""
-    k = max(1, math.ceil(abs(theta1 - theta0) / (4 * abs(math.log(radius)))))
-    ts = np.linspace(theta0, theta1, k + 1)
-    return tuple(Segment("arc", radius=radius, theta0=a, theta1=b)
-                 for a, b in zip(ts[:-1], ts[1:]))
-
-
-def annular_sector(
-    theta_lo: float, theta_hi: float, rho: float = DEFAULT_RADIAL_HALF_WIDTH
-) -> Contour:
-    """CCW boundary of {1-rho <= |xi| <= 1+rho, theta_lo <= arg xi <= theta_hi}."""
-    r_in, r_out = 1.0 - rho, 1.0 + rho
-    hi, lo = np.exp(1j * theta_hi), np.exp(1j * theta_lo)
-    return Contour((
-        *_arc_panels(r_out, theta_lo, theta_hi),
-        Segment("line", start=r_out * hi, end=hi),
-        Segment("line", start=hi, end=r_in * hi),
-        *_arc_panels(r_in, theta_hi, theta_lo),
-        Segment("line", start=r_in * lo, end=lo),
-        Segment("line", start=lo, end=r_out * lo),
-    ))
+    def segments(self) -> np.ndarray:
+        """The panels in CCW order, one row (r0, theta0, r1, theta1) each:
+        the outer arc, a radial side, the inner arc, the other radial side."""
+        r_in, r_out = 1.0 - self.rho, 1.0 + self.rho
+        rows = []
+        for r, a, b, r_next in ((r_out, self.theta_lo, self.theta_hi, r_in),
+                                (r_in, self.theta_hi, self.theta_lo, r_out)):
+            k = max(1, math.ceil(abs(b - a) / (4 * abs(math.log(r)))))
+            ts = np.linspace(a, b, k + 1)
+            rows += [(r, t0, r, t1) for t0, t1 in zip(ts[:-1], ts[1:])]
+            rows += [(r, b, 1.0, b), (1.0, b, r_next, b)]
+        return np.array(rows)
 
 
 def _check_cuts(eigenvalues: np.ndarray, *cuts: CutCirclePoint) -> None:
@@ -215,7 +171,6 @@ def arc_contour(
     z1: CutCirclePoint,
     z2: CutCirclePoint,
     spec: SpectralDecomposition,
-    rho: float = DEFAULT_RADIAL_HALF_WIDTH,
 ) -> Contour:
     """Annular-sector contour enclosing exactly the eigenvalues between z1, z2.
 
@@ -233,7 +188,7 @@ def arc_contour(
     gap_lo = a_lo - (below.max() if below.size else 0.0)
     above = angles[(~inside) & (angles > a_hi)]
     gap_hi = (above.min() if above.size else TWO_PI) - a_hi
-    return annular_sector(a_lo - gap_lo / 2, a_hi + gap_hi / 2, rho)
+    return Contour(a_lo - gap_lo / 2, a_hi + gap_hi / 2)
 
 
 def spectrum_contour(
@@ -247,7 +202,7 @@ def spectrum_contour(
     shifted = (np.angle(spec.eigenvalues) - a) % TWO_PI
     gap_lo = shifted.min()
     gap_hi = TWO_PI - shifted.max()
-    return annular_sector(a + gap_lo / 2, a + TWO_PI - gap_hi / 2, rho)
+    return Contour(a + gap_lo / 2, a + TWO_PI - gap_hi / 2, rho)
 
 
 def _resolvent(g: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -294,11 +249,15 @@ def _leggauss(n: int):
     return t, np.concatenate((w, w[:m][::-1])) / 2.0
 
 
-def _quad_once(contour: Contour, integrand, nodes: int, max_nodes: int,
+def _quad_once(panels: np.ndarray, integrand, nodes: int, max_nodes: int,
                vectorized: bool):
     t, w = _leggauss(nodes)
-    xs = np.concatenate([seg.point(t) for seg in contour.segments])
-    wds = np.concatenate([w * seg.derivative(t) for seg in contour.segments])
+    # r and theta move linearly along each panel; xi = r e^{i theta}
+    r0, th0, r1, th1 = panels.T[:, :, None]
+    dr, dth = r1 - r0, th1 - th0
+    r, e = r0 + dr * t, np.exp(1j * (th0 + dth * t))
+    xs = (r * e).ravel()
+    wds = (w * ((dr + 1j * dth * r) * e)).ravel()
     total = 0j
     for i in range(0, len(xs), max_nodes):  # all panels, max_nodes per call
         chunk = xs[i:i + max_nodes]
@@ -315,30 +274,29 @@ def _quad_once(contour: Contour, integrand, nodes: int, max_nodes: int,
 def quad_integrate(
     contour: Contour,
     integrand,
-    rtol: float = QUAD_RTOL,
     start_nodes: int = DEFAULT_NODES,
     max_nodes: int = MAX_NODES,
     vectorized: bool = False,
 ):
     """(1/2*pi*i) times the contour integral of ``integrand``.
 
-    Composite Gauss-Legendre per panel (segment); the node count per panel
-    doubles until two successive estimates agree to ``rtol`` (relative to
-    max(1, |value|)), and QuadratureError is raised if they still differ
-    at ``max_nodes``.  The integrand may return a scalar or an ndarray;
-    with ``vectorized`` it receives the nodes of all panels, at most
-    ``max_nodes`` per call (leading axis = nodes).
+    Composite Gauss-Legendre per panel (row of ``contour.segments``); the
+    node count per panel doubles until two successive estimates agree to
+    QUAD_RTOL (relative to max(1, |value|)), and QuadratureError is raised
+    if they still differ at ``max_nodes``.  The integrand may return a
+    scalar or an ndarray; with ``vectorized`` it receives the nodes of all
+    panels, at most ``max_nodes`` per call (leading axis = nodes).
     """
-    nodes, diff = start_nodes, math.inf
-    prev = _quad_once(contour, integrand, nodes, max_nodes, vectorized)
+    panels, nodes, diff = contour.segments, start_nodes, math.inf
+    prev = _quad_once(panels, integrand, nodes, max_nodes, vectorized)
     while nodes < max_nodes:
         nodes *= 2
-        cur = _quad_once(contour, integrand, nodes, max_nodes, vectorized)
+        cur = _quad_once(panels, integrand, nodes, max_nodes, vectorized)
         diff = float(np.max(np.abs(cur - prev)))
-        if diff <= rtol * max(1.0, float(np.max(np.abs(cur)))):
+        if diff <= QUAD_RTOL * max(1.0, float(np.max(np.abs(cur)))):
             return cur if cur.shape else complex(cur)
         prev = cur
     raise QuadratureError(
-        f"no convergence on {len(contour.segments)} panels at {nodes} nodes "
+        f"no convergence on {len(panels)} panels at {nodes} nodes "
         f"each: last difference {diff:.2e}"
     )

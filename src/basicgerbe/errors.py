@@ -48,7 +48,8 @@ class GapError(GerbeError):
 
 
 class EvaluationError(GerbeError):
-    """An integrand produced a non-finite value."""
+    """A numerical evaluation failed: a non-finite integrand value, or
+    Gauss-Legendre nodes whose Newton iteration did not converge."""
 
 
 class QuadratureError(EvaluationError):

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .contour import (
+    DEFAULT_RADIAL_HALF_WIDTH,
     CutCirclePoint,
     _check_cuts,
     _resolvent,
@@ -170,7 +171,7 @@ def curving_eval(
     x: TangentVector,
     y: TangentVector,
     method: str = "residue",
-    rho: float = 0.5,
+    rho: float = DEFAULT_RADIAL_HALF_WIDTH,
 ) -> complex:
     """The curving two-form f at (z, g).
 

@@ -20,6 +20,7 @@ import numpy as np
 from .contour import CutCirclePoint, _check_cuts, log_cut_array
 from .errors import DimensionError, RegularityError, SamplingError, SchemaError
 from .linalg import (
+    SpectralDecomposition,
     TangentVector,
     UnitaryMatrix,
     _as_generator,
@@ -28,7 +29,6 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     random_unitary,
-    spectral_decompose,
     unitary_check,
 )
 
@@ -198,27 +198,27 @@ def weyl_tangent(tan: FlagTangent) -> TangentVector:
     return TangentVector(weyl_apply(tan.point), mc_pullback(tan))
 
 
-def preimage_count(g: UnitaryMatrix) -> int:
+def preimage_count(spec: SpectralDecomposition) -> int:
     """Number of flag-torus points mapping to a regular g (equals n!).
 
     They are the n! reorderings of the eigenline family (lambda_i, P_i),
     each a preimage exactly when the family is one: when the match table
     ||(g - lambda_j) P_i|| <= tol is the identity.  Any other table counts 0.
+    ``spec`` is the spectral decomposition of g.
     """
-    spec = spectral_decompose(g)
     lam = spec.eigenvalues
     # for rank-one P_i = b_i b_i^H, a unitary eigenbasis is the same condition
     # as a Hermitian, complete and orthogonal projector family
     b = np.hstack(spec.bases).T
     if not unitary_check(b)[0]:
         raise DimensionError("eigenbasis of g is not unitary")
-    if spec.count != g.dim or not _separated(lam, REGULARITY_GAP):
+    if spec.count != spec.dim or not _separated(lam, REGULARITY_GAP):
         raise RegularityError("g is not regular (repeated or close eigenvalues)")
     # P_i = b_i b_i^H for the unit rows b_i of b, so the table is
     # ||(g - lambda_j) b_i||, built one column j at a time to stay n x n
-    gb = b @ g.mat.T
+    gb = b @ spec.matrix.T
     resid = np.stack([np.linalg.norm(gb - v * b, axis=1) for v in lam], axis=1)
-    match = np.array_equal(resid <= 1e-10 * g.dim, np.eye(spec.count, dtype=bool))
+    match = np.array_equal(resid <= 1e-10 * spec.dim, np.eye(spec.count, dtype=bool))
     return math.factorial(spec.count) if match else 0
 
 

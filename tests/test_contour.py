@@ -1,10 +1,13 @@
 import contextlib
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import basicgerbe.cli
 from basicgerbe import (
     BoundaryError,
     BranchCutError,
@@ -16,15 +19,17 @@ from basicgerbe import (
     QuadratureError,
     UnitaryMatrix,
     arc_contour,
+    arc_projector,
     circle_between,
     circle_gt,
+    classify,
     cut_point,
     log_cut,
     quad_integrate,
     spectral_decompose,
     spectrum_contour,
 )
-from basicgerbe.contour import DEFAULT_NODES, Segment, _leggauss, annular_sector
+from basicgerbe.contour import DEFAULT_NODES, _leggauss
 from residue_reference import UnsupportedOrderError, residue_eval
 
 
@@ -179,8 +184,8 @@ class TestContours:
         assert abs(winding(c, 1j) - 1.0) < 1e-12
         assert abs(winding(c, -1j) - 1.0) < 1e-12
         # trace stays off the negative real axis
-        for seg in c.segments:
-            pts = seg.point(np.linspace(0, 1, 64))
+        for r0, th0, r1, th1 in c.segments:
+            pts = np.linspace(r0, r1, 64) * np.exp(1j * np.linspace(th0, th1, 64))
             on_ray = (np.abs(pts.imag) < 1e-9) & (pts.real < 0)
             assert not on_ray.any()
 
@@ -189,42 +194,36 @@ class TestContours:
         c = spectrum_contour(cut_point(np.pi), spec)
         assert abs(winding(c, 1.0) - 1.0) < 1e-12
 
-    def test_not_closed_rejected(self):
-        from basicgerbe.errors import EvaluationError
-
-        with pytest.raises(EvaluationError):
-            Contour((Segment("line", start=0j, end=1 + 0j),))
-
 
 class TestQuadrature:
     def test_cauchy_inside(self):
-        c = annular_sector(0.2, 1.2)
+        c = Contour(0.2, 1.2)
         val = quad_integrate(c, lambda xi: 1.0 / (xi - np.exp(0.7j)))
         assert abs(val - 1.0) < 1e-12
 
     def test_cauchy_outside(self):
-        c = annular_sector(0.2, 1.2)
+        c = Contour(0.2, 1.2)
         val = quad_integrate(c, lambda xi: 1.0 / (xi - np.exp(3.0j)))
         assert abs(val) < 1e-12
 
     def test_log_derivative_pole(self):
         lam = np.exp(0.6j)
         z = cut_point(np.pi)
-        c = annular_sector(0.1, 1.1)
+        c = Contour(0.1, 1.1)
         val = quad_integrate(c, lambda xi: log_cut(z, xi) / (xi - lam) ** 2)
         assert abs(val - 1.0 / lam) < 1e-11
 
     def test_matrix_valued(self):
         g = np.diag([1j, -1j])
-        c = annular_sector(np.pi / 4, 3 * np.pi / 4)
+        c = Contour(np.pi / 4, 3 * np.pi / 4)
         val = quad_integrate(c, lambda xi: np.linalg.inv(xi * np.eye(2) - g))
         assert np.linalg.norm(val - np.diag([1.0, 0.0])) < 1e-11
 
     def test_deformation_invariance(self):
         lam = np.exp(1.1j)
         f = lambda xi: np.exp(xi) / (xi - lam)
-        v1 = quad_integrate(annular_sector(0.6, 1.6, rho=0.5), f)
-        v2 = quad_integrate(annular_sector(0.8, 1.4, rho=0.3), f)
+        v1 = quad_integrate(Contour(0.6, 1.6, rho=0.5), f)
+        v2 = quad_integrate(Contour(0.8, 1.4, rho=0.3), f)
         assert abs(v1 - v2) < 1e-10
 
     @pytest.mark.parametrize(
@@ -235,7 +234,7 @@ class TestQuadrature:
         # pass p evaluates start * 2**p nodes on every panel, in as few calls
         # of at most max_nodes nodes as hold them; the pole 0.01 from the
         # inner arc does not converge by 64 nodes
-        c = annular_sector(0.2, 1.2)
+        c = Contour(0.2, 1.2)
         seen = []
 
         def integrand(xs):
@@ -252,7 +251,7 @@ class TestQuadrature:
         assert seen == want
 
     def test_node_limit_raises(self):
-        c = annular_sector(0.2, 1.2)
+        c = Contour(0.2, 1.2)
         with pytest.raises(QuadratureError, match="6 panels at 64 nodes each: last"):
             quad_integrate(c, lambda xi: 1.0 / (xi - 0.51 * np.exp(0.7j)), max_nodes=64)
 
@@ -262,7 +261,7 @@ class TestQuadrature:
         # the nearest eigenvalue faces a panel end at |xi| = 1
         pole = np.exp(1j * (edge + offset))
         inside = 0.2 < edge + offset < 1.2
-        val = quad_integrate(annular_sector(0.2, 1.2), lambda xi: 1.0 / (xi - pole),
+        val = quad_integrate(Contour(0.2, 1.2), lambda xi: 1.0 / (xi - pole),
                              vectorized=True)
         assert abs(val - inside) < 1e-12
 
@@ -273,27 +272,66 @@ class TestPanels:
 
     @pytest.mark.parametrize("lo, hi, rho", CASES)
     def test_arc_panels_at_most_four_log_radius_wide(self, lo, hi, rho):
-        arcs = [s for s in annular_sector(lo, hi, rho).segments if s.kind == "arc"]
+        rows = Contour(lo, hi, rho).segments
         for r in (1 - rho, 1 + rho):
-            widths = [abs(s.theta1 - s.theta0) for s in arcs if s.radius == r]
-            assert max(widths) <= 4 * abs(math.log(r)) + 1e-15
-            assert abs(sum(widths) - (hi - lo)) < 1e-12
+            _, th0, _, th1 = rows[(rows[:, 0] == r) & (rows[:, 2] == r)].T
+            widths = np.abs(th1 - th0)
+            assert widths.max() <= 4 * abs(math.log(r)) + 1e-15
+            assert abs(widths.sum() - (hi - lo)) < 1e-12
 
     @pytest.mark.parametrize("lo, hi, rho", CASES)
     def test_radial_edges_split_at_unit_circle(self, lo, hi, rho):
-        lines = [s for s in annular_sector(lo, hi, rho).segments if s.kind == "line"]
-        assert len(lines) == 4
-        ends = {round(abs(p), 12) for s in lines for p in s.endpoints}
-        assert ends == {round(1 - rho, 12), 1.0, round(1 + rho, 12)}
-        for a, b in (lines[:2], lines[2:]):
-            assert abs(a.endpoints[1] - b.endpoints[0]) == 0.0
-            assert abs(abs(a.endpoints[1]) - 1.0) < 1e-15
+        rows = Contour(lo, hi, rho).segments
+        radial = rows[rows[:, 1] == rows[:, 3]]
+        r_in, r_out = 1 - rho, 1 + rho
+        assert np.array_equal(radial, [[r_out, hi, 1, hi], [1, hi, r_in, hi],
+                                       [r_in, lo, 1, lo], [1, lo, r_out, lo]])
 
     @pytest.mark.parametrize("lo, hi, rho", CASES)
     def test_closed(self, lo, hi, rho):
-        segs = annular_sector(lo, hi, rho).segments
-        for a, b in zip(segs, segs[1:] + segs[:1]):
-            assert abs(a.endpoints[1] - b.endpoints[0]) < 1e-15
+        # each row ends exactly where the next starts, the last where the first does
+        rows = Contour(lo, hi, rho).segments
+        assert rows[0, 0] == 1 + rho and rows[0, 1] == lo
+        assert np.array_equal(rows[:, 2:], np.roll(rows[:, :2], -1, axis=0))
+
+    @pytest.mark.parametrize("lo, hi, rho", CASES)
+    def test_nodes_on_arcs_and_radial_lines(self, lo, hi, rho):
+        # every pass evaluates r e^{i theta} on arcs and start + (end - start) t
+        # on radial lines, at the Gauss-Legendre nodes t of each row
+        c = Contour(lo, hi, rho)
+        seen = []
+
+        def integrand(xs):
+            seen.append(xs.copy())
+            return np.ones_like(xs)
+
+        quad_integrate(c, integrand, vectorized=True)
+        got, want, n = np.concatenate(seen), [], DEFAULT_NODES
+        while sum(map(len, want)) < len(got):
+            t, _ = _leggauss(n)
+            for r0, th0, r1, th1 in c.segments:
+                if r0 == r1:
+                    want.append(r0 * np.exp(1j * (th0 + (th1 - th0) * t)))
+                else:
+                    start, end = r0 * np.exp(1j * th0), r1 * np.exp(1j * th1)
+                    want.append(start + (end - start) * t)
+            n *= 2
+        assert np.max(np.abs(got - np.concatenate(want))) < 1e-15
+
+
+def test_benchmark_tracer_counts_quadrature_nodes():
+    # perfbench/tracing.py reads quad_integrate's arguments by name and takes
+    # len(contour.segments) as the panel count; 7 panels, 32 then 64 nodes each
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    g = UnitaryMatrix(np.diag(np.exp([0.5j, 2j, 4j])))
+    ctx = classify(cut_point(3.0), cut_point(1.0), spectral_decompose(g))
+    tracer = tracing.Tracer()
+    with tracer.installed(basicgerbe, spans=False):
+        arc_projector(ctx, "quadrature")
+    assert tracer.quad == [("", 7 * (32 + 64), 2, False)]
 
 
 def mp_gauss_legendre(n: int, t0: float) -> tuple:
@@ -362,7 +400,7 @@ class TestResidues:
     def test_pair_sum_matches_quadrature(self):
         li, lj = np.exp(0.4j), np.exp(1.9j)
         total = residue_eval([(li, 1), (lj, 2)])
-        c = annular_sector(0.1, 2.2)
+        c = Contour(0.1, 2.2)
         quad = quad_integrate(c, lambda xi: 1.0 / ((xi - li) * (xi - lj) ** 2))
         assert abs(total - quad) < 1e-10
 
@@ -377,7 +415,7 @@ class TestResidues:
     def test_random_configs_vs_quadrature(self):
         rng = np.random.default_rng(5)
         z = cut_point(0.05)
-        c = annular_sector(0.3, 2 * np.pi - 0.3)
+        c = Contour(0.3, 2 * np.pi - 0.3)
         for _ in range(50):
             angles = 0.4 + np.cumsum(rng.uniform(0.3, 1.2, size=3))
             angles = angles[angles < 2 * np.pi - 0.4][:2]

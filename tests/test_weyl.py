@@ -30,7 +30,7 @@ from basicgerbe import (
     weyl_apply,
     weyl_tangent,
 )
-from basicgerbe import weyl
+from basicgerbe import cli, weyl
 from basicgerbe.cli import SuiteConfig, run_suite
 from basicgerbe.sampling import random_cuts, sample_rng
 from basicgerbe.weyl import (
@@ -300,22 +300,20 @@ class TestWeylMap:
     def test_preimage_count(self):
         for n in (2, 3):
             rng = sample_rng(1, "weyl-test", n)
-            pt = sample_regular(n, rng)
-            assert preimage_count(weyl_apply(pt)) == math.factorial(n)
+            spec = spectral_decompose(weyl_apply(sample_regular(n, rng)))
+            assert preimage_count(spec) == math.factorial(n)
 
     def test_preimage_count_fails_on_mispaired_family(self, monkeypatch):
         # eigenvalues rolled by one against their projectors: the family no
         # longer maps to g, so the count and the weyl suite's row must fail
-        real = weyl.spectral_decompose
-
         def rolled(g):
-            spec = real(g)
+            spec = spectral_decompose(g)
             return dataclasses.replace(spec, eigenvalues=np.roll(spec.eigenvalues, 1))
 
-        monkeypatch.setattr(weyl, "spectral_decompose", rolled)
         for n in (2, 3):
             pt = sample_regular(n, sample_rng(1, "weyl-test", n))
-            assert preimage_count(weyl_apply(pt)) != math.factorial(n)
+            assert preimage_count(rolled(weyl_apply(pt))) != math.factorial(n)
+        monkeypatch.setattr(cli, "spectral_decompose", rolled)
         report = run_suite(SuiteConfig(suite="weyl", dim=3, samples=2, seed=0))
         row = next(c for c in report["checks"] if c["name"] == "preimage-count")
         assert row["failures"] == 2
@@ -324,39 +322,34 @@ class TestWeylMap:
     def test_preimage_memory_is_quadratic(self):
         # the match table of a U(128) as one n x n x n residual took 65 MB
         g = random_unitary(128, 5)
-        count, peak = peak_bytes(preimage_count, g)
+        count, peak = peak_bytes(preimage_count, spectral_decompose(g))
         assert count == math.factorial(128)
         assert peak <= 8 * 2**20
 
     def test_preimage_rejects_irregular(self):
         g = UnitaryMatrix(np.diag([1j, 1j, -1j]))
         with pytest.raises(RegularityError):
-            preimage_count(g)
+            preimage_count(spectral_decompose(g))
 
     def test_preimage_rejects_close_eigenvalues(self):
         # 1e-8 apart: separate clusters (tol 1e-9), closer than REGULARITY_GAP
         q = random_unitary(3, 6).mat
         lam = np.array([1j, 1j * np.exp(1e-8j), -1j])
         g = UnitaryMatrix((q * lam) @ q.conj().T)
-        assert spectral_decompose(g).count == 3
+        spec = spectral_decompose(g)
+        assert spec.count == 3
         with pytest.raises(RegularityError):
-            preimage_count(g)
+            preimage_count(spec)
 
-    def test_preimage_rejects_non_unitary_eigenbasis(self, monkeypatch):
+    def test_preimage_rejects_non_unitary_eigenbasis(self):
         # one eigenvector tilted toward another: the rank-one projectors
         # are no longer orthogonal, so the family guard must fail
-        real = weyl.spectral_decompose
-
-        def tilted(g):
-            spec = real(g)
-            b0, b1 = spec.bases[0], spec.bases[1]
-            tilt = (b0 + 1e-3 * b1) / np.linalg.norm(b0 + 1e-3 * b1)
-            return dataclasses.replace(spec, bases=(tilt,) + spec.bases[1:])
-
-        monkeypatch.setattr(weyl, "spectral_decompose", tilted)
         pt = sample_regular(3, sample_rng(1, "weyl-test", 3))
+        spec = spectral_decompose(weyl_apply(pt))
+        b0, b1 = spec.bases[0], spec.bases[1]
+        tilt = (b0 + 1e-3 * b1) / np.linalg.norm(b0 + 1e-3 * b1)
         with pytest.raises(DimensionError, match="not unitary"):
-            preimage_count(weyl_apply(pt))
+            preimage_count(dataclasses.replace(spec, bases=(tilt,) + spec.bases[1:]))
 
     def test_mc_pullback_exact(self):
         # linearization: dg = sum dlam_i P_i + sum lam_j dP_j = g * pullback
