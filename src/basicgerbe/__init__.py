@@ -33,7 +33,6 @@ from .linalg import (
 from .contour import (
     Contour,
     CutCirclePoint,
-    arc_contour,
     circle_between,
     circle_gt,
     cut_point,

@@ -4,8 +4,9 @@ The circle U(1) with the identity removed carries the partial order
 "z1 > z2 iff z2 rotates counter-clockwise into z1 without passing 1".
 This module implements that order, the betweenness predicate, the family
 of branch logarithms log_z with cut along the ray through z and
-log_z(1) = 0, the cut-exclusion check, annular-sector contours around
-spectral arcs and adaptive Gauss-Legendre contour quadrature.
+log_z(1) = 0, the cut-exclusion check, the annular-sector contour
+(``projectors.ArcContext.contour`` builds the one round a spectral arc) and
+adaptive Gauss-Legendre contour quadrature.
 
 In polar coordinates (r, theta) the annular sector
 {1-rho <= |xi| <= 1+rho, theta_lo <= arg xi <= theta_hi} is the rectangle
@@ -35,7 +36,6 @@ import numpy as np
 from .errors import (
     BoundaryError,
     BranchCutError,
-    EmptySpaceError,
     EvaluationError,
     IllConditionedCutError,
     IncomparableError,
@@ -165,30 +165,6 @@ def _check_cuts(eigenvalues: np.ndarray, *cuts: CutCirclePoint) -> None:
             raise IllConditionedCutError(
                 f"cut within {d:.2e} of an eigenvalue (limit {CUT_EXCLUSION:.0e})"
             )
-
-
-def arc_contour(
-    z1: CutCirclePoint,
-    z2: CutCirclePoint,
-    spec: SpectralDecomposition,
-) -> Contour:
-    """Annular-sector contour enclosing exactly the eigenvalues between z1, z2.
-
-    The radial cuts sit halfway between each cut point and the nearest
-    excluded eigenvalue (or the identity), so the contour stays well away
-    from every pole of the resolvent.
-    """
-    _check_cuts(spec.eigenvalues, z1, z2)
-    a_lo, a_hi = sorted((z1.angle, z2.angle))
-    angles = np.angle(spec.eigenvalues) % TWO_PI
-    inside = (angles > a_lo) & (angles < a_hi)
-    if not inside.any():
-        raise EmptySpaceError("no eigenvalues between the cut points")
-    below = angles[(~inside) & (angles < a_lo)]
-    gap_lo = a_lo - (below.max() if below.size else 0.0)
-    above = angles[(~inside) & (angles > a_hi)]
-    gap_hi = (above.min() if above.size else TWO_PI) - a_hi
-    return Contour(a_lo - gap_lo / 2, a_hi + gap_hi / 2)
 
 
 def spectrum_contour(

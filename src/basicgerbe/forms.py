@@ -20,7 +20,6 @@ from .contour import (
     CutCirclePoint,
     _check_cuts,
     _resolvent,
-    arc_contour,
     cut_point,
     log_cut_array,
     quad_integrate,
@@ -124,7 +123,7 @@ def curvature_via_contour(
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     return sign * 0.5 * quad_integrate(
-        arc_contour(pos.z1, pos.z2, pos.spec),
+        pos.contour,
         lambda xs: _wedge_resolvent_trace(_resolvent(pos.spec.matrix, xs), xm, ym),
         vectorized=True,
     )
@@ -145,7 +144,7 @@ def projector_inserted_curvature(
     g = pos.spec.matrix
     p = arc_projector(pos)
     return sign * quad_integrate(
-        arc_contour(pos.z1, pos.z2, pos.spec),
+        pos.contour,
         lambda xs: _wedge_resolvent_trace(_resolvent(g, xs), xm, ym, insert=p),
         vectorized=True,
     )
@@ -238,7 +237,6 @@ def exterior_derivative_fd(
     x: TangentVector,
     y: TangentVector,
     z: TangentVector,
-    h: float = FD_STEP,
 ) -> complex:
     """Cartan-formula exterior derivative of a two-form on G.
 
@@ -249,9 +247,9 @@ def exterior_derivative_fd(
     dirs = [x.direction, y.direction, z.direction]
 
     def d_along(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> complex:
-        plus = form(_shifted(g, a, h), b, c)
-        minus = form(_shifted(g, a, -h), b, c)
-        return (plus - minus) / (2 * h)
+        plus = form(_shifted(g, a, FD_STEP), b, c)
+        minus = form(_shifted(g, a, -FD_STEP), b, c)
+        return (plus - minus) / (2 * FD_STEP)
 
     a, b, c = dirs
     term1 = d_along(a, b, c) - d_along(b, a, c) + d_along(c, a, b)
@@ -280,11 +278,10 @@ def curving_z_derivative_fd(
     spec: SpectralDecomposition,
     x: TangentVector,
     y: TangentVector,
-    h: float = FD_STEP,
 ) -> complex:
     """Derivative of the curving in the cut direction (contract: zero)."""
-    zp, zm = cut_point(z.angle + h), cut_point(z.angle - h)
-    return (curving_eval(zp, spec, x, y) - curving_eval(zm, spec, x, y)) / (2 * h)
+    zp, zm = cut_point(z.angle + FD_STEP), cut_point(z.angle - FD_STEP)
+    return (curving_eval(zp, spec, x, y) - curving_eval(zm, spec, x, y)) / (2 * FD_STEP)
 
 
 # ---------------------------------------------------------------------------

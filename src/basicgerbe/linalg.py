@@ -15,7 +15,7 @@ import scipy.linalg
 from .errors import AmbiguousClusterError, DimensionError, SchemaError
 
 UNITARITY_TOL = 1e-12
-DEFAULT_CLUSTER_TOL = 1e-9
+CLUSTER_TOL = 1e-9
 
 TWO_PI = 2.0 * np.pi
 
@@ -144,8 +144,10 @@ class SpectralDecomposition:
     """g = sum_i lambda_i P_i with distinct unit-circle eigenvalues.
 
     ``bases[i]`` is an orthonormal basis (n x k_i) of the lambda_i eigenspace;
-    P_i = bases[i] @ bases[i]^H is formed on demand.  ``arcs`` is the
-    ``projectors.classify`` memo.  Eigenvalues are sorted by angle in [0, 2*pi).
+    P_i = bases[i] @ bases[i]^H is formed on demand.  Eigenvalues are sorted
+    by angle in [0, 2*pi), so the eigenvalues on an arc of the circle that
+    avoids 1 are an index range of ``angles``.  ``arcs`` is the
+    ``projectors.classify`` memo.
     """
 
     matrix: np.ndarray
@@ -164,6 +166,11 @@ class SpectralDecomposition:
     @property
     def multiplicities(self) -> np.ndarray:
         return np.array([b.shape[1] for b in self.bases])
+
+    @property
+    def angles(self) -> np.ndarray:
+        """Eigenvalue angles in [0, 2*pi), ascending."""
+        return np.angle(self.eigenvalues) % TWO_PI
 
 
 def _eigenbasis_sum(
@@ -193,49 +200,36 @@ def _diameter(vals: np.ndarray) -> float:
     return float(np.max(np.abs(vals[:, None] - vals[None, :])))
 
 
-def _cluster_circle(eigs: np.ndarray, tol: float) -> list[np.ndarray]:
+def _cluster_circle(eigs: np.ndarray) -> list[np.ndarray]:
     """Group unit-circle values into clusters by chordal distance.
 
-    Consecutive values (circularly, in angle order) closer than ``tol``
-    are linked; a linked chain whose total diameter reaches ``tol`` is
-    ambiguous and rejected.
+    Consecutive values (circularly, in angle order) closer than
+    ``CLUSTER_TOL`` are linked; a linked chain whose total diameter reaches
+    ``CLUSTER_TOL`` is ambiguous and rejected.
     """
-    m = len(eigs)
     order = np.argsort(np.angle(eigs) % TWO_PI)
-    linked = np.zeros(m, dtype=bool)  # linked[j]: order[j] ~ order[j+1 mod m]
-    for j in range(m):
-        a = eigs[order[j]]
-        b = eigs[order[(j + 1) % m]]
-        linked[j] = abs(a - b) < tol
-    if linked.all():
+    ring = eigs[order]
+    # j in ends: ring[j] and ring[j+1 mod m] lie in different clusters
+    ends = np.flatnonzero(np.abs(ring - np.roll(ring, -1)) >= CLUSTER_TOL)
+    if not ends.size:
         # single chain around the whole circle
-        if _diameter(eigs) >= tol:
+        if _diameter(eigs) >= CLUSTER_TOL:
             raise AmbiguousClusterError(
                 "eigenvalue chain spans more than the clustering tolerance"
             )
         return [order]
-    # rotate so a cluster boundary sits at position 0
-    start = int(np.argmin(linked)) + 1
-    rot = np.roll(order, -start)
-    linked = np.roll(linked, -start)
-    clusters: list[list[int]] = [[rot[0]]]
-    for j in range(m - 1):
-        if linked[j]:
-            clusters[-1].append(rot[j + 1])
-        elif j + 1 < m:
-            clusters.append([rot[j + 1]])
+    # roll so a cluster starts at position 0, then split after every end
+    clusters = np.split(np.roll(order, -ends[0] - 1), ends[1:] - ends[0])
     for cl in clusters:
         diam = _diameter(eigs[cl]) if len(cl) > 1 else 0.0
-        if diam >= tol:
+        if diam >= CLUSTER_TOL:
             raise AmbiguousClusterError(
-                f"cluster diameter {diam:.3e} >= tolerance {tol:.3e}"
+                f"cluster diameter {diam:.3e} >= tolerance {CLUSTER_TOL:.3e}"
             )
-    return [np.array(cl) for cl in clusters]
+    return clusters
 
 
-def spectral_decompose(
-    g: UnitaryMatrix, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> SpectralDecomposition:
+def spectral_decompose(g: UnitaryMatrix) -> SpectralDecomposition:
     """Spectral resolution of a unitary matrix with eigenvalue clustering.
 
     Uses the complex Schur form (diagonal for normal matrices, with
@@ -244,7 +238,7 @@ def spectral_decompose(
     """
     t, z = scipy.linalg.schur(g.mat, output="complex")
     raw = np.diagonal(t).copy()
-    clusters = _cluster_circle(raw, cluster_tol)
+    clusters = _cluster_circle(raw)
 
     reps = []
     bases = []

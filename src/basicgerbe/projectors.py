@@ -17,11 +17,10 @@ from functools import cached_property
 import numpy as np
 
 from .contour import (
+    Contour,
     CutCirclePoint,
     _check_cuts,
     _resolvent,
-    arc_contour,
-    circle_between,
     circle_gt,
     quad_integrate,
 )
@@ -56,8 +55,10 @@ class Classification(enum.Enum):
 class ArcContext:
     """A pair of cut points with the eigenvalues of g caught between them.
 
-    ``classify`` memoizes one per cut pair on the decomposition, and
-    ``basis`` caches its canonical arc basis.
+    The arc between the cuts avoids 1, so ``arc_indices`` is an index range
+    of the angle order of ``spec``.  ``classify`` memoizes one context per
+    cut pair on the decomposition, and ``basis`` caches its canonical arc
+    basis.
     """
 
     z1: CutCirclePoint
@@ -83,14 +84,27 @@ class ArcContext:
         """The canonical arc basis, read-only; ``arc_basis`` returns it."""
         if self.classification is not Classification.POSITIVE:
             raise EmptySpaceError("arc basis requires a positive context")
-        a1 = self.z1.angle
-        # angular distance of each arc eigenvalue below z1, increasing
-        def key(i: int) -> float:
-            return (a1 - float(np.angle(self.spec.eigenvalues[i]))) % TWO_PI
-
-        b = np.hstack([self.spec.bases[i] for i in sorted(self.arc_indices, key=key)])
+        # z1 is the upper cut, so descending from z1 is descending index
+        b = np.hstack([self.spec.bases[i] for i in reversed(self.arc_indices)])
         b.flags.writeable = False
         return b
+
+    @property
+    def contour(self) -> Contour:
+        """Annular sector enclosing exactly the eigenvalues between the cuts.
+
+        The radial sides sit halfway between each cut and the nearest
+        eigenvalue outside the arc (or the identity), so the contour stays
+        well away from every pole of the resolvent.
+        """
+        if not self.arc_indices:
+            raise EmptySpaceError("no eigenvalues between the cut points")
+        angles = self.spec.angles
+        i, j = self.arc_indices[0], self.arc_indices[-1] + 1
+        lo, hi = sorted((self.z1.angle, self.z2.angle))
+        below = angles[i - 1] if i else 0.0
+        above = angles[j] if j < self.spec.count else TWO_PI
+        return Contour(lo - (lo - below) / 2, hi + (above - hi) / 2)
 
 
 def classify(
@@ -104,14 +118,12 @@ def classify(
     if (z1.value, z2.value) in spec.arcs:
         return spec.arcs[z1.value, z2.value]
     _check_cuts(spec.eigenvalues, z1, z2)
-    arc = tuple(
-        i
-        for i, lam in enumerate(spec.eigenvalues)
-        if circle_between(z1, z2, lam)
-    )
+    positive = circle_gt(z1, z2)  # coincident cuts raise here
+    lo, hi = np.searchsorted(spec.angles, sorted((z1.angle, z2.angle)))
+    arc = tuple(range(lo, hi))
     if not arc:
         cls = Classification.NULL
-    elif circle_gt(z1, z2):
+    elif positive:
         cls = Classification.POSITIVE
     else:
         cls = Classification.NEGATIVE
@@ -136,8 +148,7 @@ def arc_projector(ctx: ArcContext, method: str = "residue") -> np.ndarray:
         b = arc_basis(ctx)
         return b @ b.conj().T
     if method == "quadrature":
-        contour = arc_contour(ctx.z1, ctx.z2, ctx.spec)
-        g = ctx.spec.matrix
+        contour, g = ctx.contour, ctx.spec.matrix
         return quad_integrate(contour, lambda xs: _resolvent(g, xs), vectorized=True)
     raise ValueError(f"unknown method {method!r}")
 
@@ -186,7 +197,7 @@ def _indicator_derivative(
 
 
 def projector_derivative(
-    ctx: ArcContext, x: TangentVector, method: str = "residue", fd_step: float = FD_STEP
+    ctx: ArcContext, x: TangentVector, method: str = "residue"
 ) -> np.ndarray:
     """Directional derivative of the arc projector along X = gA.
 
@@ -196,7 +207,7 @@ def projector_derivative(
     if ctx.classification is not Classification.POSITIVE:
         raise EmptySpaceError("projector derivative requires a positive context")
     if method == "fd":
-        return _fd_projector(ctx, x, fd_step)
+        return _fd_projector(ctx, x, FD_STEP)
     if method != "residue":
         raise ValueError(f"unknown method {method!r}")
     return _indicator_derivative(ctx.spec, ctx.arc_indices, x)

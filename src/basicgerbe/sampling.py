@@ -51,7 +51,7 @@ def well_separated_unitary(n: int, rng) -> tuple[UnitaryMatrix, SpectralDecompos
 
 def _gap_list(spec: SpectralDecomposition) -> list[tuple[float, float]]:
     """Angular gaps between consecutive marks (eigenvalues and the identity)."""
-    marks = np.sort(np.concatenate([np.angle(spec.eigenvalues) % TWO_PI, [0.0]]))
+    marks = np.concatenate([[0.0], spec.angles])
     out = []
     for a, b in zip(marks, np.concatenate([marks[1:], [marks[0] + TWO_PI]])):
         if b > a:

@@ -364,17 +364,17 @@ def _stacks_from_json(obj: dict, path: str, values: str, matrices: str) -> tuple
     return vec, np.stack(mats)
 
 
-def flag_point_from_json(obj: dict, path: str = "$") -> FlagTorusPoint:
+def flag_point_from_json(obj: dict) -> FlagTorusPoint:
     """Parse {"lambda": [[re, im], ...], "projections": [matrix, ...]}.
 
     The projections must be a full flag: n rank-one Hermitian projectors of
     U(n) whose unit vectors make a unitary frame.
     """
-    lam, proj = _stacks_from_json(obj, path, "lambda", "projections")
+    lam, proj = _stacks_from_json(obj, "$", "lambda", "projections")
     try:
         return FlagTorusPoint(_flag_frame(proj), lam)
     except DimensionError as exc:
-        raise SchemaError(path, str(exc)) from None
+        raise SchemaError("$", str(exc)) from None
 
 
 def flag_tangent_from_json(

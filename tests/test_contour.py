@@ -18,7 +18,6 @@ from basicgerbe import (
     IncomparableError,
     QuadratureError,
     UnitaryMatrix,
-    arc_contour,
     arc_projector,
     circle_between,
     circle_gt,
@@ -145,39 +144,42 @@ class TestContours:
         self.spec = spectral_decompose(UnitaryMatrix(np.diag([1j, -1j])))
 
     def test_arc_contour_winding(self):
-        c = arc_contour(cut_point(3 * np.pi / 4), cut_point(np.pi / 4), self.spec)
-        assert abs(winding(c, 1j) - 1.0) < 1e-12
-        assert abs(winding(c, -1j)) < 1e-12
+        ctx = classify(cut_point(3 * np.pi / 4), cut_point(np.pi / 4), self.spec)
+        assert abs(winding(ctx.contour, 1j) - 1.0) < 1e-12
+        assert abs(winding(ctx.contour, -1j)) < 1e-12
 
     def test_null_pair_rejected(self):
+        ctx = classify(cut_point(np.pi / 8), cut_point(np.pi / 4), self.spec)
         with pytest.raises(EmptySpaceError):
-            arc_contour(cut_point(np.pi / 8), cut_point(np.pi / 4), self.spec)
+            ctx.contour
 
     def test_cut_near_eigenvalue_rejected(self):
         z = cut_point(np.pi / 2 + 1e-8)
         with pytest.raises(IllConditionedCutError):
-            arc_contour(z, cut_point(np.pi / 4), self.spec)
+            classify(z, cut_point(np.pi / 4), self.spec)
 
     def test_windings_match_betweenness(self):
+        # the contour of an arc context winds once round exactly the
+        # eigenvalues between its cuts, in either cut order
         rng = np.random.default_rng(4)
         from basicgerbe import random_unitary
 
+        checked = 0
         for _ in range(20):
             spec = spectral_decompose(random_unitary(4, rng))
-            angles = np.angle(spec.eigenvalues) % (2 * np.pi)
-            a, b = np.sort(rng.uniform(0.0, 2 * np.pi, size=2))
+            a, b = rng.uniform(0.0, 2 * np.pi, size=2)
             z1, z2 = cut_point(a), cut_point(b)
             dists = [abs(z.value - v) for z in (z1, z2) for v in spec.eigenvalues]
             if min(dists) < 1e-2 or abs(a - b) < 1e-2:
                 continue
-            inside = [
-                circle_between(z1, z2, v) for v in spec.eigenvalues
-            ]
+            inside = [circle_between(z1, z2, v) for v in spec.eigenvalues]
             if not any(inside):
                 continue
-            c = arc_contour(z1, z2, spec)
-            for v, want in zip(spec.eigenvalues, inside):
-                assert abs(winding(c, v) - (1.0 if want else 0.0)) < 1e-10
+            for ctx in (classify(z1, z2, spec), classify(z2, z1, spec)):
+                for v, want in zip(spec.eigenvalues, inside):
+                    assert abs(winding(ctx.contour, v) - float(want)) < 1e-10
+            checked += 1
+        assert checked >= 5
 
     def test_spectrum_contour(self):
         c = spectrum_contour(cut_point(np.pi), self.spec)

@@ -7,10 +7,13 @@ else in the module.  ``__init__.py`` imports only to re-export.  A
 top-level function, class or constant, public or private, must be read
 (called, named or referenced as an attribute) somewhere in the package, its
 own module included, its tests or the benchmark; its definition, its
-assignment and its re-export do not count.
+assignment and its re-export do not count.  A defaulted parameter of a
+function of the package must be passed, by keyword or by position, by some
+call to a function of that name.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -103,3 +106,74 @@ def test_detects_an_unused_constant():
 def test_no_unused_definitions():
     modules = {m: (SRC / m).read_text() for m in MODULES}
     assert unused_definitions(modules, [p.read_text() for p in USERS]) == []
+
+
+def defaulted_parameters(source: str):
+    """(function, parameter, position) for every parameter with a default;
+    keyword-only ones have no position, and a method's positions start
+    after its bound first parameter."""
+    tree = ast.parse(source)
+    methods = {
+        id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = 1 if id(node) in methods else 0
+        for pos in range(len(positional) - len(args.defaults), len(positional)):
+            yield node.name, positional[pos].arg, pos - bound
+        for a, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, a.arg, None
+
+
+def passed_arguments(users: list[str]) -> dict:
+    """Callee name -> [positions passed, keywords passed]; a call with
+    ``*args`` or ``**kwargs`` passes every parameter."""
+    calls = {}
+    for source in users:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            entry = calls.setdefault(name, [0, set()])
+            keys = {k.arg for k in node.keywords}
+            every = None in keys or any(isinstance(a, ast.Starred) for a in node.args)
+            entry[0] = max(entry[0], math.inf if every else len(node.args))
+            entry[1] |= keys
+    return calls
+
+
+def unset_parameters(modules: dict[str, str], users: list[str]) -> list[str]:
+    """Defaulted parameters of ``modules`` that no call in ``users`` passes,
+    matching calls to functions by name."""
+    calls = passed_arguments(users)
+    out = []
+    for module, source in modules.items():
+        for func, param, pos in defaulted_parameters(source):
+            count, keys = calls.get(func, (0, set()))
+            by_position = count == math.inf or (pos is not None and pos < count)
+            if param not in keys and not by_position:
+                out.append(f"{module}: {func}.{param}")
+    return out
+
+
+def test_detects_an_unset_parameter():
+    module = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+        "def g(x=0):\n    pass\n\n"
+        "class K:\n    def m(self, y=1, z=2):\n        pass\n"
+    )
+    users = [module, "f(0, 5)\nf(0, d=4)\nK().m(7)\n", "args = ()\ng(*args)\n"]
+    assert unset_parameters({"m.py": module}, users) == [
+        "m.py: f.c",
+        "m.py: f.e",
+        "m.py: m.z",
+    ]
+
+
+def test_no_unset_parameters():
+    modules = {m: (SRC / m).read_text() for m in MODULES}
+    assert unset_parameters(modules, [p.read_text() for p in USERS]) == []

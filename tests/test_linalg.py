@@ -10,6 +10,8 @@ from basicgerbe import (
     SchemaError,
     TangentVector,
     UnitaryMatrix,
+    classify,
+    cut_point,
     embed_block,
     embed_tangent,
     matrix_from_json,
@@ -20,7 +22,7 @@ from basicgerbe import (
     unitary_check,
 )
 from basicgerbe.linalg import (
-    DEFAULT_CLUSTER_TOL,
+    CLUSTER_TOL,
     TWO_PI,
     _cluster_circle,
     _eigenbasis_sum,
@@ -34,7 +36,7 @@ def mgs_projectors(g: UnitaryMatrix) -> np.ndarray:
     t, z = scipy.linalg.schur(g.mat, output="complex")
     raw = np.diagonal(t)
     out = []
-    for cl in _cluster_circle(raw, DEFAULT_CLUSTER_TOL):
+    for cl in _cluster_circle(raw):
         basis = z[:, np.sort(cl)].copy()
         for j in range(basis.shape[1]):
             for i in range(j):
@@ -140,13 +142,27 @@ class TestSpectralDecompose:
         assert spec.count == 2
         assert spec.multiplicities[0] == 2
 
+    @pytest.mark.parametrize("eps", [1e-12, 3e-10])
+    def test_cluster_straddling_angle_zero(self, eps):
+        # e^{-2i eps}, e^{-i eps} and e^{i eps} sit on both sides of angle 0
+        lam = np.exp(1j * np.array([-eps, eps, np.pi, -2 * eps]))
+        spec = spectral_decompose(UnitaryMatrix(np.diag(lam)))
+        assert spec.count == 2
+        assert list(spec.multiplicities) == [1, 3]
+        assert abs(spec.angles[0] - np.pi) < 1e-15
+        assert abs(spec.angles[1] - TWO_PI) < 1e-9
+        # the straddling cluster is last, so a cut pair round pi catches -1 only
+        for z1, z2 in ((np.pi + 0.5, np.pi - 0.5), (np.pi - 0.5, np.pi + 0.5)):
+            ctx = classify(cut_point(z1), cut_point(z2), spec)
+            assert ctx.arc_indices == (0,)
+            assert ctx.arc_dim == 1
+
     def test_ambiguous_chain(self):
         # each neighbor within tol, total spread above it
-        tol = 1e-9
-        angles = np.arange(5) * 0.6 * tol
+        angles = np.arange(5) * 0.6 * CLUSTER_TOL
         g = UnitaryMatrix(np.diag(np.exp(1j * angles)))
         with pytest.raises(AmbiguousClusterError):
-            spectral_decompose(g, cluster_tol=tol)
+            spectral_decompose(g)
 
     def test_regular_memory_is_quadratic(self):
         # a regular U(128) has 128 clusters; one dense n x n projector per

@@ -13,7 +13,9 @@ from basicgerbe import (
     arc_basis,
     arc_projector,
     classify,
+    circle_between,
     cut_point,
+    embed_block,
     projector_derivative,
     random_unitary,
     single_projector_derivative,
@@ -71,6 +73,48 @@ def _sorted_hstack_basis(ctx):
         key=lambda i: (a1 - float(np.angle(ctx.spec.eigenvalues[i]))) % (2 * np.pi),
     )
     return np.hstack([ctx.spec.bases[i] for i in order])
+
+
+def _spectrum_with_identity_and_repeat(n, rng):
+    """A random U(n) element with one eigenvalue repeated, embedded in
+    U(n + 1) so that 1 is an eigenvalue too."""
+    angles = rng.uniform(0.0, 2 * np.pi, size=n)
+    if n > 1:
+        angles[1] = angles[0]
+    q = random_unitary(n, rng).mat
+    g = UnitaryMatrix(q @ np.diag(np.exp(1j * angles)) @ q.conj().T)
+    return spectral_decompose(embed_block(g, n + 1))
+
+
+class TestClassifyDefinition:
+    """``classify`` reads the arc as an index range of the angle order; its
+    definition is the betweenness predicate, eigenvalue by eigenvalue."""
+
+    def test_arc_indices_are_the_eigenvalues_between_the_cuts(self):
+        rng = np.random.default_rng(16)
+        seen = set()
+        for n in range(1, 9):
+            for _ in range(25):
+                spec = _spectrum_with_identity_and_repeat(n, rng)
+                z1, z2 = (cut_point(a) for a in rng.uniform(0.0, 2 * np.pi, 2))
+                near = [abs(z.value - v) for z in (z1, z2) for v in spec.eigenvalues]
+                if min(near) < 10 * CUT_EXCLUSION or abs(z1.value - z2.value) < 1e-6:
+                    continue
+                eigs = enumerate(spec.eigenvalues)
+                want = tuple(i for i, v in eigs if circle_between(z1, z2, v))
+                for a, b in ((z1, z2), (z2, z1)):
+                    ctx = classify(a, b, spec)
+                    assert ctx.arc_indices == want
+                    seen.add(ctx.classification)
+                    if ctx.classification is Classification.POSITIVE:
+                        assert np.array_equal(arc_basis(ctx), _sorted_hstack_basis(ctx))
+        assert seen == set(Classification)
+
+    def test_identity_and_repeat_are_present(self):
+        spec = _spectrum_with_identity_and_repeat(4, np.random.default_rng(0))
+        assert spec.count == 4
+        assert sorted(spec.multiplicities) == [1, 1, 1, 2]
+        assert np.min(np.abs(spec.eigenvalues - 1.0)) < 1e-12
 
 
 class TestArcMemo:
@@ -223,7 +267,7 @@ class TestProjectorDerivative:
         g = UnitaryMatrix(diag_spec.matrix)
         a = TangentVector(g, np.diag([1j, -1j]))
         with pytest.raises(StepTooLargeError):
-            projector_derivative(ctx, a, method="fd", fd_step=1e-2)
+            projector_derivative(ctx, a, method="fd")
 
     def test_negative_rejected(self, diag_spec):
         g = UnitaryMatrix(diag_spec.matrix)
