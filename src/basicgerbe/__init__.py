@@ -43,7 +43,6 @@ from .contour import (
 from .projectors import (
     ArcContext,
     Classification,
-    arc_basis,
     arc_projector,
     classify,
     projector_derivative,

@@ -320,20 +320,17 @@ def _equivariance(cfg: SuiteConfig, i: int, rng) -> dict:
     speck = spectral_decompose(gk)
     out = {}
 
-    ctx = classify(z1, z2, spec)
-    ctxk = classify(z1, z2, speck)
-    if ctx.classification is Classification.NEGATIVE:
-        ctx, ctxk = ctx.swapped(), ctxk.swapped()
-    if ctx.classification is Classification.POSITIVE:
+    ctx = classify(z1, z2, spec).positive
+    if ctx is not None:
         p = projectors.arc_projector(ctx)
-        pk = projectors.arc_projector(ctxk)
+        pk = projectors.arc_projector(classify(ctx.z1, ctx.z2, speck))
         out["projector-conjugation"] = _max_abs(pk - k.mat @ p @ k.mat.conj().T)
 
     a = fibers.random_element(classify(z1, z2, spec), rng)
     b = fibers.random_element(classify(z2, z3, spec), rng)
-    lhs = fibers.conjugate_fiber(k, fibers.gerbe_product(a, b))
+    lhs = fibers.conjugate_fiber(k, fibers.gerbe_product(a, b), speck)
     rhs = fibers.gerbe_product(
-        fibers.conjugate_fiber(k, a), fibers.conjugate_fiber(k, b)
+        fibers.conjugate_fiber(k, a, speck), fibers.conjugate_fiber(k, b, speck)
     )
     out["product-conjugation"] = fibers.same_element(lhs, rhs)[1]
     sv = fibers.section_value(z1, z2, z3, spec)
@@ -347,9 +344,10 @@ def _equivariance(cfg: SuiteConfig, i: int, rng) -> dict:
     av = fibers.random_element(classify(w1, w2, tspec), rng)
     bv = fibers.random_element(classify(w2, w3, tspec), rng)
     gf = random_unitary(cfg.dim, rng)
-    lhs2 = fibers.weyl_line_map(gf, fibers.gerbe_product(av, bv))
+    tspecf = spectral_decompose(tmat.conjugate_by(gf))
+    lhs2 = fibers.weyl_line_map(gf, fibers.gerbe_product(av, bv), tspecf)
     rhs2 = fibers.gerbe_product(
-        fibers.weyl_line_map(gf, av), fibers.weyl_line_map(gf, bv)
+        fibers.weyl_line_map(gf, av, tspecf), fibers.weyl_line_map(gf, bv, tspecf)
     )
     out["fiber-map-products"] = fibers.same_element(lhs2, rhs2)[1]
     return out
@@ -399,7 +397,7 @@ def _gerbe_axioms(cfg: SuiteConfig, i: int, rng) -> dict:
     b = fibers.random_element(classify(z2, z3, spec), rng)
     ab = fibers.gerbe_product(a, b)
     out["norm-multiplicative"] = abs(ab.norm - a.norm * b.norm)
-    if a.kind == "det":
+    if a.ctx.classification is Classification.POSITIVE:
         pairing = fibers.dual_pairing(fibers.swap_transport(a), a)
         out["swap-pairing"] = abs(pairing - 1.0)
     return out

@@ -1,13 +1,13 @@
 """Determinant-line fibers and the gerbe multiplication.
 
-A positive pair of cuts carries the line det(E) spanned by the wedge of
-an arc eigenbasis; a negative pair carries the dual line; a null pair
-carries the scalars.  Elements are stored as an explicit orthonormal
-frame plus a complex coefficient, so every identification reduces to an
-O(k^3) change-of-basis determinant instead of exterior-algebra tensors.
+A pair of cuts carries the line of its stratum: det(E), the wedge of an
+arc eigenbasis, when positive; the dual of its swap's line, framed by
+``ctx.positive``, when negative; the scalars when null.  Elements are an
+orthonormal frame plus a complex coefficient, so every identification is
+an O(k^3) change-of-basis determinant instead of exterior-algebra tensors.
 
-Canonical frames (arc_basis order, shared eigenvector columns) are
-chosen so that for a descending triple of cuts the frame of the outer
+Canonical frames (``ArcContext.basis`` order, shared eigenvector columns)
+are chosen so that for a descending triple of cuts the frame of the outer
 arc is literally the concatenation of the frames of the two inner arcs.
 With that choice the triple section is the constant 1 in canonical
 coordinates and all numeric content lives in frame determinants.
@@ -28,28 +28,21 @@ from .linalg import (
     _as_generator,
     _perm_sign,
     random_unitary,
-    spectral_decompose,
 )
-from .projectors import ArcContext, Classification, arc_basis, classify
+from .projectors import ArcContext, Classification, classify
 
 ELEMENT_TOL = 1e-9
 FRAME_TOL = 1e-9
-# the kind of line each stratum carries
-LINE_KIND = {
-    Classification.POSITIVE: "det",
-    Classification.NEGATIVE: "dualdet",
-    Classification.NULL: "scalar",
-}
 
 
 @dataclass(frozen=True, eq=False)
 class DetLineElement:
     """coeff times the wedge of the frame columns (or its dual functional).
 
-    kind "det": the element coeff * (f_1 ^ ... ^ f_k).
-    kind "dualdet": the functional sending f_1 ^ ... ^ f_k to coeff;
-    the frame is drawn from the swapped (positive) context.
-    kind "scalar": the number coeff in the canonical trivialization.
+    positive stratum: the element coeff * (f_1 ^ ... ^ f_k).
+    negative stratum: the functional sending f_1 ^ ... ^ f_k to coeff;
+    the frame spans the arc of ``ctx.positive``.
+    null stratum: the number coeff in the canonical trivialization.
     """
 
     ctx: ArcContext
@@ -63,16 +56,12 @@ class DetLineElement:
         k = f.shape[1]
         if k != self.ctx.arc_dim:
             raise DimensionError(
-                f"frame has {k} columns, the {self.ctx.classification.value} "
+                f"frame has {k} columns, the "
+                f"{self.ctx.classification.name.lower()} "
                 f"context's arc has dimension {self.ctx.arc_dim}"
             )
         if k and np.linalg.norm(f.conj().T @ f - np.eye(k)) > FRAME_TOL:
             raise DimensionError("frame is not orthonormal")
-
-    @property
-    def kind(self) -> str:
-        """"det", "dualdet" or "scalar", from the context's classification."""
-        return LINE_KIND[self.ctx.classification]
 
     @property
     def norm(self) -> float:
@@ -80,10 +69,8 @@ class DetLineElement:
 
 
 def _canonical_frame(ctx: ArcContext) -> np.ndarray:
-    if ctx.classification is Classification.NULL:
-        return np.zeros((ctx.dim, 0), dtype=complex)
-    pos = ctx if ctx.classification is Classification.POSITIVE else ctx.swapped()
-    return arc_basis(pos)
+    pos = ctx.positive
+    return np.zeros((ctx.dim, 0), dtype=complex) if pos is None else pos.basis
 
 
 def fiber_element(ctx: ArcContext, coeff: complex) -> DetLineElement:
@@ -93,27 +80,25 @@ def fiber_element(ctx: ArcContext, coeff: complex) -> DetLineElement:
 
 def canonical_scalar(a: DetLineElement) -> complex:
     """Coefficient of ``a`` relative to the canonical frame of its context."""
-    if a.kind == "scalar":
+    if a.ctx.classification is Classification.NULL:
         return a.coeff
     q = _canonical_frame(a.ctx).conj().T @ a.frame
     det = np.linalg.det(q)
-    if a.kind == "det":
+    if a.ctx.classification is Classification.POSITIVE:
         return a.coeff * det
     return a.coeff / det
 
 
-def _same_base(a: SpectralDecomposition, b: SpectralDecomposition) -> bool:
-    """Whether a and b decompose one group element, to 1e-12 n in norm."""
-    if a.dim != b.dim:
-        return False
-    return float(np.linalg.norm(a.matrix - b.matrix)) <= 1e-12 * a.dim
+def _same_base(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a and b are one group element, to 1e-12 n in norm."""
+    return a.shape == b.shape and float(np.linalg.norm(a - b)) <= 1e-12 * a.shape[0]
 
 
 def _same_ctx(a: ArcContext, b: ArcContext) -> bool:
     return (
         abs(a.z1.value - b.z1.value) <= POINT_TOL
         and abs(a.z2.value - b.z2.value) <= POINT_TOL
-        and _same_base(a.spec, b.spec)
+        and _same_base(a.spec.matrix, b.spec.matrix)
     )
 
 
@@ -135,7 +120,7 @@ def gerbe_product(a: DetLineElement, b: DetLineElement) -> DetLineElement:
     """
     if abs(a.ctx.z2.value - b.ctx.z1.value) > POINT_TOL:
         raise IncomparableError("middle cut points do not match")
-    if not _same_base(a.ctx.spec, b.ctx.spec):
+    if not _same_base(a.ctx.spec.matrix, b.ctx.spec.matrix):
         raise IncomparableError("group elements do not match")
     target = classify(a.ctx.z1, b.ctx.z2, a.ctx.spec)
     return fiber_element(target, canonical_scalar(a) * canonical_scalar(b))
@@ -143,7 +128,8 @@ def gerbe_product(a: DetLineElement, b: DetLineElement) -> DetLineElement:
 
 def dual_pairing(dual: DetLineElement, elt: DetLineElement) -> complex:
     """Evaluate a dual-line element on a det-line element over the same arc."""
-    if dual.kind != "dualdet" or elt.kind != "det":
+    signs = (dual.ctx.classification.value, elt.ctx.classification.value)
+    if signs != (-1, 1):
         raise IncomparableError("pairing needs a dual element and a det element")
     if not _same_ctx(dual.ctx.swapped(), elt.ctx):
         raise IncomparableError("elements live over different arcs")
@@ -156,7 +142,7 @@ def swap_transport(a: DetLineElement) -> DetLineElement:
     For a unit element the transport inverts the canonical coefficient,
     so the dual pairing of the transport with the original is exactly 1.
     """
-    if a.kind != "det":
+    if a.ctx.classification is not Classification.POSITIVE:
         raise IncomparableError("swap transport is defined on det elements")
     return fiber_element(a.ctx.swapped(), 1.0 / canonical_scalar(a))
 
@@ -221,19 +207,26 @@ def associativity_check(
     return defect
 
 
-def conjugate_fiber(k: UnitaryMatrix, a: DetLineElement) -> DetLineElement:
-    """Push a fiber element along g -> k g k^{-1}, frame vectors by v -> k v."""
+def conjugate_fiber(
+    k: UnitaryMatrix, a: DetLineElement, spec: SpectralDecomposition
+) -> DetLineElement:
+    """Push a fiber element along g -> k g k^{-1}, frame vectors by v -> k v.
+
+    ``spec`` must decompose k g k^{-1}, or ``IncomparableError`` is raised.
+    """
     ctx = a.ctx
     if k.dim != ctx.dim:
         raise DimensionError("conjugator dimension mismatch")
-    g2 = UnitaryMatrix(ctx.spec.matrix).conjugate_by(k)
-    ctx2 = classify(ctx.z1, ctx.z2, spectral_decompose(g2))
-    return DetLineElement(ctx2, k.mat @ a.frame, a.coeff)
+    if not _same_base(spec.matrix, k.mat @ ctx.spec.matrix @ k.mat.conj().T):
+        raise IncomparableError("spec does not decompose k g k^-1")
+    return DetLineElement(classify(ctx.z1, ctx.z2, spec), k.mat @ a.frame, a.coeff)
 
 
-def weyl_line_map(g: UnitaryMatrix, a: DetLineElement) -> DetLineElement:
-    """Fiber map over the conjugation t -> g t g^{-1} of a torus element."""
+def weyl_line_map(
+    g: UnitaryMatrix, a: DetLineElement, spec: SpectralDecomposition
+) -> DetLineElement:
+    """Fiber map over t -> g t g^{-1} on a torus; ``spec`` decomposes g t g^{-1}."""
     t = a.ctx.spec.matrix
     if float(np.linalg.norm(t - np.diag(np.diagonal(t)))) > 1e-12 * a.ctx.dim:
         raise DimensionError("base element is not a torus (diagonal) matrix")
-    return conjugate_fiber(g, a)
+    return conjugate_fiber(g, a, spec)

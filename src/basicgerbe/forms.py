@@ -37,7 +37,6 @@ from .linalg import (
 from .projectors import (
     FD_STEP,
     ArcContext,
-    Classification,
     _context_at,
     arc_projector,
     projector_derivative,
@@ -74,15 +73,6 @@ def _wedge_resolvent_trace(
     return np.einsum("nij,nji->n", rx @ r, rpy) - np.einsum("nij,nji->n", ry @ r, rpx)
 
 
-def _signed(ctx: ArcContext):
-    """(positive context, sign) implementing the swap/zero stratum rules."""
-    if ctx.classification is Classification.NULL:
-        return None, 0.0
-    if ctx.classification is Classification.NEGATIVE:
-        return ctx.swapped(), -1.0
-    return ctx, 1.0
-
-
 def curvature_via_projectors(
     ctx: ArcContext, x: TangentVector, y: TangentVector, method: str = "residue"
 ) -> complex:
@@ -90,13 +80,14 @@ def curvature_via_projectors(
 
     method "residue" uses the closed form of dP, "fd" central differences.
     """
-    pos, sign = _signed(ctx)
-    if sign == 0.0:
+    pos = ctx.positive
+    if pos is None:
         return 0j
     p = arc_projector(pos)
     dpx = projector_derivative(pos, x, method)
     dpy = projector_derivative(pos, y, method)
-    return sign * complex(np.trace(p @ dpx @ dpy) - np.trace(p @ dpy @ dpx))
+    tr = np.trace(p @ dpx @ dpy) - np.trace(p @ dpy @ dpx)
+    return ctx.classification.value * complex(tr)
 
 
 def curvature_via_contour(
@@ -110,8 +101,8 @@ def curvature_via_contour(
     -sum_{i not in arc, j in arc} (lam_i - lam_j)^{-2}
         [tr(P_i X P_j Y) - tr(P_i Y P_j X)].
     """
-    pos, sign = _signed(ctx)
-    if sign == 0.0:
+    pos = ctx.positive
+    if pos is None:
         return 0j
     xm, ym = x.ambient, y.ambient
     if method == "residue":
@@ -119,10 +110,10 @@ def curvature_via_contour(
         inside = np.zeros(spec.count)
         inside[list(pos.arc_indices)] = 1.0
         w = -np.outer(1.0 - inside, inside) / _differences(spec.eigenvalues) ** 2
-        return sign * _pair_sum(spec, w, xm, ym)
+        return ctx.classification.value * _pair_sum(spec, w, xm, ym)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    return sign * 0.5 * quad_integrate(
+    return ctx.classification.value * 0.5 * quad_integrate(
         pos.contour,
         lambda xs: _wedge_resolvent_trace(_resolvent(pos.spec.matrix, xs), xm, ym),
         vectorized=True,
@@ -137,13 +128,13 @@ def projector_inserted_curvature(
     Equal to curvature_via_contour as two-forms; the projector insertion
     halves the symmetry of the integrand, hence no 1/2 prefactor.
     """
-    pos, sign = _signed(ctx)
-    if sign == 0.0:
+    pos = ctx.positive
+    if pos is None:
         return 0j
     xm, ym = x.ambient, y.ambient
     g = pos.spec.matrix
     p = arc_projector(pos)
-    return sign * quad_integrate(
+    return ctx.classification.value * quad_integrate(
         pos.contour,
         lambda xs: _wedge_resolvent_trace(_resolvent(g, xs), xm, ym, insert=p),
         vectorized=True,

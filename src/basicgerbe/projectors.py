@@ -2,7 +2,7 @@
 
 An ordered pair of cut points (z1, z2) together with a unitary g defines
 an arc of the circle and hence a sum of eigenspaces.  This module
-classifies such pairs (positive/null/negative), builds the Riesz
+classifies such pairs into strata (positive/null/negative), builds the Riesz
 projector onto the arc eigenspaces (closed form and contour quadrature),
 extracts the canonically ordered eigenbasis that determinant-line fibers
 use as a frame, and differentiates projectors in tangent directions.
@@ -46,9 +46,11 @@ MIN_SIMPLE_GAP = 1e-3
 
 
 class Classification(enum.Enum):
-    POSITIVE = "positive"
-    NULL = "null"
-    NEGATIVE = "negative"
+    """The stratum of a cut pair; the value is the sign of the pair's line."""
+
+    POSITIVE = 1
+    NULL = 0
+    NEGATIVE = -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +81,25 @@ class ArcContext:
     def swapped(self) -> "ArcContext":
         return classify(self.z2, self.z1, self.spec)
 
+    @property
+    def positive(self) -> "ArcContext | None":
+        """The positive context of the same arc, or None for a null pair.
+
+        The stratum rule: a quantity on this pair is ``classification.value``
+        times the same quantity on ``positive``, and 0 when that is None.
+        """
+        if self.classification is Classification.NULL:
+            return None
+        return self if self.classification.value > 0 else self.swapped()
+
     @cached_property
     def basis(self) -> np.ndarray:
-        """The canonical arc basis, read-only; ``arc_basis`` returns it."""
+        """Orthonormal basis (n x arc_dim) of the arc eigenspace, in canonical order.
+
+        Columns are ordered by angular position descending from z1 toward
+        z2; within a repeated eigenvalue the decomposition's order is kept.
+        The array is cached on the context and read-only.
+        """
         if self.classification is not Classification.POSITIVE:
             raise EmptySpaceError("arc basis requires a positive context")
         # z1 is the upper cut, so descending from z1 is descending index
@@ -121,12 +139,7 @@ def classify(
     positive = circle_gt(z1, z2)  # coincident cuts raise here
     lo, hi = np.searchsorted(spec.angles, sorted((z1.angle, z2.angle)))
     arc = tuple(range(lo, hi))
-    if not arc:
-        cls = Classification.NULL
-    elif positive:
-        cls = Classification.POSITIVE
-    else:
-        cls = Classification.NEGATIVE
+    cls = Classification((1 if positive else -1) if arc else 0)
     ctx = spec.arcs[z1.value, z2.value] = ArcContext(z1, z2, spec, cls, arc)
     return ctx
 
@@ -134,8 +147,8 @@ def classify(
 def arc_projector(ctx: ArcContext, method: str = "residue") -> np.ndarray:
     """Projector onto the sum of eigenspaces between the cuts.
 
-    Null contexts give the zero matrix.  Negative contexts are never
-    computed directly; callers swap the cuts and dualize.
+    The null stratum gives the zero matrix.  The negative stratum is never
+    computed directly; callers read the projector of ``ctx.positive``.
     """
     n = ctx.dim
     if ctx.classification is Classification.NULL:
@@ -145,22 +158,12 @@ def arc_projector(ctx: ArcContext, method: str = "residue") -> np.ndarray:
             "negative context: swap the cuts and work with the dual line"
         )
     if method == "residue":
-        b = arc_basis(ctx)
+        b = ctx.basis
         return b @ b.conj().T
     if method == "quadrature":
         contour, g = ctx.contour, ctx.spec.matrix
         return quad_integrate(contour, lambda xs: _resolvent(g, xs), vectorized=True)
     raise ValueError(f"unknown method {method!r}")
-
-
-def arc_basis(ctx: ArcContext) -> np.ndarray:
-    """Canonically ordered orthonormal basis (n x arc_dim) of the arc eigenspace.
-
-    Columns are ordered by angular position descending from z1 toward z2;
-    within a repeated eigenvalue the decomposition's order is kept.  The
-    array is cached on the context and read-only.
-    """
-    return ctx.basis
 
 
 def _context_at(ctx: ArcContext, a: np.ndarray, t: float) -> ArcContext:

@@ -22,7 +22,7 @@ from .linalg import (
     random_unitary,
     spectral_decompose,
 )
-from .projectors import ArcContext, Classification, classify
+from .projectors import ArcContext, classify
 
 MIN_SPECTRAL_GAP = 0.2
 MAX_TRIES = 200
@@ -81,12 +81,9 @@ def random_positive_context(spec: SpectralDecomposition, rng) -> ArcContext:
     """A positive-stratum context with at least one enclosed eigenvalue."""
     gen = _as_generator(rng)
     for _ in range(MAX_TRIES):
-        z1, z2 = random_cuts(spec, gen, 2)
-        ctx = classify(z1, z2, spec)
-        if ctx.classification is Classification.POSITIVE:
-            return ctx
-        if ctx.classification is Classification.NEGATIVE:
-            return ctx.swapped()
+        pos = classify(*random_cuts(spec, gen, 2), spec).positive
+        if pos is not None:
+            return pos
     raise SamplingError("failed to draw a positive pair of cuts")
 
 

@@ -190,14 +190,15 @@ class TestEquivariance:
             _, spec = well_separated_unitary(4, rng)
             ctx = random_positive_context(spec, rng)
             k = random_unitary(4, rng)
+            speck = spectral_decompose(UnitaryMatrix(spec.matrix).conjugate_by(k))
             a = random_element(ctx, rng)
-            b = conjugate_fiber(k, a)
+            b = conjugate_fiber(k, a, speck)
             assert abs(a.norm - b.norm) < 1e-12
             assert b.ctx.classification is ctx.classification
             # dual pairings are conjugation invariant
             d = random_element(ctx.swapped(), rng)
             lhs = dual_pairing(d, a)
-            rhs = dual_pairing(conjugate_fiber(k, d), b)
+            rhs = dual_pairing(conjugate_fiber(k, d, speck), b)
             assert abs(lhs - rhs) < 1e-9
 
     def test_conjugate_section_invariant(self):
@@ -217,10 +218,11 @@ class TestEquivariance:
             _, spec = well_separated_unitary(4, rng)
             z1, z2, z3 = descending_triple(spec, rng)
             k = random_unitary(4, rng)
+            sk = spectral_decompose(UnitaryMatrix(spec.matrix).conjugate_by(k))
             a = random_element(classify(z1, z2, spec), rng)
             b = random_element(classify(z2, z3, spec), rng)
-            left = conjugate_fiber(k, gerbe_product(a, b))
-            right = gerbe_product(conjugate_fiber(k, a), conjugate_fiber(k, b))
+            left = conjugate_fiber(k, gerbe_product(a, b), sk)
+            right = gerbe_product(conjugate_fiber(k, a, sk), conjugate_fiber(k, b, sk))
             ok, disc = same_element(left, right)
             assert ok and disc < 1e-9
 
@@ -230,8 +232,10 @@ class TestEquivariance:
         ctx = random_positive_context(spec, rng)
         a = fiber_element(ctx, 1.0)
         if np.linalg.norm(spec.matrix - np.diag(np.diagonal(spec.matrix))) > 1e-9:
+            k = random_unitary(3, rng)
+            speck = spectral_decompose(UnitaryMatrix(spec.matrix).conjugate_by(k))
             with pytest.raises(DimensionError):
-                weyl_line_map(random_unitary(3, rng), a)
+                weyl_line_map(k, a, speck)
 
     def test_weyl_line_map_on_torus(self):
         rng = sample_rng(5, "fiber-test", 201)
@@ -241,6 +245,21 @@ class TestEquivariance:
         a = random_element(ctx, rng)
         d = random_element(ctx.swapped(), rng)
         k = random_unitary(3, rng)
-        b = weyl_line_map(k, a)
+        speck = spectral_decompose(t.conjugate_by(k))
+        b = weyl_line_map(k, a, speck)
         assert abs(a.norm - b.norm) < 1e-12
-        assert abs(dual_pairing(d, a) - dual_pairing(weyl_line_map(k, d), b)) < 1e-9
+        d_k = weyl_line_map(k, d, speck)
+        assert abs(dual_pairing(d, a) - dual_pairing(d_k, b)) < 1e-9
+
+    def test_conjugate_fiber_needs_decomposition_of_conjugate(self):
+        rng = sample_rng(5, "fiber-test", 202)
+        _, spec = well_separated_unitary(3, rng)
+        a = random_element(random_positive_context(spec, rng), rng)
+        k = random_unitary(3, rng)
+        for other in (spec, spectral_decompose(random_unitary(3, rng))):
+            with pytest.raises(IncomparableError):
+                conjugate_fiber(k, a, other)
+        t = UnitaryMatrix(np.diag(np.exp(1j * np.array([0.7, 2.1, 4.4]))))
+        at = random_element(random_positive_context(spectral_decompose(t), rng), rng)
+        with pytest.raises(IncomparableError):
+            weyl_line_map(k, at, spectral_decompose(t))

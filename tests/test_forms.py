@@ -5,6 +5,7 @@ import pytest
 
 from basicgerbe import (
     Classification,
+    DetLineElement,
     DimensionError,
     EmptySpaceError,
     IllConditionedCutError,
@@ -130,6 +131,50 @@ class TestCurvature:
             v = curvature_via_projectors(ctx, x, y)
             assert abs(v + curvature_via_projectors(ctx, y, x)) < 1e-12
             assert abs(v.real) < 1e-10  # iR-valued on skew directions
+
+
+class TestStratumRule:
+    """Every signed route reads one rule: value on neg = -value on pos, null = 0."""
+
+    ROUTES = {
+        "projectors-residue": lambda c, x, y: curvature_via_projectors(c, x, y),
+        "projectors-fd": lambda c, x, y: curvature_via_projectors(c, x, y, "fd"),
+        "contour-residue": lambda c, x, y: curvature_via_contour(c, x, y),
+        "contour-quadrature": lambda c, x, y: curvature_via_contour(
+            c, x, y, "quadrature"
+        ),
+        "inserted": projector_inserted_curvature,
+    }
+
+    def test_signed_routes_follow_the_stratum_rule(self):
+        proper = 0
+        for k in range(30):
+            rng, _, spec, pos, x, y = random_instance(1300 + k, n=3)
+            if pos.arc_dim == 3:
+                continue  # P = 1 has curvature 0, so the sign would not show
+            proper += 1
+            neg = pos.swapped()
+            null = classify(*random_null_pair(spec, rng), spec)
+            assert neg.classification is Classification.NEGATIVE
+            assert null.classification is Classification.NULL
+            assert pos.positive is pos and neg.positive is pos
+            assert null.positive is None
+            for name, route in self.ROUTES.items():
+                v = route(pos, x, y)
+                assert v != 0j, name
+                assert route(neg, x, y) == -v, name
+                assert route(null, x, y) == 0j, name
+        assert proper >= 10
+
+    def test_frame_size_error_names_the_stratum(self):
+        rng, _, spec, pos, _, _ = random_instance(1400, n=3)
+        null = classify(*random_null_pair(spec, rng), spec)
+        wide = np.zeros((3, pos.arc_dim + 1))  # one column too many
+        for ctx, name in ((pos, "positive"), (pos.swapped(), "negative")):
+            with pytest.raises(DimensionError, match=f"the {name} context"):
+                DetLineElement(ctx, wide, 1.0)
+        with pytest.raises(DimensionError, match="the null context"):
+            DetLineElement(null, np.zeros((3, 1)), 1.0)
 
 
 class TestWedgeResolventTrace:
@@ -268,7 +313,7 @@ class TestDeltaCurving:
             assert abs(delta_pairs(curving_eval, z1, z2, spec, x, y)) < 1e-8
 
     def test_swapped_pair_gives_negative_context_curvature(self):
-        # fails if the negative stratum lost its sign in _signed
+        # fails if curvature_via_projectors drops the sign of the negative stratum
         proper = 0
         for k in range(20):
             _, _, spec, ctx, x, y = random_instance(1100 + k)

@@ -10,7 +10,6 @@ from basicgerbe import (
     IllConditionedCutError,
     StepTooLargeError,
     UnitaryMatrix,
-    arc_basis,
     arc_projector,
     classify,
     circle_between,
@@ -107,7 +106,7 @@ class TestClassifyDefinition:
                     assert ctx.arc_indices == want
                     seen.add(ctx.classification)
                     if ctx.classification is Classification.POSITIVE:
-                        assert np.array_equal(arc_basis(ctx), _sorted_hstack_basis(ctx))
+                        assert np.array_equal(ctx.basis, _sorted_hstack_basis(ctx))
         assert seen == set(Classification)
 
     def test_identity_and_repeat_are_present(self):
@@ -134,7 +133,7 @@ class TestArcMemo:
         ctx_a, ctx_b = classify(z1, z2, spec_a), classify(z1, z2, spec_b)
         assert ctx_a is not ctx_b
         assert ctx_a.spec is spec_a and ctx_b.spec is spec_b
-        assert arc_basis(ctx_a) is not arc_basis(ctx_b)
+        assert ctx_a.basis is not ctx_b.basis
         assert dataclasses.replace(spec_a).arcs == {}
 
     def test_rejected_cut_raises_every_call(self, diag_spec):
@@ -149,8 +148,8 @@ class TestArcMemo:
             rng = sample_rng(4, "proj-test", k)
             _, spec = well_separated_unitary(5, rng)
             ctx = random_positive_context(spec, rng)
-            basis = arc_basis(ctx)
-            assert arc_basis(ctx) is basis
+            basis = ctx.basis
+            assert ctx.basis is basis
             assert not basis.flags.writeable
             with pytest.raises(ValueError):
                 basis[0, 0] = 0.0
@@ -163,7 +162,7 @@ class TestArcMemo:
             pos = random_positive_context(spec, rng)
             neg = classify(pos.z2, pos.z1, spec)
             assert neg.classification is Classification.NEGATIVE
-            assert np.array_equal(_canonical_frame(neg), arc_basis(pos))
+            assert np.array_equal(_canonical_frame(neg), pos.basis)
 
 
 class TestArcProjector:
@@ -204,7 +203,7 @@ class TestArcBasis:
     def test_order_descending_from_first_cut(self):
         g = UnitaryMatrix(np.diag(np.exp(1j * np.array([0.5, 1.5, 2.5]))))
         ctx = classify(cut_point(3.0), cut_point(0.2), spectral_decompose(g))
-        basis = arc_basis(ctx)
+        basis = ctx.basis
         # each column's eigenvalue, read as b^H g b
         lams = np.einsum("ij,ik,kj->j", basis.conj(), g.mat, basis)
         assert np.allclose(np.angle(lams), [2.5, 1.5, 0.5])
@@ -215,14 +214,14 @@ class TestArcBasis:
             rng = sample_rng(1, "proj-test", k)
             _, spec = well_separated_unitary(4, rng)
             ctx = random_positive_context(spec, rng)
-            basis = arc_basis(ctx)
+            basis = ctx.basis
             p = basis @ basis.conj().T
             assert np.linalg.norm(p - arc_projector(ctx)) < 1e-12
 
     def test_requires_positive(self, diag_spec):
         ctx = classify(cut_point(np.pi / 8), cut_point(np.pi / 4), diag_spec)
         with pytest.raises(EmptySpaceError):
-            arc_basis(ctx)
+            ctx.basis
 
 
 class TestProjectorDerivative:
