@@ -76,8 +76,6 @@ from .forms import (
 from .weyl import (
     FlagTangent,
     FlagTorusPoint,
-    flag_point_from_json,
-    flag_point_to_json,
     mc_pullback,
     preimage_count,
     pullback_curving_closed,

@@ -3,7 +3,8 @@
 ``verify`` runs a named property suite over seeded random instances and
 writes a JSON report (byte-identical for identical config and seed).
 ``eval`` computes a single quantity from a JSON point file, with a
-cross-method oracle residual unless suppressed.
+cross-method oracle residual unless suppressed.  The point file, group or
+flag-torus, is read and written here only; ``linalg`` keeps its matrix leaf.
 
 Exit codes: 0 pass, 1 check failure, 2 input error.
 """
@@ -241,7 +242,7 @@ def _three_curvature(cfg: SuiteConfig, i: int, rng) -> dict:
         gg, spec = sampling.well_separated_unitary(cfg.dim, rng)
         z = sampling.random_cuts(spec, rng, 1)[0]
         xs = [tangent_random(gg, rng) for _ in range(3)]
-        d_fd = forms.exterior_derivative_fd(forms.curving_form_on_group(z), gg, *xs)
+        d_fd = forms.exterior_derivative_fd(z, spec, *xs)
         out["fd-exterior-derivative"] = abs(d_fd - forms.three_curvature(gg, *xs))
     return out
 
@@ -519,12 +520,16 @@ def run_suite(cfg: SuiteConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# point evaluation
+# point evaluation: every field of the eval point file, group or flag-torus,
+# is read here, and a bad one is reported at its JSON path ("$" is the top)
 
 
-def _require(obj: dict, key: str):
+def _field(obj, key: str, path: str):
+    """``obj[key]``, where ``obj`` at ``path`` must be an object holding it."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "expected an object")
     if key not in obj:
-        raise SchemaError(f"$.{key}", "missing field")
+        raise SchemaError(f"{path}.{key}", "missing field")
     return obj[key]
 
 
@@ -534,6 +539,69 @@ def _at(path: str, build, *args):
         return build(*args)
     except GerbeError as exc:
         raise SchemaError(path, str(exc)) from None
+
+
+def _complex(obj, path: str) -> complex:
+    if (
+        not isinstance(obj, (list, tuple))
+        or len(obj) != 2
+        or not all(isinstance(v, (int, float)) for v in obj)
+    ):
+        raise SchemaError(path, "expected [re, im]")
+    try:
+        return complex(obj[0], obj[1])
+    except OverflowError:
+        raise SchemaError(path, "[re, im] is beyond the double range") from None
+
+
+def _items(obj, key: str, path: str, parse) -> list:
+    """``parse(item, item_path)`` of each item of the non-empty list ``obj[key]``."""
+    items = _field(obj, key, path)
+    path = f"{path}.{key}"
+    if not isinstance(items, (list, tuple)) or not items:
+        raise SchemaError(path, "expected a non-empty list")
+    return [parse(v, f"{path}[{i}]") for i, v in enumerate(items)]
+
+
+def _matrices(obj, key: str, path: str) -> np.ndarray:
+    """The stack of the matrices listed under ``obj[key]``, all of one size."""
+    mats = _items(obj, key, path, matrix_from_json)
+    for i, m in enumerate(mats):
+        if m.shape != mats[0].shape:
+            raise SchemaError(f"{path}.{key}[{i}]", "size differs from [0]")
+    return np.stack(mats)
+
+
+def flag_point_from_json(obj, path: str) -> weyl.FlagTorusPoint:
+    """Parse {"lambda": [[re, im], ...], "projections": [matrix, ...]}.
+
+    The projections must be a full flag: n rank-one Hermitian projectors of
+    U(n) whose unit vectors make a unitary frame.
+    """
+    lam = np.array(_items(obj, "lambda", path, _complex))
+    frame = _at(path, weyl._flag_frame, _matrices(obj, "projections", path))
+    return _at(path, weyl.FlagTorusPoint, frame, lam)
+
+
+def flag_tangent_from_json(pt: weyl.FlagTorusPoint, obj, path: str) -> weyl.FlagTangent:
+    """Parse {"dlambda", "dP"} into a tangent at the already parsed ``pt``."""
+    dlam = np.array(_items(obj, "dlambda", path, _complex))
+    gen = _at(path, weyl._flag_generator, pt.frame, _matrices(obj, "dP", path))
+    return _at(path, weyl.FlagTangent, pt, dlam, gen)
+
+
+def flag_point_to_json(pt: weyl.FlagTorusPoint) -> dict:
+    return {
+        "lambda": [[v.real, v.imag] for v in pt.torus_values],
+        "projections": [matrix_to_json(p) for p in pt.projections],
+    }
+
+
+def flag_tangent_to_json(tan: weyl.FlagTangent) -> dict:
+    return {
+        "dlambda": [[v.real, v.imag] for v in tan.dlam],
+        "dP": [matrix_to_json(p) for p in tan.dP],
+    }
 
 
 # tangents each flag-torus quantity is evaluated on
@@ -550,11 +618,7 @@ def _flag_tangents(pt: weyl.FlagTorusPoint, obj: dict, quantity: str) -> list:
     """The tangents ``quantity`` is evaluated on, parsed at ``pt``."""
     if quantity not in FLAG_TANGENTS:
         raise SchemaError("$", f"flag-torus input does not support {quantity!r}")
-    items = weyl._list_from_json(_require(obj, "tangents"), "$.tangents")
-    tans = [
-        weyl.flag_tangent_from_json(pt, t, f"$.tangents[{i}]")
-        for i, t in enumerate(items)
-    ]
+    tans = _items(obj, "tangents", "$", functools.partial(flag_tangent_from_json, pt))
     need = FLAG_TANGENTS[quantity]
     if len(tans) < need:
         raise SchemaError(
@@ -565,8 +629,6 @@ def _flag_tangents(pt: weyl.FlagTorusPoint, obj: dict, quantity: str) -> list:
 
 def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict:
     """Evaluate one quantity at a JSON-described point."""
-    if not isinstance(obj, dict):
-        raise SchemaError("$", "expected an object")
     record = {"quantity": quantity, "residual_vs_oracle": None}
     # each branch sets the route that ran, the complex value (None for the
     # projector matrix) and, where the quantity has a cross-check, the oracle
@@ -575,11 +637,11 @@ def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict
 
     def cut(key: str) -> CutCirclePoint:
         path = f"$.{key}"
-        z = weyl._complex_from_json(_require(obj, key), path)
-        return _at(path, CutCirclePoint, z)
+        return _at(path, CutCirclePoint, _complex(_field(obj, key, "$"), path))
 
-    if "lambda" in obj:
-        pt = weyl.flag_point_from_json(obj)
+    # a flag-torus point has "lambda"; anything else is read as a group point
+    if isinstance(obj, dict) and "lambda" in obj:
+        pt = flag_point_from_json(obj, "$")
         tans = _flag_tangents(pt, obj, quantity)
         ran = CLOSED_FORM
         if quantity == "curving":
@@ -598,11 +660,11 @@ def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict
             value = weyl.pullback_df_closed(pt, *tans)
             oracle = lambda: abs(value - weyl.pullback_nu_closed(pt, *tans))
     else:
-        g = _at("$.g", UnitaryMatrix, matrix_from_json(_require(obj, "g"), "$.g"))
+        g = _at("$.g", UnitaryMatrix, matrix_from_json(_field(obj, "g", "$"), "$.g"))
 
         def tangent(key: str) -> TangentVector:
             path = f"$.{key}"
-            m = matrix_from_json(_require(obj, key), path)
+            m = matrix_from_json(_field(obj, key, "$"), path)
             return _at(path, TangentVector, g, m)
 
         route = "quadrature" if method == "quadrature" else "residue"
@@ -624,8 +686,7 @@ def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict
         elif quantity == "df":
             z = cut("z")
             x, y, w = tangent("X"), tangent("Y"), tangent("Z")
-            curving = forms.curving_form_on_group(z)
-            value = forms.exterior_derivative_fd(curving, g, x, y, w)
+            value = forms.exterior_derivative_fd(z, spectral_decompose(g), x, y, w)
             ran = "fd"
             oracle = lambda: abs(value - forms.three_curvature(g, x, y, w))
         elif quantity == "curvature":

@@ -25,6 +25,7 @@ from .contour import (
     quad_integrate,
     spectrum_contour,
 )
+from .errors import IncomparableError
 from .linalg import (
     SpectralDecomposition,
     TangentVector,
@@ -223,45 +224,39 @@ def three_curvature(
 
 
 def exterior_derivative_fd(
-    form,
-    g: UnitaryMatrix,
+    z: CutCirclePoint,
+    spec: SpectralDecomposition,
     x: TangentVector,
     y: TangentVector,
-    z: TangentVector,
+    w: TangentVector,
 ) -> complex:
-    """Cartan-formula exterior derivative of a two-form on G.
+    """Cartan-formula exterior derivative of the curving at the cut z on G.
 
-    ``form(g, A, B)`` evaluates the two-form at g on the directions A, B.
+    ``spec`` is the decomposition of g = ``x.base``, where the bracket terms
+    evaluate; each of the six stencil points g exp(+-hA) is decomposed once.
     Tangents extend left-invariantly (X(h) = hA), so the bracket terms use
     the matrix commutators of the directions.
     """
-    dirs = [x.direction, y.direction, z.direction]
+    g = x.base
+    if not np.array_equal(spec.matrix, g.mat):
+        raise IncomparableError("spec is not the decomposition of the base point")
+
+    def form(h: UnitaryMatrix, hspec: SpectralDecomposition, a, b) -> complex:
+        return curving_eval(z, hspec, TangentVector(h, a), TangentVector(h, b))
 
     def d_along(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> complex:
-        plus = form(_shifted(g, a, FD_STEP), b, c)
-        minus = form(_shifted(g, a, -FD_STEP), b, c)
+        hs = [_shifted(g, a, t) for t in (FD_STEP, -FD_STEP)]
+        plus, minus = (form(h, spectral_decompose(h), b, c) for h in hs)
         return (plus - minus) / (2 * FD_STEP)
 
-    a, b, c = dirs
+    a, b, c = x.direction, y.direction, w.direction
     term1 = d_along(a, b, c) - d_along(b, a, c) + d_along(c, a, b)
     term2 = (
-        form(g, a @ b - b @ a, c)
-        - form(g, a @ c - c @ a, b)
-        + form(g, b @ c - c @ b, a)
+        form(g, spec, a @ b - b @ a, c)
+        - form(g, spec, a @ c - c @ a, b)
+        + form(g, spec, b @ c - c @ b, a)
     )
     return complex(term1 - term2)
-
-
-def curving_form_on_group(z: CutCirclePoint):
-    """Adapter: the curving at a fixed cut as a two-form on G for FD work."""
-
-    def form(g: UnitaryMatrix, a: np.ndarray, b: np.ndarray) -> complex:
-        spec = spectral_decompose(g)
-        return curving_eval(
-            z, spec, TangentVector(g, a), TangentVector(g, b), method="residue"
-        )
-
-    return form
 
 
 def curving_z_derivative_fd(

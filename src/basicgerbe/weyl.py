@@ -7,6 +7,8 @@ is dlambda and a frame generator G, dP_i = Q [G, E_ii] Q^H.  Includes the
 Maurer-Cartan pullback, tangent transport, and the closed forms for the
 pulled-back curving, its exterior derivative, and the pulled-back
 three-curvature (raw and simplified, kept separately as a regression pair).
+Geometry only: ``cli`` reads and writes these points in the ``eval`` point
+file, through the stack converters ``_flag_frame`` and ``_flag_generator``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contour import CutCirclePoint, _check_cuts, log_cut_array
-from .errors import DimensionError, RegularityError, SamplingError, SchemaError
+from .errors import DimensionError, RegularityError, SamplingError
 from .linalg import (
     SpectralDecomposition,
     TangentVector,
@@ -26,8 +28,6 @@ from .linalg import (
     _as_generator,
     _perm_sign,
     _random_skew,
-    matrix_from_json,
-    matrix_to_json,
     random_unitary,
     unitary_check,
 )
@@ -318,88 +318,3 @@ def pullback_nu_closed(
         t2 = np.trace(m[u] @ m[v] @ m[w])
         total += _perm_sign(perm) * (t1 / (4 * math.pi) + t2 / (12 * math.pi))
     return complex(-1j * total)
-
-
-# ---------------------------------------------------------------------------
-# JSON schema for flag-torus points
-
-
-def _complex_from_json(obj, path: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(v, (int, float)) for v in obj)
-    ):
-        raise SchemaError(path, "expected [re, im]")
-    try:
-        return complex(obj[0], obj[1])
-    except OverflowError:
-        raise SchemaError(path, "[re, im] is beyond the double range") from None
-
-
-def _list_from_json(obj, path: str) -> list:
-    if not isinstance(obj, (list, tuple)) or not obj:
-        raise SchemaError(path, "expected a non-empty list")
-    return obj
-
-
-def _stacks_from_json(obj: dict, path: str, values: str, matrices: str) -> tuple:
-    """The list of [re, im] under ``values`` and the matrices under ``matrices``."""
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    for key in (values, matrices):
-        if key not in obj:
-            raise SchemaError(f"{path}.{key}", "missing field")
-    vec = np.array(
-        [
-            _complex_from_json(v, f"{path}.{values}[{i}]")
-            for i, v in enumerate(_list_from_json(obj[values], f"{path}.{values}"))
-        ]
-    )
-    mats = []
-    for i, m in enumerate(_list_from_json(obj[matrices], f"{path}.{matrices}")):
-        mats.append(matrix_from_json(m, f"{path}.{matrices}[{i}]"))
-        if mats[i].shape != mats[0].shape:
-            raise SchemaError(f"{path}.{matrices}[{i}]", "size differs from [0]")
-    return vec, np.stack(mats)
-
-
-def flag_point_from_json(obj: dict) -> FlagTorusPoint:
-    """Parse {"lambda": [[re, im], ...], "projections": [matrix, ...]}.
-
-    The projections must be a full flag: n rank-one Hermitian projectors of
-    U(n) whose unit vectors make a unitary frame.
-    """
-    lam, proj = _stacks_from_json(obj, "$", "lambda", "projections")
-    try:
-        return FlagTorusPoint(_flag_frame(proj), lam)
-    except DimensionError as exc:
-        raise SchemaError("$", str(exc)) from None
-
-
-def flag_tangent_from_json(
-    pt: FlagTorusPoint, obj: dict, path: str = "$"
-) -> FlagTangent:
-    """Parse {"dlambda", "dP"} into a tangent at the already parsed ``pt``.
-
-    Both fields must be present; the tangent is validated against ``pt``.
-    """
-    dlam, dp = _stacks_from_json(obj, path, "dlambda", "dP")
-    try:
-        return FlagTangent(pt, dlam, _flag_generator(pt.frame, dp))
-    except DimensionError as exc:
-        raise SchemaError(path, str(exc)) from None
-
-
-def flag_point_to_json(pt: FlagTorusPoint) -> dict:
-    return {
-        "lambda": [[v.real, v.imag] for v in pt.torus_values],
-        "projections": [matrix_to_json(p) for p in pt.projections],
-    }
-
-
-def flag_tangent_to_json(tan: FlagTangent) -> dict:
-    return {
-        "dlambda": [[v.real, v.imag] for v in tan.dlam],
-        "dP": [matrix_to_json(p) for p in tan.dP],
-    }

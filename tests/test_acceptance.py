@@ -53,10 +53,13 @@ def test_01_arc_projector_residue_quadrature_trace_algebra():
 def test_02_projector_derivative_residue_vs_fd_and_off_diagonal():
     assert_check("projectors", "derivative-residue-vs-fd", 1e-6)
     assert_check("projectors", "derivative-off-diagonal", 1e-10)
+    assert_check("projectors", "derivative-sum-zero", 1e-10)
 
 
 def test_03_curvature_three_route_agreement():
     assert_check("curvature-equivalence", "three-route", 1e-8)
+    assert_check("curvature-equivalence", "torus-directions", 1e-10)
+    assert_check("curvature-equivalence", "bilinear-antisymmetric", 1e-10)
 
 
 def test_04_projector_inserted_integral_equals_curvature():
@@ -86,6 +89,7 @@ def test_08_gerbe_axioms():
     assert_check("gerbe-axioms", "antisymmetry", 1e-9)
     assert_check("gerbe-axioms", "associativity", 1e-9)
     assert_check("gerbe-axioms", "norm-multiplicative", 1e-10)
+    assert_check("gerbe-axioms", "swap-pairing", 1e-9)
 
 
 def test_09_equivariance_under_conjugation():

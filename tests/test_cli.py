@@ -6,15 +6,26 @@ import orjson
 import pytest
 
 from basicgerbe import (
+    FlagTorusPoint,
     SchemaError,
-    flag_point_to_json,
     matrix_to_json,
     random_flag_tangent,
     sample_regular,
     tangent_random,
 )
 from basicgerbe import weyl
-from basicgerbe.cli import SUITES, SuiteConfig, _decode, eval_point, main, run_suite
+from basicgerbe.cli import (
+    SUITES,
+    SuiteConfig,
+    _decode,
+    eval_point,
+    flag_point_from_json,
+    flag_point_to_json,
+    flag_tangent_from_json,
+    flag_tangent_to_json,
+    main,
+    run_suite,
+)
 from basicgerbe.sampling import (
     descending_cuts,
     random_positive_context,
@@ -39,7 +50,7 @@ def flag_point(n, tangents=3):
     obj["z"] = [-1.0, 0.0]
     obj["tangents"] = []
     for _ in range(tangents):
-        obj["tangents"].append(weyl.flag_tangent_to_json(random_flag_tangent(pt, rng)))
+        obj["tangents"].append(flag_tangent_to_json(random_flag_tangent(pt, rng)))
     return obj
 
 
@@ -351,7 +362,7 @@ class TestMain:
         # dP_i = [H, P_i] for Hermitian H: sums to zero, off-diagonal, but
         # skew-Hermitian, so no curve of projectors has it as its velocity
         obj = flag_point(3)
-        pt = weyl.flag_point_from_json(obj)
+        pt = flag_point_from_json(obj, "$")
         h = np.diag([1.0, 2.0, 3.0]) + np.ones((3, 3))
         dp = [h @ q - q @ h for q in pt.projections]
         obj["tangents"][1]["dP"] = [matrix_to_json(d) for d in dp]
@@ -450,7 +461,7 @@ class TestMain:
         orjson.loads(data)  # the fast path is the one compared
         # repr round-trips every float exactly, signed zeros included
         assert repr(got) == repr(want)
-        a, b = weyl.flag_point_from_json(got), weyl.flag_point_from_json(want)
+        a, b = flag_point_from_json(got, "$"), flag_point_from_json(want, "$")
         assert a.projections.tobytes() == b.projections.tobytes()
         assert a.torus_values.tobytes() == b.torus_values.tobytes()
 
@@ -538,3 +549,46 @@ class TestMain:
             main(["verify", "--suite", "projectors", "--samples", "1", "--tol", "x"])
             == 2
         )
+
+
+def flag_instance(index, n=4):
+    """A regular flag-torus point and one tangent at it."""
+    rng = sample_rng(0, "weyl-test", index)
+    pt = sample_regular(n, rng)
+    return pt, random_flag_tangent(pt, rng)
+
+
+class TestFlagJson:
+    def test_round_trip(self):
+        pt, tan = flag_instance(130)
+        pt2 = flag_point_from_json(flag_point_to_json(pt), "$")
+        tan2 = flag_tangent_from_json(pt2, flag_tangent_to_json(tan), "$")
+        assert np.allclose(pt2.torus_values, pt.torus_values)
+        assert np.allclose(pt2.projections, pt.projections)
+        assert np.allclose(tan2.dlam, tan.dlam)
+        assert np.allclose(tan2.dP, tan.dP)
+
+    def test_point_only(self):
+        pt, tan = flag_instance(131)
+        obj = flag_point_to_json(pt)
+        assert set(obj) == {"lambda", "projections"}
+        # tangent fields beside the point are not the point's to parse
+        obj.update(flag_tangent_to_json(tan))
+        pt2 = flag_point_from_json(obj, "$")
+        assert isinstance(pt2, FlagTorusPoint)
+        assert np.allclose(pt2.projections, pt.projections)
+
+    def test_missing_field(self):
+        with pytest.raises(SchemaError) as err:
+            flag_point_from_json({"lambda": [[0.0, 1.0]]}, "$")
+        assert "projections" in str(err.value)
+
+    def test_bad_complex(self):
+        with pytest.raises(SchemaError) as err:
+            flag_point_from_json({"lambda": [[0.0]], "projections": []}, "$")
+        assert "lambda[0]" in str(err.value)
+
+    def test_first_bad_field_in_reading_order(self):
+        # a bad "lambda" is named before a missing "projections"
+        with pytest.raises(SchemaError, match=r"^\$\.lambda\[0\]: "):
+            flag_point_from_json({"lambda": [[0.0]]}, "$")

@@ -9,6 +9,7 @@ from basicgerbe import (
     DimensionError,
     EmptySpaceError,
     IllConditionedCutError,
+    IncomparableError,
     StepTooLargeError,
     TangentVector,
     UnitaryMatrix,
@@ -28,11 +29,11 @@ from basicgerbe import (
     tangent_random,
     three_curvature,
 )
+from basicgerbe import forms
 from basicgerbe.forms import (
     LOOP_STEP,
     _curving_weights,
     _wedge_resolvent_trace,
-    curving_form_on_group,
     curving_z_derivative_fd,
 )
 from basicgerbe.sampling import (
@@ -377,9 +378,37 @@ class TestThreeForm:
             rng, g, spec, _, x, y = random_instance(1300 + k, n=3)
             z = tangent_random(g, rng)
             cut = random_null_pair(spec, rng)[0]
-            df = exterior_derivative_fd(curving_form_on_group(cut), g, x, y, z)
+            df = exterior_derivative_fd(cut, spec, x, y, z)
             om = three_curvature(g, x, y, z)
             assert abs(df - om) < 1e-4
+
+    def test_curving_differential_decomposes_each_stencil_point_once(
+        self, monkeypatch
+    ):
+        rng, g, spec, _, x, y = random_instance(1310, n=3)
+        z = tangent_random(g, rng)
+        cut = random_null_pair(spec, rng)[0]
+        seen = []
+
+        def counting(h):
+            seen.append(h.mat.tobytes())
+            return spectral_decompose(h)
+
+        monkeypatch.setattr(forms, "spectral_decompose", counting)
+        exterior_derivative_fd(cut, spec, x, y, z)
+        # the six points g exp(+-h A) of the stencil, each once; g is never
+        # decomposed again
+        assert len(seen) == 6
+        assert len(set(seen)) == 6
+        assert g.mat.tobytes() not in seen
+
+    def test_curving_differential_needs_decomposition_of_base(self):
+        rng, g, spec, _, x, y = random_instance(1320, n=3)
+        z = tangent_random(g, rng)
+        cut = random_null_pair(spec, rng)[0]
+        other = spectral_decompose(random_unitary(3, rng))
+        with pytest.raises(IncomparableError):
+            exterior_derivative_fd(cut, other, x, y, z)
 
 
 def holonomy_instance(index, n, suite="forms-conn"):

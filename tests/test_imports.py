@@ -9,7 +9,9 @@ top-level function, class or constant, public or private, must be read
 own module included, its tests or the benchmark; its definition, its
 assignment and its re-export do not count.  A defaulted parameter of a
 function of the package must be passed, by keyword or by position, by some
-call to a function of that name.
+call to a function of that name.  Only the readers of the JSON formats,
+``cli.py`` (the point file) and ``linalg.py`` (the matrix leaf), construct
+a ``SchemaError``.
 """
 
 import ast
@@ -177,3 +179,39 @@ def test_detects_an_unset_parameter():
 def test_no_unset_parameters():
     modules = {m: (SRC / m).read_text() for m in MODULES}
     assert unset_parameters(modules, [p.read_text() for p in USERS]) == []
+
+
+# the modules that read a JSON format, so may report a schema error
+SCHEMA_READERS = {"cli.py", "linalg.py"}
+
+
+def schema_errors_outside_readers(modules: dict[str, str]) -> list[str]:
+    """Calls constructing a SchemaError in a module that reads no JSON."""
+    out = []
+    for module, source in modules.items():
+        if module in SCHEMA_READERS:
+            continue
+        calls = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
+        for node in sorted(calls, key=lambda n: n.lineno):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "SchemaError":
+                out.append(f"{module}: line {node.lineno}")
+    return out
+
+
+def test_detects_a_schema_error_outside_the_readers():
+    planted = (
+        "from .errors import SchemaError\nfrom . import errors\n\n"
+        "def f(x):\n    if x:\n        raise SchemaError('$', 'bad')\n"
+        "    raise errors.SchemaError('$', 'worse')\n"
+    )
+    reader = "def g():\n    raise SchemaError('$', 'bad')\n"
+    assert schema_errors_outside_readers({"m.py": planted, "cli.py": reader}) == [
+        "m.py: line 6",
+        "m.py: line 7",
+    ]
+
+
+def test_schema_errors_only_in_readers():
+    modules = {m: (SRC / m).read_text() for m in MODULES}
+    assert schema_errors_outside_readers(modules) == []

@@ -10,13 +10,10 @@ from basicgerbe import (
     FlagTangent,
     FlagTorusPoint,
     RegularityError,
-    SchemaError,
     TangentVector,
     UnitaryMatrix,
     curving_eval,
     cut_point,
-    flag_point_from_json,
-    flag_point_to_json,
     mc_pullback,
     preimage_count,
     pullback_curving_closed,
@@ -33,11 +30,7 @@ from basicgerbe import (
 from basicgerbe import cli, weyl
 from basicgerbe.cli import SuiteConfig, run_suite
 from basicgerbe.sampling import random_cuts, sample_rng
-from basicgerbe.weyl import (
-    PROJECTOR_TOL,
-    flag_tangent_from_json,
-    flag_tangent_to_json,
-)
+from basicgerbe.weyl import PROJECTOR_TOL
 from flag_reference import pullback_curving, pullback_df
 
 
@@ -432,34 +425,3 @@ class TestPullbackForms:
         v1 = pullback_curving_closed(pt, z1, tans[0], tans[1])
         v2 = pullback_curving_closed(pt, z2, tans[0], tans[1])
         assert abs(v1 - v2) < 1e-10
-
-
-class TestFlagJson:
-    def test_round_trip(self):
-        _, pt, tans = regular_instance(130)
-        pt2 = flag_point_from_json(flag_point_to_json(pt))
-        tan2 = flag_tangent_from_json(pt2, flag_tangent_to_json(tans[0]))
-        assert np.allclose(pt2.torus_values, pt.torus_values)
-        assert np.allclose(pt2.projections, pt.projections)
-        assert np.allclose(tan2.dlam, tans[0].dlam)
-        assert np.allclose(tan2.dP, tans[0].dP)
-
-    def test_point_only(self):
-        _, pt, tans = regular_instance(131)
-        obj = flag_point_to_json(pt)
-        assert set(obj) == {"lambda", "projections"}
-        # tangent fields beside the point are not the point's to parse
-        obj.update(flag_tangent_to_json(tans[0]))
-        pt2 = flag_point_from_json(obj)
-        assert isinstance(pt2, FlagTorusPoint)
-        assert np.allclose(pt2.projections, pt.projections)
-
-    def test_missing_field(self):
-        with pytest.raises(SchemaError) as err:
-            flag_point_from_json({"lambda": [[0.0, 1.0]]})
-        assert "projections" in str(err.value)
-
-    def test_bad_complex(self):
-        with pytest.raises(SchemaError) as err:
-            flag_point_from_json({"lambda": [[0.0]], "projections": []})
-        assert "lambda[0]" in str(err.value)
