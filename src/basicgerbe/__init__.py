@@ -3,7 +3,6 @@
 from .errors import (
     AmbiguousClusterError,
     BoundaryError,
-    BranchCutError,
     DimensionError,
     EmptySpaceError,
     EvaluationError,
@@ -36,7 +35,6 @@ from .contour import (
     circle_between,
     circle_gt,
     cut_point,
-    log_cut,
     quad_integrate,
     spectrum_contour,
 )

@@ -28,6 +28,7 @@ from .errors import GerbeError, SchemaError
 from .linalg import (
     TangentVector,
     UnitaryMatrix,
+    _field,
     embed_block,
     embed_tangent,
     matrix_from_json,
@@ -524,15 +525,6 @@ def run_suite(cfg: SuiteConfig) -> dict:
 # is read here, and a bad one is reported at its JSON path ("$" is the top)
 
 
-def _field(obj, key: str, path: str):
-    """``obj[key]``, where ``obj`` at ``path`` must be an object holding it."""
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}", "missing field")
-    return obj[key]
-
-
 def _at(path: str, build, *args):
     """``build(*args)``, with a GerbeError it raises reported at ``path``."""
     try:
@@ -639,8 +631,9 @@ def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict
         path = f"$.{key}"
         return _at(path, CutCirclePoint, _complex(_field(obj, key, "$"), path))
 
-    # a flag-torus point has "lambda"; anything else is read as a group point
-    if isinstance(obj, dict) and "lambda" in obj:
+    # a flag-torus point has "lambda", or no "g" but a flag field; else a group point
+    keys = obj.keys() if isinstance(obj, dict) else set()
+    if "lambda" in keys or "g" not in keys and keys & {"projections", "tangents"}:
         pt = flag_point_from_json(obj, "$")
         tans = _flag_tangents(pt, obj, quantity)
         ran = CLOSED_FORM

@@ -4,9 +4,9 @@ The circle U(1) with the identity removed carries the partial order
 "z1 > z2 iff z2 rotates counter-clockwise into z1 without passing 1".
 This module implements that order, the betweenness predicate, the family
 of branch logarithms log_z with cut along the ray through z and
-log_z(1) = 0, the cut-exclusion check, the annular-sector contour
-(``projectors.ArcContext.contour`` builds the one round a spectral arc) and
-adaptive Gauss-Legendre contour quadrature.
+log_z(1) = 0 (``log_cut_array``), the cut-exclusion check, the
+annular-sector contour (``projectors.ArcContext.contour`` builds the one
+round a spectral arc) and adaptive Gauss-Legendre contour quadrature.
 
 In polar coordinates (r, theta) the annular sector
 {1-rho <= |xi| <= 1+rho, theta_lo <= arg xi <= theta_hi} is the rectangle
@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import (
     BoundaryError,
-    BranchCutError,
     EvaluationError,
     IllConditionedCutError,
     IncomparableError,
@@ -100,29 +99,13 @@ def circle_between(z1: CutCirclePoint, z2: CutCirclePoint, lam: complex) -> bool
     return lo < a < hi
 
 
-def _ray_distance(z: CutCirclePoint, xi: complex) -> float:
-    """Distance from xi to the closed ray from the origin through z."""
-    # project onto the unit direction of the ray
-    d = z.value
-    t = (xi * d.conjugate()).real
-    if t <= 0.0:
-        return abs(xi)
-    return abs(xi - t * d)
-
-
-def log_cut(z: CutCirclePoint, xi: complex) -> complex:
+def log_cut_array(z: CutCirclePoint, xs: np.ndarray) -> np.ndarray:
     """Branch of log cut along the ray R_z, normalized by log_z(1) = 0.
 
-    The imaginary part lies in (arg z - 2*pi, arg z) for arg z in (0, 2*pi).
+    Vectorized over ``xs``.  Off the ray the imaginary part lies in
+    (arg z - 2*pi, arg z) for arg z in (0, 2*pi); callers keep ``xs`` off
+    the ray, where the branch jumps.
     """
-    xi = complex(xi)
-    if _ray_distance(z, xi) < POINT_TOL:
-        raise BranchCutError("argument lies on the branch cut")
-    return complex(log_cut_array(z, np.array([xi]))[0])
-
-
-def log_cut_array(z: CutCirclePoint, xs: np.ndarray) -> np.ndarray:
-    """Vectorized log_cut for points known to avoid the cut ray."""
     xs = np.asarray(xs, dtype=complex)
     a = z.angle
     phi = np.angle(xs)

@@ -1,9 +1,9 @@
 """Exception hierarchy for the gerbe calculator.
 
 Every numerically dangerous precondition (cuts hitting eigenvalues,
-ambiguous eigenvalue clusters, branch-cut violations, ...) raises a
-dedicated subclass of :class:`GerbeError` so callers can distinguish
-"bad input" from genuine bugs.
+ambiguous eigenvalue clusters, ...) and every numerical failure (quadrature
+that does not converge) raises a dedicated subclass of :class:`GerbeError`
+so callers can distinguish "bad input" from genuine bugs.
 """
 
 
@@ -21,10 +21,6 @@ class AmbiguousClusterError(GerbeError):
 
 class IllConditionedCutError(GerbeError):
     """A cut point lies too close to an eigenvalue of g."""
-
-
-class BranchCutError(GerbeError):
-    """Argument of a cut logarithm lies on (or too near) the cut ray."""
 
 
 class BoundaryError(GerbeError):

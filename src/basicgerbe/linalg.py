@@ -1,8 +1,9 @@
 """Dense complex linear algebra on unitary groups.
 
 Unitary matrices, skew-Hermitian tangent vectors, Haar sampling, spectral
-decomposition with eigenvalue clustering, and block embeddings
-U(n) -> U(N), g |-> diag(g, 1).
+decomposition with eigenvalue clustering into one unitary eigenvector
+frame, block embeddings U(n) -> U(N), g |-> diag(g, 1), and the JSON
+matrix leaf with the object-and-field check every point-file reader uses.
 """
 
 from __future__ import annotations
@@ -132,27 +133,21 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def _pivot_phase(v: np.ndarray) -> np.ndarray:
-    """Normalize the phase of v so its largest-magnitude entry is real positive."""
-    p = int(np.argmax(np.abs(v)))
-    phase = v[p] / abs(v[p])
-    return v / phase
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """g = sum_i lambda_i P_i with distinct unit-circle eigenvalues.
 
-    ``bases[i]`` is an orthonormal basis (n x k_i) of the lambda_i eigenspace;
-    P_i = bases[i] @ bases[i]^H is formed on demand.  Eigenvalues are sorted
-    by angle in [0, 2*pi), so the eigenvalues on an arc of the circle that
-    avoids 1 are an index range of ``angles``.  ``arcs`` is the
-    ``projectors.classify`` memo.
+    ``frame`` is a read-only unitary U with g = U diag(lambda) U^H: eigenvalue
+    i owns the next ``multiplicities[i]`` columns U_i, and P_i = U_i U_i^H.
+    Eigenvalues are sorted by angle in [0, 2*pi), so those on an arc of the
+    circle that avoids 1 are an index range of ``angles``, and their
+    eigenvectors a column range of ``frame``; ``arcs`` is the classify memo.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    bases: tuple
+    frame: np.ndarray
+    multiplicities: np.ndarray
     arcs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -164,13 +159,14 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
     @property
-    def multiplicities(self) -> np.ndarray:
-        return np.array([b.shape[1] for b in self.bases])
-
-    @property
     def angles(self) -> np.ndarray:
         """Eigenvalue angles in [0, 2*pi), ascending."""
         return np.angle(self.eigenvalues) % TWO_PI
+
+    def columns(self, lo: int, hi: int) -> slice:
+        """The columns of ``frame`` that eigenvalues lo, ..., hi - 1 own."""
+        start = int(self.multiplicities[:lo].sum())
+        return slice(start, start + int(self.multiplicities[lo:hi].sum()))
 
 
 def _eigenbasis_sum(
@@ -178,10 +174,10 @@ def _eigenbasis_sum(
 ) -> np.ndarray:
     """sum_ij w_ij P_i X P_j for an (m, m) weight matrix over the clusters.
 
-    In the eigenbasis U = [bases] this is U (W~ o U^H X U) U^H, where W~
-    repeats w_ij over the columns of clusters i and j (Daleckii-Krein).
+    In the eigenbasis U = ``spec.frame`` this is U (W~ o U^H X U) U^H, where
+    W~ repeats w_ij over the columns of clusters i and j (Daleckii-Krein).
     """
-    u = np.hstack(spec.bases)
+    u = spec.frame
     label = np.repeat(np.arange(spec.count), spec.multiplicities)
     w = weights[label][:, label]
     uh = u.conj().T
@@ -234,32 +230,33 @@ def spectral_decompose(g: UnitaryMatrix) -> SpectralDecomposition:
 
     Uses the complex Schur form (diagonal for normal matrices, with
     exactly orthonormal Schur vectors), clusters nearby eigenvalues, and
-    re-orthonormalizes the basis of each repeated cluster with one QR.
+    re-orthonormalizes each repeated cluster's columns with one QR; every
+    column is then scaled to norm 1 and its largest entry made real positive.
     """
     t, z = scipy.linalg.schur(g.mat, output="complex")
-    raw = np.diagonal(t).copy()
+    raw = np.diagonal(t)
     clusters = _cluster_circle(raw)
-
-    reps = []
-    bases = []
-    for cl in clusters:
-        mean = raw[cl].mean()
-        reps.append(mean / abs(mean))
-        if len(cl) == 1:
-            v = z[:, cl[0]]
-            bases.append(_pivot_phase(v / np.linalg.norm(v))[:, None])
-        else:
-            # one QR; a near no-op, since Schur vectors are orthonormal
-            q = np.linalg.qr(z[:, np.sort(cl)])[0]
-            bases.append(np.column_stack([_pivot_phase(v) for v in q.T]))
-
-    reps_arr = np.array(reps)
-    order = np.argsort(np.angle(reps_arr) % TWO_PI)
-    return SpectralDecomposition(
-        matrix=g.mat,
-        eigenvalues=reps_arr[order],
-        bases=tuple(bases[i] for i in order),
-    )
+    size = np.fromiter(map(len, clusters), int, len(clusters))
+    members = np.concatenate(clusters)
+    mean = np.add.reduceat(raw[members], np.cumsum(size) - size) / size
+    # hypot rounds as scalar abs() does, so a simple eigenvalue is raw/abs(raw)
+    reps = mean / np.hypot(mean.real, mean.imag)
+    order = np.argsort(np.angle(reps) % TWO_PI)
+    # Schur column j goes to its cluster's block, ascending in j within it
+    place = np.empty(g.dim, dtype=int)
+    place[members] = np.repeat(np.argsort(order), size)
+    frame = z[:, np.argsort(place, kind="stable")]
+    mult = size[order]
+    ends = np.cumsum(mult)
+    for k in np.flatnonzero(mult > 1):
+        # one QR; a near no-op, since Schur vectors are orthonormal
+        block = frame[:, ends[k] - mult[k] : ends[k]]
+        block[:] = np.linalg.qr(block)[0]
+    frame /= np.linalg.norm(frame, axis=0)
+    pivot = frame[np.argmax(np.abs(frame), axis=0), np.arange(g.dim)]
+    frame /= pivot / np.hypot(pivot.real, pivot.imag)
+    frame.flags.writeable = False
+    return SpectralDecomposition(g.mat, reps[order], frame, mult)
 
 
 def embed_block(g: UnitaryMatrix, big_dim: int) -> UnitaryMatrix:
@@ -292,17 +289,21 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def matrix_from_json(obj: dict, path: str = "$") -> np.ndarray:
-    """Parse the {"dim", "re", "im"} matrix schema."""
+def _field(obj, key: str, path: str):
+    """``obj[key]``, where ``obj`` at ``path`` must be an object holding it."""
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
-    for key in ("dim", "re", "im"):
-        if key not in obj:
-            raise SchemaError(f"{path}.{key}", "missing field")
-    n = obj["dim"]
+    if key not in obj:
+        raise SchemaError(f"{path}.{key}", "missing field")
+    return obj[key]
+
+
+def matrix_from_json(obj: dict, path: str = "$") -> np.ndarray:
+    """Parse the {"dim", "re", "im"} matrix schema."""
+    n, re, im = [_field(obj, key, path) for key in ("dim", "re", "im")]
     try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
+        re = np.asarray(re, dtype=float)
+        im = np.asarray(im, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(path, f"matrix entries are not doubles: {exc}") from None
     if re.shape != (n, n) or im.shape != (n, n):

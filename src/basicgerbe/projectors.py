@@ -96,16 +96,16 @@ class ArcContext:
     def basis(self) -> np.ndarray:
         """Orthonormal basis (n x arc_dim) of the arc eigenspace, in canonical order.
 
-        Columns are ordered by angular position descending from z1 toward
-        z2; within a repeated eigenvalue the decomposition's order is kept.
-        The array is cached on the context and read-only.
+        It is the arc's column block of ``spec.frame`` reversed, a read-only
+        view cached on the context: columns run descending in angle from z1
+        toward z2, and in reverse frame order within a repeated eigenvalue,
+        so an arc's basis is those of its two parts side by side.
         """
         if self.classification is not Classification.POSITIVE:
             raise EmptySpaceError("arc basis requires a positive context")
-        # z1 is the upper cut, so descending from z1 is descending index
-        b = np.hstack([self.spec.bases[i] for i in reversed(self.arc_indices)])
-        b.flags.writeable = False
-        return b
+        # z1 is the upper cut, so descending from z1 is descending column
+        cols = self.spec.columns(self.arc_indices[0], self.arc_indices[-1] + 1)
+        return self.spec.frame[:, cols][:, ::-1]
 
     @property
     def contour(self) -> Contour:

@@ -209,7 +209,7 @@ def preimage_count(spec: SpectralDecomposition) -> int:
     lam = spec.eigenvalues
     # for rank-one P_i = b_i b_i^H, a unitary eigenbasis is the same condition
     # as a Hermitian, complete and orthogonal projector family
-    b = np.hstack(spec.bases).T
+    b = spec.frame.T
     if not unitary_check(b)[0]:
         raise DimensionError("eigenbasis of g is not unitary")
     if spec.count != spec.dim or not _separated(lam, REGULARITY_GAP):

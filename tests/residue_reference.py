@@ -7,8 +7,8 @@ from the Laurent coefficients, so the tests can hold the tables against it.
 
 import numpy as np
 
-from basicgerbe import GerbeError, IncomparableError, log_cut
-from basicgerbe.contour import POINT_TOL
+from basicgerbe import GerbeError, IncomparableError
+from basicgerbe.contour import POINT_TOL, log_cut_array
 
 
 class UnsupportedOrderError(GerbeError):
@@ -39,7 +39,7 @@ def residue_eval(poles, with_log=None) -> complex:
         r1 = r0 * s1
         r2 = r0 * (s1 * s1 + s2)
         if with_log is not None:
-            l0 = log_cut(with_log, lam)
+            l0 = log_cut_array(with_log, lam)
             l1 = 1.0 / lam
             l2 = -1.0 / lam**2
         else:

@@ -165,6 +165,20 @@ class TestEvalPoint:
             eval_point({}, "curvature", "residue", True)
         assert "$.g" in str(err.value)
 
+    @pytest.mark.parametrize("keep", ["projections", "tangents", "both"])
+    def test_flag_file_without_lambda(self, keep):
+        # a flag-torus field and no "g": the file is read as a flag-torus
+        # point, so the error names the field it lacks, not "$.g"
+        obj = flag_point(3)
+        del obj["lambda"]
+        if keep != "both":
+            del obj[{"projections": "tangents", "tangents": "projections"}[keep]]
+        with pytest.raises(SchemaError, match=r"^\$\.lambda: missing field"):
+            eval_point(obj, "nu", "residue", True)
+        # beside a "g", the same fields leave a group point a group point
+        group = {**group_point(3), **obj}
+        assert eval_point(group, "nu", "residue", True)["method"] == "closed-form"
+
     @pytest.mark.parametrize(
         "quantity, flag, asked, ran",
         [

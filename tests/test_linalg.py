@@ -24,32 +24,38 @@ from basicgerbe import (
 from basicgerbe.linalg import (
     CLUSTER_TOL,
     TWO_PI,
-    _cluster_circle,
     _eigenbasis_sum,
-    _pivot_phase,
 )
 
 
 def mgs_projectors(g: UnitaryMatrix) -> np.ndarray:
-    """Cluster projectors with each cluster basis re-orthonormalized by a
-    modified Gram-Schmidt loop: the reference for spectral_decompose."""
+    """Cluster projectors, the reference for spectral_decompose.
+
+    Two Schur eigenvalues share a cluster when a chain of pairwise
+    distances below ``CLUSTER_TOL`` links them, and each cluster's basis is
+    re-orthonormalized by a modified Gram-Schmidt loop.
+    """
     t, z = scipy.linalg.schur(g.mat, output="complex")
     raw = np.diagonal(t)
+    near = (np.abs(raw[:, None] - raw[None, :]) < CLUSTER_TOL).astype(int)
+    linked = near
+    for _ in range(len(raw)):
+        linked = np.minimum(linked @ near, 1)
     out = []
-    for cl in _cluster_circle(raw):
-        basis = z[:, np.sort(cl)].copy()
+    for cl in {tuple(np.flatnonzero(row)) for row in linked}:
+        basis = z[:, cl].copy()
         for j in range(basis.shape[1]):
             for i in range(j):
                 basis[:, j] -= (basis[:, i].conj() @ basis[:, j]) * basis[:, i]
             basis[:, j] /= np.linalg.norm(basis[:, j])
-            basis[:, j] = _pivot_phase(basis[:, j])
-        out.append((np.angle(raw[cl].mean()) % TWO_PI, basis @ basis.conj().T))
+        out.append((np.angle(raw[list(cl)].mean()) % TWO_PI, basis @ basis.conj().T))
     return np.stack([p for _, p in sorted(out, key=lambda item: item[0])])
 
 
 def cluster_projectors(spec) -> np.ndarray:
-    """P_i = b_i b_i^H from the stored eigenbasis of each cluster."""
-    return np.stack([b @ b.conj().T for b in spec.bases])
+    """P_i = U_i U_i^H from the frame block U_i of each eigenvalue."""
+    blocks = (spec.frame[:, spec.columns(i, i + 1)] for i in range(spec.count))
+    return np.stack([b @ b.conj().T for b in blocks])
 
 
 def with_multiplicities(rng) -> UnitaryMatrix:
@@ -187,8 +193,25 @@ class TestSpectralDecompose:
         spec = spectral_decompose(g)
         assert max(spec.multiplicities) > 1
         assert np.max(np.abs(cluster_projectors(spec) - mgs_projectors(g))) < 1e-13
-        for b in spec.bases:
-            assert np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) < 1e-13
+        u = spec.frame
+        assert np.max(np.abs(u.conj().T @ u - np.eye(g.dim))) < 1e-13
+
+    def test_frame_diagonalizes_g(self):
+        g = with_multiplicities(np.random.default_rng(8))
+        spec = spectral_decompose(g)
+        u, lam = spec.frame, np.repeat(spec.eigenvalues, spec.multiplicities)
+        assert list(spec.multiplicities) == [3, 2, 4]
+        assert np.linalg.norm((u * lam) @ u.conj().T - g.mat) < 1e-12
+        # each column's largest-magnitude entry is real positive
+        pivot = u[np.argmax(np.abs(u), axis=0), np.arange(9)]
+        assert np.all(pivot.real > 0) and np.max(np.abs(pivot.imag)) < 1e-15
+        assert not u.flags.writeable
+        assert [spec.columns(i, i + 1) for i in range(3)] == [
+            slice(0, 3),
+            slice(3, 5),
+            slice(5, 9),
+        ]
+        assert spec.columns(1, 3) == slice(3, 9) and spec.columns(2, 2) == slice(5, 5)
 
 
 class TestEigenbasisSum:

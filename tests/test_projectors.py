@@ -65,13 +65,14 @@ class TestClassify:
 
 
 def _sorted_hstack_basis(ctx):
-    """Reference arc basis: the eigenspace bases stacked by angle below z1."""
-    a1 = ctx.z1.angle
+    """Reference arc basis: each eigenvalue's frame block, its columns
+    reversed, stacked by angle below z1."""
+    a1, spec = ctx.z1.angle, ctx.spec
     order = sorted(
         ctx.arc_indices,
-        key=lambda i: (a1 - float(np.angle(ctx.spec.eigenvalues[i]))) % (2 * np.pi),
+        key=lambda i: (a1 - float(np.angle(spec.eigenvalues[i]))) % (2 * np.pi),
     )
-    return np.hstack([ctx.spec.bases[i] for i in order])
+    return np.hstack([spec.frame[:, spec.columns(i, i + 1)][:, ::-1] for i in order])
 
 
 def _spectrum_with_identity_and_repeat(n, rng):
@@ -154,6 +155,26 @@ class TestArcMemo:
             with pytest.raises(ValueError):
                 basis[0, 0] = 0.0
             assert np.array_equal(basis, _sorted_hstack_basis(ctx))
+
+    def test_basis_is_the_reversed_frame_block(self):
+        # repeated eigenvalues inside the arcs: the basis reverses their
+        # columns too, so an outer arc's basis is its two parts' side by side
+        q = random_unitary(7, 9).mat
+        lam = np.exp(1j * np.array([0.5, 1.5, 1.5, 2.5, 4.0, 4.0, 5.5]))
+        spec = spectral_decompose(UnitaryMatrix((q * lam) @ q.conj().T))
+        z1, z2, z3 = (cut_point(a) for a in (4.5, 2.0, 0.2))
+        u = spec.frame
+        # the eigenvalue of each frame column, read off g itself
+        col_lam = np.einsum("ij,ik,kj->j", u.conj(), spec.matrix, u)
+        between = [j for j in range(7) if circle_between(z1, z3, col_lam[j])]
+        basis = classify(z1, z3, spec).basis
+        assert not basis.flags.writeable
+        assert np.shares_memory(basis, u)
+        assert between == [0, 1, 2, 3, 4, 5]
+        assert np.array_equal(basis, u[:, between[::-1]])
+        inner = (classify(z1, z2, spec).basis, classify(z2, z3, spec).basis)
+        assert [b.shape[1] for b in inner] == [3, 3]
+        assert np.array_equal(basis, np.hstack(inner))
 
     def test_negative_frame_is_swapped_positive_basis(self):
         for k in range(10):

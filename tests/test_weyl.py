@@ -285,10 +285,8 @@ class TestWeylMap:
         _, pt, _ = regular_instance(4)
         g = weyl_apply(pt)
         spec = spectral_decompose(g)
-        rebuilt = sum(
-            lam * b @ b.conj().T for lam, b in zip(spec.eigenvalues, spec.bases)
-        )
-        assert np.linalg.norm(rebuilt - g.mat) < 1e-10
+        u, lam = spec.frame, np.repeat(spec.eigenvalues, spec.multiplicities)
+        assert np.linalg.norm((u * lam) @ u.conj().T - g.mat) < 1e-10
 
     def test_preimage_count(self):
         for n in (2, 3):
@@ -339,10 +337,10 @@ class TestWeylMap:
         # are no longer orthogonal, so the family guard must fail
         pt = sample_regular(3, sample_rng(1, "weyl-test", 3))
         spec = spectral_decompose(weyl_apply(pt))
-        b0, b1 = spec.bases[0], spec.bases[1]
-        tilt = (b0 + 1e-3 * b1) / np.linalg.norm(b0 + 1e-3 * b1)
+        u = spec.frame.copy()
+        u[:, 0] = (u[:, 0] + 1e-3 * u[:, 1]) / np.linalg.norm(u[:, 0] + 1e-3 * u[:, 1])
         with pytest.raises(DimensionError, match="not unitary"):
-            preimage_count(dataclasses.replace(spec, bases=(tilt,) + spec.bases[1:]))
+            preimage_count(dataclasses.replace(spec, frame=u))
 
     def test_mc_pullback_exact(self):
         # linearization: dg = sum dlam_i P_i + sum lam_j dP_j = g * pullback

@@ -14,17 +14,37 @@ over the exit code, stdout and stderr of every case.  Two trees that
 print the same eval digest answer every one of these files alike, errors
 included.
 
-    PYTHONPATH=src python3 tools/report_digest.py
+    PYTHONPATH=src python3 tools/report_digest.py [--dump DIR] [--compare DIR]
+
+``--dump DIR`` also writes the report texts and every eval case's exit
+code, stdout and stderr to DIR.  ``--compare DIR`` holds this tree against
+such a dump, made by another tree, for a change that may move numbers at
+rounding level only:
+
+- every report keeps its config, ``passed`` and each check's name,
+  identity, tolerance, sample count and failure count, and each
+  ``max_abs_error`` and ``mean_abs_error`` is within ``REPORT_RTOL`` times
+  the check's tolerance of the dump's;
+- every eval case keeps its exit code and stderr, and its record keeps its
+  keys, ``method`` and strings, with each number within
+  ``EVAL_RTOL * max(1, |x|)`` of the dump's.
+
+A case whose label is passed to ``--changed`` may differ; it is listed.
+The comparison prints the largest move of each check and of the eval
+records, and exits 1 when a rule fails.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import hashlib
 import io
 import json
+import math
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -48,6 +68,9 @@ EVAL_DIMS = (2, 3, 5)
 QUANTITIES = ("curvature", "curving", "nu", "df", "section", "projector")
 METHODS = ("residue", "quadrature", "fd")
 FLAG_QUANTITIES = ("curving", "nu", "df")
+
+REPORT_RTOL = 1e-3
+EVAL_RTOL = 1e-10
 
 
 def _complex(v) -> list:
@@ -187,36 +210,167 @@ def eval_cases():
             yield label, obj, ["--quantity", q]
 
 
-def run_eval(path: str, obj, args: list) -> bytes:
+def run_eval(path: str, obj, args: list) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of ``basicgerbe eval`` on ``obj``."""
     with open(path, "w") as fh:
         json.dump(obj, fh)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["eval", "--input", path, *args])
-    return f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode()
+    return code, out.getvalue(), err.getvalue()
 
 
-def main() -> None:
-    combined = hashlib.sha256()
-    for suite in SUITES:
-        for dim in DIMS:
-            report = run_suite(SuiteConfig(suite, dim, SAMPLES, SEED))
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-            digest = hashlib.sha256(text.encode()).hexdigest()
-            combined.update(text.encode())
-            print(f"{suite} {dim} {digest}", flush=True)
-    print(f"combined {combined.hexdigest()}", flush=True)
+def reports() -> dict:
+    """``{"suite dim": report text}`` for the 40 acceptance reports, in order."""
+    return {
+        f"{suite} {dim}": json.dumps(
+            run_suite(SuiteConfig(suite, dim, SAMPLES, SEED)), indent=2, sort_keys=True
+        )
+        + "\n"
+        for suite in SUITES
+        for dim in DIMS
+    }
 
-    digest, count = hashlib.sha256(), 0
+
+def evals() -> list:
+    """``[label, args, exit code, stdout, stderr]`` for every eval case."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "point.json")
-        for label, obj, args in eval_cases():
-            digest.update(f"{label} {' '.join(args)}\n".encode())
-            digest.update(run_eval(path, obj, args))
-            count += 1
-    print(f"eval-combined {digest.hexdigest()} ({count} cases)")
+        return [
+            [label, " ".join(args), *run_eval(path, obj, args)]
+            for label, obj, args in eval_cases()
+        ]
+
+
+def print_digests(texts: dict, cases: list) -> None:
+    combined = hashlib.sha256()
+    for key, text in texts.items():
+        combined.update(text.encode())
+        print(f"{key} {hashlib.sha256(text.encode()).hexdigest()}")
+    print(f"combined {combined.hexdigest()}")
+    digest = hashlib.sha256()
+    for label, args, code, out, err in cases:
+        digest.update(f"{label} {args}\n".encode())
+        digest.update(f"{code}\n{out}\n{err}\n".encode())
+    print(f"eval-combined {digest.hexdigest()} ({len(cases)} cases)")
+
+
+def dump(directory: str, texts: dict, cases: list) -> None:
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, "reports.json"), "w") as fh:
+        json.dump(texts, fh, indent=1)
+    with open(os.path.join(directory, "eval.json"), "w") as fh:
+        json.dump(cases, fh, indent=1)
+
+
+def _fixed(report: dict) -> dict:
+    """``report`` without its error figures: the part that may not move."""
+    checks = [
+        {k: v for k, v in c.items() if not k.endswith("_abs_error")}
+        for c in report["checks"]
+    ]
+    return {**report, "checks": checks}
+
+
+def _report_faults(key: str, new: dict, old: dict, moves: dict) -> list:
+    """Rule breaks of report ``new`` against ``old``; records each check's move."""
+    if _fixed(new) != _fixed(old):
+        return [f"{key}: a check name, identity, tolerance, count or verdict differs"]
+    faults = []
+    for a, b in zip(new["checks"], old["checks"]):
+        tol = a["tolerance"]
+        for field in ("max_abs_error", "mean_abs_error"):
+            x, y = a[field], b[field]
+            move = 0.0 if x == y else abs(x - y) if None not in (x, y) else math.inf
+            name = f"{new['suite']} {a['name']}"
+            moves[name] = max(moves.get(name, 0.0), move / tol)
+            if not move <= REPORT_RTOL * tol:
+                faults.append(f"{key} {a['name']} {field}: {y!r} -> {x!r}")
+    return faults
+
+
+def _record_move(new, old) -> float:
+    """Largest relative move between two eval records of the same shape:
+    inf when a key, a string or the shape differs."""
+    if isinstance(new, bool) or isinstance(old, bool) or None in (new, old):
+        return 0.0 if new == old else math.inf
+    if isinstance(new, (int, float)) and isinstance(old, (int, float)):
+        if new == old or math.isnan(new) and math.isnan(old):
+            return 0.0
+        move = abs(new - old) / max(1.0, abs(old))
+        return math.inf if math.isnan(move) else move
+    if isinstance(new, dict) and isinstance(old, dict) and new.keys() == old.keys():
+        return max((_record_move(new[k], old[k]) for k in new), default=0.0)
+    if isinstance(new, list) and isinstance(old, list) and len(new) == len(old):
+        return max((_record_move(a, b) for a, b in zip(new, old)), default=0.0)
+    return 0.0 if new == old else math.inf
+
+
+def compare(directory: str, texts: dict, cases: list, changed: set) -> bool:
+    """Print every rule break against the dump in ``directory``, then the
+    largest move per check; True when no rule breaks."""
+    with open(os.path.join(directory, "reports.json")) as fh:
+        old_texts = json.load(fh)
+    with open(os.path.join(directory, "eval.json")) as fh:
+        old_cases = json.load(fh)
+    faults, moves, rows = [], {}, []
+    if texts.keys() != old_texts.keys():
+        faults.append("the set of reports differs")
+    for key in texts.keys() & old_texts.keys():
+        new, old = json.loads(texts[key]), json.loads(old_texts[key])
+        faults += _report_faults(key, new, old, moves)
+        rows += [a == b for a, b in zip(new["checks"], old["checks"])]
+    if [c[:2] for c in cases] != [c[:2] for c in old_cases]:
+        faults.append("the list of eval cases differs")
+    worst, listed, same = 0.0, [], 0
+    for (label, args, code, out, err), old in zip(cases, old_cases):
+        if label in changed:
+            if [code, out, err] != old[2:]:
+                listed.append(f"  {label} {args}: {old[4].strip()} -> {err.strip()}")
+            continue
+        move = 0.0
+        if code != old[2] or err != old[4]:
+            move = math.inf
+        elif out != old[3]:
+            move = _record_move(json.loads(out), json.loads(old[3]))
+        worst = max(worst, move)
+        same += [code, out, err] == old[2:]
+        if not move <= EVAL_RTOL:
+            faults.append(f"eval {label} {args}: differs (relative move {move:.3g})")
+    print(f"report rows identical: {sum(rows)} of {len(rows)}")
+    print("largest move per check, in units of its tolerance:")
+    for name, move in sorted(moves.items()):
+        print(f"  {name} {move:.3g}")
+    print(f"eval cases identical: {same} of {len(cases)}")
+    print(f"eval records: largest relative move {worst:.3g}")
+    if listed:
+        print(f"changed cases ({len(listed)}):", *listed, sep="\n")
+    for fault in faults:
+        print(f"FAIL {fault}")
+    print("compare: " + ("fail" if faults else "pass"))
+    return not faults
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--dump", metavar="DIR", help="write the outputs to DIR")
+    parser.add_argument("--compare", metavar="DIR", help="hold them against DIR")
+    parser.add_argument(
+        "--changed",
+        metavar="LABEL",
+        action="append",
+        default=[],
+        help="an eval case label allowed to differ under --compare",
+    )
+    args = parser.parse_args(argv)
+    texts, cases = reports(), evals()
+    print_digests(texts, cases)
+    if args.dump:
+        dump(args.dump, texts, cases)
+    if args.compare:
+        return 0 if compare(args.compare, texts, cases, set(args.changed)) else 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
