@@ -24,7 +24,7 @@ import orjson
 
 from . import fibers, forms, projectors, sampling, weyl
 from .contour import CutCirclePoint
-from .errors import GerbeError, SchemaError
+from .errors import EvaluationError, GerbeError, SchemaError
 from .linalg import (
     TangentVector,
     UnitaryMatrix,
@@ -196,7 +196,7 @@ def _delta_curving(cfg: SuiteConfig, i: int, rng) -> dict:
     f_res = forms.curving_eval(z1, spec, x, y, "residue")
     f_quad = forms.curving_eval(z1, spec, x, y, "quadrature")
     f_quad2 = forms.curving_eval(z1, spec, x, y, "quadrature", rho=0.25)
-    delta = forms.delta_pairs(forms.curving_eval, z1, z2, spec, x, y)
+    delta = forms.delta_pairs(z1, z2, spec, x, y)
     w1, w2 = sampling.random_null_pair(spec, rng)
     return {
         "residue-vs-quadrature": abs(f_res - f_quad),
@@ -204,10 +204,10 @@ def _delta_curving(cfg: SuiteConfig, i: int, rng) -> dict:
         "cut-derivative-zero": abs(forms.curving_z_derivative_fd(z1, spec, x, y)),
         "delta-positive": abs(delta - forms.curvature_via_projectors(ctx, x, y)),
         "delta-swap": abs(
-            forms.delta_pairs(forms.curving_eval, z2, z1, spec, x, y)
+            forms.delta_pairs(z2, z1, spec, x, y)
             - forms.curvature_via_projectors(classify(z2, z1, spec), x, y)
         ),
-        "delta-null": abs(forms.delta_pairs(forms.curving_eval, w1, w2, spec, x, y)),
+        "delta-null": abs(forms.delta_pairs(w1, w2, spec, x, y)),
     }
 
 
@@ -708,6 +708,9 @@ def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict
         record.update(value_re=value.real, value_im=value.imag)
     if with_oracle and oracle is not None:
         record["residual_vs_oracle"] = oracle()
+    # json.dumps would write a bare NaN or Infinity, which is not JSON
+    if not all(math.isfinite(v) for v in record.values() if isinstance(v, float)):
+        raise EvaluationError(f"{quantity}: the value or its residual is not finite")
     return record
 
 

@@ -22,13 +22,7 @@ import numpy as np
 
 from .contour import POINT_TOL, CutCirclePoint
 from .errors import DimensionError, IncomparableError
-from .linalg import (
-    SpectralDecomposition,
-    UnitaryMatrix,
-    _as_generator,
-    _perm_sign,
-    random_unitary,
-)
+from .linalg import SpectralDecomposition, UnitaryMatrix, _perm_sign, random_unitary
 from .projectors import ArcContext, Classification, classify
 
 ELEMENT_TOL = 1e-9
@@ -176,12 +170,11 @@ def section_value(
 
 def random_element(ctx: ArcContext, rng) -> DetLineElement:
     """Unit-norm element in a randomly rotated frame (canonical for scalars)."""
-    gen = _as_generator(rng)
-    coeff = complex(np.exp(1j * gen.uniform(0.0, 2 * math.pi)))
+    coeff = complex(np.exp(1j * rng.uniform(0.0, 2 * math.pi)))
     frame = _canonical_frame(ctx)
     k = frame.shape[1]
     if k:
-        frame = frame @ random_unitary(k, gen).mat
+        frame = frame @ random_unitary(k, rng).mat
     return DetLineElement(ctx, frame, coeff)
 
 
@@ -194,12 +187,11 @@ def associativity_check(
     rng,
 ) -> float:
     """Max defect of ((a*b)*c) vs (a*(b*c)) over random unit elements."""
-    gen = _as_generator(rng)
     defect = 0.0
     for _ in range(4):
-        a = random_element(classify(z1, z2, spec), gen)
-        b = random_element(classify(z2, z3, spec), gen)
-        c = random_element(classify(z3, z4, spec), gen)
+        a = random_element(classify(z1, z2, spec), rng)
+        b = random_element(classify(z2, z3, spec), rng)
+        c = random_element(classify(z3, z4, spec), rng)
         left = gerbe_product(gerbe_product(a, b), c)
         right = gerbe_product(a, gerbe_product(b, c))
         _, d = same_element(left, right)

@@ -192,19 +192,18 @@ def curving_eval(
 
 
 def delta_pairs(
-    form,
     z1: CutCirclePoint,
     z2: CutCirclePoint,
     spec: SpectralDecomposition,
     x: TangentVector,
     y: TangentVector,
 ) -> complex:
-    """The alternating-sum pullback of a two-form on the cut cover.
+    """delta of the curving: its alternating-sum pullback to pairs of cuts.
 
-    delta(f)(z1, z2, g) = f(z2, g) - f(z1, g); the sign is pinned so the
-    result matches tr(P dP dP) on positive pairs.
+    delta(f)(z1, z2, g) = f(z2, g) - f(z1, g) for f = ``curving_eval``; the
+    sign is pinned so the result matches tr(P dP dP) on positive pairs.
     """
-    return form(z2, spec, x, y) - form(z1, spec, x, y)
+    return curving_eval(z2, spec, x, y) - curving_eval(z1, spec, x, y)
 
 
 def basic_three_form(

@@ -13,18 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import AmbiguousClusterError, DimensionError, SchemaError
+from .errors import (
+    AmbiguousClusterError, DimensionError, SchemaError, StepTooLargeError
+)
 
 UNITARITY_TOL = 1e-12
 CLUSTER_TOL = 1e-9
 
 TWO_PI = 2.0 * np.pi
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def unitary_check(m: np.ndarray) -> tuple[bool, float]:
@@ -78,9 +74,11 @@ class TangentVector:
             raise DimensionError("tangent direction shape mismatch")
         if not np.isfinite(a).all():
             raise DimensionError("tangent direction has non-finite entries")
-        if np.linalg.norm(a + a.conj().T) > UNITARITY_TOL * n * max(
-            1.0, float(np.linalg.norm(a))
-        ):
+        # past ~1e154 an entry's square overflows, and inf > inf would pass
+        scale = float(np.linalg.norm(a))
+        if not np.isfinite(scale):
+            raise DimensionError("tangent direction norm overflows")
+        if np.linalg.norm(a + a.conj().T) > UNITARITY_TOL * n * max(1.0, scale):
             raise DimensionError("tangent direction is not skew-Hermitian")
 
     @property
@@ -90,23 +88,22 @@ class TangentVector:
 
 
 def random_unitary(n: int, rng) -> UnitaryMatrix:
-    """Haar-distributed element of U(n), deterministic given the seed.
+    """Haar-distributed element of U(n), drawn from ``rng``.
 
     QR of a complex Ginibre matrix with the R-diagonal phase fix.
     """
     if n < 1:
         raise DimensionError("dimension must be at least 1")
-    gen = _as_generator(rng)
-    z = (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))) / np.sqrt(2)
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
     return UnitaryMatrix(q)
 
 
-def _random_skew(n: int, gen: np.random.Generator) -> np.ndarray:
+def _random_skew(n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-Frobenius-norm skew-Hermitian (b - b^H) / 2 from complex Gaussian b."""
-    b = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a = (b - b.conj().T) / 2
     a /= np.linalg.norm(a)
     return a
@@ -114,12 +111,15 @@ def _random_skew(n: int, gen: np.random.Generator) -> np.ndarray:
 
 def tangent_random(g: UnitaryMatrix, rng) -> TangentVector:
     """Random unit-Frobenius-norm skew-Hermitian direction at g."""
-    return TangentVector(g, _random_skew(g.dim, _as_generator(rng)))
+    return TangentVector(g, _random_skew(g.dim, rng))
 
 
 def _shifted(g: UnitaryMatrix, a: np.ndarray, t: float) -> UnitaryMatrix:
     """g exp(tA), the point t along the left-invariant curve through g."""
-    return UnitaryMatrix(g.mat @ scipy.linalg.expm(t * a))
+    m = g.mat @ scipy.linalg.expm(t * a)
+    if not np.isfinite(m).all():
+        raise StepTooLargeError(f"g exp(tA) overflows at t = {t:g}")
+    return UnitaryMatrix(m)
 
 
 def _perm_sign(perm) -> int:

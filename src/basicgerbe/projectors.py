@@ -179,8 +179,9 @@ def _context_at(ctx: ArcContext, a: np.ndarray, t: float) -> ArcContext:
     return ctx2
 
 
-def _fd_projector(ctx: ArcContext, x: TangentVector, h: float) -> np.ndarray:
-    """Central finite difference of t -> arc projector at g exp(tA)."""
+def _fd_projector(ctx: ArcContext, x: TangentVector) -> np.ndarray:
+    """Central difference, step ``FD_STEP``, of t -> arc projector at g exp(tA)."""
+    h = FD_STEP
     plus, minus = (arc_projector(_context_at(ctx, x.direction, s)) for s in (h, -h))
     return (plus - minus) / (2 * h)
 
@@ -210,7 +211,7 @@ def projector_derivative(
     if ctx.classification is not Classification.POSITIVE:
         raise EmptySpaceError("projector derivative requires a positive context")
     if method == "fd":
-        return _fd_projector(ctx, x, FD_STEP)
+        return _fd_projector(ctx, x)
     if method != "residue":
         raise ValueError(f"unknown method {method!r}")
     return _indicator_derivative(ctx.spec, ctx.arc_indices, x)

@@ -1,5 +1,9 @@
 """Random instances for property sweeps: well-separated spectra and cuts.
 
+``sample_rng(seed, suite, i)`` makes the one ``numpy.random.Generator`` of a
+sample; every sampler here and in ``linalg``, ``weyl`` and ``fibers`` takes
+it as ``rng`` and draws from it in a fixed order, so a seed fixes every number.
+
 Cuts are drawn from the middle half of angular gaps so that contours stay
 uniformly away from resolvent poles and quadrature converges within the
 node budget.  Group elements are resampled until the spectrum (including
@@ -18,7 +22,6 @@ from .linalg import (
     TWO_PI,
     SpectralDecomposition,
     UnitaryMatrix,
-    _as_generator,
     random_unitary,
     spectral_decompose,
 )
@@ -37,9 +40,8 @@ def sample_rng(seed: int, suite: str, index: int) -> np.random.Generator:
 def well_separated_unitary(n: int, rng) -> tuple[UnitaryMatrix, SpectralDecomposition]:
     """Haar sample resampled until all angular gaps (and the gap to the
     identity) are at least ``MIN_SPECTRAL_GAP``."""
-    gen = _as_generator(rng)
     for _ in range(MAX_TRIES):
-        g = random_unitary(n, gen)
+        g = random_unitary(n, rng)
         spec = spectral_decompose(g)
         gaps = _gap_list(spec)
         narrowest = min(b - a for a, b in gaps)
@@ -63,8 +65,7 @@ def random_cut_in_gap(gap: tuple[float, float], rng) -> CutCirclePoint:
     """A cut uniform over the middle half of the gap."""
     lo, hi = gap
     width = hi - lo
-    gen = _as_generator(rng)
-    return cut_point((lo + width * gen.uniform(0.25, 0.75)) % TWO_PI)
+    return cut_point((lo + width * rng.uniform(0.25, 0.75)) % TWO_PI)
 
 
 def random_cuts(spec: SpectralDecomposition, rng, count: int) -> list[CutCirclePoint]:
@@ -72,16 +73,14 @@ def random_cuts(spec: SpectralDecomposition, rng, count: int) -> list[CutCircleP
     gaps = _gap_list(spec)
     if count > len(gaps):
         raise SamplingError("not enough angular gaps for the requested cuts")
-    gen = _as_generator(rng)
-    picks = gen.choice(len(gaps), size=count, replace=False)
-    return [random_cut_in_gap(gaps[i], gen) for i in picks]
+    picks = rng.choice(len(gaps), size=count, replace=False)
+    return [random_cut_in_gap(gaps[i], rng) for i in picks]
 
 
 def random_positive_context(spec: SpectralDecomposition, rng) -> ArcContext:
     """A positive-stratum context with at least one enclosed eigenvalue."""
-    gen = _as_generator(rng)
     for _ in range(MAX_TRIES):
-        pos = classify(*random_cuts(spec, gen, 2), spec).positive
+        pos = classify(*random_cuts(spec, rng, 2), spec).positive
         if pos is not None:
             return pos
     raise SamplingError("failed to draw a positive pair of cuts")
@@ -92,11 +91,10 @@ def random_null_pair(
 ) -> tuple[CutCirclePoint, CutCirclePoint]:
     """Two distinct cuts inside the same angular gap (a null pair)."""
     gaps = _gap_list(spec)
-    gen = _as_generator(rng)
-    gap = gaps[int(gen.integers(len(gaps)))]
+    gap = gaps[int(rng.integers(len(gaps)))]
     for _ in range(MAX_TRIES):
-        z1 = random_cut_in_gap(gap, gen)
-        z2 = random_cut_in_gap(gap, gen)
+        z1 = random_cut_in_gap(gap, rng)
+        z2 = random_cut_in_gap(gap, rng)
         if abs(z1.value - z2.value) > 1e-6:
             return z1, z2
     raise SamplingError("failed to draw a distinct null pair")

@@ -25,7 +25,6 @@ from .linalg import (
     SpectralDecomposition,
     TangentVector,
     UnitaryMatrix,
-    _as_generator,
     _perm_sign,
     _random_skew,
     random_unitary,
@@ -224,10 +223,9 @@ def preimage_count(spec: SpectralDecomposition) -> int:
 
 def sample_regular(n: int, rng) -> FlagTorusPoint:
     """Random regular point: Haar frame, eigenvalues ``SAMPLING_GAP`` apart."""
-    gen = _as_generator(rng)
-    q = random_unitary(n, gen).mat
+    q = random_unitary(n, rng).mat
     for _ in range(MAX_RESAMPLE):
-        lam = np.exp(1j * gen.uniform(0.0, 2 * math.pi, size=n))
+        lam = np.exp(1j * rng.uniform(0.0, 2 * math.pi, size=n))
         if _separated(np.append(lam, 1.0), SAMPLING_GAP):
             return FlagTorusPoint(q, lam)
     raise SamplingError(f"no regular spectrum found in {MAX_RESAMPLE} draws")
@@ -235,10 +233,9 @@ def sample_regular(n: int, rng) -> FlagTorusPoint:
 
 def random_flag_tangent(pt: FlagTorusPoint, rng) -> FlagTangent:
     """Random tangent: dP_i = [A, P_i] for skew-Hermitian A, circular dlam."""
-    gen = _as_generator(rng)
-    frame_gen = pt.frame.conj().T @ _random_skew(pt.dim, gen) @ pt.frame
+    frame_gen = pt.frame.conj().T @ _random_skew(pt.dim, rng) @ pt.frame
     np.fill_diagonal(frame_gen, 0)
-    dlam = 1j * pt.torus_values * gen.standard_normal(pt.dim)
+    dlam = 1j * pt.torus_values * rng.standard_normal(pt.dim)
     return FlagTangent(pt, dlam, frame_gen)
 
 

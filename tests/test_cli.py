@@ -6,6 +6,7 @@ import orjson
 import pytest
 
 from basicgerbe import (
+    EvaluationError,
     FlagTorusPoint,
     SchemaError,
     matrix_to_json,
@@ -13,7 +14,7 @@ from basicgerbe import (
     sample_regular,
     tangent_random,
 )
-from basicgerbe import weyl
+from basicgerbe import forms, weyl
 from basicgerbe.cli import (
     SUITES,
     SuiteConfig,
@@ -64,6 +65,14 @@ def group_point(n):
            "z3": cut(descending_cuts(spec, rng, 3)[2]), "z": cut(ctx.z1)}
     for key in "XYZ":
         obj[key] = matrix_to_json(tangent_random(g, rng).direction)
+    return obj
+
+
+def scaled_tangents(obj, scale):
+    """``obj`` with its tangent directions X, Y, Z multiplied by ``scale``."""
+    for key in "XYZ":
+        for part in ("re", "im"):
+            obj[key][part] = (scale * np.asarray(obj[key][part])).tolist()
     return obj
 
 
@@ -159,6 +168,16 @@ class TestEvalPoint:
         assert rec["matrix"]["dim"] == 2
         assert abs(rec["matrix"]["re"][0][0] - 1.0) < 1e-10
         assert rec["residual_vs_oracle"] < 1e-10
+
+    def test_non_finite_value_or_residual(self, monkeypatch):
+        # tr(A [B, C]) overflows for directions of norm 1e110
+        with pytest.raises(EvaluationError, match="not finite"):
+            eval_point(scaled_tangents(group_point(3), 1e110), "nu", "residue", True)
+        # a finite value whose oracle is not
+        monkeypatch.setattr(forms, "three_curvature", lambda *args: complex("nan"))
+        assert np.isfinite(eval_point(group_point(3), "df", "fd", False)["value_re"])
+        with pytest.raises(EvaluationError, match="not finite"):
+            eval_point(group_point(3), "df", "fd", True)
 
     def test_missing_field(self):
         with pytest.raises(SchemaError) as err:
@@ -457,6 +476,14 @@ class TestMain:
         capsys.readouterr()
         assert main(args + ["--method", "quadrature"]) == 2
         assert "QuadratureError" in capsys.readouterr().err
+
+    def test_eval_overflowing_fd_step_exit_two(self, tmp_path, capsys):
+        # exp(h A) overflows for |A| ~ 1e150 at h = FD_STEP, though g is unitary
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(scaled_tangents(group_point(3), 1e150)))
+        assert main(["eval", "--input", str(p), "--quantity", "df"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (StepTooLargeError): g exp(tA) overflows")
 
     def test_eval_nan_cut_exit_two(self, tmp_path, capsys):
         p = tmp_path / "p.json"

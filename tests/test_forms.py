@@ -303,7 +303,7 @@ class TestDeltaCurving:
     def test_positive_pair_gives_curvature(self):
         for k in range(10):
             _, _, _, ctx, x, y = random_instance(800 + k)
-            d = delta_pairs(curving_eval, ctx.z1, ctx.z2, ctx.spec, x, y)
+            d = delta_pairs(ctx.z1, ctx.z2, ctx.spec, x, y)
             f = curvature_via_projectors(ctx, x, y)
             assert abs(d - f) < 1e-8
 
@@ -311,7 +311,7 @@ class TestDeltaCurving:
         for k in range(10):
             rng, g, spec, _, x, y = random_instance(900 + k)
             z1, z2 = random_null_pair(spec, rng)
-            assert abs(delta_pairs(curving_eval, z1, z2, spec, x, y)) < 1e-8
+            assert abs(delta_pairs(z1, z2, spec, x, y)) < 1e-8
 
     def test_swapped_pair_gives_negative_context_curvature(self):
         # fails if curvature_via_projectors drops the sign of the negative stratum
@@ -322,7 +322,7 @@ class TestDeltaCurving:
             assert neg.classification is Classification.NEGATIVE
             f = curvature_via_projectors(neg, x, y)
             assert abs(f + curvature_via_projectors(ctx, x, y)) < 1e-12
-            d = delta_pairs(curving_eval, ctx.z2, ctx.z1, spec, x, y)
+            d = delta_pairs(ctx.z2, ctx.z1, spec, x, y)
             assert abs(d - f) < 1e-10
             proper += len(ctx.arc_indices) < spec.count
         assert proper >= 5  # arcs holding every eigenvalue give P = 1, curvature 0

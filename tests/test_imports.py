@@ -11,7 +11,8 @@ assignment and its re-export do not count.  A defaulted parameter of a
 function of the package must be passed, by keyword or by position, by some
 call to a function of that name.  Only the readers of the JSON formats,
 ``cli.py`` (the point file) and ``linalg.py`` (the matrix leaf), construct
-a ``SchemaError``.
+a ``SchemaError``.  Only ``sampling.sample_rng`` calls into ``numpy.random``,
+so every random draw comes from the Generator it makes for each sample.
 """
 
 import ast
@@ -215,3 +216,63 @@ def test_detects_a_schema_error_outside_the_readers():
 def test_schema_errors_only_in_readers():
     modules = {m: (SRC / m).read_text() for m in MODULES}
     assert schema_errors_outside_readers(modules) == []
+
+
+# the one function of the package that makes a random stream
+RNG_MAKER = ("sampling.py", "sample_rng")
+
+
+def random_calls_outside_maker(modules: dict[str, str]) -> list[str]:
+    """Calls reached through ``np.random`` or ``numpy.random``, and imports
+    from ``numpy.random``, anywhere but in ``RNG_MAKER``; an annotation such
+    as ``np.random.Generator`` is not a call."""
+    out = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        allowed = {
+            id(n)
+            for f in tree.body
+            if (module, getattr(f, "name", None)) == RNG_MAKER
+            for n in ast.walk(f)
+        }
+        found = set()
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                dotted = ast.unparse(node.func)
+                if dotted.startswith(("np.random.", "numpy.random.")):
+                    found.add(node.lineno)
+            elif isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.startswith("numpy.random")
+                or node.module == "numpy" and "random" in {a.name for a in node.names}
+            ):
+                found.add(node.lineno)
+        out += [f"{module}: line {line}" for line in sorted(found)]
+    return out
+
+
+def test_detects_a_random_call_outside_the_maker():
+    planted = (
+        "import numpy as np\nimport numpy\nfrom numpy.random import default_rng\n\n"
+        "def sample_rng(seed) -> np.random.Generator:\n"
+        "    return np.random.default_rng(seed)\n\n"
+        "def draw(rng: np.random.Generator):\n"
+        "    return rng.uniform() + np.random.uniform()\n\n"
+        "SEEDED = numpy.random.default_rng(0).integers(9)\n"
+    )
+    maker = (
+        "import numpy as np\n\n"
+        "def sample_rng(seed):\n    return np.random.default_rng(seed)\n"
+    )
+    assert random_calls_outside_maker({"m.py": planted, "sampling.py": maker}) == [
+        "m.py: line 3",
+        "m.py: line 6",
+        "m.py: line 9",
+        "m.py: line 11",
+    ]
+
+
+def test_one_random_stream():
+    modules = {m: (SRC / m).read_text() for m in MODULES}
+    assert random_calls_outside_maker(modules) == []

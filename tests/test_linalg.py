@@ -85,17 +85,17 @@ class TestUnitaryCheck:
 
 class TestRandomUnitary:
     def test_dim_one(self):
-        g = random_unitary(1, 0)
+        g = random_unitary(1, np.random.default_rng(0))
         assert abs(abs(g.mat[0, 0]) - 1.0) < 1e-12
 
     def test_determinism(self):
-        a = random_unitary(4, 7)
-        b = random_unitary(4, 7)
+        a = random_unitary(4, np.random.default_rng(7))
+        b = random_unitary(4, np.random.default_rng(7))
         assert np.array_equal(a.mat, b.mat)
 
     def test_zero_dim_rejected(self):
         with pytest.raises(DimensionError):
-            random_unitary(0, 1)
+            random_unitary(0, np.random.default_rng(1))
 
     def test_unitary_spectrum_sweep(self):
         rng = np.random.default_rng(42)
@@ -122,7 +122,7 @@ class TestSpectralDecompose:
         assert np.allclose(proj[1], np.diag([0.0, 1.0]))
 
     def test_reconstruction(self):
-        g = random_unitary(5, 11)
+        g = random_unitary(5, np.random.default_rng(11))
         spec = spectral_decompose(g)
         rebuilt = np.einsum("i,ijk->jk", spec.eigenvalues, cluster_projectors(spec))
         assert np.linalg.norm(rebuilt - g.mat) < 1e-10
@@ -173,7 +173,7 @@ class TestSpectralDecompose:
     def test_regular_memory_is_quadratic(self):
         # a regular U(128) has 128 clusters; one dense n x n projector per
         # cluster would hold 128^3 complex entries, 32 MB
-        g = random_unitary(128, 5)
+        g = random_unitary(128, np.random.default_rng(5))
         tracemalloc.start()
         try:
             spec = spectral_decompose(g)
@@ -236,18 +236,17 @@ class TestEigenbasisSum:
 
 class TestTangentRandom:
     def test_skew_hermitian(self):
-        g = random_unitary(3, 1)
-        x = tangent_random(g, 2)
+        g = random_unitary(3, np.random.default_rng(1))
+        x = tangent_random(g, np.random.default_rng(2))
         assert np.linalg.norm(x.direction + x.direction.conj().T) < 1e-12
 
     def test_determinism(self):
-        g = random_unitary(3, 1)
-        assert np.array_equal(
-            tangent_random(g, 9).direction, tangent_random(g, 9).direction
-        )
+        g = random_unitary(3, np.random.default_rng(1))
+        x, y = (tangent_random(g, np.random.default_rng(9)) for _ in range(2))
+        assert np.array_equal(x.direction, y.direction)
 
     def test_entry_mean(self):
-        g = random_unitary(3, 1)
+        g = random_unitary(3, np.random.default_rng(1))
         rng = np.random.default_rng(4)
         mean = np.mean(
             [tangent_random(g, rng).direction for _ in range(100)], axis=0
@@ -256,15 +255,22 @@ class TestTangentRandom:
         assert np.max(np.abs(mean)) < 3 * 0.2
 
     def test_rejects_non_skew(self):
-        g = random_unitary(2, 1)
+        g = random_unitary(2, np.random.default_rng(1))
         with pytest.raises(DimensionError):
             TangentVector(g, np.eye(2))
 
     def test_rejects_non_finite(self):
-        g = random_unitary(2, 1)
+        g = random_unitary(2, np.random.default_rng(1))
         a = np.array([[0.0, np.nan], [np.nan, 0.0]], dtype=complex)
         with pytest.raises(DimensionError):
             TangentVector(g, a)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_rejects_overflowing_norm(self, scale):
+        # both norms overflow to inf, and inf > inf would let a + a^H != 0 pass
+        g = random_unitary(2, np.random.default_rng(1))
+        with pytest.raises(DimensionError, match="overflows"):
+            TangentVector(g, scale * np.eye(2))
 
 
 class TestEmbedding:
@@ -273,15 +279,15 @@ class TestEmbedding:
         assert np.allclose(g.mat, np.diag([1j, 1.0, 1.0]))
 
     def test_identity_embedding(self):
-        g = random_unitary(3, 8)
+        g = random_unitary(3, np.random.default_rng(8))
         assert np.array_equal(embed_block(g, 3).mat, g.mat)
 
     def test_too_small(self):
         with pytest.raises(DimensionError):
-            embed_block(random_unitary(3, 0), 2)
+            embed_block(random_unitary(3, np.random.default_rng(0)), 2)
 
     def test_decomposition_commutes(self):
-        g = random_unitary(3, 12)
+        g = random_unitary(3, np.random.default_rng(12))
         spec = spectral_decompose(g)
         bigspec = spectral_decompose(embed_block(g, 5))
         non_unit = [
@@ -301,8 +307,8 @@ class TestEmbedding:
             assert np.linalg.norm(p - padded) < 1e-9
 
     def test_tangent_embedding(self):
-        g = random_unitary(2, 3)
-        x = tangent_random(g, 4)
+        g = random_unitary(2, np.random.default_rng(3))
+        x = tangent_random(g, np.random.default_rng(4))
         xe = embed_tangent(x, 4)
         assert np.allclose(xe.direction[:2, :2], x.direction)
         assert np.linalg.norm(xe.direction[2:, :]) == 0.0
@@ -310,7 +316,7 @@ class TestEmbedding:
 
 class TestMatrixJson:
     def test_round_trip(self):
-        m = random_unitary(3, 6).mat
+        m = random_unitary(3, np.random.default_rng(6)).mat
         assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
 
     def test_missing_field(self):

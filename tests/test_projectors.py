@@ -159,7 +159,7 @@ class TestArcMemo:
     def test_basis_is_the_reversed_frame_block(self):
         # repeated eigenvalues inside the arcs: the basis reverses their
         # columns too, so an outer arc's basis is its two parts' side by side
-        q = random_unitary(7, 9).mat
+        q = random_unitary(7, np.random.default_rng(9)).mat
         lam = np.exp(1j * np.array([0.5, 1.5, 1.5, 2.5, 4.0, 4.0, 5.5]))
         spec = spectral_decompose(UnitaryMatrix((q * lam) @ q.conj().T))
         z1, z2, z3 = (cut_point(a) for a in (4.5, 2.0, 0.2))
@@ -293,7 +293,7 @@ class TestProjectorDerivative:
         g = UnitaryMatrix(diag_spec.matrix)
         ctx = classify(cut_point(np.pi / 4), cut_point(3 * np.pi / 4), diag_spec)
         with pytest.raises(EmptySpaceError):
-            projector_derivative(ctx, tangent_random(g, 0))
+            projector_derivative(ctx, tangent_random(g, np.random.default_rng(0)))
 
 
 class TestSingleProjectorDerivative:
@@ -310,8 +310,9 @@ class TestSingleProjectorDerivative:
     def test_small_gap_rejected(self):
         g = UnitaryMatrix(np.diag([1.0 * 1j, np.exp(1j * (np.pi / 2 + 1e-4)), -1.0]))
         spec = spectral_decompose(g)
+        x = tangent_random(g, np.random.default_rng(0))
         with pytest.raises(GapError):
-            single_projector_derivative(spec, 0, tangent_random(g, 0))
+            single_projector_derivative(spec, 0, x)
 
 
 class TestSampling:

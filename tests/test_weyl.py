@@ -54,7 +54,7 @@ def stack_tangent(pt, dlam, dp):
 
 def cayley_step(pt, e):
     """U = (1 - eS/2)^{-1} (1 + eS/2) for a unit skew-Hermitian S: 1 + eS + O(e^2)."""
-    b = random_unitary(pt.dim, 9).mat
+    b = random_unitary(pt.dim, np.random.default_rng(9)).mat
     s = (b - b.conj().T) / np.linalg.norm(b - b.conj().T)
     one = np.eye(pt.dim)
     return np.linalg.solve(one - e * s / 2, one + e * s / 2)
@@ -224,7 +224,7 @@ class TestFlagTangent:
         # dP_i = [H, P_i] for Hermitian H is skew-Hermitian; it sums to zero
         # and is off-diagonal for P_i, so only the Hermitian check sees it
         _, pt, tans = regular_instance(7)
-        b = random_unitary(pt.dim, 7).mat
+        b = random_unitary(pt.dim, np.random.default_rng(7)).mat
         h = b + b.conj().T
         dp = np.stack([h @ p - p @ h for p in pt.projections])
         with pytest.raises(DimensionError, match="Hermitian"):
@@ -312,7 +312,7 @@ class TestWeylMap:
 
     def test_preimage_memory_is_quadratic(self):
         # the match table of a U(128) as one n x n x n residual took 65 MB
-        g = random_unitary(128, 5)
+        g = random_unitary(128, np.random.default_rng(5))
         count, peak = peak_bytes(preimage_count, spectral_decompose(g))
         assert count == math.factorial(128)
         assert peak <= 8 * 2**20
@@ -324,7 +324,7 @@ class TestWeylMap:
 
     def test_preimage_rejects_close_eigenvalues(self):
         # 1e-8 apart: separate clusters (tol 1e-9), closer than REGULARITY_GAP
-        q = random_unitary(3, 6).mat
+        q = random_unitary(3, np.random.default_rng(6)).mat
         lam = np.array([1j, 1j * np.exp(1e-8j), -1j])
         g = UnitaryMatrix((q * lam) @ q.conj().T)
         spec = spectral_decompose(g)

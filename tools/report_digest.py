@@ -51,7 +51,7 @@ import numpy as np
 
 from basicgerbe import cli, weyl
 from basicgerbe.cli import SUITES, SuiteConfig, run_suite
-from basicgerbe.linalg import spectral_decompose, tangent_random
+from basicgerbe.linalg import matrix_to_json, spectral_decompose, tangent_random
 from basicgerbe.sampling import (
     descending_cuts,
     random_cuts,
@@ -77,24 +77,20 @@ def _complex(v) -> list:
     return [float(v.real), float(v.imag)]
 
 
-def _matrix(m) -> dict:
-    return {"dim": len(m), "re": m.real.tolist(), "im": m.imag.tolist()}
-
-
 def group_file(n: int) -> dict:
     """A group point with every field a group quantity reads."""
     rng = sample_rng(SEED, "eval-digest-group", n)
     g, spec = well_separated_unitary(n, rng)
     ctx = random_positive_context(spec, rng)
     obj = {
-        "g": _matrix(g.mat),
+        "g": matrix_to_json(g.mat),
         "z1": _complex(ctx.z1.value),
         "z2": _complex(ctx.z2.value),
         "z3": _complex(descending_cuts(spec, rng, 3)[2].value),
         "z": _complex(ctx.z1.value),
     }
     for key in "XYZ":
-        obj[key] = _matrix(tangent_random(g, rng).direction)
+        obj[key] = matrix_to_json(tangent_random(g, rng).direction)
     return obj
 
 
@@ -105,13 +101,9 @@ def flag_file(n: int) -> dict:
     z = random_cuts(spectral_decompose(weyl.weyl_apply(pt)), rng, 1)[0]
     tans = [weyl.random_flag_tangent(pt, rng) for _ in range(3)]
     return {
-        "lambda": [_complex(v) for v in pt.torus_values],
-        "projections": [_matrix(p) for p in pt.projections],
+        **cli.flag_point_to_json(pt),
         "z": _complex(z.value),
-        "tangents": [
-            {"dlambda": [_complex(v) for v in t.dlam], "dP": [_matrix(p) for p in t.dP]}
-            for t in tans
-        ],
+        "tangents": [cli.flag_tangent_to_json(t) for t in tans],
     }
 
 
@@ -187,7 +179,7 @@ def malformed(flag: dict, group: dict):
     bad["g"]["re"] = [[1.0]]
     yield "group-g-short", bad, QUANTITIES
     bad = copy.deepcopy(group)
-    bad["X"] = _matrix(np.eye(3))
+    bad["X"] = matrix_to_json(np.eye(3))
     yield "group-X-not-skew", bad, QUANTITIES
     bad = copy.deepcopy(group)
     bad["z1"] = [float("nan"), 0.0]
