@@ -4,14 +4,19 @@ Unitary matrices, skew-Hermitian tangent vectors, Haar sampling, spectral
 decomposition with eigenvalue clustering into one unitary eigenvector
 frame, block embeddings U(n) -> U(N), g |-> diag(g, 1), and the JSON
 matrix leaf with the object-and-field check every point-file reader uses.
+
+Everything here is numpy: a unitary g is diagonalised through ``eigh`` of
+its Cayley transform i(w + g)(w - g)^{-1}, a Hermitian function of g, and
+exp(tA) through ``eigh`` of the Hermitian iA.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AmbiguousClusterError, DimensionError, SchemaError, StepTooLargeError
@@ -75,7 +80,8 @@ class TangentVector:
         if not np.isfinite(a).all():
             raise DimensionError("tangent direction has non-finite entries")
         # past ~1e154 an entry's square overflows, and inf > inf would pass
-        scale = float(np.linalg.norm(a))
+        with np.errstate(over="ignore"):
+            scale = float(np.linalg.norm(a))
         if not np.isfinite(scale):
             raise DimensionError("tangent direction norm overflows")
         if np.linalg.norm(a + a.conj().T) > UNITARITY_TOL * n * max(1.0, scale):
@@ -115,11 +121,20 @@ def tangent_random(g: UnitaryMatrix, rng) -> TangentVector:
 
 
 def _shifted(g: UnitaryMatrix, a: np.ndarray, t: float) -> UnitaryMatrix:
-    """g exp(tA), the point t along the left-invariant curve through g."""
-    m = g.mat @ scipy.linalg.expm(t * a)
-    if not np.isfinite(m).all():
-        raise StepTooLargeError(f"g exp(tA) overflows at t = {t:g}")
-    return UnitaryMatrix(m)
+    """g exp(tA), the point t along the left-invariant curve through g.
+
+    With iA = V diag(mu) V^H, exp(tA) = V diag(e^{-i t mu}) V^H.  A phase
+    t mu carries a rounding error of |t mu| eps, so the step is refused
+    once that reaches ``UNITARITY_TOL`` (|t mu| about 4.5e3).
+    """
+    mu, v = np.linalg.eigh(1j * a)
+    reach, limit = float(np.max(np.abs(t * mu))), UNITARITY_TOL / np.finfo(float).eps
+    if not reach < limit:
+        raise StepTooLargeError(
+            f"g exp(tA) overflows at t = {t:g}: max |t mu| = {reach:.4g} reaches "
+            f"{limit:.4g}, where exp(-i t mu) loses the unitarity tolerance"
+        )
+    return UnitaryMatrix(g.mat @ (v * np.exp(-1j * t * mu)) @ v.conj().T)
 
 
 def _perm_sign(perm) -> int:
@@ -191,72 +206,52 @@ def _differences(lam: np.ndarray) -> np.ndarray:
     return d
 
 
-def _diameter(vals: np.ndarray) -> float:
-    """Largest distance between two of the values."""
-    return float(np.max(np.abs(vals[:, None] - vals[None, :])))
-
-
-def _cluster_circle(eigs: np.ndarray) -> list[np.ndarray]:
-    """Group unit-circle values into clusters by chordal distance.
-
-    Consecutive values (circularly, in angle order) closer than
-    ``CLUSTER_TOL`` are linked; a linked chain whose total diameter reaches
-    ``CLUSTER_TOL`` is ambiguous and rejected.
-    """
-    order = np.argsort(np.angle(eigs) % TWO_PI)
-    ring = eigs[order]
-    # j in ends: ring[j] and ring[j+1 mod m] lie in different clusters
-    ends = np.flatnonzero(np.abs(ring - np.roll(ring, -1)) >= CLUSTER_TOL)
-    if not ends.size:
-        # single chain around the whole circle
-        if _diameter(eigs) >= CLUSTER_TOL:
-            raise AmbiguousClusterError(
-                "eigenvalue chain spans more than the clustering tolerance"
-            )
-        return [order]
-    # roll so a cluster starts at position 0, then split after every end
-    clusters = np.split(np.roll(order, -ends[0] - 1), ends[1:] - ends[0])
-    for cl in clusters:
-        diam = _diameter(eigs[cl]) if len(cl) > 1 else 0.0
-        if diam >= CLUSTER_TOL:
-            raise AmbiguousClusterError(
-                f"cluster diameter {diam:.3e} >= tolerance {CLUSTER_TOL:.3e}"
-            )
-    return clusters
-
-
 def spectral_decompose(g: UnitaryMatrix) -> SpectralDecomposition:
     """Spectral resolution of a unitary matrix with eigenvalue clustering.
 
-    Uses the complex Schur form (diagonal for normal matrices, with
-    exactly orthonormal Schur vectors), clusters nearby eigenvalues, and
-    re-orthonormalizes each repeated cluster's columns with one QR; every
-    column is then scaled to norm 1 and its largest entry made real positive.
+    For w on the unit circle off the spectrum, the Cayley transform
+    H = i(w + g)(w - g)^{-1} is Hermitian with eigenvalue -cot((theta -
+    arg w) / 2) on the eigenvector of e^{i theta}, increasing with the angle
+    from w.  So ``eigh(H)`` gives an eigenvector frame orthonormal to
+    rounding, in circular order from w, and the eigenvalues are the Rayleigh
+    quotients diag(U^H g U).  Re w is the middle of the widest gap of
+    {-1, Re spectrum, 1}, so |w - lambda| is at least half that gap.
+
+    A cluster is a run of consecutive quotients closer than ``CLUSTER_TOL``;
+    a run whose ends are ``CLUSTER_TOL`` or more apart is ambiguous.  The
+    runs are rotated to ascending angle in [0, 2*pi), and each column's
+    largest entry is made real positive.
     """
-    t, z = scipy.linalg.schur(g.mat, output="complex")
-    raw = np.diagonal(t)
-    clusters = _cluster_circle(raw)
-    size = np.fromiter(map(len, clusters), int, len(clusters))
-    members = np.concatenate(clusters)
-    mean = np.add.reduceat(raw[members], np.cumsum(size) - size) / size
-    # hypot rounds as scalar abs() does, so a simple eigenvalue is raw/abs(raw)
-    reps = mean / np.hypot(mean.real, mean.imag)
-    order = np.argsort(np.angle(reps) % TWO_PI)
-    # Schur column j goes to its cluster's block, ascending in j within it
-    place = np.empty(g.dim, dtype=int)
-    place[members] = np.repeat(np.argsort(order), size)
-    frame = z[:, np.argsort(place, kind="stable")]
-    mult = size[order]
-    ends = np.cumsum(mult)
-    for k in np.flatnonzero(mult > 1):
-        # one QR; a near no-op, since Schur vectors are orthonormal
-        block = frame[:, ends[k] - mult[k] : ends[k]]
-        block[:] = np.linalg.qr(block)[0]
-    frame /= np.linalg.norm(frame, axis=0)
-    pivot = frame[np.argmax(np.abs(frame), axis=0), np.arange(g.dim)]
-    frame /= pivot / np.hypot(pivot.real, pivot.imag)
+    m, n = g.mat, g.dim
+    re = [-1.0, *np.linalg.eigvalsh((m + m.conj().T) / 2).tolist(), 1.0]
+    k = max(range(n + 1), key=lambda i: re[i + 1] - re[i])
+    x = (re[k] + re[k + 1]) / 2
+    w = complex(x, math.sqrt(1.0 - x * x))
+    # H = 2iw (w - g)^{-1} - iI; eigh reads only the lower triangle and the
+    # real part of the diagonal, so the -iI needs no subtraction
+    u = np.linalg.eigh((2j * w) * np.linalg.inv(w * np.eye(n) - m))[1]
+    q = (u.conj() * (m @ u)).sum(axis=0).tolist()
+    starts = [0] + [j for j in range(1, n) if abs(q[j] - q[j - 1]) >= CLUSTER_TOL]
+    stops = starts[1:] + [n]
+    reps, mult = [], []
+    for lo, hi in zip(starts, stops):
+        span = abs(q[hi - 1] - q[lo])
+        if span >= CLUSTER_TOL:
+            raise AmbiguousClusterError(
+                f"eigenvalue run spans {span:.3e} >= tolerance {CLUSTER_TOL:.3e}"
+            )
+        mean = sum(q[lo:hi]) / (hi - lo)
+        reps.append(mean / abs(mean))
+        mult.append(hi - lo)
+    first = min(range(len(reps)), key=lambda i: cmath.phase(reps[i]) % TWO_PI)
+    start = starts[first]
+    frame = np.concatenate((u[:, start:], u[:, :start]), axis=1)
+    pivot = frame[np.argmax(np.abs(frame), axis=0), np.arange(n)]
+    frame /= pivot / np.abs(pivot)
     frame.flags.writeable = False
-    return SpectralDecomposition(g.mat, reps[order], frame, mult)
+    return SpectralDecomposition(
+        m, np.array(reps[first:] + reps[:first]), frame, np.array(mult[first:] + mult[:first])
+    )
 
 
 def embed_block(g: UnitaryMatrix, big_dim: int) -> UnitaryMatrix:

@@ -27,6 +27,8 @@ from basicgerbe.cli import (
     main,
     run_suite,
 )
+from basicgerbe.linalg import UNITARITY_TOL, matrix_from_json
+from basicgerbe.projectors import FD_STEP
 from basicgerbe.sampling import (
     descending_cuts,
     random_positive_context,
@@ -478,12 +480,32 @@ class TestMain:
         assert "QuadratureError" in capsys.readouterr().err
 
     def test_eval_overflowing_fd_step_exit_two(self, tmp_path, capsys):
-        # exp(h A) overflows for |A| ~ 1e150 at h = FD_STEP, though g is unitary
+        # |A| ~ 1e150 puts h |mu| far past the step bound at h = FD_STEP
         p = tmp_path / "p.json"
         p.write_text(json.dumps(scaled_tangents(group_point(3), 1e150)))
         assert main(["eval", "--input", str(p), "--quantity", "df"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error (StepTooLargeError): g exp(tA) overflows")
+
+    @pytest.mark.parametrize("margin", [0.999, 1.001])
+    def test_eval_fd_step_bound(self, tmp_path, capsys, margin):
+        # a step g exp(hA) holds while h |mu| stays below UNITARITY_TOL / eps,
+        # mu the eigenvalues of iA, and exits 2 from there on
+        obj = group_point(3)
+        top = max(
+            np.max(np.abs(np.linalg.eigvalsh(1j * matrix_from_json(obj[key]))))
+            for key in "XYZ"
+        )
+        reach = UNITARITY_TOL / np.finfo(float).eps
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(scaled_tangents(obj, margin * reach / (FD_STEP * top))))
+        code = main(["eval", "--input", str(p), "--quantity", "df", "--method", "fd"])
+        out, err = capsys.readouterr()
+        if margin < 1:
+            assert code == 0 and np.isfinite(value(json.loads(out)))
+        else:
+            assert code == 2
+            assert err.startswith("error (StepTooLargeError): g exp(tA) overflows")
 
     def test_eval_nan_cut_exit_two(self, tmp_path, capsys):
         p = tmp_path / "p.json"

@@ -13,10 +13,15 @@ call to a function of that name.  Only the readers of the JSON formats,
 ``cli.py`` (the point file) and ``linalg.py`` (the matrix leaf), construct
 a ``SchemaError``.  Only ``sampling.sample_rng`` calls into ``numpy.random``,
 so every random draw comes from the Generator it makes for each sample.
+The package needs only numpy and orjson: no module of it imports scipy,
+and a fresh interpreter that imports it has loaded no scipy module.
 """
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -276,3 +281,50 @@ def test_detects_a_random_call_outside_the_maker():
 def test_one_random_stream():
     modules = {m: (SRC / m).read_text() for m in MODULES}
     assert random_calls_outside_maker(modules) == []
+
+
+# third-party packages the package may not import; scipy is a test dependency
+FORBIDDEN_IMPORTS = {"scipy"}
+
+
+def forbidden_imports(modules: dict[str, str]) -> list[str]:
+    """Imports, at any depth of a module, of a package in ``FORBIDDEN_IMPORTS``."""
+    out = []
+    for module, source in modules.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in FORBIDDEN_IMPORTS for name in names):
+                out.append(f"{module}: line {node.lineno}")
+    return out
+
+
+def test_detects_a_scipy_import():
+    planted = (
+        "import numpy as np\nimport scipy.linalg\n\n"
+        "def f(g):\n    from scipy import linalg\n    return linalg.expm(g)\n\n"
+        "from . import scipy_free\nimport scipyx\n"
+    )
+    assert forbidden_imports({"m.py": planted}) == ["m.py: line 2", "m.py: line 5"]
+
+
+def test_no_scipy_import():
+    modules = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert forbidden_imports(modules) == []
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so no other test's imports count
+    probe = (
+        "import sys\nimport basicgerbe, basicgerbe.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.stdout.strip() == "[]"

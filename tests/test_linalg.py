@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +10,7 @@ from basicgerbe import (
     AmbiguousClusterError,
     DimensionError,
     SchemaError,
+    StepTooLargeError,
     TangentVector,
     UnitaryMatrix,
     classify,
@@ -24,8 +27,14 @@ from basicgerbe import (
 from basicgerbe.linalg import (
     CLUSTER_TOL,
     TWO_PI,
+    UNITARITY_TOL,
     _eigenbasis_sum,
+    _shifted,
 )
+
+EPS = np.finfo(float).eps
+# the largest |t mu| that _shifted accepts, mu an eigenvalue of iA
+STEP_REACH = UNITARITY_TOL / EPS
 
 
 def mgs_projectors(g: UnitaryMatrix) -> np.ndarray:
@@ -58,11 +67,50 @@ def cluster_projectors(spec) -> np.ndarray:
     return np.stack([b @ b.conj().T for b in blocks])
 
 
+def mp_projectors(g: UnitaryMatrix) -> np.ndarray:
+    """Eigenprojectors of g, whose eigenvalues must be distinct, from
+    mpmath's eigenvectors at 40 digits, in ascending angle."""
+    with mpmath.workdps(40):
+        lam, v = mpmath.eig(mpmath.matrix(g.mat.tolist()))
+        out = []
+        for j in range(g.dim):
+            col = v[:, j] / mpmath.norm(v[:, j])
+            p = col * col.transpose_conj()
+            out.append((float(mpmath.arg(lam[j])) % TWO_PI, np.array(p.tolist(), complex)))
+    return np.stack([p for _, p in sorted(out, key=lambda item: item[0])])
+
+
+def conjugate_of(angles, rng) -> UnitaryMatrix:
+    """A random conjugate of diag(e^{i angles})."""
+    q = random_unitary(len(angles), rng).mat
+    return UnitaryMatrix((q * np.exp(1j * np.asarray(angles))) @ q.conj().T)
+
+
 def with_multiplicities(rng) -> UnitaryMatrix:
     """A random conjugate of diag(e^{0.4i} x3, e^{2.1i} x2, e^{4.0i} x4)."""
-    q = random_unitary(9, rng).mat
-    lam = np.exp(1j * np.repeat([0.4, 2.1, 4.0], [3, 2, 4]))
-    return UnitaryMatrix((q * lam) @ q.conj().T)
+    return conjugate_of(np.repeat([0.4, 2.1, 4.0], [3, 2, 4]), rng)
+
+
+def near_pair(rng) -> UnitaryMatrix:
+    """A random conjugate in U(6) with two eigenvalues 1e-8 apart."""
+    return conjugate_of([1.0, 1.0 + 1e-8, 2.0, 3.0, 4.0, 5.5], rng)
+
+
+def straddling_zero(rng) -> UnitaryMatrix:
+    """A random conjugate in U(5) with a cluster of three round angle 0."""
+    return conjugate_of([-1e-12, 1e-12, -2e-12, np.pi, 2.0], rng)
+
+
+# inputs of the decomposition accuracy test, each drawn from one Generator
+DECOMPOSITION_CASES = {
+    **{f"U({n})": (lambda rng, n=n: random_unitary(n, rng)) for n in (1, 2, 6, 32, 128)},
+    "+I": lambda rng: UnitaryMatrix(np.eye(6)),
+    "-I": lambda rng: UnitaryMatrix(-np.eye(6)),
+    "multiplicities-3-2-4": with_multiplicities,
+    "pair-1e-8-apart": near_pair,
+    "U(4)-in-U(32)": lambda rng: embed_block(random_unitary(4, rng), 32),
+    "cluster-straddling-0": straddling_zero,
+}
 
 
 class TestUnitaryCheck:
@@ -185,8 +233,14 @@ class TestSpectralDecompose:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda rng: embed_block(random_unitary(4, rng), 64), with_multiplicities],
-        ids=["U(4)-in-U(64)", "multiplicities-3-2-4"],
+        [
+            lambda rng: embed_block(random_unitary(4, rng), 64),
+            with_multiplicities,
+            lambda rng: UnitaryMatrix(np.eye(5)),
+            lambda rng: UnitaryMatrix(-np.eye(5)),
+            straddling_zero,
+        ],
+        ids=["U(4)-in-U(64)", "multiplicities-3-2-4", "+I", "-I", "straddling-0"],
     )
     def test_repeated_clusters_match_gram_schmidt(self, make):
         g = make(np.random.default_rng(21))
@@ -212,6 +266,63 @@ class TestSpectralDecompose:
             slice(5, 9),
         ]
         assert spec.columns(1, 3) == slice(3, 9) and spec.columns(2, 2) == slice(5, 5)
+
+
+    @pytest.mark.parametrize("case", DECOMPOSITION_CASES)
+    def test_accuracy_against_schur(self, case):
+        g = DECOMPOSITION_CASES[case](np.random.default_rng(31))
+        n = g.dim
+        spec = spectral_decompose(g)
+        u, lam = spec.frame, np.repeat(spec.eigenvalues, spec.multiplicities)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-13
+        # residual against Schur's, which keeps each eigenvalue apart; a
+        # cluster's shared eigenvalue adds how far its members sit from it
+        t, z = scipy.linalg.schur(g.mat, output="complex")
+        raw = np.diagonal(t)
+        schur_residual = np.linalg.norm(g.mat @ z - z * raw)
+        spread = np.max(np.min(np.abs(raw[:, None] - spec.eigenvalues), axis=1))
+        residual = np.linalg.norm(g.mat @ u - u * lam)
+        assert residual <= 10 * max(schur_residual, n * EPS) + np.sqrt(n) * spread
+        # a projector moves by about eps / gap under a backward error of eps
+        ring = np.append(spec.eigenvalues, spec.eigenvalues[:1])
+        gap = min(2.0, *np.abs(np.diff(ring))) if spec.count > 1 else 2.0
+        want = mp_projectors(g) if case == "pair-1e-8-apart" else mgs_projectors(g)
+        assert np.max(np.abs(cluster_projectors(spec) - want)) <= 2 * n * EPS / gap
+
+
+class TestShiftedStep:
+    """g exp(tA) holds while every phase t mu of exp(tA) keeps the
+    unitarity tolerance, |t mu| eps < UNITARITY_TOL."""
+
+    def direction(self, top):
+        # iA has eigenvalues -top, 0.5 and top
+        q = random_unitary(3, np.random.default_rng(17)).mat
+        return (q * (-1j * np.array([-top, 0.5, top]))) @ q.conj().T
+
+    def test_matches_the_exponential_series(self):
+        g = random_unitary(3, np.random.default_rng(16))
+        a = tangent_random(g, np.random.default_rng(18)).direction
+        series = sum(
+            np.linalg.matrix_power(0.3 * a, k) / math.factorial(k) for k in range(30)
+        )
+        assert np.max(np.abs(_shifted(g, a, 0.3).mat - g.mat @ series)) < 1e-15
+
+    @pytest.mark.parametrize("t", [1.0, -1.0, 1e-5])
+    def test_just_below_the_bound(self, t):
+        g = random_unitary(3, np.random.default_rng(16))
+        h = _shifted(g, self.direction(0.999 * STEP_REACH / abs(t)), t)
+        assert np.isfinite(h.mat).all() and unitary_check(h.mat)[0]
+
+    @pytest.mark.parametrize("t", [1.0, -1.0, 1e-5])
+    def test_just_above_the_bound(self, t):
+        g = random_unitary(3, np.random.default_rng(16))
+        with pytest.raises(StepTooLargeError, match="^g exp\\(tA\\) overflows"):
+            _shifted(g, self.direction(1.001 * STEP_REACH / abs(t)), t)
+
+    def test_refuses_a_non_finite_phase(self):
+        g = random_unitary(3, np.random.default_rng(16))
+        with pytest.raises(StepTooLargeError):
+            _shifted(g, self.direction(1.0), np.inf)
 
 
 class TestEigenbasisSum:
@@ -265,6 +376,7 @@ class TestTangentRandom:
         with pytest.raises(DimensionError):
             TangentVector(g, a)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e160, 1e200])
     def test_rejects_overflowing_norm(self, scale):
         # both norms overflow to inf, and inf > inf would let a + a^H != 0 pass
