@@ -267,7 +267,6 @@ class TestSpectralDecompose:
         ]
         assert spec.columns(1, 3) == slice(3, 9) and spec.columns(2, 2) == slice(5, 5)
 
-
     @pytest.mark.parametrize("case", DECOMPOSITION_CASES)
     def test_accuracy_against_schur(self, case):
         g = DECOMPOSITION_CASES[case](np.random.default_rng(31))
