@@ -6,7 +6,7 @@ This module implements that order, the betweenness predicate, the family
 of branch logarithms log_z with cut along the ray through z and
 log_z(1) = 0 (``log_cut_array``), the cut-exclusion check, the
 annular-sector contour (``projectors.ArcContext.contour`` builds the one
-round a spectral arc) and adaptive Gauss-Legendre contour quadrature.
+round a spectral arc) and adaptive Gauss-Kronrod contour quadrature.
 
 In polar coordinates (r, theta) the annular sector
 {1-rho <= |xi| <= 1+rho, theta_lo <= arg xi <= theta_hi} is the rectangle
@@ -15,13 +15,17 @@ of that rectangle's boundary, mapped by xi = r e^{i theta}: each arc of
 radius r is cut into equal panels at most 4 |log r| wide in angle, and each
 radial side is cut at r = 1, so every pole on the unit circle stays outside
 the golden Bernstein ellipse of each arc panel and sits at an end of a
-radial one.  Quadrature applies one Gauss-Legendre rule to every panel.
-It starts at DEFAULT_NODES = 32 nodes per panel and doubles until two
-successive estimates agree to QUAD_RTOL relative to max(1, |value|); if they still
-differ at MAX_NODES = 1024 nodes per panel, it raises QuadratureError.  A
-vectorized integrand gets all panels of a pass in as few calls as hold
-them, at most ``max_nodes`` nodes each.  The rules are built once per node
-count by Newton's method on the Legendre recurrence, in O(n^2) operations.
+radial one.  Quadrature applies one Gauss-Kronrod rule to every panel: a
+pass evaluates the 2n+1 Kronrod nodes of every panel once, n of which are
+the nodes of the n-point Gauss-Legendre rule, and returns the Kronrod
+estimate once the Gauss estimate agrees with it to QUAD_RTOL relative to
+max(1, |value|).  It starts at Gauss n = DEFAULT_NODES = 32 and doubles n;
+if the two still differ at n = MAX_NODES = 1024 (2049 nodes per panel), it
+raises QuadratureError.  A vectorized integrand gets all panels of a pass
+in as few calls as hold them, at most ``max_nodes`` nodes each.  The rules
+are built once per n in O(n^2) operations and O(n) memory: the Gauss
+nodes by Newton's method on the Legendre recurrence, the n+1 new ones by
+Newton's method on the Stieltjes polynomial in its Chebyshev form.
 """
 
 from __future__ import annotations
@@ -208,15 +212,106 @@ def _leggauss(n: int):
     return t, np.concatenate((w, w[:m][::-1])) / 2.0
 
 
+def _cosine_sum(top: float, coef: np.ndarray, th: np.ndarray):
+    """sum_k coef_k cos((top - 2k) th) and its derivative in th, at every th.
+
+    The terms go in blocks of 64 that share the factors exp(-2ij th),
+    j < 64, so the work is O(len(th) len(coef)) with no more than
+    O(len(th) + len(coef)) transcendental calls, in O(len(th)) memory.
+    """
+    j = np.arange(min(64, len(coef)))
+    w = np.exp(-2j * np.multiply.outer(th, j))
+    f = 0j
+    df = 0j
+    for i in range(0, len(coef), 64):
+        cb, orders = coef[i:i + 64], top - 2.0 * (i + j[:len(coef) - i])
+        ph = np.exp(1j * (top - 2.0 * i) * th)
+        f = f + ph * (w[:, :len(cb)] @ cb)
+        df = df + ph * (w[:, :len(cb)] @ (1j * orders * cb))
+    return f.real, df.real
+
+
+@lru_cache(maxsize=32)
+def _kronrod(n: int):
+    """The (2n+1)-node Gauss-Kronrod rule on [0, 1] that extends _leggauss(n).
+
+    Returns the 2n+1 ascending nodes, whose odd positions hold the nodes of
+    _leggauss(n), and a (2, 2n+1) array of weights: the Kronrod rule's, then
+    the Gauss rule's on the same nodes (zero at the n+1 new ones).
+
+    With x = 1 - 2t = cos(theta), the new nodes are the zeros of the
+    Stieltjes polynomial E_{n+1}(cos theta) = sum_k c_k cos((n+1-2k) theta),
+    whose Chebyshev coefficients c_k Piessens & Branders (Math. Comp. 28
+    (1974) 135) give by a recurrence in O(n^2) operations.  Newton's method
+    in theta finds them from the midpoints between neighbouring Gauss
+    angles.  The weights are those of the interpolatory rule on the zeros
+    of P_n E_{n+1}: at every node, a Gauss weight (zero at a new node) plus
+    -C sin(theta) / (d/dtheta)(P_n E_{n+1}), with C = 2^{2n+1} n!^2 /
+    (2n+1)! on [-1, 1].  P_n is summed in its own cosine series, so all of
+    it is O(n^2) work in O(n) memory.
+    """
+    tg, wg = _leggauss(n)
+    h = (n + 1) // 2  # the Gauss nodes in (0, 1/2], and E's last index
+    thg = 2.0 * np.arcsin(np.sqrt(tg[:h]))
+    a = n + 2.0 * np.arange(1, h)
+    nn = n * (n + 1.0)
+    tau = (n + 2.0) / (2 * n + 3) * np.cumprod(np.concatenate(
+        ([1.0], ((a - 1) * a - nn) * (a + 2) / (a * ((a + 3) * (a + 2) - nn)))))
+    c = np.empty(h + 1)
+    c[0], c[1] = 1.0, tau[0] - 1.0
+    for j in range(2, h + 1):
+        c[j] = tau[:j] @ c[j - 1::-1]
+    if n % 2:
+        c[h] /= 2  # the cos(0) term
+    # P_n(cos theta) = sum_k g_k g_{n-k} cos((n-2k) theta), g_k = binom(2k, k) / 4^k
+    i = np.arange(1, n + 1)
+    g = np.cumprod(np.concatenate(([1.0], (2.0 * i - 1) / (2.0 * i))))
+    k = np.arange(n // 2 + 1)
+    p_coef = np.where(2 * k < n, 2.0, 1.0) * g[k] * g[n - k]
+    # one new node between neighbouring Gauss angles; for even n, the last is pi/2
+    edges = np.concatenate(([0.0], thg, [np.pi - thg[-1]] if n % 2 == 0 else []))
+    th = (edges[:-1] + edges[1:]) / 2
+    for _ in range(10):  # no n tried needs more than 5
+        e, de = _cosine_sum(n + 1.0, c, th)
+        dth = e / de
+        th = th - dth
+        if np.max(np.abs(dth)) < 1e-15:
+            break
+    else:
+        raise EvaluationError(f"Gauss-Kronrod nodes for n={n} did not converge")
+    # the weights at the new nodes, then at the Gauss nodes, of [0, 1/2]
+    ths = np.concatenate((th, thg))
+    p, dp = _cosine_sum(float(n), p_coef, ths)
+    e, de = _cosine_sum(n + 1.0, c, ths)
+    C = 2.0 / (2 * n + 1) * np.prod(2.0 * i / (2.0 * i - 1))
+    wk = -C * np.sin(ths) / (dp * e + p * de) / 2.0
+    nk = len(th)
+    wk[nk:] += wg[:h]
+    tk = np.sin(th / 2.0) ** 2
+    if n % 2 == 0:
+        tk[-1] = 0.5  # the midpoint, a zero of E_{n+1} for even n
+    # mirror [0, 1/2] onto [1/2, 1], with the midpoint once
+    t = np.empty(2 * n + 1)
+    w = np.zeros((2, 2 * n + 1))
+    t[0::2] = np.concatenate((tk, 1.0 - tk[:h][::-1]))
+    t[1::2] = tg
+    w[0, 0::2] = np.concatenate((wk[:nk], wk[:h][::-1]))
+    w[0, 1::2] = np.concatenate((wk[nk:], wk[nk:nk + n // 2][::-1]))
+    w[1, 1::2] = wg
+    return t, w
+
+
 def _quad_once(panels: np.ndarray, integrand, nodes: int, max_nodes: int,
                vectorized: bool):
-    t, w = _leggauss(nodes)
+    """The Kronrod and the Gauss estimate, stacked, from one evaluation of
+    the 2n+1 Kronrod nodes of every panel."""
+    t, w = _kronrod(nodes)
     # r and theta move linearly along each panel; xi = r e^{i theta}
     r0, th0, r1, th1 = panels.T[:, :, None]
     dr, dth = r1 - r0, th1 - th0
     r, e = r0 + dr * t, np.exp(1j * (th0 + dth * t))
     xs = (r * e).ravel()
-    wds = (w * ((dr + 1j * dth * r) * e)).ravel()
+    wds = (w[:, None] * ((dr + 1j * dth * r) * e)).reshape(2, -1)
     total = 0j
     for i in range(0, len(xs), max_nodes):  # all panels, max_nodes per call
         chunk = xs[i:i + max_nodes]
@@ -226,7 +321,7 @@ def _quad_once(panels: np.ndarray, integrand, nodes: int, max_nodes: int,
             vals = np.asarray([integrand(complex(x)) for x in chunk], dtype=complex)
         if not np.all(np.isfinite(vals)):
             raise EvaluationError("integrand is not finite on the contour")
-        total = total + np.tensordot(wds[i:i + max_nodes], vals, axes=(0, 0))
+        total = total + np.tensordot(wds[:, i:i + max_nodes], vals, axes=(1, 0))
     return np.asarray(total) / (2j * np.pi)
 
 
@@ -239,23 +334,27 @@ def quad_integrate(
 ):
     """(1/2*pi*i) times the contour integral of ``integrand``.
 
-    Composite Gauss-Legendre per panel (row of ``contour.segments``); the
-    node count per panel doubles until two successive estimates agree to
-    QUAD_RTOL (relative to max(1, |value|)), and QuadratureError is raised
-    if they still differ at ``max_nodes``.  The integrand may return a
-    scalar or an ndarray; with ``vectorized`` it receives the nodes of all
-    panels, at most ``max_nodes`` per call (leading axis = nodes).
+    Composite Gauss-Kronrod per panel (row of ``contour.segments``): a pass
+    evaluates the 2n+1 Kronrod nodes of every panel once, n of which carry
+    the n-node Gauss rule, starting at n = ``start_nodes``.  It returns the
+    Kronrod estimate K, exact for polynomials of degree 3n+1 on a panel,
+    once the Gauss estimate G, exact to degree 2n-1, certifies it:
+    |K - G| <= QUAD_RTOL max(1, |K|).  Otherwise n doubles, and
+    QuadratureError is raised if they still differ at n = ``max_nodes``,
+    2 max_nodes + 1 nodes per panel.  The integrand may return a scalar or
+    an ndarray; with ``vectorized`` it receives the nodes of all panels, at
+    most ``max_nodes`` per call (leading axis = nodes).
     """
-    panels, nodes, diff = contour.segments, start_nodes, math.inf
-    prev = _quad_once(panels, integrand, nodes, max_nodes, vectorized)
-    while nodes < max_nodes:
+    panels, nodes = contour.segments, start_nodes
+    while True:
+        kronrod, gauss = _quad_once(panels, integrand, nodes, max_nodes, vectorized)
+        diff = float(np.max(np.abs(kronrod - gauss)))
+        if diff <= QUAD_RTOL * max(1.0, float(np.max(np.abs(kronrod)))):
+            return kronrod if kronrod.shape else complex(kronrod)
+        if nodes >= max_nodes:
+            raise QuadratureError(
+                f"no convergence on {len(panels)} panels at {nodes} nodes "
+                f"each: last difference {diff:.2e} between the {nodes}-node "
+                f"Gauss and {2 * nodes + 1}-node Kronrod estimates"
+            )
         nodes *= 2
-        cur = _quad_once(panels, integrand, nodes, max_nodes, vectorized)
-        diff = float(np.max(np.abs(cur - prev)))
-        if diff <= QUAD_RTOL * max(1.0, float(np.max(np.abs(cur)))):
-            return cur if cur.shape else complex(cur)
-        prev = cur
-    raise QuadratureError(
-        f"no convergence on {len(panels)} panels at {nodes} nodes "
-        f"each: last difference {diff:.2e}"
-    )

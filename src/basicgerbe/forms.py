@@ -25,7 +25,7 @@ from .contour import (
     quad_integrate,
     spectrum_contour,
 )
-from .errors import IncomparableError
+from .errors import IncomparableError, StepTooLargeError
 from .linalg import (
     SpectralDecomposition,
     TangentVector,
@@ -234,17 +234,28 @@ def exterior_derivative_fd(
     ``spec`` is the decomposition of g = ``x.base``, where the bracket terms
     evaluate; each of the six stencil points g exp(+-hA) is decomposed once.
     Tangents extend left-invariantly (X(h) = hA), so the bracket terms use
-    the matrix commutators of the directions.
+    the matrix commutators of the directions.  A step is refused once
+    h ||A||_2 reaches the distance from spec(g) to z: below it no eigenvalue
+    of g exp(+-hA) can reach the cut, since by Bauer-Fike for normal g each
+    lies within ||exp(+-hA) - 1||_2 <= h ||A||_2 of spec(g).
     """
     g = x.base
     if not np.array_equal(spec.matrix, g.mat):
         raise IncomparableError("spec is not the decomposition of the base point")
+    cut_distance = float(np.min(np.abs(spec.eigenvalues - z.value)))
 
     def form(h: UnitaryMatrix, hspec: SpectralDecomposition, a, b) -> complex:
         return curving_eval(z, hspec, TangentVector(h, a), TangentVector(h, b))
 
     def d_along(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> complex:
         hs = [_shifted(g, a, t) for t in (FD_STEP, -FD_STEP)]
+        reach = FD_STEP * float(np.linalg.norm(a, 2))
+        if not reach < cut_distance:
+            raise StepTooLargeError(
+                f"FD step h = {FD_STEP:g} moves an eigenvalue up to h ||A||_2 = "
+                f"{reach:.4g}, which reaches the distance {cut_distance:.4g} "
+                f"from spec(g) to the cut"
+            )
         plus, minus = (form(h, spectral_decompose(h), b, c) for h in hs)
         return (plus - minus) / (2 * FD_STEP)
 

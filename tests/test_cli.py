@@ -489,14 +489,16 @@ class TestMain:
 
     @pytest.mark.parametrize("margin", [0.999, 1.001])
     def test_eval_fd_step_bound(self, tmp_path, capsys, margin):
-        # a step g exp(hA) holds while h |mu| stays below UNITARITY_TOL / eps,
-        # mu the eigenvalues of iA, and exits 2 from there on
+        # a step g exp(hA) holds while h ||A||_2 = h max |mu|, mu the
+        # eigenvalues of iA, stays below the distance from spec(g) to z, and
+        # exits 2 naming the step from there on
         obj = group_point(3)
         top = max(
             np.max(np.abs(np.linalg.eigvalsh(1j * matrix_from_json(obj[key]))))
             for key in "XYZ"
         )
-        reach = UNITARITY_TOL / np.finfo(float).eps
+        lam = np.linalg.eigvals(matrix_from_json(obj["g"]))
+        reach = np.min(np.abs(lam - complex(*obj["z"])))
         p = tmp_path / "p.json"
         p.write_text(json.dumps(scaled_tangents(obj, margin * reach / (FD_STEP * top))))
         code = main(["eval", "--input", str(p), "--quantity", "df", "--method", "fd"])
@@ -505,7 +507,24 @@ class TestMain:
             assert code == 0 and np.isfinite(value(json.loads(out)))
         else:
             assert code == 2
-            assert err.startswith("error (StepTooLargeError): g exp(tA) overflows")
+            assert err.startswith("error (StepTooLargeError): FD step h = 1e-05")
+
+    def test_eval_fd_step_past_the_cut_exit_two(self, tmp_path, capsys):
+        # at 0.999 of the unitarity bound h max |mu| = UNITARITY_TOL / eps the
+        # phases of exp(hA) wind round the circle thousands of times, so the
+        # central difference means nothing: exit 2 naming the step
+        obj = group_point(3)
+        top = max(
+            np.max(np.abs(np.linalg.eigvalsh(1j * matrix_from_json(obj[key]))))
+            for key in "XYZ"
+        )
+        reach = UNITARITY_TOL / np.finfo(float).eps
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(scaled_tangents(obj, 0.999 * reach / (FD_STEP * top))))
+        assert main(["eval", "--input", str(p), "--quantity", "df"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (StepTooLargeError): FD step h = 1e-05")
+        assert "reaches the distance" in err
 
     def test_eval_nan_cut_exit_two(self, tmp_path, capsys):
         p = tmp_path / "p.json"

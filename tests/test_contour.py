@@ -1,6 +1,10 @@
 import contextlib
+import decimal
 import importlib.util
 import math
+import tracemalloc
+from decimal import Decimal
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath
@@ -26,7 +30,7 @@ from basicgerbe import (
     spectral_decompose,
     spectrum_contour,
 )
-from basicgerbe.contour import DEFAULT_NODES, _leggauss, log_cut_array
+from basicgerbe.contour import DEFAULT_NODES, MAX_NODES, _kronrod, _leggauss, log_cut_array
 from residue_reference import UnsupportedOrderError, residue_eval
 
 
@@ -224,12 +228,12 @@ class TestQuadrature:
 
     @pytest.mark.parametrize(
         "pole, start, stop, passes",
-        [(np.exp(0.7j), DEFAULT_NODES, 1024, 2), (0.51 * np.exp(0.7j), 8, 64, 4)],
+        [(np.exp(0.7j), DEFAULT_NODES, 1024, 1), (0.51 * np.exp(0.7j), 8, 64, 4)],
     )
     def test_vectorized_one_call_per_segment_per_pass(self, pole, start, stop, passes):
-        # pass p evaluates start * 2**p nodes on every panel, in as few calls
-        # of at most max_nodes nodes as hold them; the pole 0.01 from the
-        # inner arc does not converge by 64 nodes
+        # pass p evaluates the 2 start 2**p + 1 Kronrod nodes of every panel,
+        # in as few calls of at most max_nodes nodes as hold them; the pole
+        # 0.01 from the inner arc does not converge by Gauss n = 64
         c = Contour(0.2, 1.2)
         seen = []
 
@@ -242,7 +246,7 @@ class TestQuadrature:
             quad_integrate(c, integrand, start_nodes=start, max_nodes=stop, vectorized=True)
         want = []
         for p in range(passes):
-            total = len(c.segments) * start * 2**p
+            total = len(c.segments) * (2 * start * 2**p + 1)
             want += [stop] * (total // stop) + [total % stop] * (total % stop > 0)
         assert seen == want
 
@@ -293,7 +297,7 @@ class TestPanels:
     @pytest.mark.parametrize("lo, hi, rho", CASES)
     def test_nodes_on_arcs_and_radial_lines(self, lo, hi, rho):
         # every pass evaluates r e^{i theta} on arcs and start + (end - start) t
-        # on radial lines, at the Gauss-Legendre nodes t of each row
+        # on radial lines, at the Gauss-Kronrod nodes t of each row
         c = Contour(lo, hi, rho)
         seen = []
 
@@ -304,7 +308,7 @@ class TestPanels:
         quad_integrate(c, integrand, vectorized=True)
         got, want, n = np.concatenate(seen), [], DEFAULT_NODES
         while sum(map(len, want)) < len(got):
-            t, _ = _leggauss(n)
+            t, _ = _kronrod(n)
             for r0, th0, r1, th1 in c.segments:
                 if r0 == r1:
                     want.append(r0 * np.exp(1j * (th0 + (th1 - th0) * t)))
@@ -315,19 +319,34 @@ class TestPanels:
         assert np.max(np.abs(got - np.concatenate(want))) < 1e-15
 
 
-def test_benchmark_tracer_counts_quadrature_nodes():
-    # perfbench/tracing.py reads quad_integrate's arguments by name and takes
-    # len(contour.segments) as the panel count; 7 panels, 32 then 64 nodes each
+def benchmark_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing.Tracer()
+
+
+def test_benchmark_tracer_counts_quadrature_nodes():
+    # perfbench/tracing.py reads quad_integrate's arguments by name and takes
+    # len(contour.segments) as the panel count; 7 panels, 65 nodes each
     g = UnitaryMatrix(np.diag(np.exp([0.5j, 2j, 4j])))
     ctx = classify(cut_point(3.0), cut_point(1.0), spectral_decompose(g))
-    tracer = tracing.Tracer()
+    tracer = benchmark_tracer()
     with tracer.installed(basicgerbe, spans=False):
         arc_projector(ctx, "quadrature")
-    assert tracer.quad == [("", 7 * (32 + 64), 2, False)]
+    assert tracer.quad == [("", 7 * 65, 1, False)]
+
+
+def test_benchmark_tracer_classes_give_up_at_max():
+    # 6 panels of 17, 33, 65 and 129 nodes: the tracer infers 4 passes from
+    # the node count and that the last one reached max_nodes
+    tracer = benchmark_tracer()
+    pole = 0.51 * np.exp(0.7j)
+    with tracer.installed(basicgerbe, spans=False), pytest.raises(QuadratureError):
+        basicgerbe.contour.quad_integrate(Contour(0.2, 1.2), lambda xs: 1.0 / (xs - pole),
+                                          start_nodes=8, max_nodes=64, vectorized=True)
+    assert tracer.quad == [("", 1464, 4, True)]
 
 
 def mp_gauss_legendre(n: int, t0: float) -> tuple:
@@ -390,6 +409,115 @@ class TestGaussLegendre:
         assert np.max(np.abs(t + t[::-1] - 1)) < 1e-15
         assert np.array_equal(w, w[::-1]) and np.all(w > 0)
         assert abs(w.sum() - 1) < 1e-14
+
+
+@lru_cache(maxsize=None)
+def jacobi_kronrod(n: int) -> tuple:
+    """b_0 = 2, b_1, ..., b_2n of the (2n+1) Jacobi-Kronrod matrix of the
+    Legendre weight on [-1, 1], whose diagonal is zero, by Laurie's
+    algorithm (Math. Comp. 66 (1997) 1133) at 40 digits.
+
+    The decimal module keeps the huge exponent range of the intermediate
+    values, which overflows doubles by n = 1024, and is ten times faster
+    than mpmath at that n.
+    """
+    with decimal.localcontext(prec=40):
+        b = [Decimal(0)] * (2 * n + 1)
+        b[0] = Decimal(2)
+        for k in range(1, min(2 * n, -(-3 * n // 2)) + 1):  # as Legendre's
+            b[k] = Decimal(k * k) / (4 * k * k - 1)
+        s, t = [Decimal(0)] * (n // 2 + 2), [Decimal(0)] * (n // 2 + 2)
+        t[1] = b[n + 1]
+        for m in range(n - 1):
+            u = Decimal(0)
+            for k in range((m + 1) // 2, -1, -1):
+                u += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+                s[k + 1] = u
+            s, t = t, s
+        s[1:n // 2 + 2] = s[:n // 2 + 1]
+        for m in range(n - 1, 2 * n - 2):
+            u = Decimal(0)
+            for k in range(m + 1 - n, (m - 1) // 2 + 1):
+                j = n - 1 - m + k
+                u += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+                s[j + 1] = u
+            if m % 2:
+                b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+            s, t = t, s
+        return tuple(b)
+
+
+def ref_gauss_kronrod(n: int, t0: float) -> tuple:
+    """The node of the (2n+1)-point Gauss-Kronrod rule on [0, 1] next to t0,
+    and its weight, at 40 digits: Newton's method on the characteristic
+    polynomial of the Jacobi-Kronrod matrix, and the Christoffel weight
+    1 / sum_k q_k(x)^2 over its orthonormal polynomials q_k."""
+    b = jacobi_kronrod(n)
+    with decimal.localcontext(prec=40):
+        x = 1 - 2 * Decimal(t0)
+        for _ in range(3):  # from a double, 3 steps reach 40 digits
+            p0, p1, d0, d1 = Decimal(0), Decimal(1), Decimal(0), Decimal(0)
+            for k in range(2 * n + 1):  # monic: p_{k+1} = x p_k - b_k p_{k-1}
+                bk = b[k] if k else 0
+                p0, p1, d0, d1 = p1, x * p1 - bk * p0, d1, p1 + x * d1 - bk * d0
+            x -= p1 / d1
+        p0, p1, norm, total = Decimal(0), Decimal(1), b[0], 1 / b[0]
+        for k in range(1, 2 * n + 1):
+            p0, p1 = p1, x * p1 - (b[k - 1] if k > 1 else 0) * p0
+            norm *= b[k]
+            total += p1 * p1 / norm
+        return (1 - x) / 2, 1 / (2 * total)
+
+
+class TestGaussKronrod:
+    # every n that quad_integrate builds from DEFAULT_NODES up to MAX_NODES
+    SIZES = [DEFAULT_NODES * 2**k for k in range(6)]
+
+    @pytest.mark.parametrize("n", [*range(1, 9), *SIZES])
+    def test_exact_for_degree_to_3n_plus_1(self, n):
+        t, w = _kronrod(n)
+        x = 2 * t - 1
+        p0, p1 = np.ones_like(x), x
+        errs = [abs(w[0].sum() - 1), abs(w[0] @ x)]
+        for k in range(1, 3 * n + 1):  # P_{k+1}, up to P_{3n+1}
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+            errs.append(abs(w[0] @ p1))
+        assert max(errs) < 1e-14
+
+    @pytest.mark.parametrize("n", [*range(1, 9), *SIZES])
+    def test_extends_the_gauss_rule(self, n):
+        t, w = _kronrod(n)
+        tg, wg = _leggauss(n)
+        assert len(t) == 2 * n + 1 and np.all(np.diff(t) > 0)
+        assert np.array_equal(t[1::2], tg) and np.array_equal(w[1, 1::2], wg)
+        assert not w[1, 0::2].any()
+        assert np.all(w[0] > 0)
+        assert np.max(np.abs(t + t[::-1] - 1)) < 1e-15
+        assert np.array_equal(w[0], w[0][::-1])
+
+    @pytest.mark.parametrize("n, idx", [
+        (32, range(65)), (64, range(129)), (1024, [*range(8), *range(2041, 2049)]),
+    ])
+    def test_matches_high_precision(self, n, idx):
+        # every node at n = 32 and 64; at n = 1024 the outermost 8 each side
+        t, w = _kronrod(n)
+        dt = dw = 0.0
+        for i in idx:
+            ref_t, ref_w = ref_gauss_kronrod(n, t[i])
+            dt = max(dt, abs(float(ref_t - Decimal(t[i]))))
+            dw = max(dw, abs(float((Decimal(w[0, i]) - ref_w) / ref_w)))
+        assert dt < 1e-15 and dw < (1e-11 if n == 1024 else 1e-13)
+
+    def test_builds_in_linear_memory(self):
+        # a dense (2n+1) Jacobi-Kronrod eigensolve would hold 2049^2 doubles
+        assert MAX_NODES == 1024
+        tracemalloc.start()
+        try:
+            _kronrod.__wrapped__(MAX_NODES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * MAX_NODES + 1) ** 2 * 8 / 8
 
 
 class TestResidues:
