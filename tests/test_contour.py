@@ -497,7 +497,7 @@ class TestGaussKronrod:
 
     @pytest.mark.parametrize("n, idx", [
         (32, range(65)), (64, range(129)), (1024, [*range(8), *range(2041, 2049)]),
-    ])
+    ], ids=["32", "64", "1024"])
     def test_matches_high_precision(self, n, idx):
         # every node at n = 32 and 64; at n = 1024 the outermost 8 each side
         t, w = _kronrod(n)
