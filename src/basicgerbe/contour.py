@@ -23,9 +23,10 @@ max(1, |value|).  It starts at Gauss n = DEFAULT_NODES = 32 and doubles n;
 if the two still differ at n = MAX_NODES = 1024 (2049 nodes per panel), it
 raises QuadratureError.  A vectorized integrand gets all panels of a pass
 in as few calls as hold them, at most ``max_nodes`` nodes each.  The rules
-are built once per n in O(n^2) operations and O(n) memory: the Gauss
-nodes by Newton's method on the Legendre recurrence, the n+1 new ones by
-Newton's method on the Stieltjes polynomial in its Chebyshev form.
+are built once per n in O(n^2) operations and O(n) memory, by one Newton
+solver in theta = arccos(1 - 2t) on Chebyshev cosine series: that of P_n
+gives the n Gauss nodes, that of the Stieltjes polynomial E_{n+1} the n+1
+new ones.
 """
 
 from __future__ import annotations
@@ -173,86 +174,60 @@ def _resolvent(g: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.linalg.inv(xs[:, None, None] * np.eye(g.shape[0]) - g)
 
 
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
-    p0, p1 = np.ones_like(x), x
-    for k in range(1, n):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
-
-
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    """The n-node Gauss-Legendre rule on [0, 1]: ascending nodes, weights.
-
-    Newton's method on P_n from Tricomi's initial guesses, over the nodes
-    in [0, 1) of the symmetric rule on [-1, 1]: O(n^2) work (Hale &
-    Townsend, SIAM J. Sci. Comput. 35 (2013) A652).  The weights are
-    2 / ((1 - x^2) P_n'(x)^2), taken at the last iterate and carried to
-    first order through its final Newton step dx.
-    """
-    k = np.arange(1, n // 2 + 1)
-    x = (1 - (n - 1) / (8 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
-    if n % 2:
-        x = np.append(x, 0.0)  # the midpoint, a root of every odd P_n
-    for _ in range(10):  # from these guesses no n tried needs more than 4
-        p, dp = _legendre(n, x)
-        dx = p / dp
-        if np.max(np.abs(dx)) < 1e-15:  # the next iterate is exact to rounding
-            break
-        x = x - dx
-    else:
-        raise EvaluationError(f"Gauss-Legendre nodes for n={n} did not converge")
-    one_minus_x2 = (1.0 - x) * (1.0 + x)
-    w = 2.0 / (one_minus_x2 * dp**2) * (1.0 + 2.0 * x * dx / one_minus_x2)
-    x = x - dx
-    # x descends from near 1; mirror it and map [-1, 1] to [0, 1]
-    m = n // 2
-    t = np.concatenate(((1.0 - x) / 2.0, (1.0 + x[:m][::-1]) / 2.0))
-    return t, np.concatenate((w, w[:m][::-1])) / 2.0
-
-
 def _cosine_sum(top: float, coef: np.ndarray, th: np.ndarray):
     """sum_k coef_k cos((top - 2k) th) and its derivative in th, at every th.
 
-    The terms go in blocks of 64 that share the factors exp(-2ij th),
-    j < 64, so the work is O(len(th) len(coef)) with no more than
-    O(len(th) + len(coef)) transcendental calls, in O(len(th)) memory.
+    Horner's rule in u = exp(-2i th): with S = sum_k coef_k u^k, the sum is
+    Re(e^{i top th} S) and its derivative Re(i e^{i top th} (top S - 2u S')),
+    O(len(th) len(coef)) work in O(len(th)) memory.
     """
-    j = np.arange(min(64, len(coef)))
-    w = np.exp(-2j * np.multiply.outer(th, j))
-    f = 0j
-    df = 0j
-    for i in range(0, len(coef), 64):
-        cb, orders = coef[i:i + 64], top - 2.0 * (i + j[:len(coef) - i])
-        ph = np.exp(1j * (top - 2.0 * i) * th)
-        f = f + ph * (w[:, :len(cb)] @ cb)
-        df = df + ph * (w[:, :len(cb)] @ (1j * orders * cb))
-    return f.real, df.real
+    u = np.exp(-2j * th)
+    s = ds = np.zeros_like(u)
+    for c in coef[::-1]:
+        ds = ds * u + s
+        s = s * u + c
+    ph = np.exp(1j * top * th)
+    return (ph * s).real, (1j * ph * (top * s - 2.0 * u * ds)).real
+
+
+def _newton(top: float, coef: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """The zeros of _cosine_sum(top, coef, .) that Newton's method reaches
+    from the angles th."""
+    for _ in range(10):  # no n tried needs more than 5
+        f, df = _cosine_sum(top, coef, th)
+        dth = f / df
+        th = th - dth
+        if np.max(np.abs(dth)) < 1e-15:
+            return th
+    raise EvaluationError("Gauss-Kronrod nodes did not converge: Newton's method "
+                          f"on a cosine series of degree {top:g}")
 
 
 @lru_cache(maxsize=32)
 def _kronrod(n: int):
-    """The (2n+1)-node Gauss-Kronrod rule on [0, 1] that extends _leggauss(n).
+    """The (2n+1)-node Gauss-Kronrod rule on [0, 1] that extends the n-node
+    Gauss-Legendre rule.
 
-    Returns the 2n+1 ascending nodes, whose odd positions hold the nodes of
-    _leggauss(n), and a (2, 2n+1) array of weights: the Kronrod rule's, then
-    the Gauss rule's on the same nodes (zero at the n+1 new ones).
+    Returns the 2n+1 ascending nodes, whose odd positions hold the n Gauss
+    nodes, and a (2, 2n+1) array of weights: the Kronrod rule's, then the
+    Gauss rule's on the same nodes (zero at the n+1 new ones).
 
-    With x = 1 - 2t = cos(theta), the new nodes are the zeros of the
-    Stieltjes polynomial E_{n+1}(cos theta) = sum_k c_k cos((n+1-2k) theta),
-    whose Chebyshev coefficients c_k Piessens & Branders (Math. Comp. 28
-    (1974) 135) give by a recurrence in O(n^2) operations.  Newton's method
-    in theta finds them from the midpoints between neighbouring Gauss
-    angles.  The weights are those of the interpolatory rule on the zeros
-    of P_n E_{n+1}: at every node, a Gauss weight (zero at a new node) plus
-    -C sin(theta) / (d/dtheta)(P_n E_{n+1}), with C = 2^{2n+1} n!^2 /
-    (2n+1)! on [-1, 1].  P_n is summed in its own cosine series, so all of
-    it is O(n^2) work in O(n) memory.
+    With x = 1 - 2t = cos(theta), _newton finds both node sets of the half
+    [0, 1/2], which the rule mirrors, as zeros of cosine series:
+    - the Gauss nodes, of P_n(cos theta) = sum_k g_k g_{n-k} cos((n-2k) theta)
+      with g_k = binom(2k, k) / 4^k, from Tricomi's guesses pi (4k-1) / (4n+2)
+      (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652); their weights
+      on [0, 1] are 1 / (dP_n/dtheta)^2;
+    - the n+1 new nodes, of the Stieltjes polynomial E_{n+1}(cos theta) =
+      sum_k c_k cos((n+1-2k) theta), from the midpoints between neighbouring
+      Gauss angles; Piessens & Branders (Math. Comp. 28 (1974) 135) give the
+      c_k by a recurrence.
+    The Kronrod weights are those of the interpolatory rule on the zeros of
+    P_n E_{n+1}: at every node, a Gauss weight (zero at a new node) plus
+    -C sin(theta) / (d/dtheta)(P_n E_{n+1}), with C = 2^{2n+1} n!^2 / (2n+1)!
+    on [-1, 1].  All of it is O(n^2) work in O(n) memory.
     """
-    tg, wg = _leggauss(n)
     h = (n + 1) // 2  # the Gauss nodes in (0, 1/2], and E's last index
-    thg = 2.0 * np.arcsin(np.sqrt(tg[:h]))
     a = n + 2.0 * np.arange(1, h)
     nn = n * (n + 1.0)
     tau = (n + 2.0) / (2 * n + 3) * np.cumprod(np.concatenate(
@@ -263,42 +238,28 @@ def _kronrod(n: int):
         c[j] = tau[:j] @ c[j - 1::-1]
     if n % 2:
         c[h] /= 2  # the cos(0) term
-    # P_n(cos theta) = sum_k g_k g_{n-k} cos((n-2k) theta), g_k = binom(2k, k) / 4^k
     i = np.arange(1, n + 1)
     g = np.cumprod(np.concatenate(([1.0], (2.0 * i - 1) / (2.0 * i))))
     k = np.arange(n // 2 + 1)
     p_coef = np.where(2 * k < n, 2.0, 1.0) * g[k] * g[n - k]
-    # one new node between neighbouring Gauss angles; for even n, the last is pi/2
-    edges = np.concatenate(([0.0], thg, [np.pi - thg[-1]] if n % 2 == 0 else []))
-    th = (edges[:-1] + edges[1:]) / 2
-    for _ in range(10):  # no n tried needs more than 5
-        e, de = _cosine_sum(n + 1.0, c, th)
-        dth = e / de
-        th = th - dth
-        if np.max(np.abs(dth)) < 1e-15:
-            break
-    else:
-        raise EvaluationError(f"Gauss-Kronrod nodes for n={n} did not converge")
-    # the weights at the new nodes, then at the Gauss nodes, of [0, 1/2]
-    ths = np.concatenate((th, thg))
+    # the ascending angles of [0, 1/2]: Gauss at odd positions, new at even;
+    # the midpoint pi/2 is the last Gauss guess for odd n, the last midpoint
+    # between Gauss angles for even n
+    ths = np.empty(n + 1)
+    ths[1::2] = _newton(float(n), p_coef, np.pi * (4 * k[:h] + 3) / (4 * n + 2))
+    edges = np.concatenate(([0.0], ths[1::2], [np.pi - ths[-2]] if n % 2 == 0 else []))
+    ths[0::2] = _newton(n + 1.0, c, (edges[:-1] + edges[1:]) / 2)
     p, dp = _cosine_sum(float(n), p_coef, ths)
     e, de = _cosine_sum(n + 1.0, c, ths)
     C = 2.0 / (2 * n + 1) * np.prod(2.0 * i / (2.0 * i - 1))
-    wk = -C * np.sin(ths) / (dp * e + p * de) / 2.0
-    nk = len(th)
-    wk[nk:] += wg[:h]
-    tk = np.sin(th / 2.0) ** 2
-    if n % 2 == 0:
-        tk[-1] = 0.5  # the midpoint, a zero of E_{n+1} for even n
+    w = np.zeros((2, n + 1))
+    w[1, 1::2] = 1.0 / dp[1::2] ** 2
+    w[0] = w[1] - C * np.sin(ths) / (dp * e + p * de) / 2.0
+    t = np.sin(ths / 2.0) ** 2
+    t[n] = 0.5  # the midpoint, a zero of P_n for odd n and of E_{n+1} for even n
     # mirror [0, 1/2] onto [1/2, 1], with the midpoint once
-    t = np.empty(2 * n + 1)
-    w = np.zeros((2, 2 * n + 1))
-    t[0::2] = np.concatenate((tk, 1.0 - tk[:h][::-1]))
-    t[1::2] = tg
-    w[0, 0::2] = np.concatenate((wk[:nk], wk[:h][::-1]))
-    w[0, 1::2] = np.concatenate((wk[nk:], wk[nk:nk + n // 2][::-1]))
-    w[1, 1::2] = wg
-    return t, w
+    return (np.concatenate((t, 1.0 - t[n - 1::-1])),
+            np.concatenate((w, w[:, n - 1::-1]), axis=1))
 
 
 def _quad_once(panels: np.ndarray, integrand, nodes: int, max_nodes: int,

@@ -45,7 +45,7 @@ class GapError(GerbeError):
 
 class EvaluationError(GerbeError):
     """A numerical evaluation failed: a non-finite integrand value, or
-    Gauss-Legendre nodes whose Newton iteration did not converge."""
+    Gauss-Kronrod nodes whose Newton iteration did not converge."""
 
 
 class QuadratureError(EvaluationError):
