@@ -36,7 +36,8 @@ class EmptySpaceError(GerbeError):
 
 
 class StepTooLargeError(GerbeError):
-    """A finite-difference or loop step put an eigenvalue on or across a cut."""
+    """A finite-difference or loop step could carry an eigenvalue to a cut:
+    its reach is not below the distance from spec(g) to the cuts."""
 
 
 class GapError(GerbeError):

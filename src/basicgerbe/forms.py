@@ -25,20 +25,20 @@ from .contour import (
     quad_integrate,
     spectrum_contour,
 )
-from .errors import IncomparableError, StepTooLargeError
+from .errors import IncomparableError
 from .linalg import (
     SpectralDecomposition,
     TangentVector,
     UnitaryMatrix,
     _differences,
     _eigenbasis_sum,
-    _shifted,
-    spectral_decompose,
 )
 from .projectors import (
     FD_STEP,
     ArcContext,
     _context_at,
+    _refuse_reach,
+    _step,
     arc_projector,
     projector_derivative,
 )
@@ -232,31 +232,23 @@ def exterior_derivative_fd(
     """Cartan-formula exterior derivative of the curving at the cut z on G.
 
     ``spec`` is the decomposition of g = ``x.base``, where the bracket terms
-    evaluate; each of the six stencil points g exp(+-hA) is decomposed once.
-    Tangents extend left-invariantly (X(h) = hA), so the bracket terms use
-    the matrix commutators of the directions.  A step is refused once
-    h ||A||_2 reaches the distance from spec(g) to z: below it no eigenvalue
-    of g exp(+-hA) can reach the cut, since by Bauer-Fike for normal g each
-    lies within ||exp(+-hA) - 1||_2 <= h ||A||_2 of spec(g).
+    evaluate; each of the six stencil points g exp(+-hA) is a
+    ``projectors._step`` from ``spec``.  Tangents extend left-invariantly
+    (X(h) = hA), so the bracket terms use the matrix commutators of the
+    directions.
     """
     g = x.base
     if not np.array_equal(spec.matrix, g.mat):
         raise IncomparableError("spec is not the decomposition of the base point")
-    cut_distance = float(np.min(np.abs(spec.eigenvalues - z.value)))
 
     def form(h: UnitaryMatrix, hspec: SpectralDecomposition, a, b) -> complex:
         return curving_eval(z, hspec, TangentVector(h, a), TangentVector(h, b))
 
     def d_along(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> complex:
-        hs = [_shifted(g, a, t) for t in (FD_STEP, -FD_STEP)]
-        reach = FD_STEP * float(np.linalg.norm(a, 2))
-        if not reach < cut_distance:
-            raise StepTooLargeError(
-                f"FD step h = {FD_STEP:g} moves an eigenvalue up to h ||A||_2 = "
-                f"{reach:.4g}, which reaches the distance {cut_distance:.4g} "
-                f"from spec(g) to the cut"
-            )
-        plus, minus = (form(h, spectral_decompose(h), b, c) for h in hs)
+        plus, minus = (
+            form(UnitaryMatrix(hspec.matrix), hspec, b, c)
+            for hspec in (_step(spec, a, t, z) for t in (FD_STEP, -FD_STEP))
+        )
         return (plus - minus) / (2 * FD_STEP)
 
     a, b, c = x.direction, y.direction, w.direction
@@ -275,7 +267,11 @@ def curving_z_derivative_fd(
     x: TangentVector,
     y: TangentVector,
 ) -> complex:
-    """Derivative of the curving in the cut direction (contract: zero)."""
+    """Derivative of the curving in the cut direction (contract: zero).
+
+    Turning z by +-h moves it along a chord of at most h: the reach is h.
+    """
+    _refuse_reach(spec, FD_STEP, FD_STEP, z)
     zp, zm = cut_point(z.angle + FD_STEP), cut_point(z.angle - FD_STEP)
     return (curving_eval(zp, spec, x, y) - curving_eval(zm, spec, x, y)) / (2 * FD_STEP)
 
@@ -296,6 +292,7 @@ def connection_holonomy(
     det(F_k^H F_{k+1}) of the corner arc frames F_k (Fukui, Hatsugai & Suzuki
     2005), in which any choice of frame cancels; only a positive context has
     frames.  1j * angle(hol) / h**2 is the curvature on (gA, gB) up to O(h^2).
+    Each corner is a ``projectors._step`` by h/2 along +-A +-B from g.
     """
     f = np.array([_context_at(ctx, s * a + t * b, h / 2).basis for s, t in _SQUARE])
     # link k is det(F_k^H F_{k+1}); the last one closes the loop

@@ -6,8 +6,7 @@ frame, block embeddings U(n) -> U(N), g |-> diag(g, 1), and the JSON
 matrix leaf with the object-and-field check every point-file reader uses.
 
 Everything here is numpy: a unitary g is diagonalised through ``eigh`` of
-its Cayley transform i(w + g)(w - g)^{-1}, a Hermitian function of g, and
-exp(tA) through ``eigh`` of the Hermitian iA.
+its Cayley transform i(w + g)(w - g)^{-1}, a Hermitian function of g.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AmbiguousClusterError, DimensionError, SchemaError, StepTooLargeError
-)
+from .errors import AmbiguousClusterError, DimensionError, SchemaError
 
 UNITARITY_TOL = 1e-12
 CLUSTER_TOL = 1e-9
@@ -118,23 +115,6 @@ def _random_skew(n: int, rng: np.random.Generator) -> np.ndarray:
 def tangent_random(g: UnitaryMatrix, rng) -> TangentVector:
     """Random unit-Frobenius-norm skew-Hermitian direction at g."""
     return TangentVector(g, _random_skew(g.dim, rng))
-
-
-def _shifted(g: UnitaryMatrix, a: np.ndarray, t: float) -> UnitaryMatrix:
-    """g exp(tA), the point t along the left-invariant curve through g.
-
-    With iA = V diag(mu) V^H, exp(tA) = V diag(e^{-i t mu}) V^H.  A phase
-    t mu carries a rounding error of |t mu| eps, so the step is refused
-    once that reaches ``UNITARITY_TOL`` (|t mu| about 4.5e3).
-    """
-    mu, v = np.linalg.eigh(1j * a)
-    reach, limit = float(np.max(np.abs(t * mu))), UNITARITY_TOL / np.finfo(float).eps
-    if not reach < limit:
-        raise StepTooLargeError(
-            f"g exp(tA) overflows at t = {t:g}: max |t mu| = {reach:.4g} reaches "
-            f"{limit:.4g}, where exp(-i t mu) loses the unitarity tolerance"
-        )
-    return UnitaryMatrix(g.mat @ (v * np.exp(-1j * t * mu)) @ v.conj().T)
 
 
 def _perm_sign(perm) -> int:

@@ -70,6 +70,37 @@ def group_point(n):
     return obj
 
 
+def cut_distance(*cuts):
+    """The distance from spec(g) to the nearest of ``cuts`` at ``group_point(3)``."""
+    obj = group_point(3)
+    lam = np.linalg.eigvals(matrix_from_json(obj["g"]))
+    return min(np.min(np.abs(lam - complex(*obj[z]))) for z in cuts)
+
+
+def check_fd_step(tmp_path, capsys, quantity, tangents, reach, refused):
+    """``eval --method fd`` at ``group_point(3)``, its tangents scaled so that
+    the largest h ||A||_2 among ``tangents`` is ``reach``, h = FD_STEP.
+
+    A refused step exits 2 naming the step, any other gives a finite value;
+    returns stderr.
+    """
+    obj = group_point(3)
+    top = max(
+        np.max(np.abs(np.linalg.eigvalsh(1j * matrix_from_json(obj[key]))))
+        for key in tangents
+    )
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(scaled_tangents(obj, reach / (FD_STEP * top))))
+    code = main(["eval", "--input", str(p), "--quantity", quantity, "--method", "fd"])
+    out, err = capsys.readouterr()
+    if refused:
+        assert code == 2
+        assert err.startswith("error (StepTooLargeError): FD step h = 1e-05")
+    else:
+        assert code == 0 and np.isfinite(value(json.loads(out)))
+    return err
+
+
 def scaled_tangents(obj, scale):
     """``obj`` with its tangent directions X, Y, Z multiplied by ``scale``."""
     for key in "XYZ":
@@ -480,51 +511,36 @@ class TestMain:
         assert "QuadratureError" in capsys.readouterr().err
 
     def test_eval_overflowing_fd_step_exit_two(self, tmp_path, capsys):
-        # |A| ~ 1e150 puts h |mu| far past the step bound at h = FD_STEP
+        # |A| ~ 1e150 puts h ||A||_2 far past the cut bound at h = FD_STEP
         p = tmp_path / "p.json"
         p.write_text(json.dumps(scaled_tangents(group_point(3), 1e150)))
         assert main(["eval", "--input", str(p), "--quantity", "df"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error (StepTooLargeError): g exp(tA) overflows")
+        assert err.startswith("error (StepTooLargeError): FD step h = 1e-05")
 
     @pytest.mark.parametrize("margin", [0.999, 1.001])
     def test_eval_fd_step_bound(self, tmp_path, capsys, margin):
         # a step g exp(hA) holds while h ||A||_2 = h max |mu|, mu the
         # eigenvalues of iA, stays below the distance from spec(g) to z, and
         # exits 2 naming the step from there on
-        obj = group_point(3)
-        top = max(
-            np.max(np.abs(np.linalg.eigvalsh(1j * matrix_from_json(obj[key]))))
-            for key in "XYZ"
-        )
-        lam = np.linalg.eigvals(matrix_from_json(obj["g"]))
-        reach = np.min(np.abs(lam - complex(*obj["z"])))
-        p = tmp_path / "p.json"
-        p.write_text(json.dumps(scaled_tangents(obj, margin * reach / (FD_STEP * top))))
-        code = main(["eval", "--input", str(p), "--quantity", "df", "--method", "fd"])
-        out, err = capsys.readouterr()
-        if margin < 1:
-            assert code == 0 and np.isfinite(value(json.loads(out)))
-        else:
-            assert code == 2
-            assert err.startswith("error (StepTooLargeError): FD step h = 1e-05")
+        reach = margin * cut_distance("z")
+        check_fd_step(tmp_path, capsys, "df", "XYZ", reach, refused=margin > 1)
 
     def test_eval_fd_step_past_the_cut_exit_two(self, tmp_path, capsys):
-        # at 0.999 of the unitarity bound h max |mu| = UNITARITY_TOL / eps the
-        # phases of exp(hA) wind round the circle thousands of times, so the
-        # central difference means nothing: exit 2 naming the step
-        obj = group_point(3)
-        top = max(
-            np.max(np.abs(np.linalg.eigvalsh(1j * matrix_from_json(obj[key]))))
-            for key in "XYZ"
-        )
-        reach = UNITARITY_TOL / np.finfo(float).eps
-        p = tmp_path / "p.json"
-        p.write_text(json.dumps(scaled_tangents(obj, 0.999 * reach / (FD_STEP * top))))
-        assert main(["eval", "--input", str(p), "--quantity", "df"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error (StepTooLargeError): FD step h = 1e-05")
+        # at h max |mu| = 0.999 UNITARITY_TOL / eps, about 4.5e3, the phases
+        # of exp(hA) wind round the circle hundreds of times, so the central
+        # difference means nothing: exit 2 naming the step
+        reach = 0.999 * UNITARITY_TOL / np.finfo(float).eps
+        err = check_fd_step(tmp_path, capsys, "df", "XYZ", reach, refused=True)
         assert "reaches the distance" in err
+
+    @pytest.mark.parametrize("margin", [0.999, 1.001, 5.0])
+    def test_eval_curvature_fd_step_bound(self, tmp_path, capsys, margin):
+        # dP by central differences holds while h ||A||_2 stays below the
+        # distance from spec(g) to the nearer of z1 and z2; past it the arc
+        # may gain or lose an eigenvalue, and the step is refused
+        reach = margin * cut_distance("z1", "z2")
+        check_fd_step(tmp_path, capsys, "curvature", "XY", reach, refused=margin > 1)
 
     def test_eval_nan_cut_exit_two(self, tmp_path, capsys):
         p = tmp_path / "p.json"

@@ -29,7 +29,7 @@ from basicgerbe import (
     tangent_random,
     three_curvature,
 )
-from basicgerbe import forms
+from basicgerbe import projectors
 from basicgerbe.forms import (
     LOOP_STEP,
     _curving_weights,
@@ -229,6 +229,17 @@ class TestCurving:
             z = random_null_pair(spec, rng)[0]
             assert abs(curving_z_derivative_fd(z, spec, x, y)) < 1e-6
 
+    def test_cut_derivative_refuses_a_step_past_an_eigenvalue(self):
+        # a cut 5e-6 from an eigenvalue clears CUT_EXCLUSION, but z e^{+-ih}
+        # lie on both sides of it; 2e-5 away the stencil stays in one gap
+        rng = sample_rng(0, "probe", 0)
+        g, spec = well_separated_unitary(3, rng)
+        x, y = tangent_random(g, rng), tangent_random(g, rng)
+        with pytest.raises(StepTooLargeError, match="^FD step h = 1e-05 "):
+            curving_z_derivative_fd(cut_point(spec.angles[1] + 5e-6), spec, x, y)
+        z = cut_point(spec.angles[1] + 2e-5)
+        assert abs(curving_z_derivative_fd(z, spec, x, y)) < 1e-6
+
     def test_weights_match_residue_eval(self):
         rng = np.random.default_rng(12)
         z = cut_point(0.1)
@@ -394,7 +405,7 @@ class TestThreeForm:
             seen.append(h.mat.tobytes())
             return spectral_decompose(h)
 
-        monkeypatch.setattr(forms, "spectral_decompose", counting)
+        monkeypatch.setattr(projectors, "spectral_decompose", counting)
         exterior_derivative_fd(cut, spec, x, y, z)
         # the six points g exp(+-h A) of the stencil, each once; g is never
         # decomposed again

@@ -11,7 +11,9 @@ assignment and its re-export do not count.  A defaulted parameter of a
 function of the package must be passed, by keyword or by position, by some
 call to a function of that name.  Only the readers of the JSON formats,
 ``cli.py`` (the point file) and ``linalg.py`` (the matrix leaf), construct
-a ``SchemaError``.  Only ``sampling.sample_rng`` calls into ``numpy.random``,
+a ``SchemaError``.  Only the step rule ``projectors._refuse_reach``
+constructs a ``StepTooLargeError``, so every finite difference on U(n) is
+refused by the same bound.  Only ``sampling.sample_rng`` calls into ``numpy.random``,
 so every random draw comes from the Generator it makes for each sample.
 The package needs only numpy and orjson: no module of it imports scipy,
 and a fresh interpreter that imports it has loaded no scipy module.
@@ -191,18 +193,25 @@ def test_no_unset_parameters():
 SCHEMA_READERS = {"cli.py", "linalg.py"}
 
 
+def constructions(tree: ast.AST, error: str) -> list[int]:
+    """Lines of the calls under ``tree`` that construct ``error``, by its
+    bare name or as a module attribute."""
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    return sorted(
+        n.lineno
+        for n in calls
+        if (getattr(n.func, "id", None) or getattr(n.func, "attr", None)) == error
+    )
+
+
 def schema_errors_outside_readers(modules: dict[str, str]) -> list[str]:
     """Calls constructing a SchemaError in a module that reads no JSON."""
-    out = []
-    for module, source in modules.items():
-        if module in SCHEMA_READERS:
-            continue
-        calls = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
-        for node in sorted(calls, key=lambda n: n.lineno):
-            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if name == "SchemaError":
-                out.append(f"{module}: line {node.lineno}")
-    return out
+    return [
+        f"{module}: line {line}"
+        for module, source in modules.items()
+        if module not in SCHEMA_READERS
+        for line in constructions(ast.parse(source), "SchemaError")
+    ]
 
 
 def test_detects_a_schema_error_outside_the_readers():
@@ -221,6 +230,55 @@ def test_detects_a_schema_error_outside_the_readers():
 def test_schema_errors_only_in_readers():
     modules = {m: (SRC / m).read_text() for m in MODULES}
     assert schema_errors_outside_readers(modules) == []
+
+
+# the one function of the package that refuses a finite-difference step
+STEP_RULE = ("projectors.py", "_refuse_reach")
+
+
+def step_errors_outside_the_rule(modules: dict[str, str]) -> list[str]:
+    """Calls constructing a StepTooLargeError anywhere but in ``STEP_RULE``."""
+    out = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        rule = [f for f in tree.body if (module, getattr(f, "name", None)) == STEP_RULE]
+        allowed = {line for f in rule for line in constructions(f, "StepTooLargeError")}
+        out += [
+            f"{module}: line {line}"
+            for line in constructions(tree, "StepTooLargeError")
+            if line not in allowed
+        ]
+    return out
+
+
+def test_detects_a_step_error_outside_the_rule():
+    planted = (
+        "from .errors import StepTooLargeError\nfrom . import errors\n\n"
+        "def d_along(h, reach, distance):\n    if not reach < distance:\n"
+        "        raise StepTooLargeError(f'h = {h}')\n"
+        "    raise errors.StepTooLargeError('worse')\n\n"
+        "def _refuse_reach():\n    raise StepTooLargeError('not the rule')\n"
+    )
+    rule = (
+        "def _refuse_reach(h):\n    raise StepTooLargeError(f'FD step h = {h}')\n\n"
+        "def _step():\n    raise StepTooLargeError('a second rule')\n"
+    )
+    modules = {"forms.py": planted, "projectors.py": rule}
+    assert step_errors_outside_the_rule(modules) == [
+        "forms.py: line 6",
+        "forms.py: line 7",
+        "forms.py: line 10",
+        "projectors.py: line 5",
+    ]
+
+
+def test_one_step_rule():
+    modules = {m: (SRC / m).read_text() for m in MODULES}
+    assert step_errors_outside_the_rule(modules) == []
+    # and the rule itself still refuses
+    tree = ast.parse(modules[STEP_RULE[0]])
+    (rule,) = [f for f in tree.body if getattr(f, "name", None) == STEP_RULE[1]]
+    assert constructions(rule, "StepTooLargeError")
 
 
 # the one function of the package that makes a random stream

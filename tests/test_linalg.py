@@ -24,17 +24,10 @@ from basicgerbe import (
     tangent_random,
     unitary_check,
 )
-from basicgerbe.linalg import (
-    CLUSTER_TOL,
-    TWO_PI,
-    UNITARITY_TOL,
-    _eigenbasis_sum,
-    _shifted,
-)
+from basicgerbe.linalg import CLUSTER_TOL, TWO_PI, _eigenbasis_sum
+from basicgerbe.projectors import _step
 
 EPS = np.finfo(float).eps
-# the largest |t mu| that _shifted accepts, mu an eigenvalue of iA
-STEP_REACH = UNITARITY_TOL / EPS
 
 
 def mgs_projectors(g: UnitaryMatrix) -> np.ndarray:
@@ -290,38 +283,56 @@ class TestSpectralDecompose:
 
 
 class TestShiftedStep:
-    """g exp(tA) holds while every phase t mu of exp(tA) keeps the
-    unitarity tolerance, |t mu| eps < UNITARITY_TOL."""
+    """``_step`` decomposes g exp(tA) while |t| ||A||_2 stays below the
+    distance from spec(g) to the cuts, and refuses it from there on."""
+
+    # g has eigenvalues at angles 1, 2 and 4; the cut at angle 3 is
+    # 2 sin(1/2) ~ 0.959 from the nearest two
+    CUT = cut_point(3.0)
+
+    def spec(self):
+        q = random_unitary(3, np.random.default_rng(16)).mat
+        return spectral_decompose(
+            UnitaryMatrix((q * np.exp(1j * np.array([1.0, 2.0, 4.0]))) @ q.conj().T)
+        )
+
+    def bound(self, spec):
+        return float(np.min(np.abs(spec.eigenvalues - self.CUT.value)))
 
     def direction(self, top):
-        # iA has eigenvalues -top, 0.5 and top
+        # iA has eigenvalues -top, 0.5 top and top, so ||A||_2 = top
         q = random_unitary(3, np.random.default_rng(17)).mat
-        return (q * (-1j * np.array([-top, 0.5, top]))) @ q.conj().T
+        return (q * (-1j * top * np.array([-1.0, 0.5, 1.0]))) @ q.conj().T
 
     def test_matches_the_exponential_series(self):
-        g = random_unitary(3, np.random.default_rng(16))
+        spec = self.spec()
+        g = UnitaryMatrix(spec.matrix)
         a = tangent_random(g, np.random.default_rng(18)).direction
         series = sum(
             np.linalg.matrix_power(0.3 * a, k) / math.factorial(k) for k in range(30)
         )
-        assert np.max(np.abs(_shifted(g, a, 0.3).mat - g.mat @ series)) < 1e-15
+        step = _step(spec, a, 0.3, self.CUT)
+        assert np.max(np.abs(step.matrix - spec.matrix @ series)) < 1e-15
 
     @pytest.mark.parametrize("t", [1.0, -1.0, 1e-5])
     def test_just_below_the_bound(self, t):
-        g = random_unitary(3, np.random.default_rng(16))
-        h = _shifted(g, self.direction(0.999 * STEP_REACH / abs(t)), t)
-        assert np.isfinite(h.mat).all() and unitary_check(h.mat)[0]
+        spec = self.spec()
+        reach = 0.999 * self.bound(spec)
+        step = _step(spec, self.direction(reach / abs(t)), t, self.CUT)
+        # Bauer-Fike: every eigenvalue moved by at most the reach
+        moved = np.abs(step.eigenvalues[:, None] - spec.eigenvalues[None, :])
+        assert np.max(np.min(moved, axis=1)) <= reach
 
     @pytest.mark.parametrize("t", [1.0, -1.0, 1e-5])
     def test_just_above_the_bound(self, t):
-        g = random_unitary(3, np.random.default_rng(16))
-        with pytest.raises(StepTooLargeError, match="^g exp\\(tA\\) overflows"):
-            _shifted(g, self.direction(1.001 * STEP_REACH / abs(t)), t)
+        spec = self.spec()
+        a = self.direction(1.001 * self.bound(spec) / abs(t))
+        with pytest.raises(StepTooLargeError, match=f"^FD step h = {abs(t):g} "):
+            _step(spec, a, t, self.CUT)
 
     def test_refuses_a_non_finite_phase(self):
-        g = random_unitary(3, np.random.default_rng(16))
         with pytest.raises(StepTooLargeError):
-            _shifted(g, self.direction(1.0), np.inf)
+            _step(self.spec(), self.direction(1.0), np.inf, self.CUT)
 
 
 class TestEigenbasisSum:

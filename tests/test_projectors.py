@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from basicgerbe import (
 )
 from basicgerbe.contour import CUT_EXCLUSION
 from basicgerbe.fibers import _canonical_frame
+from basicgerbe.projectors import FD_STEP, _step
 from basicgerbe.sampling import (
+    random_cuts,
     random_null_pair,
     random_positive_context,
     sample_rng,
@@ -294,6 +297,39 @@ class TestProjectorDerivative:
         ctx = classify(cut_point(np.pi / 4), cut_point(3 * np.pi / 4), diag_spec)
         with pytest.raises(EmptySpaceError):
             projector_derivative(ctx, tangent_random(g, np.random.default_rng(0)))
+
+
+class TestStep:
+    """Below the cut bound no eigenvalue meets a cut along g exp(sA), |s| <=
+    |t|, so every cut pair keeps its stratum and its arc eigenvalue count."""
+
+    @staticmethod
+    def directions(spec, cuts, rng):
+        """A random direction, and the one that turns the eigenvalue nearest
+        a cut straight at it for t > 0: exp(t i c P_k) turns lambda_k by tc."""
+        dist = np.abs(spec.eigenvalues[:, None] - np.array([z.value for z in cuts]))
+        k, j = np.unravel_index(np.argmin(dist), dist.shape)
+        turn = (cuts[j].angle - spec.angles[k] + np.pi) % (2 * np.pi) - np.pi
+        u = spec.frame[:, spec.columns(k, k + 1)]
+        return tangent_random(UnitaryMatrix(spec.matrix), rng).direction, (
+            1j * np.sign(turn) * u @ u.conj().T
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_keeps_every_arc_at_0999_of_the_bound(self, n):
+        for k in range(10):
+            rng = sample_rng(0, "step-test", 10 * n + k)
+            _, spec = well_separated_unitary(n, rng)
+            cuts = random_cuts(spec, rng, min(n + 1, 4))
+            bound = min(np.min(np.abs(spec.eigenvalues - z.value)) for z in cuts)
+            dirs = self.directions(spec, cuts, rng)
+            for t, a in itertools.product((FD_STEP, -1.0), dirs):
+                a = 0.999 * bound * a / (t * np.linalg.norm(a, 2))
+                step = _step(spec, a, t, *cuts)
+                for z1, z2 in itertools.permutations(cuts, 2):
+                    before, after = classify(z1, z2, spec), classify(z1, z2, step)
+                    assert after.classification is before.classification
+                    assert after.arc_dim == before.arc_dim
 
 
 class TestSingleProjectorDerivative:
