@@ -52,6 +52,7 @@ CUT_EXCLUSION = 1e-6  # minimal chordal distance between a cut and an eigenvalue
 DEFAULT_RADIAL_HALF_WIDTH = 0.5
 DEFAULT_NODES = 32
 MAX_NODES = 1024
+BLOCK_ENTRIES = 2**13  # complex entries of one resolvent block: 128 KiB
 QUAD_RTOL = 1e-12
 
 
@@ -167,11 +168,6 @@ def spectrum_contour(
     gap_lo = shifted.min()
     gap_hi = TWO_PI - shifted.max()
     return Contour(a + gap_lo / 2, a + TWO_PI - gap_hi / 2, rho)
-
-
-def _resolvent(g: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """(xi - g)^{-1} at every node xi of ``xs``, stacked along the first axis."""
-    return np.linalg.inv(xs[:, None, None] * np.eye(g.shape[0]) - g)
 
 
 def _cosine_sum(top: float, coef: np.ndarray, th: np.ndarray):
@@ -319,3 +315,24 @@ def quad_integrate(
                 f"Gauss and {2 * nodes + 1}-node Kronrod estimates"
             )
         nodes *= 2
+
+
+def _resolvent_integral(contour: Contour, g: np.ndarray, phi):
+    """(1/2*pi*i) times the contour integral of phi(xi, (xi - g)^{-1}).
+
+    The one place the resolvent is built.  ``phi(xs, r)`` gets a block of
+    nodes and the resolvent stacked at them (leading axis = nodes) and
+    returns one value per node.  Each chunk that ``quad_integrate`` passes
+    is cut into blocks of at most max(1, BLOCK_ENTRIES // n^2) nodes, so a
+    (block, n, n) stack and phi's temporaries stay within a core's L2.
+    """
+    n = g.shape[0]
+    block, eye = max(1, BLOCK_ENTRIES // n**2), np.eye(n)
+
+    def integrand(xs: np.ndarray) -> np.ndarray:
+        return np.concatenate([
+            phi(b, np.linalg.inv(b[:, None, None] * eye - g))
+            for b in np.split(xs, range(block, len(xs), block))
+        ])
+
+    return quad_integrate(contour, integrand, vectorized=True)

@@ -19,10 +19,9 @@ from .contour import (
     DEFAULT_RADIAL_HALF_WIDTH,
     CutCirclePoint,
     _check_cuts,
-    _resolvent,
+    _resolvent_integral,
     cut_point,
     log_cut_array,
-    quad_integrate,
     spectrum_contour,
 )
 from .errors import IncomparableError
@@ -114,10 +113,8 @@ def curvature_via_contour(
         return ctx.classification.value * _pair_sum(spec, w, xm, ym)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    return ctx.classification.value * 0.5 * quad_integrate(
-        pos.contour,
-        lambda xs: _wedge_resolvent_trace(_resolvent(pos.spec.matrix, xs), xm, ym),
-        vectorized=True,
+    return ctx.classification.value * 0.5 * _resolvent_integral(
+        pos.contour, pos.spec.matrix, lambda xs, r: _wedge_resolvent_trace(r, xm, ym)
     )
 
 
@@ -133,12 +130,11 @@ def projector_inserted_curvature(
     if pos is None:
         return 0j
     xm, ym = x.ambient, y.ambient
-    g = pos.spec.matrix
     p = arc_projector(pos)
-    return ctx.classification.value * quad_integrate(
+    return ctx.classification.value * _resolvent_integral(
         pos.contour,
-        lambda xs: _wedge_resolvent_trace(_resolvent(g, xs), xm, ym, insert=p),
-        vectorized=True,
+        pos.spec.matrix,
+        lambda xs, r: _wedge_resolvent_trace(r, xm, ym, insert=p),
     )
 
 
@@ -179,16 +175,11 @@ def curving_eval(
         return complex(1j / (4 * math.pi) * _pair_sum(spec, w, xm, ym))
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-
-    def integrand(xs: np.ndarray) -> np.ndarray:
-        r = _resolvent(spec.matrix, xs)
-        return log_cut_array(z, xs) * _wedge_resolvent_trace(r, xm, ym)
-
-    return complex(
-        1j
-        / (4 * math.pi)
-        * quad_integrate(spectrum_contour(z, spec, rho), integrand, vectorized=True)
-    )
+    return complex(1j / (4 * math.pi) * _resolvent_integral(
+        spectrum_contour(z, spec, rho),
+        spec.matrix,
+        lambda xs, r: log_cut_array(z, xs) * _wedge_resolvent_trace(r, xm, ym),
+    ))
 
 
 def delta_pairs(

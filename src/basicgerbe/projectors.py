@@ -22,9 +22,8 @@ from .contour import (
     Contour,
     CutCirclePoint,
     _check_cuts,
-    _resolvent,
+    _resolvent_integral,
     circle_gt,
-    quad_integrate,
 )
 from .errors import EmptySpaceError, GapError, StepTooLargeError
 from .linalg import (
@@ -187,8 +186,7 @@ def arc_projector(ctx: ArcContext, method: str = "residue") -> np.ndarray:
         b = ctx.basis
         return b @ b.conj().T
     if method == "quadrature":
-        contour, g = ctx.contour, ctx.spec.matrix
-        return quad_integrate(contour, lambda xs: _resolvent(g, xs), vectorized=True)
+        return _resolvent_integral(ctx.contour, ctx.spec.matrix, lambda xs, r: r)
     raise ValueError(f"unknown method {method!r}")
 
 
