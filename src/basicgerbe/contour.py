@@ -22,12 +22,9 @@ estimate once the Gauss estimate agrees with it to QUAD_RTOL relative to
 max(1, |value|).  It starts at Gauss n = DEFAULT_NODES = 32 and doubles n;
 if the two still differ at n = MAX_NODES = 1024 (2049 nodes per panel), it
 raises QuadratureError.  A vectorized integrand gets all panels of a pass
-in as few calls as hold them, at most ``max_nodes`` nodes each.  The rules
-are built once per n in O(n^2) operations and O(n) memory, by one Newton
-solver in theta = arccos(1 - 2t) on Chebyshev cosine series: that of P_n
-gives the n Gauss nodes, that of the Stieltjes polynomial E_{n+1} the n+1
-new ones.
-"""
+in as few calls as hold them, at most ``max_nodes`` nodes each.  Every
+integral of the resolvent (xi - g)^{-1} goes through ``_resolvent_integral``,
+which builds it in blocks of BLOCK_ENTRIES // n^2 nodes (128 KiB stacks)."""
 
 from __future__ import annotations
 
@@ -320,14 +317,13 @@ def quad_integrate(
 def _resolvent_integral(contour: Contour, g: np.ndarray, phi):
     """(1/2*pi*i) times the contour integral of phi(xi, (xi - g)^{-1}).
 
-    The one place the resolvent is built.  ``phi(xs, r)`` gets a block of
-    nodes and the resolvent stacked at them (leading axis = nodes) and
-    returns one value per node.  Each chunk that ``quad_integrate`` passes
-    is cut into blocks of at most max(1, BLOCK_ENTRIES // n^2) nodes, so a
-    (block, n, n) stack and phi's temporaries stay within a core's L2.
+    The one place the resolvent is built.  ``phi(xs, r)`` maps a block of
+    nodes and the resolvent stacked at them to one value per node.  Each
+    chunk of ``quad_integrate`` is cut into blocks of at most
+    max(1, BLOCK_ENTRIES // n^2) nodes, so every (block, n, n) stack of
+    phi's stays within a core's L2.
     """
-    n = g.shape[0]
-    block, eye = max(1, BLOCK_ENTRIES // n**2), np.eye(n)
+    block, eye = max(1, BLOCK_ENTRIES // g.size), np.eye(len(g))
 
     def integrand(xs: np.ndarray) -> np.ndarray:
         return np.concatenate([

@@ -61,16 +61,15 @@ def _wedge_resolvent_trace(
 ) -> np.ndarray:
     """tr(R X R^2 [insert] Y) - tr(R Y R^2 [insert] X) at every node R = r[k].
 
-    As tr((R X R)(R [insert] Y)): R X and R Y (and R [insert] X, Y) are one
-    2-D product each over the stacked nodes, then two batched products.
+    As tr((R X)(Q [insert] Y)) with Q = R R, the one product of two node
+    stacks: R X, R Y, Q [insert] X and Q [insert] Y are each one 2-D
+    product, the stack reshaped to (k n, n) times a fixed matrix.
     """
-
-    def times(m: np.ndarray) -> np.ndarray:  # R m at every node
-        return (r.reshape(-1, m.shape[0]) @ m).reshape(r.shape)
-
-    rx, ry = times(xm), times(ym)
-    rpx, rpy = (rx, ry) if insert is None else (times(insert @ xm), times(insert @ ym))
-    return np.einsum("nij,nji->n", rx @ r, rpy) - np.einsum("nij,nji->n", ry @ r, rpx)
+    q = r @ r
+    px, py = (xm, ym) if insert is None else (insert @ xm, insert @ ym)
+    rx, ry, qpx, qpy = ((s.reshape(-1, len(m)) @ m).reshape(s.shape)
+                        for s, m in ((r, xm), (r, ym), (q, px), (q, py)))
+    return np.einsum("kij,kji->k", rx, qpy) - np.einsum("kij,kji->k", ry, qpx)
 
 
 def curvature_via_projectors(
@@ -132,9 +131,7 @@ def projector_inserted_curvature(
     xm, ym = x.ambient, y.ambient
     p = arc_projector(pos)
     return ctx.classification.value * _resolvent_integral(
-        pos.contour,
-        pos.spec.matrix,
-        lambda xs, r: _wedge_resolvent_trace(r, xm, ym, insert=p),
+        pos.contour, pos.spec.matrix, lambda xs, r: _wedge_resolvent_trace(r, xm, ym, p)
     )
 
 

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from basicgerbe import (
     StepTooLargeError,
     TangentVector,
     UnitaryMatrix,
+    arc_projector,
     projector_derivative,
     projector_inserted_curvature,
     random_unitary,
@@ -112,6 +115,22 @@ class TestCurvature:
             assert abs(a - b) < 1e-10
             assert abs(a - c) < 1e-8
 
+    def test_quadrature_peak_memory(self):
+        # at n = 32 the resolvent kernel holds blocks of 8 nodes: 0.96 MB peak
+        # here, where one stack of all 585 nodes per (n, n) product took 67 MB
+        rng = sample_rng(0, "forms-memory", 32)
+        g = random_unitary(32, rng)
+        ctx = random_positive_context(spectral_decompose(g), rng)
+        x, y = tangent_random(g, rng), tangent_random(g, rng)
+        curvature_via_contour(ctx, x, y, "quadrature")  # builds the rule once
+        tracemalloc.start()
+        try:
+            curvature_via_contour(ctx, x, y, "quadrature")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
     def test_null_is_zero(self):
         rng, g, spec, _, x, y = random_instance(100)
         z1, z2 = random_null_pair(spec, rng)
@@ -195,6 +214,36 @@ class TestWedgeResolventTrace:
         got = _wedge_resolvent_trace(r, xm, ym, insert)
         scale = np.max(np.abs(fwd) + np.abs(bwd))
         assert np.max(np.abs(got - (fwd - bwd))) <= 1e-12 * scale
+
+
+def mp_wedge(r: np.ndarray, xm, ym, pm) -> complex:
+    """tr(R X R^2 P Y) - tr(R Y R^2 P X) at 30 digits, from the float64 entries."""
+    with mpmath.workdps(30):
+        rr, x, y, p = (mpmath.matrix(m.tolist()) for m in (r, xm, ym, pm))
+        q = rr * rr
+        fwd, bwd = rr * x * q * p * y, rr * y * q * p * x
+        return complex(sum(fwd[i, i] - bwd[i, i] for i in range(fwd.rows)))
+
+
+class TestWedgeNearAPole:
+    # worst error over these 12 cases, in units of u ||R||^3 ||X|| ||Y||:
+    # 0.67 for R X . R^2 Y, 0.51 for the former (R X R)(R Y)
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("inserted", [False, True])
+    def test_accurate_near_a_pole(self, n, inserted):
+        rng = sample_rng(0, "wedge-pole", n)
+        g, spec = well_separated_unitary(n, rng)
+        xm, ym = tangent_random(g, rng).ambient, tangent_random(g, rng).ambient
+        p = arc_projector(random_positive_context(spec, rng))
+        pm = p if inserted else np.eye(n)
+        # nodes 1e-2, 1e-4 and 1e-6 from an eigenvalue, as the kernel builds R
+        xs = spec.eigenvalues[0] * (1.0 + np.array([1e-2, 1e-4, 1e-6]))
+        r = np.linalg.inv(xs[:, None, None] * np.eye(n) - g.mat)
+        got = _wedge_resolvent_trace(r, xm, ym, p if inserted else None)
+        scale = np.finfo(float).eps / 2 * np.linalg.norm(xm, 2) * np.linalg.norm(ym, 2)
+        for rk, value in zip(r, got):
+            bound = 2 * n * scale * np.linalg.norm(rk, 2) ** 3
+            assert abs(value - mp_wedge(rk, xm, ym, pm)) <= bound
 
 
 class TestProjectorInsertion:

@@ -15,6 +15,9 @@ a ``SchemaError``.  Only the step rule ``projectors._refuse_reach``
 constructs a ``StepTooLargeError``, so every finite difference on U(n) is
 refused by the same bound.  Only ``sampling.sample_rng`` calls into ``numpy.random``,
 so every random draw comes from the Generator it makes for each sample.
+Only the kernel ``contour._resolvent_integral`` builds the resolvent: no
+other code names ``_resolvent`` or inverts a stack of matrices built from
+a node array.
 The package needs only numpy and orjson: no module of it imports scipy,
 and a fresh interpreter that imports it has loaded no scipy module.
 """
@@ -339,6 +342,89 @@ def test_detects_a_random_call_outside_the_maker():
 def test_one_random_stream():
     modules = {m: (SRC / m).read_text() for m in MODULES}
     assert random_calls_outside_maker(modules) == []
+
+
+# the one function of the package that builds the resolvent (xi - g)^{-1}
+RESOLVENT_KERNEL = ("contour.py", "_resolvent_integral")
+INVERSES = {"inv", "pinv", "solve", "tensorinv", "tensorsolve"}
+
+
+def stacked_inverse(node: ast.AST) -> bool:
+    """A call to an inverse or solver whose argument broadcasts an array
+    along a new axis (``xs[:, None, None]``), so it inverts a node stack; the
+    inverse of a single matrix is not one."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    return name in INVERSES and any(
+        isinstance(sub, ast.Subscript)
+        and any(isinstance(c, ast.Constant) and c.value is None
+                for c in ast.walk(sub.slice))
+        for arg in node.args
+        for sub in ast.walk(arg)
+    )
+
+
+def resolvents_outside_kernel(modules: dict[str, str]) -> list[str]:
+    """Lines that name ``_resolvent`` (a def, an import, a name or an
+    attribute) or invert a node stack anywhere but in ``RESOLVENT_KERNEL``."""
+    out = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        allowed = {
+            id(n)
+            for f in tree.body
+            if (module, getattr(f, "name", None)) == RESOLVENT_KERNEL
+            for n in ast.walk(f)
+        }
+        found = set()
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, ast.FunctionDef):
+                names.append(node.name)
+            elif isinstance(node, ast.ImportFrom):
+                names += [alias.name for alias in node.names]
+            if "_resolvent" in names or stacked_inverse(node):
+                found.add(node.lineno)
+        out += [f"{module}: line {line}" for line in sorted(found)]
+    return out
+
+
+def test_detects_a_resolvent_outside_the_kernel():
+    planted = (
+        "import numpy as np\nfrom .contour import _resolvent\nfrom . import contour\n\n"
+        "def f(g, xs):\n    r = np.linalg.inv(xs[:, None, None] * np.eye(3) - g)\n"
+        "    return contour._resolvent(g, xs) + r\n\n"
+        "def single(m):\n    return np.linalg.inv(m)\n\n"
+        "def _resolvent_integral(g, b):\n    return inv(b[:, None, None] - g)\n"
+    )
+    kernel = (
+        "import numpy as np\n\n"
+        "def _resolvent_integral(g, b):\n"
+        "    return np.linalg.inv(b[:, None, None] - g)\n\n"
+        "def _resolvent(g, xs):\n    return np.linalg.solve(xs[:, None] - g, g)\n"
+    )
+    assert resolvents_outside_kernel({"forms.py": planted, "contour.py": kernel}) == [
+        "forms.py: line 2",
+        "forms.py: line 6",
+        "forms.py: line 7",
+        "forms.py: line 13",
+        "contour.py: line 6",
+        "contour.py: line 7",
+    ]
+
+
+def test_one_resolvent_kernel():
+    modules = {m: (SRC / m).read_text() for m in MODULES}
+    assert resolvents_outside_kernel(modules) == []
+    # and the kernel itself still inverts the node stack
+    tree = ast.parse(modules[RESOLVENT_KERNEL[0]])
+    (kernel,) = [
+        f for f in tree.body if getattr(f, "name", None) == RESOLVENT_KERNEL[1]
+    ]
+    assert any(stacked_inverse(n) for n in ast.walk(kernel))
 
 
 def scipy_imports(modules: dict[str, str]) -> list[str]:

@@ -22,7 +22,7 @@ from basicgerbe import (
     spectral_decompose,
     tangent_random,
 )
-from basicgerbe.contour import CUT_EXCLUSION
+from basicgerbe.contour import BLOCK_ENTRIES, CUT_EXCLUSION, quad_integrate
 from basicgerbe.fibers import _canonical_frame
 from basicgerbe.projectors import FD_STEP, _step
 from basicgerbe.sampling import (
@@ -216,6 +216,21 @@ class TestArcProjector:
             assert np.linalg.norm(pr - pr.conj().T) < 1e-12
             assert abs(np.trace(pr) - len(ctx.arc_indices)) < 1e-12
             assert np.linalg.norm(ctx.spec.matrix @ pr - pr @ ctx.spec.matrix) < 1e-12
+
+    def test_quadrature_blocks_are_invisible(self):
+        # at n = 16 a block holds 32 nodes, fewer than one 65-node panel, so
+        # every pass is split; each inverse is LAPACK's on one matrix, and the
+        # values are those of one inverse over each whole chunk, bit for bit
+        assert BLOCK_ENTRIES // 16**2 == 32
+        rng = sample_rng(0, "proj-blocks", 0)
+        g = random_unitary(16, rng)
+        ctx = random_positive_context(spectral_decompose(g), rng)
+        whole = quad_integrate(
+            ctx.contour,
+            lambda xs: np.linalg.inv(xs[:, None, None] * np.eye(16) - g.mat),
+            vectorized=True,
+        )
+        assert np.array_equal(arc_projector(ctx, "quadrature"), whole)
 
     def test_unknown_method(self, diag_spec):
         ctx = classify(cut_point(3 * np.pi / 4), cut_point(np.pi / 4), diag_spec)
