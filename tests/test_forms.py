@@ -116,8 +116,8 @@ class TestCurvature:
             assert abs(a - c) < 1e-8
 
     def test_quadrature_peak_memory(self):
-        # at n = 32 the resolvent kernel holds blocks of 8 nodes: 0.96 MB peak
-        # here, where one stack of all 585 nodes per (n, n) product took 67 MB
+        # at n = 32 the resolvent kernel holds blocks of 8 nodes and peaks at
+        # 0.96 MB here; unblocked stacks of all 585 nodes peak at 67 MB
         rng = sample_rng(0, "forms-memory", 32)
         g = random_unitary(32, rng)
         ctx = random_positive_context(spectral_decompose(g), rng)
@@ -226,8 +226,8 @@ def mp_wedge(r: np.ndarray, xm, ym, pm) -> complex:
 
 
 class TestWedgeNearAPole:
-    # worst error over these 12 cases, in units of u ||R||^3 ||X|| ||Y||:
-    # 0.67 for R X . R^2 Y, 0.51 for the former (R X R)(R Y)
+    # the worst error of these 12 cases is 0.67 u ||R||^3 ||X|| ||Y||, and
+    # 0.51 of it with the association (R X R)(R Y); the bound allows 2n
     @pytest.mark.parametrize("n", [3, 6])
     @pytest.mark.parametrize("inserted", [False, True])
     def test_accurate_near_a_pole(self, n, inserted):

@@ -7,7 +7,7 @@ the route's phi to each block.  For each route (the arc projector, the
 curvature wedge, the projector-inserted wedge and the curving) at
 n = 2, 4, 8, 16, 32, this catches that integrand and the first chunk of
 nodes it is given, then times the integrand alone on that chunk: best of
-five rounds, each repeating it for at least 0.1 s.  It prints microseconds
+seven rounds, each repeating it for at least 0.1 s.  It prints microseconds
 per node.  Then it repeats the curvature wedge for block budgets
 BLOCK_ENTRIES = 2^11 ... 2^15 complex entries, so the constant can be
 re-derived on another host.
@@ -22,7 +22,11 @@ from __future__ import annotations
 import time
 
 from basicgerbe import contour
-from basicgerbe.forms import curvature_via_contour, curving_eval, projector_inserted_curvature
+from basicgerbe.forms import (
+    curvature_via_contour,
+    curving_eval,
+    projector_inserted_curvature,
+)
 from basicgerbe.linalg import random_unitary, spectral_decompose, tangent_random
 from basicgerbe.projectors import arc_projector
 from basicgerbe.sampling import random_cuts, random_positive_context, sample_rng
@@ -69,7 +73,7 @@ def first_chunk(call):
 def us_per_node(call) -> tuple[float, int]:
     integrand, xs = first_chunk(call)
     best = float("inf")
-    for _ in range(5):
+    for _ in range(7):
         reps, start = 0, time.perf_counter()
         while (elapsed := time.perf_counter() - start) < 0.1 or not reps:
             integrand(xs)
@@ -87,7 +91,8 @@ def main() -> None:
         timed = [us_per_node(calls[s]) for s in names]
         print(f"{n:>3} {timed[0][1]:>6} " + " ".join(f"{t:>10.2f}" for t, _ in timed))
     print("\ncurvature wedge, us per node, by block budget (complex entries)")
-    print(f"{'n':>3} " + " ".join(f"{'2^%d' % (b.bit_length() - 1):>8}" for b in BUDGETS))
+    heads = [f"2^{b.bit_length() - 1}" for b in BUDGETS]
+    print(f"{'n':>3} " + " ".join(f"{h:>8}" for h in heads))
     default = contour.BLOCK_ENTRIES
     try:
         for n in SIZES:
