@@ -101,7 +101,7 @@ def _projectors(cfg: SuiteConfig, i: int, rng) -> dict:
     q = np.eye(cfg.dim) - p_res
     total = sum(
         projectors.single_projector_derivative(spec, k, x)
-        for k in range(spec.count)
+        for k in range(cfg.dim)
     )
     return {
         "residue-vs-quadrature": _max_abs(p_res - p_quad),

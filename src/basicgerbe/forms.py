@@ -106,8 +106,8 @@ def curvature_via_contour(
     xm, ym = x.ambient, y.ambient
     if method == "residue":
         spec = pos.spec
-        inside = np.zeros(spec.count)
-        inside[list(pos.arc_indices)] = 1.0
+        inside = np.zeros(spec.dim)
+        inside[pos.arc_indices] = 1.0
         w = -np.outer(1.0 - inside, inside) / _differences(spec.eigenvalues) ** 2
         return ctx.classification.value * _pair_sum(spec, w, xm, ym)
     if method != "quadrature":
@@ -138,15 +138,14 @@ def projector_inserted_curvature(
 def _curving_weights(z: CutCirclePoint, lam: np.ndarray) -> np.ndarray:
     """Residue sums of log_z(xi) / ((xi - lam_i)(xi - lam_j)^2) over all poles.
 
-    Off the diagonal:
+    For lam_i != lam_j:
     (log_z lam_i - log_z lam_j) / (lam_i - lam_j)^2 - 1 / (lam_j (lam_i - lam_j));
-    on it, the order-3 residue -1 / (2 lam_i^2).
+    where lam_i == lam_j, the order-3 residue -1 / (2 lam_i^2).
     """
     logs = log_cut_array(z, lam)
     d = _differences(lam)
     w = (logs[:, None] - logs[None, :]) / d**2 - 1.0 / (lam[None, :] * d)
-    np.fill_diagonal(w, -0.5 / lam**2)
-    return w
+    return np.where(lam[:, None] == lam, -0.5 / lam**2, w)
 
 
 def curving_eval(

@@ -1,9 +1,10 @@
 """Dense complex linear algebra on unitary groups.
 
 Unitary matrices, skew-Hermitian tangent vectors, Haar sampling, spectral
-decomposition with eigenvalue clustering into one unitary eigenvector
-frame, block embeddings U(n) -> U(N), g |-> diag(g, 1), and the JSON
-matrix leaf with the object-and-field check every point-file reader uses.
+decomposition with eigenvalue clustering (one unitary eigenvector frame,
+one eigenvalue per frame column), block embeddings U(n) -> U(N), g |->
+diag(g, 1), and the JSON matrix leaf with the object-and-field check every
+point-file reader uses.
 
 Everything here is numpy: a unitary g is diagonalised through ``eigh`` of
 its Cayley transform i(w + g)(w - g)^{-1}, a Hermitian function of g.
@@ -130,19 +131,20 @@ def _perm_sign(perm) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """g = sum_i lambda_i P_i with distinct unit-circle eigenvalues.
+    """g = U diag(lambda) U^H, one unit-circle eigenvalue per frame column.
 
-    ``frame`` is a read-only unitary U with g = U diag(lambda) U^H: eigenvalue
-    i owns the next ``multiplicities[i]`` columns U_i, and P_i = U_i U_i^H.
-    Eigenvalues are sorted by angle in [0, 2*pi), so those on an arc of the
-    circle that avoids 1 are an index range of ``angles``, and their
-    eigenvectors a column range of ``frame``; ``arcs`` is the classify memo.
+    ``frame`` is a read-only unitary U and ``eigenvalues`` has one entry per
+    column of it.  The entries of a cluster are its mean, bit for bit, and
+    distinct clusters have distinct entries, so the projector onto the
+    eigenvalue lambda is the sum of u_k u_k^H over the columns k with
+    lambda_k == lambda.  Eigenvalues are sorted by angle in [0, 2*pi), so
+    those on an arc of the circle that avoids 1 are a column range of
+    ``frame``; ``arcs`` is the classify memo.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     frame: np.ndarray
-    multiplicities: np.ndarray
     arcs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -150,39 +152,28 @@ class SpectralDecomposition:
         return self.matrix.shape[0]
 
     @property
-    def count(self) -> int:
-        return len(self.eigenvalues)
-
-    @property
     def angles(self) -> np.ndarray:
         """Eigenvalue angles in [0, 2*pi), ascending."""
         return np.angle(self.eigenvalues) % TWO_PI
-
-    def columns(self, lo: int, hi: int) -> slice:
-        """The columns of ``frame`` that eigenvalues lo, ..., hi - 1 own."""
-        start = int(self.multiplicities[:lo].sum())
-        return slice(start, start + int(self.multiplicities[lo:hi].sum()))
 
 
 def _eigenbasis_sum(
     spec: SpectralDecomposition, weights: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """sum_ij w_ij P_i X P_j for an (m, m) weight matrix over the clusters.
+    """U (W o U^H X U) U^H for U = ``spec.frame`` and (n, n) weights W.
 
-    In the eigenbasis U = ``spec.frame`` this is U (W~ o U^H X U) U^H, where
-    W~ repeats w_ij over the columns of clusters i and j (Daleckii-Krein).
+    With w_kl = f[lambda_k, lambda_l] this is sum_ij f[lambda_i, lambda_j]
+    P_i X P_j over the distinct eigenvalues (Daleckii-Krein).
     """
     u = spec.frame
-    label = np.repeat(np.arange(spec.count), spec.multiplicities)
-    w = weights[label][:, label]
     uh = u.conj().T
-    return u @ (w * (uh @ x @ u)) @ uh
+    return u @ (weights * (uh @ x @ u)) @ uh
 
 
 def _differences(lam: np.ndarray) -> np.ndarray:
-    """lam_i - lam_j, with ones on the diagonal so it can divide."""
+    """lam_i - lam_j, with ones where lam_i == lam_j so it can divide."""
     d = lam[:, None] - lam[None, :]
-    np.fill_diagonal(d, 1.0)
+    d[d == 0] = 1.0
     return d
 
 
@@ -198,9 +189,10 @@ def spectral_decompose(g: UnitaryMatrix) -> SpectralDecomposition:
     {-1, Re spectrum, 1}, so |w - lambda| is at least half that gap.
 
     A cluster is a run of consecutive quotients closer than ``CLUSTER_TOL``;
-    a run whose ends are ``CLUSTER_TOL`` or more apart is ambiguous.  The
-    runs are rotated to ascending angle in [0, 2*pi), and each column's
-    largest entry is made real positive.
+    a run whose ends are ``CLUSTER_TOL`` or more apart is ambiguous.  Each
+    column of a run gets the run's mean, normalized; the columns are rotated
+    to ascending angle in [0, 2*pi), and each one's largest entry is made
+    real positive.
     """
     m, n = g.mat, g.dim
     re = [-1.0, *np.linalg.eigvalsh((m + m.conj().T) / 2).tolist(), 1.0]
@@ -213,7 +205,7 @@ def spectral_decompose(g: UnitaryMatrix) -> SpectralDecomposition:
     q = (u.conj() * (m @ u)).sum(axis=0).tolist()
     starts = [0] + [j for j in range(1, n) if abs(q[j] - q[j - 1]) >= CLUSTER_TOL]
     stops = starts[1:] + [n]
-    reps, mult = [], []
+    lam = np.empty(n, dtype=complex)
     for lo, hi in zip(starts, stops):
         span = abs(q[hi - 1] - q[lo])
         if span >= CLUSTER_TOL:
@@ -221,17 +213,13 @@ def spectral_decompose(g: UnitaryMatrix) -> SpectralDecomposition:
                 f"eigenvalue run spans {span:.3e} >= tolerance {CLUSTER_TOL:.3e}"
             )
         mean = sum(q[lo:hi]) / (hi - lo)
-        reps.append(mean / abs(mean))
-        mult.append(hi - lo)
-    first = min(range(len(reps)), key=lambda i: cmath.phase(reps[i]) % TWO_PI)
-    start = starts[first]
+        lam[lo:hi] = mean / abs(mean)
+    start = min(starts, key=lambda j: cmath.phase(lam[j]) % TWO_PI)
     frame = np.concatenate((u[:, start:], u[:, :start]), axis=1)
     pivot = frame[np.argmax(np.abs(frame), axis=0), np.arange(n)]
     frame /= pivot / np.abs(pivot)
     frame.flags.writeable = False
-    return SpectralDecomposition(
-        m, np.array(reps[first:] + reps[:first]), frame, np.array(mult[first:] + mult[:first])
-    )
+    return SpectralDecomposition(m, np.roll(lam, -start), frame)
 
 
 def embed_block(g: UnitaryMatrix, big_dim: int) -> UnitaryMatrix:

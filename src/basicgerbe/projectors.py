@@ -1,7 +1,8 @@
 """Spectral-arc projectors and their derivatives.
 
 An ordered pair of cut points (z1, z2) together with a unitary g defines
-an arc of the circle and hence a sum of eigenspaces.  This module
+an arc of the circle and hence a sum of eigenspaces: a range of columns of
+the eigenvector frame, each carrying its eigenvalue.  This module
 classifies such pairs into strata (positive/null/negative), builds the Riesz
 projector onto the arc eigenspaces (closed form and contour quadrature),
 extracts the canonically ordered eigenbasis that determinant-line fibers
@@ -82,17 +83,17 @@ class Classification(enum.Enum):
 class ArcContext:
     """A pair of cut points with the eigenvalues of g caught between them.
 
-    The arc between the cuts avoids 1, so ``arc_indices`` is an index range
-    of the angle order of ``spec``.  ``classify`` memoizes one context per
-    cut pair on the decomposition, and ``basis`` caches its canonical arc
-    basis.
+    The arc between the cuts avoids 1, so ``arc_indices`` is the range of
+    the frame columns of ``spec`` whose eigenvalues lie on it.  ``classify``
+    memoizes one context per cut pair on the decomposition, and ``basis``
+    caches its canonical arc basis.
     """
 
     z1: CutCirclePoint
     z2: CutCirclePoint
     spec: SpectralDecomposition
     classification: Classification
-    arc_indices: tuple
+    arc_indices: range
 
     @property
     def dim(self) -> int:
@@ -101,7 +102,7 @@ class ArcContext:
     @property
     def arc_dim(self) -> int:
         """Eigenvalues between the cuts, counted with multiplicity."""
-        return int(self.spec.multiplicities[list(self.arc_indices)].sum())
+        return len(self.arc_indices)
 
     def swapped(self) -> "ArcContext":
         return classify(self.z2, self.z1, self.spec)
@@ -129,8 +130,8 @@ class ArcContext:
         if self.classification is not Classification.POSITIVE:
             raise EmptySpaceError("arc basis requires a positive context")
         # z1 is the upper cut, so descending from z1 is descending column
-        cols = self.spec.columns(self.arc_indices[0], self.arc_indices[-1] + 1)
-        return self.spec.frame[:, cols][:, ::-1]
+        cols = self.arc_indices
+        return self.spec.frame[:, cols.start:cols.stop][:, ::-1]
 
     @property
     def contour(self) -> Contour:
@@ -143,10 +144,10 @@ class ArcContext:
         if not self.arc_indices:
             raise EmptySpaceError("no eigenvalues between the cut points")
         angles = self.spec.angles
-        i, j = self.arc_indices[0], self.arc_indices[-1] + 1
+        i, j = self.arc_indices.start, self.arc_indices.stop
         lo, hi = sorted((self.z1.angle, self.z2.angle))
         below = angles[i - 1] if i else 0.0
-        above = angles[j] if j < self.spec.count else TWO_PI
+        above = angles[j] if j < self.dim else TWO_PI
         return Contour(lo - (lo - below) / 2, hi + (above - hi) / 2)
 
 
@@ -163,7 +164,7 @@ def classify(
     _check_cuts(spec.eigenvalues, z1, z2)
     positive = circle_gt(z1, z2)  # coincident cuts raise here
     lo, hi = np.searchsorted(spec.angles, sorted((z1.angle, z2.angle)))
-    arc = tuple(range(lo, hi))
+    arc = range(lo, hi)
     cls = Classification((1 if positive else -1) if arc else 0)
     ctx = spec.arcs[z1.value, z2.value] = ArcContext(z1, z2, spec, cls, arc)
     return ctx
@@ -205,13 +206,13 @@ def _fd_projector(ctx: ArcContext, x: TangentVector) -> np.ndarray:
 def _indicator_derivative(
     spec: SpectralDecomposition, indices, x: TangentVector
 ) -> np.ndarray:
-    """Derivative along X of the sum of P_i over ``indices``.
+    """Derivative along X of the projector onto the frame columns ``indices``.
 
     sum_ij (chi_i - chi_j) / (lambda_i - lambda_j) P_i X P_j, the divided
-    difference of the indicator chi of ``indices``.
+    difference of the indicator chi of ``indices``, which holds whole clusters.
     """
-    chi = np.zeros(spec.count)
-    chi[list(indices)] = 1.0
+    chi = np.zeros(spec.dim)
+    chi[indices] = 1.0
     w = (chi[:, None] - chi[None, :]) / _differences(spec.eigenvalues)
     return _eigenbasis_sum(spec, w, x.ambient)
 
@@ -236,12 +237,13 @@ def projector_derivative(
 def single_projector_derivative(
     spec: SpectralDecomposition, k: int, x: TangentVector
 ) -> np.ndarray:
-    """Derivative of the single-eigenvalue projector P_k along X = gA."""
+    """Derivative along X = gA of the projector onto the eigenvalue of column k."""
     lam = spec.eigenvalues
+    same = lam == lam[k]
     gaps = np.abs(lam - lam[k])
-    gaps[k] = np.inf
+    gaps[same] = np.inf
     if float(gaps.min()) < MIN_SIMPLE_GAP:
         raise GapError(
             f"eigenvalue {k} is within {float(gaps.min()):.2e} of a neighbor"
         )
-    return _indicator_derivative(spec, [k], x)
+    return _indicator_derivative(spec, same, x)

@@ -45,8 +45,9 @@ def well_separated_unitary(n: int, rng) -> tuple[UnitaryMatrix, SpectralDecompos
         spec = spectral_decompose(g)
         gaps = _gap_list(spec)
         narrowest = min(b - a for a, b in gaps)
-        # a mark at the identity leaves a zero-width gap, which the list drops
-        if len(gaps) == spec.count + 1 and narrowest >= MIN_SPECTRAL_GAP:
+        # a repeated eigenvalue, or one at the identity, leaves a zero-width
+        # gap, which the list drops
+        if len(gaps) == spec.dim + 1 and narrowest >= MIN_SPECTRAL_GAP:
             return g, spec
     raise SamplingError(f"no well-separated spectrum in {MAX_TRIES} draws")
 

@@ -211,14 +211,14 @@ def preimage_count(spec: SpectralDecomposition) -> int:
     b = spec.frame.T
     if not unitary_check(b)[0]:
         raise DimensionError("eigenbasis of g is not unitary")
-    if spec.count != spec.dim or not _separated(lam, REGULARITY_GAP):
+    if not _separated(lam, REGULARITY_GAP):
         raise RegularityError("g is not regular (repeated or close eigenvalues)")
     # P_i = b_i b_i^H for the unit rows b_i of b, so the table is
     # ||(g - lambda_j) b_i||, built one column j at a time to stay n x n
     gb = b @ spec.matrix.T
     resid = np.stack([np.linalg.norm(gb - v * b, axis=1) for v in lam], axis=1)
-    match = np.array_equal(resid <= 1e-10 * spec.dim, np.eye(spec.count, dtype=bool))
-    return math.factorial(spec.count) if match else 0
+    match = np.array_equal(resid <= 1e-10 * spec.dim, np.eye(spec.dim, dtype=bool))
+    return math.factorial(spec.dim) if match else 0
 
 
 def sample_regular(n: int, rng) -> FlagTorusPoint:

@@ -325,7 +325,8 @@ def repeated_instance(seed):
     ang = np.array([0.9, 0.9, 2.6, 4.4])
     g = UnitaryMatrix((q * np.exp(1j * ang)) @ q.conj().T)
     spec = spectral_decompose(g)
-    assert list(spec.multiplicities) == [2, 1, 1]
+    lam = spec.eigenvalues
+    assert lam[0] == lam[1] and len(np.unique(lam)) == 3
     return spec, tangent_random(g, rng), tangent_random(g, rng)
 
 
@@ -384,7 +385,7 @@ class TestDeltaCurving:
             assert abs(f + curvature_via_projectors(ctx, x, y)) < 1e-12
             d = delta_pairs(ctx.z2, ctx.z1, spec, x, y)
             assert abs(d - f) < 1e-10
-            proper += len(ctx.arc_indices) < spec.count
+            proper += ctx.arc_dim < spec.dim
         assert proper >= 5  # arcs holding every eigenvalue give P = 1, curvature 0
 
 

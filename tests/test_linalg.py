@@ -54,9 +54,24 @@ def mgs_projectors(g: UnitaryMatrix) -> np.ndarray:
     return np.stack([p for _, p in sorted(out, key=lambda item: item[0])])
 
 
+def cluster_runs(spec) -> list[range]:
+    """The column ranges of the runs of equal eigenvalues, in frame order."""
+    lam = spec.eigenvalues
+    cuts = [0, *(np.flatnonzero(lam[1:] != lam[:-1]) + 1).tolist(), len(lam)]
+    return [range(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def cluster_sizes(spec) -> list[int]:
+    return [len(r) for r in cluster_runs(spec)]
+
+
+def distinct_eigenvalues(spec) -> np.ndarray:
+    return spec.eigenvalues[[r.start for r in cluster_runs(spec)]]
+
+
 def cluster_projectors(spec) -> np.ndarray:
-    """P_i = U_i U_i^H from the frame block U_i of each eigenvalue."""
-    blocks = (spec.frame[:, spec.columns(i, i + 1)] for i in range(spec.count))
+    """P_i = U_i U_i^H from the frame columns U_i of each eigenvalue."""
+    blocks = (spec.frame[:, r.start:r.stop] for r in cluster_runs(spec))
     return np.stack([b @ b.conj().T for b in blocks])
 
 
@@ -93,6 +108,15 @@ def straddling_zero(rng) -> UnitaryMatrix:
     """A random conjugate in U(5) with a cluster of three round angle 0."""
     return conjugate_of([-1e-12, 1e-12, -2e-12, np.pi, 2.0], rng)
 
+
+# inputs with a repeated eigenvalue, each drawn from one Generator
+REPEATED_CASES = {
+    "U(4)-in-U(64)": lambda rng: embed_block(random_unitary(4, rng), 64),
+    "multiplicities-3-2-4": with_multiplicities,
+    "+I": lambda rng: UnitaryMatrix(np.eye(5)),
+    "-I": lambda rng: UnitaryMatrix(-np.eye(5)),
+    "straddling-0": straddling_zero,
+}
 
 # inputs of the decomposition accuracy test, each drawn from one Generator
 DECOMPOSITION_CASES = {
@@ -150,13 +174,12 @@ class TestRandomUnitary:
 class TestSpectralDecompose:
     def test_identity(self):
         spec = spectral_decompose(UnitaryMatrix(np.eye(2)))
-        assert spec.count == 1
-        assert spec.multiplicities[0] == 2
+        assert cluster_sizes(spec) == [2]
         assert np.allclose(cluster_projectors(spec)[0], np.eye(2))
 
     def test_diag_pair(self):
         spec = spectral_decompose(UnitaryMatrix(np.diag([1j, -1j])))
-        assert spec.count == 2
+        assert cluster_sizes(spec) == [1, 1]
         assert np.allclose(spec.eigenvalues, [1j, -1j])
         proj = cluster_projectors(spec)
         assert np.allclose(proj[0], np.diag([1.0, 0.0]))
@@ -165,7 +188,8 @@ class TestSpectralDecompose:
     def test_reconstruction(self):
         g = random_unitary(5, np.random.default_rng(11))
         spec = spectral_decompose(g)
-        rebuilt = np.einsum("i,ijk->jk", spec.eigenvalues, cluster_projectors(spec))
+        proj = cluster_projectors(spec)
+        rebuilt = np.einsum("i,ijk->jk", distinct_eigenvalues(spec), proj)
         assert np.linalg.norm(rebuilt - g.mat) < 1e-10
 
     def test_projector_algebra_sweep(self):
@@ -175,33 +199,31 @@ class TestSpectralDecompose:
             proj = cluster_projectors(spec)
             total = proj.sum(axis=0)
             assert np.linalg.norm(total - np.eye(4)) < 1e-10
-            for i in range(spec.count):
+            for i in range(len(proj)):
                 p = proj[i]
                 assert np.linalg.norm(p @ p - p) < 1e-10
                 assert np.linalg.norm(p - p.conj().T) < 1e-10
-                for j in range(i + 1, spec.count):
+                for j in range(i + 1, len(proj)):
                     assert np.linalg.norm(p @ proj[j]) < 1e-10
 
     def test_cluster_merging(self):
         eps = 1e-12
         g = UnitaryMatrix(np.diag([1.0, np.exp(1j * eps), 1j]))
         spec = spectral_decompose(g)
-        assert spec.count == 2
-        assert spec.multiplicities[0] == 2
+        assert cluster_sizes(spec) == [2, 1]
 
     @pytest.mark.parametrize("eps", [1e-12, 3e-10])
     def test_cluster_straddling_angle_zero(self, eps):
         # e^{-2i eps}, e^{-i eps} and e^{i eps} sit on both sides of angle 0
         lam = np.exp(1j * np.array([-eps, eps, np.pi, -2 * eps]))
         spec = spectral_decompose(UnitaryMatrix(np.diag(lam)))
-        assert spec.count == 2
-        assert list(spec.multiplicities) == [1, 3]
+        assert cluster_sizes(spec) == [1, 3]
         assert abs(spec.angles[0] - np.pi) < 1e-15
-        assert abs(spec.angles[1] - TWO_PI) < 1e-9
+        assert np.max(np.abs(spec.angles[1:] - TWO_PI)) < 1e-9
         # the straddling cluster is last, so a cut pair round pi catches -1 only
         for z1, z2 in ((np.pi + 0.5, np.pi - 0.5), (np.pi - 0.5, np.pi + 0.5)):
             ctx = classify(cut_point(z1), cut_point(z2), spec)
-            assert ctx.arc_indices == (0,)
+            assert ctx.arc_indices == range(0, 1)
             assert ctx.arc_dim == 1
 
     def test_ambiguous_chain(self):
@@ -221,51 +243,53 @@ class TestSpectralDecompose:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert spec.count == 128
+        assert len(cluster_runs(spec)) == 128
         assert peak <= 8 * 2**20
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda rng: embed_block(random_unitary(4, rng), 64),
-            with_multiplicities,
-            lambda rng: UnitaryMatrix(np.eye(5)),
-            lambda rng: UnitaryMatrix(-np.eye(5)),
-            straddling_zero,
-        ],
-        ids=["U(4)-in-U(64)", "multiplicities-3-2-4", "+I", "-I", "straddling-0"],
-    )
+    @pytest.mark.parametrize("make", REPEATED_CASES.values(), ids=REPEATED_CASES)
     def test_repeated_clusters_match_gram_schmidt(self, make):
         g = make(np.random.default_rng(21))
         spec = spectral_decompose(g)
-        assert max(spec.multiplicities) > 1
+        assert max(cluster_sizes(spec)) > 1
         assert np.max(np.abs(cluster_projectors(spec) - mgs_projectors(g))) < 1e-13
         u = spec.frame
         assert np.max(np.abs(u.conj().T @ u - np.eye(g.dim))) < 1e-13
 
+    @pytest.mark.parametrize("make", REPEATED_CASES.values(), ids=REPEATED_CASES)
+    def test_equal_eigenvalues_are_the_gram_schmidt_blocks(self, make):
+        # two columns carry the same eigenvalue, bit for bit, exactly when
+        # the reference puts them in the same cluster projector
+        g = make(np.random.default_rng(21))
+        spec = spectral_decompose(g)
+        u = spec.frame
+        weight = np.linalg.norm(mgs_projectors(g) @ u, axis=1)  # (cluster, column)
+        assert np.all((weight > 1 - 1e-12) | (weight < 1e-12))
+        label = np.argmax(weight, axis=0)
+        lam = spec.eigenvalues
+        assert np.array_equal(lam[:, None] == lam, label[:, None] == label)
+
     def test_frame_diagonalizes_g(self):
         g = with_multiplicities(np.random.default_rng(8))
         spec = spectral_decompose(g)
-        u, lam = spec.frame, np.repeat(spec.eigenvalues, spec.multiplicities)
-        assert list(spec.multiplicities) == [3, 2, 4]
+        u, lam = spec.frame, spec.eigenvalues
+        assert cluster_sizes(spec) == [3, 2, 4]
         assert np.linalg.norm((u * lam) @ u.conj().T - g.mat) < 1e-12
         # each column's largest-magnitude entry is real positive
         pivot = u[np.argmax(np.abs(u), axis=0), np.arange(9)]
         assert np.all(pivot.real > 0) and np.max(np.abs(pivot.imag)) < 1e-15
         assert not u.flags.writeable
-        assert [spec.columns(i, i + 1) for i in range(3)] == [
-            slice(0, 3),
-            slice(3, 5),
-            slice(5, 9),
-        ]
-        assert spec.columns(1, 3) == slice(3, 9) and spec.columns(2, 2) == slice(5, 5)
+        assert cluster_runs(spec) == [range(0, 3), range(3, 5), range(5, 9)]
+        # an arc is the column range of its clusters, empty between two
+        assert classify(cut_point(5.0), cut_point(1.0), spec).arc_indices == range(3, 9)
+        null = classify(cut_point(3.5), cut_point(3.0), spec).arc_indices
+        assert (null.start, null.stop) == (5, 5)
 
     @pytest.mark.parametrize("case", DECOMPOSITION_CASES)
     def test_accuracy_against_schur(self, case):
         g = DECOMPOSITION_CASES[case](np.random.default_rng(31))
         n = g.dim
         spec = spectral_decompose(g)
-        u, lam = spec.frame, np.repeat(spec.eigenvalues, spec.multiplicities)
+        u, lam = spec.frame, spec.eigenvalues
         assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-13
         # residual against Schur's, which keeps each eigenvalue apart; a
         # cluster's shared eigenvalue adds how far its members sit from it
@@ -276,8 +300,9 @@ class TestSpectralDecompose:
         residual = np.linalg.norm(g.mat @ u - u * lam)
         assert residual <= 10 * max(schur_residual, n * EPS) + np.sqrt(n) * spread
         # a projector moves by about eps / gap under a backward error of eps
-        ring = np.append(spec.eigenvalues, spec.eigenvalues[:1])
-        gap = min(2.0, *np.abs(np.diff(ring))) if spec.count > 1 else 2.0
+        distinct = distinct_eigenvalues(spec)
+        ring = np.append(distinct, distinct[:1])
+        gap = min(2.0, *np.abs(np.diff(ring))) if len(distinct) > 1 else 2.0
         want = mp_projectors(g) if case == "pair-1e-8-apart" else mgs_projectors(g)
         assert np.max(np.abs(cluster_projectors(spec) - want)) <= 2 * n * EPS / gap
 
@@ -337,13 +362,14 @@ class TestShiftedStep:
 
 class TestEigenbasisSum:
     def test_matches_projector_loop(self):
-        # a doubly repeated eigenvalue exercises the expansion by cluster
+        # a doubly repeated eigenvalue: column weights that are constant on
+        # each pair of clusters give the sum over cluster projectors
         rng = np.random.default_rng(11)
         q = random_unitary(5, rng).mat
         ang = np.array([0.7, 0.7, 2.0, 3.3, 5.1])
         spec = spectral_decompose(UnitaryMatrix((q * np.exp(1j * ang)) @ q.conj().T))
-        assert list(spec.multiplicities) == [2, 1, 1, 1]
-        m = spec.count
+        assert cluster_sizes(spec) == [2, 1, 1, 1]
+        m = 4
         w = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         proj = cluster_projectors(spec)
@@ -352,7 +378,9 @@ class TestEigenbasisSum:
             for i in range(m)
             for j in range(m)
         )
-        assert np.max(np.abs(_eigenbasis_sum(spec, w, x) - want)) < 1e-13
+        label = np.repeat(np.arange(m), cluster_sizes(spec))
+        got = _eigenbasis_sum(spec, w[label][:, label], x)
+        assert np.max(np.abs(got - want)) < 1e-13
 
 
 class TestTangentRandom:
@@ -414,12 +442,12 @@ class TestEmbedding:
         bigspec = spectral_decompose(embed_block(g, 5))
         non_unit = [
             (v, p)
-            for v, p in zip(bigspec.eigenvalues, cluster_projectors(bigspec))
+            for v, p in zip(distinct_eigenvalues(bigspec), cluster_projectors(bigspec))
             if abs(v - 1.0) > 1e-8
         ]
         small = {
             round(float(np.angle(v)), 6): p
-            for v, p in zip(spec.eigenvalues, cluster_projectors(spec))
+            for v, p in zip(distinct_eigenvalues(spec), cluster_projectors(spec))
         }
         assert len(non_unit) == len(small)
         for v, p in non_unit:

@@ -13,7 +13,6 @@ from basicgerbe import (
     UnitaryMatrix,
     arc_projector,
     classify,
-    circle_between,
     cut_point,
     embed_block,
     projector_derivative,
@@ -43,17 +42,17 @@ class TestClassify:
     def test_positive(self, diag_spec):
         ctx = classify(cut_point(3 * np.pi / 4), cut_point(np.pi / 4), diag_spec)
         assert ctx.classification is Classification.POSITIVE
-        assert ctx.arc_indices == (0,)
+        assert ctx.arc_indices == range(0, 1)
 
     def test_negative(self, diag_spec):
         ctx = classify(cut_point(np.pi / 4), cut_point(3 * np.pi / 4), diag_spec)
         assert ctx.classification is Classification.NEGATIVE
-        assert ctx.arc_indices == (0,)
+        assert ctx.arc_indices == range(0, 1)
 
     def test_null(self, diag_spec):
         ctx = classify(cut_point(np.pi / 8), cut_point(np.pi / 4), diag_spec)
         assert ctx.classification is Classification.NULL
-        assert ctx.arc_indices == ()
+        assert (ctx.arc_indices.start, ctx.arc_indices.stop) == (0, 0)
 
     def test_cut_on_eigenvalue(self, diag_spec):
         with pytest.raises(IllConditionedCutError):
@@ -67,15 +66,21 @@ class TestClassify:
         assert sw.swapped().classification is Classification.POSITIVE
 
 
+def _between(z1, z2, lam) -> bool:
+    """lam lies on the arc between the cuts that avoids 1."""
+    lo, hi = sorted((z1.angle, z2.angle))
+    return lo < float(np.angle(lam)) % (2 * np.pi) < hi
+
+
 def _sorted_hstack_basis(ctx):
-    """Reference arc basis: each eigenvalue's frame block, its columns
-    reversed, stacked by angle below z1."""
+    """Reference arc basis: the arc's frame columns by angle below z1, the
+    columns of a repeated eigenvalue in reverse frame order."""
     a1, spec = ctx.z1.angle, ctx.spec
     order = sorted(
         ctx.arc_indices,
-        key=lambda i: (a1 - float(np.angle(spec.eigenvalues[i]))) % (2 * np.pi),
+        key=lambda i: ((a1 - float(np.angle(spec.eigenvalues[i]))) % (2 * np.pi), -i),
     )
-    return np.hstack([spec.frame[:, spec.columns(i, i + 1)][:, ::-1] for i in order])
+    return spec.frame[:, order]
 
 
 def _spectrum_with_identity_and_repeat(n, rng):
@@ -90,8 +95,8 @@ def _spectrum_with_identity_and_repeat(n, rng):
 
 
 class TestClassifyDefinition:
-    """``classify`` reads the arc as an index range of the angle order; its
-    definition is the betweenness predicate, eigenvalue by eigenvalue."""
+    """``classify`` reads the arc as a column range of the angle order; its
+    definition is the angle predicate ``_between``, column by column."""
 
     def test_arc_indices_are_the_eigenvalues_between_the_cuts(self):
         rng = np.random.default_rng(16)
@@ -104,10 +109,10 @@ class TestClassifyDefinition:
                 if min(near) < 10 * CUT_EXCLUSION or abs(z1.value - z2.value) < 1e-6:
                     continue
                 eigs = enumerate(spec.eigenvalues)
-                want = tuple(i for i, v in eigs if circle_between(z1, z2, v))
+                want = [i for i, v in eigs if _between(z1, z2, v)]
                 for a, b in ((z1, z2), (z2, z1)):
                     ctx = classify(a, b, spec)
-                    assert ctx.arc_indices == want
+                    assert list(ctx.arc_indices) == want
                     seen.add(ctx.classification)
                     if ctx.classification is Classification.POSITIVE:
                         assert np.array_equal(ctx.basis, _sorted_hstack_basis(ctx))
@@ -115,8 +120,8 @@ class TestClassifyDefinition:
 
     def test_identity_and_repeat_are_present(self):
         spec = _spectrum_with_identity_and_repeat(4, np.random.default_rng(0))
-        assert spec.count == 4
-        assert sorted(spec.multiplicities) == [1, 1, 1, 2]
+        sizes = np.unique(spec.eigenvalues, return_counts=True)[1]
+        assert sorted(sizes.tolist()) == [1, 1, 1, 2]
         assert np.min(np.abs(spec.eigenvalues - 1.0)) < 1e-12
 
 
@@ -169,7 +174,7 @@ class TestArcMemo:
         u = spec.frame
         # the eigenvalue of each frame column, read off g itself
         col_lam = np.einsum("ij,ik,kj->j", u.conj(), spec.matrix, u)
-        between = [j for j in range(7) if circle_between(z1, z3, col_lam[j])]
+        between = [j for j in range(7) if _between(z1, z3, col_lam[j])]
         basis = classify(z1, z3, spec).basis
         assert not basis.flags.writeable
         assert np.shares_memory(basis, u)
@@ -325,7 +330,7 @@ class TestStep:
         dist = np.abs(spec.eigenvalues[:, None] - np.array([z.value for z in cuts]))
         k, j = np.unravel_index(np.argmin(dist), dist.shape)
         turn = (cuts[j].angle - spec.angles[k] + np.pi) % (2 * np.pi) - np.pi
-        u = spec.frame[:, spec.columns(k, k + 1)]
+        u = spec.frame[:, spec.eigenvalues == spec.eigenvalues[k]]
         return tangent_random(UnitaryMatrix(spec.matrix), rng).direction, (
             1j * np.sign(turn) * u @ u.conj().T
         )
@@ -354,9 +359,24 @@ class TestSingleProjectorDerivative:
             g, spec = well_separated_unitary(4, rng)
             a = tangent_random(g, rng)
             total = sum(
-                single_projector_derivative(spec, k, a) for k in range(spec.count)
+                single_projector_derivative(spec, k, a) for k in range(spec.dim)
             )
             assert np.linalg.norm(total) < 1e-10
+
+    def test_repeated_eigenvalue_is_its_arc(self):
+        # either column of a doubled eigenvalue gives the derivative of the
+        # whole eigenspace's projector, as an arc round only that pair does
+        q = random_unitary(5, np.random.default_rng(12)).mat
+        lam = np.exp(1j * np.array([0.5, 1.5, 1.5, 3.0, 4.5]))
+        g = UnitaryMatrix((q * lam) @ q.conj().T)
+        spec = spectral_decompose(g)
+        x = tangent_random(g, np.random.default_rng(13))
+        ctx = classify(cut_point(2.0), cut_point(1.0), spec)
+        assert ctx.arc_indices == range(1, 3)
+        want = projector_derivative(ctx, x)
+        for k in ctx.arc_indices:
+            got = single_projector_derivative(spec, k, x)
+            assert np.max(np.abs(got - want)) < 1e-13
 
     def test_small_gap_rejected(self):
         g = UnitaryMatrix(np.diag([1.0 * 1j, np.exp(1j * (np.pi / 2 + 1e-4)), -1.0]))

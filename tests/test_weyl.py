@@ -285,7 +285,7 @@ class TestWeylMap:
         _, pt, _ = regular_instance(4)
         g = weyl_apply(pt)
         spec = spectral_decompose(g)
-        u, lam = spec.frame, np.repeat(spec.eigenvalues, spec.multiplicities)
+        u, lam = spec.frame, spec.eigenvalues
         assert np.linalg.norm((u * lam) @ u.conj().T - g.mat) < 1e-10
 
     def test_preimage_count(self):
@@ -328,7 +328,7 @@ class TestWeylMap:
         lam = np.array([1j, 1j * np.exp(1e-8j), -1j])
         g = UnitaryMatrix((q * lam) @ q.conj().T)
         spec = spectral_decompose(g)
-        assert spec.count == 3
+        assert len(np.unique(spec.eigenvalues)) == 3
         with pytest.raises(RegularityError):
             preimage_count(spec)
 
