@@ -32,7 +32,6 @@ from .linalg import (
 from .contour import (
     Contour,
     CutCirclePoint,
-    circle_between,
     circle_gt,
     cut_point,
     quad_integrate,

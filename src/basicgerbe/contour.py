@@ -2,11 +2,11 @@
 
 The circle U(1) with the identity removed carries the partial order
 "z1 > z2 iff z2 rotates counter-clockwise into z1 without passing 1".
-This module implements that order, the betweenness predicate, the family
-of branch logarithms log_z with cut along the ray through z and
-log_z(1) = 0 (``log_cut_array``), the cut-exclusion check, the
-annular-sector contour (``projectors.ArcContext.contour`` builds the one
-round a spectral arc) and adaptive Gauss-Kronrod contour quadrature.
+This module implements that order, the family of branch logarithms log_z
+with cut along the ray through z and log_z(1) = 0 (``log_cut_array``), the
+cut-exclusion check, the annular-sector contour
+(``projectors.ArcContext.contour`` builds the one round a spectral arc) and
+adaptive Gauss-Kronrod contour quadrature.
 
 In polar coordinates (r, theta) the annular sector
 {1-rho <= |xi| <= 1+rho, theta_lo <= arg xi <= theta_hi} is the rectangle
@@ -85,21 +85,6 @@ def circle_gt(z1: CutCirclePoint, z2: CutCirclePoint) -> bool:
     if abs(z1.value - z2.value) <= POINT_TOL:
         raise IncomparableError("equal cut points are incomparable")
     return z1.angle > z2.angle
-
-
-def circle_between(z1: CutCirclePoint, z2: CutCirclePoint, lam: complex) -> bool:
-    """True iff lam lies in the component of U(1) - {z1, z2} not containing 1.
-
-    Symmetric in (z1, z2).
-    """
-    if abs(z1.value - z2.value) <= POINT_TOL:
-        raise IncomparableError("cut points coincide")
-    lam = complex(lam)
-    if min(abs(lam - z1.value), abs(lam - z2.value)) <= POINT_TOL:
-        raise BoundaryError("point coincides with an arc endpoint")
-    lo, hi = sorted((z1.angle, z2.angle))
-    a = math.atan2(lam.imag, lam.real) % TWO_PI
-    return lo < a < hi
 
 
 def log_cut_array(z: CutCirclePoint, xs: np.ndarray) -> np.ndarray:

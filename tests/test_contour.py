@@ -23,7 +23,6 @@ from basicgerbe import (
     QuadratureError,
     UnitaryMatrix,
     arc_projector,
-    circle_between,
     circle_gt,
     classify,
     cut_point,
@@ -80,30 +79,6 @@ class TestCircleOrder:
                 continue
             z1, z2 = cut_point(a), cut_point(b)
             assert circle_gt(z1, z2) != circle_gt(z2, z1)
-
-
-class TestCircleBetween:
-    def test_minus_one_between_quarters(self):
-        assert circle_between(cut_point(np.pi / 2), cut_point(3 * np.pi / 2), -1.0)
-
-    def test_near_identity_outside(self):
-        lam = np.exp(1j * np.pi / 100)
-        assert not circle_between(cut_point(np.pi / 2), cut_point(3 * np.pi / 2), lam)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            a, b, c = rng.uniform(0.01, 2 * np.pi - 0.01, size=3)
-            if min(abs(a - b), abs(a - c), abs(b - c)) < 1e-6:
-                continue
-            z1, z2 = cut_point(a), cut_point(b)
-            lam = np.exp(1j * c)
-            assert circle_between(z1, z2, lam) == circle_between(z2, z1, lam)
-
-    def test_endpoint_rejected(self):
-        z1, z2 = cut_point(1.0), cut_point(2.0)
-        with pytest.raises(BoundaryError):
-            circle_between(z1, z2, z1.value)
 
 
 class TestLogCut:
@@ -171,7 +146,8 @@ class TestContours:
             dists = [abs(z.value - v) for z in (z1, z2) for v in spec.eigenvalues]
             if min(dists) < 1e-2 or abs(a - b) < 1e-2:
                 continue
-            inside = [circle_between(z1, z2, v) for v in spec.eigenvalues]
+            lo, hi = sorted((a, b))
+            inside = [lo < np.angle(v) % (2 * np.pi) < hi for v in spec.eigenvalues]
             if not any(inside):
                 continue
             for ctx in (classify(z1, z2, spec), classify(z2, z1, spec)):
