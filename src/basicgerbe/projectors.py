@@ -130,8 +130,7 @@ class ArcContext:
         if self.classification is not Classification.POSITIVE:
             raise EmptySpaceError("arc basis requires a positive context")
         # z1 is the upper cut, so descending from z1 is descending column
-        cols = self.arc_indices
-        return self.spec.frame[:, cols.start:cols.stop][:, ::-1]
+        return self.spec.frame[:, self.arc_indices.start:self.arc_indices.stop][:, ::-1]
 
     @property
     def contour(self) -> Contour:
@@ -240,8 +239,7 @@ def single_projector_derivative(
     """Derivative along X = gA of the projector onto the eigenvalue of column k."""
     lam = spec.eigenvalues
     same = lam == lam[k]
-    gaps = np.abs(lam - lam[k])
-    gaps[same] = np.inf
+    gaps = np.where(same, np.inf, np.abs(lam - lam[k]))
     if float(gaps.min()) < MIN_SIMPLE_GAP:
         raise GapError(
             f"eigenvalue {k} is within {float(gaps.min()):.2e} of a neighbor"
