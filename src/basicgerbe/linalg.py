@@ -205,7 +205,7 @@ def spectral_decompose(g: UnitaryMatrix) -> SpectralDecomposition:
     q = (u.conj() * (m @ u)).sum(axis=0).tolist()
     starts = [0] + [j for j in range(1, n) if abs(q[j] - q[j - 1]) >= CLUSTER_TOL]
     stops = starts[1:] + [n]
-    lam = np.empty(n, dtype=complex)
+    lam = []
     for lo, hi in zip(starts, stops):
         span = abs(q[hi - 1] - q[lo])
         if span >= CLUSTER_TOL:
@@ -213,13 +213,13 @@ def spectral_decompose(g: UnitaryMatrix) -> SpectralDecomposition:
                 f"eigenvalue run spans {span:.3e} >= tolerance {CLUSTER_TOL:.3e}"
             )
         mean = sum(q[lo:hi]) / (hi - lo)
-        lam[lo:hi] = mean / abs(mean)
+        lam += [mean / abs(mean)] * (hi - lo)
     start = min(starts, key=lambda j: cmath.phase(lam[j]) % TWO_PI)
     frame = np.concatenate((u[:, start:], u[:, :start]), axis=1)
     pivot = frame[np.argmax(np.abs(frame), axis=0), np.arange(n)]
     frame /= pivot / np.abs(pivot)
     frame.flags.writeable = False
-    return SpectralDecomposition(m, np.roll(lam, -start), frame)
+    return SpectralDecomposition(m, np.array(lam[start:] + lam[:start]), frame)
 
 
 def embed_block(g: UnitaryMatrix, big_dim: int) -> UnitaryMatrix:
