@@ -43,6 +43,8 @@ from .projectors import (
 )
 
 LOOP_STEP = 1e-3
+# phi_2's Taylor coefficients 1 / (k + 2)! past 1/2, k = 1..17; 1/20! < 1e-18
+_PHI2_TAYLOR = 1.0 / np.array([math.factorial(k + 2) for k in range(1, 18)], float)
 
 
 def _pair_sum(
@@ -138,14 +140,25 @@ def projector_inserted_curvature(
 def _curving_weights(z: CutCirclePoint, lam: np.ndarray) -> np.ndarray:
     """Residue sums of log_z(xi) / ((xi - lam_i)(xi - lam_j)^2) over all poles.
 
-    For lam_i != lam_j:
-    (log_z lam_i - log_z lam_j) / (lam_i - lam_j)^2 - 1 / (lam_j (lam_i - lam_j));
-    where lam_i == lam_j, the order-3 residue -1 / (2 lam_i^2).
+    With s = log_z lam_i - log_z lam_j, lam_i - lam_j = lam_j s phi_1(s) and
+    the sum is -phi_2(s) / (lam_j^2 phi_1(s)^2), for phi_1(s) = (e^s - 1) / s
+    and phi_2(s) = (e^s - 1 - s) / s^2 (Hochbruck & Ostermann, Acta Numer.
+    2010): at s = 0 the order-3 residue -1 / (2 lam^2).  Where |s| < 1, phi_2
+    is its Taylor series, which cancels no digits; elsewhere phi_1 is read
+    off the first identity, as lam_i - lam_j keeps its digits where e^s - 1
+    would not: for a pair on either side of the cut, s is near +-2 pi i.
     """
     logs = log_cut_array(z, lam)
-    d = _differences(lam)
-    w = (logs[:, None] - logs[None, :]) / d**2 - 1.0 / (lam[None, :] * d)
-    return np.where(lam[:, None] == lam, -0.5 / lam**2, w)
+    s = logs[:, None] - logs[None, :]
+    small = np.abs(s) < 1.0
+    t = np.where(small, 1.0, s)
+    phi1 = (lam[:, None] - lam) / (lam * t)
+    phi2 = (phi1 - 1.0) / t
+    ss = s[small]
+    powers = np.cumprod(np.broadcast_to(ss, (_PHI2_TAYLOR.size, ss.size)), axis=0)
+    phi2[small] = 0.5 + _PHI2_TAYLOR @ powers
+    phi1[small] = 1.0 + ss * phi2[small]
+    return -phi2 / (lam**2 * phi1**2)
 
 
 def curving_eval(

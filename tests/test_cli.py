@@ -9,6 +9,7 @@ from basicgerbe import (
     EvaluationError,
     FlagTorusPoint,
     SchemaError,
+    UnitaryMatrix,
     matrix_to_json,
     random_flag_tangent,
     sample_regular,
@@ -630,6 +631,25 @@ class TestMain:
         args = ["eval", "--input", str(p), "--quantity", "curving", "--no-oracle"]
         assert main(args) == 2
         assert "IllConditionedCutError" in capsys.readouterr().err
+
+    def test_eval_curving_on_a_near_pair(self, tmp_path, capsys):
+        # eigenvalues 1e-8 apart: residue weights that lose digits to the
+        # pair's cancellation leave the quadrature oracle by ~1e-2
+        g = UnitaryMatrix(np.diag(np.exp(1j * np.array([1.0, 1.0 + 1e-8, 3.0]))))
+        rng = np.random.default_rng(5)
+        x, y = (tangent_random(g, rng).direction for _ in range(2))
+        obj = {
+            "g": matrix_to_json(g.mat),
+            "z": [np.cos(4.5), np.sin(4.5)],
+            "X": matrix_to_json(x),
+            "Y": matrix_to_json(y),
+        }
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(obj))
+        assert main(["eval", "--input", str(p), "--quantity", "curving"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["method"] == "residue"
+        assert rec["residual_vs_oracle"] < 1e-10
 
     def test_eval_missing_file_exit_two(self, tmp_path):
         assert (

@@ -74,6 +74,28 @@ def random_instance(index, n=4, suite="forms-test"):
     return rng, g, spec, ctx, x, y
 
 
+def mp_curving_weights(z, lam) -> np.ndarray:
+    """``_curving_weights`` at 50 digits from the log-difference form, with
+    log_z's imaginary part in (arg z - 2 pi, arg z] as in ``log_cut_array``."""
+    with mpmath.workdps(50):
+        top, turn = mpmath.mpf(z.angle), 2 * mpmath.pi
+        vs = [mpmath.mpc(complex(v)) for v in lam]
+        logs = []
+        for v in vs:
+            phase = mpmath.arg(v)
+            phase -= turn * mpmath.floor((phase - top + turn) / turn)
+            logs.append(mpmath.log(abs(v)) + 1j * phase)
+        out = np.empty((len(vs), len(vs)), complex)
+        for i, vi in enumerate(vs):
+            for j, vj in enumerate(vs):
+                d = vi - vj
+                if i == j:
+                    out[i, j] = complex(-1 / (2 * vj**2))
+                else:
+                    out[i, j] = complex((logs[i] - logs[j]) / d**2 - 1 / (vj * d))
+    return out
+
+
 class TestWedgeTrace:
     def test_degree_one(self):
         m = np.diag([2.0, 3.0])
@@ -301,6 +323,18 @@ class TestCurving:
                         poles = [(lam[i], 3)] if i == j else [(lam[i], 1), (lam[j], 2)]
                         want = residue_eval(poles, with_log=z)
                         assert abs(w[i, j] - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("gap", [1e-1, 1e-3, 1e-5, 1e-7, 1e-9])
+    def test_weights_of_a_near_pair_match_mpmath(self, gap):
+        # in doubles the log-difference form cancels about -log10(gap) digits;
+        # the last pair sits on either side of the cut
+        z = cut_point(4.5)
+        near = ([1.0, 1.0 + gap], [1.0, 1.0 + gap, 3.0], [0.2, 2.0, 2.0 + gap, 5.9])
+        for ang in (*near, [1.0, 4.5 - gap, 4.5 + gap]):
+            lam = np.exp(1j * np.array(ang))
+            want = mp_curving_weights(z, lam)
+            err = np.abs(_curving_weights(z, lam) - want)
+            assert np.max(err / np.maximum(1.0, np.abs(want))) <= 2e-15
 
     @pytest.mark.parametrize("method", ["residue", "quadrature"])
     def test_cut_at_eigenvalue_rejected(self, method):
