@@ -128,10 +128,15 @@ class Contour:
         return np.array(rows)
 
 
+def _cut_distance(eigenvalues: np.ndarray, *cuts: CutCirclePoint) -> float:
+    """min |lambda - z| over the eigenvalues and the cuts."""
+    return min(float(np.min(np.abs(eigenvalues - z.value))) for z in cuts)
+
+
 def _check_cuts(eigenvalues: np.ndarray, *cuts: CutCirclePoint) -> None:
     """Reject cuts closer than CUT_EXCLUSION to any of the eigenvalues."""
     for z in cuts:
-        d = float(np.min(np.abs(eigenvalues - z.value)))
+        d = _cut_distance(eigenvalues, z)
         if d < CUT_EXCLUSION:
             raise IllConditionedCutError(
                 f"cut within {d:.2e} of an eigenvalue (limit {CUT_EXCLUSION:.0e})"

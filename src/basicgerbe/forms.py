@@ -35,6 +35,7 @@ from .linalg import (
 from .projectors import (
     FD_STEP,
     ArcContext,
+    _central,
     _context_at,
     _refuse_reach,
     _step,
@@ -233,30 +234,26 @@ def exterior_derivative_fd(
 
     ``spec`` is the decomposition of g = ``x.base``, where the bracket terms
     evaluate; each of the six stencil points g exp(+-hA) is a
-    ``projectors._step`` from ``spec``.  Tangents extend left-invariantly
-    (X(h) = hA), so the bracket terms use the matrix commutators of the
-    directions.
+    ``projectors._step`` from ``spec``, differenced by ``projectors._central``.
+    Tangents extend left-invariantly (X(h) = hA), so the bracket terms use
+    the matrix commutators of the directions.
     """
-    g = x.base
-    if not np.array_equal(spec.matrix, g.mat):
+    if not np.array_equal(spec.matrix, x.base.mat):
         raise IncomparableError("spec is not the decomposition of the base point")
 
-    def form(h: UnitaryMatrix, hspec: SpectralDecomposition, a, b) -> complex:
+    def form(hspec: SpectralDecomposition, a, b) -> complex:
+        h = UnitaryMatrix(hspec.matrix)
         return curving_eval(z, hspec, TangentVector(h, a), TangentVector(h, b))
 
     def d_along(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> complex:
-        plus, minus = (
-            form(UnitaryMatrix(hspec.matrix), hspec, b, c)
-            for hspec in (_step(spec, a, t, z) for t in (FD_STEP, -FD_STEP))
-        )
-        return (plus - minus) / (2 * FD_STEP)
+        return _central(lambda t: form(_step(spec, a, t, z), b, c))
 
     a, b, c = x.direction, y.direction, w.direction
     term1 = d_along(a, b, c) - d_along(b, a, c) + d_along(c, a, b)
     term2 = (
-        form(g, spec, a @ b - b @ a, c)
-        - form(g, spec, a @ c - c @ a, b)
-        + form(g, spec, b @ c - c @ b, a)
+        form(spec, a @ b - b @ a, c)
+        - form(spec, a @ c - c @ a, b)
+        + form(spec, b @ c - c @ b, a)
     )
     return complex(term1 - term2)
 
@@ -272,8 +269,7 @@ def curving_z_derivative_fd(
     Turning z by +-h moves it along a chord of at most h: the reach is h.
     """
     _refuse_reach(spec, FD_STEP, FD_STEP, z)
-    zp, zm = cut_point(z.angle + FD_STEP), cut_point(z.angle - FD_STEP)
-    return (curving_eval(zp, spec, x, y) - curving_eval(zm, spec, x, y)) / (2 * FD_STEP)
+    return _central(lambda t: curving_eval(cut_point(z.angle + t), spec, x, y))
 
 
 # ---------------------------------------------------------------------------

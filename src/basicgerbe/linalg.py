@@ -156,6 +156,12 @@ class SpectralDecomposition:
         """Eigenvalue angles in [0, 2*pi), ascending."""
         return np.angle(self.eigenvalues) % TWO_PI
 
+    @property
+    def marks(self) -> np.ndarray:
+        """The circle marks (0, angles..., 2*pi): the identity at both ends,
+        so consecutive marks bound the angular gaps, zero-width ones included."""
+        return np.concatenate(([0.0], self.angles, [TWO_PI]))
+
 
 def _eigenbasis_sum(
     spec: SpectralDecomposition, weights: np.ndarray, x: np.ndarray

@@ -9,6 +9,7 @@ extracts the canonically ordered eigenbasis that determinant-line fibers
 use as a frame, and differentiates projectors in tangent directions.
 Every finite-difference point g exp(tA) is a ``_step``: exp(tA) through
 ``eigh`` of the Hermitian iA, refused by the one step rule ``_refuse_reach``.
+Every finite difference is the one central quotient ``_central``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from .contour import (
     Contour,
     CutCirclePoint,
     _check_cuts,
+    _cut_distance,
     _resolvent_integral,
     circle_gt,
 )
 from .errors import EmptySpaceError, GapError, StepTooLargeError
 from .linalg import (
-    TWO_PI,
     SpectralDecomposition,
     TangentVector,
     UnitaryMatrix,
@@ -47,12 +48,17 @@ def _refuse_reach(
     """The step rule: a step h that moves a stencil point by up to ``reach``
     must stay below the distance from spec(g) to the cuts, so that no
     eigenvalue meets a cut and every arc keeps its eigenvalue count."""
-    distance = min(float(np.min(np.abs(spec.eigenvalues - z.value))) for z in cuts)
+    distance = _cut_distance(spec.eigenvalues, *cuts)
     if not reach < distance:
         raise StepTooLargeError(
             f"FD step h = {h:g} moves an eigenvalue up to {reach:.4g}, which "
             f"reaches the distance {distance:.4g} from spec(g) to the nearest cut"
         )
+
+
+def _central(f):
+    """(f(h) - f(-h)) / 2h at h = ``FD_STEP``: the one difference quotient."""
+    return (f(FD_STEP) - f(-FD_STEP)) / (2 * FD_STEP)
 
 
 def _step(
@@ -142,11 +148,9 @@ class ArcContext:
         """
         if not self.arc_indices:
             raise EmptySpaceError("no eigenvalues between the cut points")
-        angles = self.spec.angles
-        i, j = self.arc_indices.start, self.arc_indices.stop
+        marks = self.spec.marks  # marks[k + 1] is the angle of column k
+        below, above = marks[self.arc_indices.start], marks[self.arc_indices.stop + 1]
         lo, hi = sorted((self.z1.angle, self.z2.angle))
-        below = angles[i - 1] if i else 0.0
-        above = angles[j] if j < self.dim else TWO_PI
         return Contour(lo - (lo - below) / 2, hi + (above - hi) / 2)
 
 
@@ -195,13 +199,6 @@ def _context_at(ctx: ArcContext, a: np.ndarray, t: float) -> ArcContext:
     return classify(ctx.z1, ctx.z2, _step(ctx.spec, a, t, ctx.z1, ctx.z2))
 
 
-def _fd_projector(ctx: ArcContext, x: TangentVector) -> np.ndarray:
-    """Central difference, step ``FD_STEP``, of t -> arc projector at g exp(tA)."""
-    h = FD_STEP
-    plus, minus = (arc_projector(_context_at(ctx, x.direction, s)) for s in (h, -h))
-    return (plus - minus) / (2 * h)
-
-
 def _indicator_derivative(
     spec: SpectralDecomposition, indices, x: TangentVector
 ) -> np.ndarray:
@@ -227,7 +224,7 @@ def projector_derivative(
     if ctx.classification is not Classification.POSITIVE:
         raise EmptySpaceError("projector derivative requires a positive context")
     if method == "fd":
-        return _fd_projector(ctx, x)
+        return _central(lambda t: arc_projector(_context_at(ctx, x.direction, t)))
     if method != "residue":
         raise ValueError(f"unknown method {method!r}")
     return _indicator_derivative(ctx.spec, ctx.arc_indices, x)

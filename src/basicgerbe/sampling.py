@@ -43,23 +43,17 @@ def well_separated_unitary(n: int, rng) -> tuple[UnitaryMatrix, SpectralDecompos
     for _ in range(MAX_TRIES):
         g = random_unitary(n, rng)
         spec = spectral_decompose(g)
-        gaps = _gap_list(spec)
-        narrowest = min(b - a for a, b in gaps)
-        # a repeated eigenvalue, or one at the identity, leaves a zero-width
-        # gap, which the list drops
-        if len(gaps) == spec.dim + 1 and narrowest >= MIN_SPECTRAL_GAP:
+        # a repeated eigenvalue, or one at the identity, leaves a zero-width gap
+        if np.diff(spec.marks).min() >= MIN_SPECTRAL_GAP:
             return g, spec
     raise SamplingError(f"no well-separated spectrum in {MAX_TRIES} draws")
 
 
 def _gap_list(spec: SpectralDecomposition) -> list[tuple[float, float]]:
-    """Angular gaps between consecutive marks (eigenvalues and the identity)."""
-    marks = np.concatenate([[0.0], spec.angles])
-    out = []
-    for a, b in zip(marks, np.concatenate([marks[1:], [marks[0] + TWO_PI]])):
-        if b > a:
-            out.append((float(a), float(b)))
-    return out
+    """Angular gaps between consecutive marks (eigenvalues and the identity),
+    without the zero-width ones."""
+    marks = spec.marks
+    return [(float(a), float(b)) for a, b in zip(marks[:-1], marks[1:]) if b > a]
 
 
 def random_cut_in_gap(gap: tuple[float, float], rng) -> CutCirclePoint:
@@ -79,12 +73,12 @@ def random_cuts(spec: SpectralDecomposition, rng, count: int) -> list[CutCircleP
 
 
 def random_positive_context(spec: SpectralDecomposition, rng) -> ArcContext:
-    """A positive-stratum context with at least one enclosed eigenvalue."""
-    for _ in range(MAX_TRIES):
-        pos = classify(*random_cuts(spec, rng, 2), spec).positive
-        if pos is not None:
-            return pos
-    raise SamplingError("failed to draw a positive pair of cuts")
+    """A positive-stratum context with at least one enclosed eigenvalue.
+
+    Two cuts in distinct gaps have the eigenvalue that ends the lower gap
+    between them, so the pair is never null.
+    """
+    return classify(*random_cuts(spec, rng, 2), spec).positive
 
 
 def random_null_pair(

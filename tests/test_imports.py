@@ -13,7 +13,9 @@ call to a function of that name.  Only the readers of the JSON formats,
 ``cli.py`` (the point file) and ``linalg.py`` (the matrix leaf), construct
 a ``SchemaError``.  Only the step rule ``projectors._refuse_reach``
 constructs a ``StepTooLargeError``, so every finite difference on U(n) is
-refused by the same bound.  Only ``sampling.sample_rng`` calls into ``numpy.random``,
+refused by the same bound.  Only the quotient ``projectors._central`` does
+arithmetic with ``FD_STEP``, so every finite difference is the same central
+quotient.  Only ``sampling.sample_rng`` calls into ``numpy.random``,
 so every random draw comes from the Generator it makes for each sample.
 Only the kernel ``contour._resolvent_integral`` builds the resolvent: no
 other code names ``_resolvent`` or inverts a stack of matrices built from
@@ -282,6 +284,100 @@ def test_one_step_rule():
     tree = ast.parse(modules[STEP_RULE[0]])
     (rule,) = [f for f in tree.body if getattr(f, "name", None) == STEP_RULE[1]]
     assert constructions(rule, "StepTooLargeError")
+
+
+# the one function of the package that takes a difference quotient
+DIFFERENCE_RULE = ("projectors.py", "_central")
+
+
+def difference_arithmetic(tree: ast.AST, skip: set[int] = frozenset()) -> list[int]:
+    """Lines under ``tree``, outside the nodes in ``skip``, that do arithmetic
+    (a binary, unary or augmented operation) on ``FD_STEP``, as a bare name or
+    an attribute, or on a name that an assignment, a walrus or a parameter
+    default binds to it.  Bound names match anywhere in ``tree``, whatever
+    their scope."""
+    nodes = [n for n in ast.walk(tree) if id(n) not in skip]
+    steps = {"FD_STEP"}
+
+    def is_step(node) -> bool:
+        return getattr(node, "attr", None) == "FD_STEP" or (
+            isinstance(node, ast.Name) and node.id in steps
+        )
+
+    while True:
+        bound = set()
+        for node in nodes:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+                if node.value is not None and is_step(node.value):
+                    targets = getattr(node, "targets", None) or [node.target]
+                    bound |= {t.id for t in targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.arguments):
+                positional = node.posonlyargs + node.args
+                defaulted = positional[len(positional) - len(node.defaults):]
+                pairs = [*zip(defaulted, node.defaults),
+                         *zip(node.kwonlyargs, node.kw_defaults)]
+                bound |= {a.arg for a, d in pairs if d is not None and is_step(d)}
+        if bound <= steps:
+            break
+        steps |= bound
+    operands = {
+        ast.BinOp: lambda n: [n.left, n.right],
+        ast.UnaryOp: lambda n: [n.operand],
+        ast.AugAssign: lambda n: [n.target, n.value],
+    }
+    return sorted({
+        n.lineno
+        for n in nodes
+        if type(n) in operands and any(is_step(o) for o in operands[type(n)](n))
+    })
+
+
+def differences_outside_the_rule(modules: dict[str, str]) -> list[str]:
+    """Arithmetic on ``FD_STEP`` anywhere but in ``DIFFERENCE_RULE``."""
+    out = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        rule = {
+            id(n)
+            for f in tree.body
+            if (module, getattr(f, "name", None)) == DIFFERENCE_RULE
+            for n in ast.walk(f)
+        }
+        out += [f"{module}: line {line}" for line in difference_arithmetic(tree, rule)]
+    return out
+
+
+def test_detects_a_difference_outside_the_rule():
+    planted = (
+        "from . import projectors\nfrom .projectors import FD_STEP\n\n"
+        "def d_along(f):\n    return (f(FD_STEP) - f(-FD_STEP)) / (2 * FD_STEP)\n\n"
+        "def turned(z, h=FD_STEP):\n    return z + h, f(h)\n\n"
+        "def fd(f):\n    h = FD_STEP\n    k = h\n    return f(k) / k\n\n"
+        "def reach(spec):\n    return refuse(spec, FD_STEP, FD_STEP)\n\n"
+        "STEP = projectors.FD_STEP\nTWICE = 2 * STEP\n\n"
+        "def _central(f):\n    return f(FD_STEP) / (2 * FD_STEP)\n"
+    )
+    rule = (
+        "def _central(f):\n    return (f(FD_STEP) - f(-FD_STEP)) / (2 * FD_STEP)\n\n"
+        "def _step(a):\n    return a * FD_STEP\n"
+    )
+    assert differences_outside_the_rule({"forms.py": planted, "projectors.py": rule}) == [
+        "forms.py: line 5",
+        "forms.py: line 8",
+        "forms.py: line 13",
+        "forms.py: line 19",
+        "forms.py: line 22",
+        "projectors.py: line 5",
+    ]
+
+
+def test_one_difference_rule():
+    modules = {m: (SRC / m).read_text() for m in MODULES}
+    assert differences_outside_the_rule(modules) == []
+    # and the rule itself still takes the quotient
+    tree = ast.parse(modules[DIFFERENCE_RULE[0]])
+    (rule,) = [f for f in tree.body if getattr(f, "name", None) == DIFFERENCE_RULE[1]]
+    assert difference_arithmetic(rule)
 
 
 # the one function of the package that makes a random stream

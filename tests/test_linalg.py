@@ -26,6 +26,7 @@ from basicgerbe import (
 )
 from basicgerbe.linalg import CLUSTER_TOL, TWO_PI, _eigenbasis_sum
 from basicgerbe.projectors import _step
+from basicgerbe.sampling import _gap_list
 
 EPS = np.finfo(float).eps
 
@@ -305,6 +306,33 @@ class TestSpectralDecompose:
         gap = min(2.0, *np.abs(np.diff(ring))) if len(distinct) > 1 else 2.0
         want = mp_projectors(g) if case == "pair-1e-8-apart" else mgs_projectors(g)
         assert np.max(np.abs(cluster_projectors(spec) - want)) <= 2 * n * EPS / gap
+
+
+class TestMarks:
+    """``marks`` is (0, angles..., 2*pi): the identity at both ends, so its
+    consecutive differences are the angular gaps, zero-width ones kept."""
+
+    def test_one_eigenvalue(self):
+        spec = spectral_decompose(UnitaryMatrix(np.array([[np.exp(2j)]])))
+        assert spec.marks.tolist() == [0.0, spec.angles[0], TWO_PI]
+        assert abs(spec.marks[1] - 2.0) < 1e-15
+
+    def test_eigenvalue_at_the_identity(self):
+        spec = spectral_decompose(UnitaryMatrix(np.diag([1j, 1.0, -1j])))
+        assert spec.marks.tolist() == [0.0, 0.0, np.pi / 2, 3 * np.pi / 2, TWO_PI]
+        # the first gap, from the identity to the eigenvalue 1, has zero width
+        # and is not an angular gap
+        assert _gap_list(spec) == [(0.0, np.pi / 2), (np.pi / 2, 3 * np.pi / 2),
+                                   (3 * np.pi / 2, TWO_PI)]
+
+    def test_repeated_eigenvalue(self):
+        spec = spectral_decompose(with_multiplicities(np.random.default_rng(8)))
+        marks = spec.marks
+        assert np.array_equal(marks[1:-1], spec.angles)
+        assert (marks[0], marks[-1]) == (0.0, TWO_PI)
+        # a zero-width gap between each two columns of a cluster (3, 2, 4)
+        assert np.flatnonzero(np.diff(marks) == 0).tolist() == [1, 2, 4, 6, 7, 8]
+        assert len(_gap_list(spec)) == 4
 
 
 class TestShiftedStep:

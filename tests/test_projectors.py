@@ -21,10 +21,11 @@ from basicgerbe import (
     spectral_decompose,
     tangent_random,
 )
-from basicgerbe.contour import BLOCK_ENTRIES, CUT_EXCLUSION, quad_integrate
+from basicgerbe.contour import BLOCK_ENTRIES, CUT_EXCLUSION, Contour, quad_integrate
 from basicgerbe.fibers import _canonical_frame
 from basicgerbe.projectors import FD_STEP, _step
 from basicgerbe.sampling import (
+    _gap_list,
     random_cuts,
     random_null_pair,
     random_positive_context,
@@ -123,6 +124,38 @@ class TestClassifyDefinition:
         sizes = np.unique(spec.eigenvalues, return_counts=True)[1]
         assert sorted(sizes.tolist()) == [1, 1, 1, 2]
         assert np.min(np.abs(spec.eigenvalues - 1.0)) < 1e-12
+
+
+def _edge_branch_contour(ctx):
+    """``ArcContext.contour`` written with explicit edge branches: the identity
+    at angle 0 below column 0 and at angle 2 pi above column n - 1."""
+    angles = ctx.spec.angles
+    i, j = ctx.arc_indices.start, ctx.arc_indices.stop
+    lo, hi = sorted((ctx.z1.angle, ctx.z2.angle))
+    below = angles[i - 1] if i else 0.0
+    above = angles[j] if j < ctx.dim else 2 * np.pi
+    return Contour(lo - (lo - below) / 2, hi + (above - hi) / 2)
+
+
+class TestArcContour:
+    def test_matches_the_edge_branches(self):
+        # every pair of cuts in distinct gaps, so arcs that start at column 0
+        # and arcs that end at column n both occur, with 1 an eigenvalue too
+        rng = np.random.default_rng(27)
+        edges = set()
+        for n in range(1, 7):
+            for _ in range(5):
+                for spec in (spectral_decompose(random_unitary(n, rng)),
+                             _spectrum_with_identity_and_repeat(n, rng)):
+                    cuts = random_cuts(spec, rng, len(_gap_list(spec)))
+                    for z1, z2 in itertools.permutations(cuts, 2):
+                        ctx = classify(z1, z2, spec)
+                        if not ctx.arc_indices:
+                            continue
+                        edges.add((ctx.arc_indices.start == 0,
+                                   ctx.arc_indices.stop == ctx.dim))
+                        assert ctx.contour == _edge_branch_contour(ctx)
+        assert edges == {(False, False), (True, False), (False, True), (True, True)}
 
 
 class TestArcMemo:
@@ -401,6 +434,27 @@ class TestSampling:
             _, spec = well_separated_unitary(4, rng)
             z1, z2 = random_null_pair(spec, rng)
             assert classify(z1, z2, spec).classification is Classification.NULL
+
+    def test_first_pair_is_positive(self):
+        # two cuts in distinct gaps have an eigenvalue between them, so the
+        # first pair random_positive_context draws is never null, and it
+        # draws nothing more
+        def first_pair(spec, seed):
+            z1, z2 = random_cuts(spec, sample_rng(seed, "first-pair", spec.dim), 2)
+            assert classify(z1, z2, spec).classification is not Classification.NULL
+            ctx = random_positive_context(spec, sample_rng(seed, "first-pair", spec.dim))
+            assert {ctx.z1.value, ctx.z2.value} == {z1.value, z2.value}
+
+        rng = np.random.default_rng(28)
+        for n in range(1, 9):
+            for seed in range(50):
+                first_pair(spectral_decompose(random_unitary(n, rng)), seed)
+        q = random_unitary(4, rng).mat
+        repeated = (q * np.exp(1j * np.array([1.0, 1.0, 2.5, 4.0]))) @ q.conj().T
+        spec = spectral_decompose(UnitaryMatrix(repeated))
+        assert len(_gap_list(spec)) == 4
+        for seed in range(50):
+            first_pair(spec, seed)
 
     def test_rng_stable(self):
         a = sample_rng(5, "suite", 3).integers(0, 1 << 30, size=4)
