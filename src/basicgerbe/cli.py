@@ -4,7 +4,8 @@
 writes a JSON report (byte-identical for identical config and seed).
 ``eval`` computes a single quantity from a JSON point file, with a
 cross-method oracle residual unless suppressed.  The point file, group or
-flag-torus, is read and written here only; ``linalg`` keeps its matrix leaf.
+flag-torus, is read and written here only, and every matrix of it is read by
+``linalg.matrix_stack_from_json``, the one matrix reader.
 
 Exit codes: 0 pass, 1 check failure, 2 input error.
 """
@@ -32,6 +33,7 @@ from .linalg import (
     embed_block,
     embed_tangent,
     matrix_from_json,
+    matrix_stack_from_json,
     matrix_to_json,
     random_unitary,
     spectral_decompose,
@@ -557,11 +559,7 @@ def _items(obj, key: str, path: str, parse) -> list:
 
 def _matrices(obj, key: str, path: str) -> np.ndarray:
     """The stack of the matrices listed under ``obj[key]``, all of one size."""
-    mats = _items(obj, key, path, matrix_from_json)
-    for i, m in enumerate(mats):
-        if m.shape != mats[0].shape:
-            raise SchemaError(f"{path}.{key}[{i}]", "size differs from [0]")
-    return np.stack(mats)
+    return matrix_stack_from_json(_items(obj, key, path, lambda *item: item))
 
 
 def flag_point_from_json(obj, path: str) -> weyl.FlagTorusPoint:

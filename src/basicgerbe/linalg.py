@@ -3,8 +3,8 @@
 Unitary matrices, skew-Hermitian tangent vectors, Haar sampling, spectral
 decomposition with eigenvalue clustering (one unitary eigenvector frame,
 one eigenvalue per frame column), block embeddings U(n) -> U(N), g |->
-diag(g, 1), and the JSON matrix leaf with the object-and-field check every
-point-file reader uses.
+diag(g, 1), and ``matrix_stack_from_json``, the point file's one matrix
+reader, with the object-and-field check every point-file reader uses.
 
 Everything here is numpy: a unitary g is diagonalised through ``eigh`` of
 its Cayley transform i(w + g)(w - g)^{-1}, a Hermitian function of g.
@@ -12,6 +12,7 @@ its Cayley transform i(w + g)(w - g)^{-1}, a Hermitian function of g.
 
 from __future__ import annotations
 
+import array
 import cmath
 import math
 from dataclasses import dataclass, field
@@ -267,14 +268,37 @@ def _field(obj, key: str, path: str):
     return obj[key]
 
 
+def matrix_stack_from_json(items: list) -> np.ndarray:
+    """The (m, n, n) stack of the (matrix, path) pairs ``items``.
+
+    The point file's one matrix reader: each {"dim": n, "re", "im"} needs the
+    integer n >= 1 of the first and n rows of n JSON numbers per block, and a
+    fault is reported at its path.  Rows go through ``array.fromlist`` into
+    one float64 buffer, bit for bit ``np.asarray(row, dtype=float)``.
+    """
+    buf = array.array("d")
+    for obj, path in items:
+        n, re, im = [_field(obj, key, path) for key in ("dim", "re", "im")]
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise SchemaError(path, "'dim' is not an integer >= 1")
+        if n != items[0][0]["dim"]:
+            raise SchemaError(path, "size differs from [0]")
+        shape = f"expected {n}x{n} 're' and 'im' blocks"
+        if not all(isinstance(b, list) and len(b) == n for b in (re, im)):
+            raise SchemaError(path, shape)
+        try:
+            for row in re + im:
+                if not isinstance(row, list) or len(row) != n:
+                    raise SchemaError(path, shape)
+                buf.fromlist(row)
+        except (TypeError, OverflowError) as exc:
+            raise SchemaError(path, f"matrix entries are not doubles: {exc}") from None
+    parts = np.frombuffer(buf).reshape(len(items), 2, n, n)
+    out = np.empty((len(items), n, n), dtype=complex)
+    out.real, out.imag = parts[:, 0], parts[:, 1]
+    return out
+
+
 def matrix_from_json(obj: dict, path: str = "$") -> np.ndarray:
-    """Parse the {"dim", "re", "im"} matrix schema."""
-    n, re, im = [_field(obj, key, path) for key in ("dim", "re", "im")]
-    try:
-        re = np.asarray(re, dtype=float)
-        im = np.asarray(im, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(path, f"matrix entries are not doubles: {exc}") from None
-    if re.shape != (n, n) or im.shape != (n, n):
-        raise SchemaError(path, f"expected {n}x{n} 're' and 'im' blocks")
-    return re + 1j * im
+    """Parse one {"dim", "re", "im"} matrix, reported at ``path``."""
+    return matrix_stack_from_json([(obj, path)])[0]

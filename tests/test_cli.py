@@ -497,6 +497,47 @@ class TestMain:
         assert main(["eval", "--input", str(p), "--quantity", quantity]) == 2
         assert f"error: {path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad, message", [
+        ("string", "matrix entries are not doubles"),
+        ("null", "matrix entries are not doubles"),
+        ("ragged", "expected 3x3 're' and 'im' blocks"),
+    ])
+    @pytest.mark.parametrize("where", ["g", "X", "projections[1]", "tangents[0].dP[2]"])
+    def test_eval_bad_matrix_entry_exit_two(self, where, bad, message, tmp_path,
+                                            capsys):
+        # one reader reads every matrix: a string entry is not read as the
+        # number it spells, nor null as NaN, and a row must hold n entries
+        if where in ("g", "X"):
+            obj, quantity = group_point(3), "projector" if where == "g" else "curvature"
+            m = obj[where]
+        else:
+            obj, quantity = flag_point(3), "nu"
+            dp = obj["tangents"][0]["dP"]
+            m = obj["projections"][1] if where[0] == "p" else dp[2]
+        row = m["re"][1]
+        if bad == "string":
+            row[0] = repr(row[0])
+        elif bad == "null":
+            row[0] = None
+        else:
+            row.pop()
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(obj))
+        assert main(["eval", "--input", str(p), "--quantity", quantity]) == 2
+        assert capsys.readouterr().err.startswith(f"error: $.{where}: {message}")
+
+    @pytest.mark.parametrize("dim, block", [(2.0, [[0, 0], [0, 0]]), (True, [[0]]),
+                                            (0, [])], ids=["float", "true", "zero"])
+    def test_eval_bad_dim_exit_two(self, dim, block, tmp_path, capsys):
+        # 2.0 once passed, since (2, 2) == (2.0, 2.0), and true read a 1 x 1 g
+        p = tmp_path / "p.json"
+        obj = write_curvature_point(p)
+        obj["g"] = {"dim": dim, "re": block, "im": [[1] + row[1:] for row in block]}
+        p.write_text(json.dumps(obj))
+        assert main(["eval", "--input", str(p), "--quantity", "projector"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: $.g: 'dim' is not an integer >= 1")
+
     def test_eval_quadrature_node_limit_exit_two(self, tmp_path, capsys):
         # the cut is 2e-6 from the excluded eigenvalue (CUT_EXCLUSION is
         # 1e-6), so a radial edge passes 1e-6 from two poles

@@ -19,7 +19,10 @@ quotient.  Only ``sampling.sample_rng`` calls into ``numpy.random``,
 so every random draw comes from the Generator it makes for each sample.
 Only the kernel ``contour._resolvent_integral`` builds the resolvent: no
 other code names ``_resolvent`` or inverts a stack of matrices built from
-a node array.
+a node array.  Only the reader ``linalg.matrix_stack_from_json`` turns
+JSON rows into floats: no other code names ``fromlist`` or ``array.array``,
+and ``cli.py`` and ``linalg.py`` make no float array with
+``np.asarray``/``np.array`` outside it.
 The package needs only numpy and orjson: no module of it imports scipy,
 and a fresh interpreter that imports it has loaded no scipy module.
 """
@@ -521,6 +524,85 @@ def test_one_resolvent_kernel():
         f for f in tree.body if getattr(f, "name", None) == RESOLVENT_KERNEL[1]
     ]
     assert any(stacked_inverse(n) for n in ast.walk(kernel))
+
+
+# the one function of the package that reads JSON matrix rows into floats
+MATRIX_READER = ("linalg.py", "matrix_stack_from_json")
+ARRAYS = {"np.asarray", "np.array", "numpy.asarray", "numpy.array"}
+FLOATS = {"float", "np.float64", "numpy.float64", "'d'", "'float64'"}
+
+
+def float_array(node: ast.AST) -> bool:
+    """A call of ``np.asarray`` or ``np.array`` with a float dtype, passed by
+    keyword or as the second argument."""
+    if not isinstance(node, ast.Call) or ast.unparse(node.func) not in ARRAYS:
+        return False
+    dtypes = [k.value for k in node.keywords if k.arg == "dtype"] + node.args[1:2]
+    return any(ast.unparse(d) in FLOATS for d in dtypes)
+
+
+def matrix_reads_outside_reader(modules: dict[str, str]) -> list[str]:
+    """Lines naming ``fromlist`` or ``array.array``, or importing from the
+    ``array`` module, anywhere but in ``MATRIX_READER``; and, in the JSON
+    readers, float arrays made with ``np.asarray`` or ``np.array``."""
+    out = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        allowed = {
+            id(n)
+            for f in tree.body
+            if (module, getattr(f, "name", None)) == MATRIX_READER
+            for n in ast.walk(f)
+        }
+        found = set()
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if (
+                isinstance(node, ast.Attribute)
+                and (node.attr == "fromlist" or ast.unparse(node) == "array.array")
+                or isinstance(node, ast.ImportFrom) and node.module == "array"
+                or module in SCHEMA_READERS and float_array(node)
+            ):
+                found.add(node.lineno)
+        out += [f"{module}: line {line}" for line in sorted(found)]
+    return out
+
+
+def test_detects_a_matrix_read_outside_the_reader():
+    planted = (
+        "import array\nimport numpy as np\nfrom array import array as buffer\n\n"
+        "def rows(block):\n    out = array.array('d')\n"
+        "    for row in block:\n        out.fromlist(row)\n"
+        "    return np.asarray(block, dtype=float), np.array(block, float)\n\n"
+        "def fine(m):\n    return np.asarray(m, dtype=complex), np.asarray(m)\n"
+    )
+    reader = (
+        "import array\nimport numpy as np\n\n"
+        "def matrix_stack_from_json(items):\n    buf = array.array('d')\n"
+        "    buf.fromlist(items)\n    return np.asarray(buf, dtype=float)\n\n"
+        "def matrix_from_json(obj):\n    return np.asarray(obj['re'], dtype=float)\n"
+    )
+    modules = {"cli.py": planted, "linalg.py": reader, "forms.py": planted}
+    assert matrix_reads_outside_reader(modules) == [
+        "cli.py: line 3",
+        "cli.py: line 6",
+        "cli.py: line 8",
+        "cli.py: line 9",
+        "linalg.py: line 10",
+        "forms.py: line 3",
+        "forms.py: line 6",
+        "forms.py: line 8",
+    ]
+
+
+def test_one_matrix_reader():
+    modules = {m: (SRC / m).read_text() for m in MODULES}
+    assert matrix_reads_outside_reader(modules) == []
+    # and the reader itself still reads its rows with fromlist
+    tree = ast.parse(modules[MATRIX_READER[0]])
+    (reader,) = [f for f in tree.body if getattr(f, "name", None) == MATRIX_READER[1]]
+    assert any(getattr(n, "attr", None) == "fromlist" for n in ast.walk(reader))
 
 
 def scipy_imports(modules: dict[str, str]) -> list[str]:

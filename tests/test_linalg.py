@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -24,9 +25,16 @@ from basicgerbe import (
     tangent_random,
     unitary_check,
 )
-from basicgerbe.linalg import CLUSTER_TOL, TWO_PI, _eigenbasis_sum
+from basicgerbe.cli import _decode, flag_point_to_json
+from basicgerbe.linalg import (
+    CLUSTER_TOL,
+    TWO_PI,
+    _eigenbasis_sum,
+    matrix_stack_from_json,
+)
 from basicgerbe.projectors import _step
-from basicgerbe.sampling import _gap_list
+from basicgerbe.sampling import _gap_list, sample_rng
+from basicgerbe.weyl import sample_regular
 
 EPS = np.finfo(float).eps
 
@@ -509,3 +517,66 @@ class TestMatrixJson:
     def test_non_numeric(self):
         with pytest.raises(SchemaError):
             matrix_from_json({"dim": 1, "re": [["x"]], "im": [[0.0]]})
+
+    def test_booleans_read_as_zero_and_one(self):
+        got = matrix_from_json({"dim": 2, "re": [[True, 0], [False, -1]],
+                                "im": [[0, False], [0, True]]})
+        assert np.array_equal(got, np.diag([1.0, -1.0 + 1j]))
+
+
+# the float edges of test_decode_bit_identical_to_json, subnormal to 64-bit ints
+EDGES = [5e-324, -0.0, 1e23, 1.7976931348623157e308, 2**63 - 1, -(2**63)]
+
+
+class TestMatrixStack:
+    """``matrix_stack_from_json`` gives the bits ``np.asarray(rows, dtype=float)``
+    gives, in each block of each matrix."""
+
+    @staticmethod
+    def flag_stack(n, edges=False):
+        rng = sample_rng(0, "matrix-stack", n)
+        stack = flag_point_to_json(sample_regular(n, rng))["projections"]
+        if edges:
+            stack[0]["re"][0][:3], stack[0]["re"][1][:3] = EDGES[:3], EDGES[3:]
+            stack[-1]["im"][-1][-3:], stack[-1]["im"][0][-3:] = EDGES[:3], EDGES[3:]
+        # decoded as eval decodes a point file
+        return _decode(json.dumps(stack).encode())
+
+    @pytest.mark.parametrize("n, edges", [(3, False), (16, False), (3, True),
+                                          (16, True)])
+    def test_bit_identical_to_asarray(self, n, edges):
+        stack = self.flag_stack(n, edges)
+        got = matrix_stack_from_json([(m, f"$[{i}]") for i, m in enumerate(stack)])
+        assert got.shape == (n, n, n) and got.dtype == complex
+        for part, key in ((got.real, "re"), (got.imag, "im")):
+            want = np.asarray([m[key] for m in stack], dtype=float)
+            assert part.tobytes() == want.tobytes()
+        if edges:
+            assert got[0, 0, 1].real == 0.0 and np.signbit(got[0, 0, 1].real)
+            assert got[0, 1, 1].real == 2.0**63
+
+    def test_one_matrix_is_its_one_item_stack(self):
+        (m,) = self.flag_stack(3, edges=True)[:1]
+        got = matrix_stack_from_json([(m, "$.g")])
+        assert got.shape == (1, 3, 3)
+        assert got[0].tobytes() == matrix_from_json(m, "$.g").tobytes()
+
+    @pytest.mark.parametrize(
+        "index, change, message",
+        [
+            (1, {"dim": 2}, r"^\$\[1\]: size differs from \[0\]"),
+            (2, {"dim": 3.0}, r"^\$\[2\]: 'dim' is not an integer >= 1"),
+            (0, {"re": [[0.0] * 3] * 2}, r"^\$\[0\]: expected 3x3 're' and 'im'"),
+            (2, {"im": [[0.0] * 3] * 2 + [[0.0] * 4]}, r"^\$\[2\]: expected 3x3"),
+            (1, {"im": [[0.0] * 3] * 2 + [None]}, r"^\$\[1\]: expected 3x3"),
+            (1, {"re": [[0.0] * 3] * 2 + [[0.0, "0", 0.0]]},
+             r"^\$\[1\]: matrix entries are not doubles"),
+        ],
+        ids=["size-differs", "float-dim", "short-block", "long-row", "null-row",
+             "string-entry"],
+    )
+    def test_first_fault_at_its_path(self, index, change, message):
+        stack = self.flag_stack(3)
+        stack[index] = {**stack[index], **change}
+        with pytest.raises(SchemaError, match=message):
+            matrix_stack_from_json([(m, f"$[{i}]") for i, m in enumerate(stack)])
