@@ -25,7 +25,7 @@ first read in ``cli``, so the same command times an older tree too:
         [--repeats 5]
 
 A flag file at n = 128 holds 4 x 128 matrices of 128 x 128 (about 370 MB
-of JSON) and its decode peaks near 1 GB.
+of JSON), and timing it peaks at about 1.7 GB of memory.
 """
 
 from __future__ import annotations
@@ -142,10 +142,27 @@ def flag_stages(obj) -> list:
             ("print", lambda: _record(state["v"]))]
 
 
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _ms(thunk) -> tuple[float, object]:
     start = time.perf_counter()
     out = thunk()
     return 1e3 * (time.perf_counter() - start), out
+
+
+def _one_run(path: str, stages) -> dict:
+    """ms per stage of one pass; the file's bytes, its decoded object and the
+    stages' arrays are released on return, before ``eval`` reads it again."""
+    out = {}
+    out["read"], data = _ms(lambda: _read(path))
+    out["decode"], obj = _ms(lambda: cli._decode(data))
+    del data
+    for name, thunk in stages(obj):
+        out[name] = _ms(thunk)[0]
+    return out
 
 
 def time_kind(path: str, stages, repeats: int) -> dict:
@@ -153,13 +170,8 @@ def time_kind(path: str, stages, repeats: int) -> dict:
     runs = {s: [] for s in STAGES}
     argv = ["eval", "--input", path, "--quantity", "nu", "--no-oracle"]
     for _ in range(repeats):
-        ms, data = _ms(lambda: open(path, "rb").read())
-        runs["read"].append(ms)
-        ms, obj = _ms(lambda: cli._decode(data))
-        runs["decode"].append(ms)
-        for name, thunk in stages(obj):
-            runs[name].append(_ms(thunk)[0])
-        del data, obj
+        for name, ms in _one_run(path, stages).items():
+            runs[name].append(ms)
         with contextlib.redirect_stdout(io.StringIO()):
             ms, code = _ms(lambda: cli.main(argv))
         if code != 0:
