@@ -526,6 +526,24 @@ class TestMain:
         assert main(["eval", "--input", str(p), "--quantity", quantity]) == 2
         assert capsys.readouterr().err.startswith(f"error: $.{where}: {message}")
 
+    @pytest.mark.parametrize("where, message", [
+        ("X", "tangent direction has non-finite entries"),
+        ("projections[1]", "a full flag of U(3) needs 3 finite projections"),
+    ])
+    def test_eval_infinite_imaginary_part_exit_two(self, where, message, tmp_path,
+                                                   capsys):
+        # re + 1j * im once made 0 * inf for the real part: a NaN there, and a
+        # numpy RuntimeWarning on stderr before the error line
+        obj = group_point(3) if where == "X" else flag_point(3)
+        m = obj["X"] if where == "X" else obj["projections"][1]
+        m["im"][0][1] = float("inf")
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(obj))
+        quantity = "curvature" if where == "X" else "nu"
+        assert main(["eval", "--input", str(p), "--quantity", quantity]) == 2
+        path = "$.X" if where == "X" else "$"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     @pytest.mark.parametrize("dim, block", [(2.0, [[0, 0], [0, 0]]), (True, [[0]]),
                                             (0, [])], ids=["float", "true", "zero"])
     def test_eval_bad_dim_exit_two(self, dim, block, tmp_path, capsys):
