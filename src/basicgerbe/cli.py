@@ -5,7 +5,8 @@ writes a JSON report (byte-identical for identical config and seed).
 ``eval`` computes a single quantity from a JSON point file, with a
 cross-method oracle residual unless suppressed.  The point file, group or
 flag-torus, is read and written here only, and every matrix of it is read by
-``linalg.matrix_stack_from_json``, the one matrix reader.
+``linalg.matrix_stack_from_json``, the one matrix reader.  ``eval`` pauses the
+cycle collector from the read until the decoded file, a tree, is dropped.
 
 Exit codes: 0 pass, 1 check failure, 2 input error.
 """
@@ -13,7 +14,9 @@ Exit codes: 0 pass, 1 check failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import gc
 import itertools
 import json
 import math
@@ -730,6 +733,18 @@ def _decode(data: bytes):
         return json.loads(data.decode())
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """The cycle collector off, then back to the caller's setting on any exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _parse_tols(pairs: list[str]) -> dict:
     out = {}
     for item in pairs:
@@ -800,9 +815,11 @@ def main(argv=None) -> int:
                     fh.write(text)
             return 0 if report["passed"] else 1
 
-        with open(args.input, "rb") as fh:
-            obj = _decode(fh.read())
-        record = eval_point(obj, args.quantity, args.method, not args.no_oracle)
+        with _collector_paused():
+            with open(args.input, "rb") as fh:
+                obj = _decode(fh.read())
+            record = eval_point(obj, args.quantity, args.method, not args.no_oracle)
+            del obj
         print(json.dumps(record, indent=2, sort_keys=True))
         return 0
     except (SchemaError, ValueError, OSError) as exc:

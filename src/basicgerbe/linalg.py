@@ -32,6 +32,8 @@ def unitary_check(m: np.ndarray) -> tuple[bool, float]:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        return False, math.nan
     n = m.shape[0]
     defect = float(np.linalg.norm(m @ m.conj().T - np.eye(n)))
     return defect <= UNITARITY_TOL * n, defect

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from basicgerbe import (
     sample_regular,
     tangent_random,
 )
-from basicgerbe import forms, weyl
+from basicgerbe import cli, forms, weyl
 from basicgerbe.cli import (
     SUITES,
     SuiteConfig,
@@ -544,6 +545,18 @@ class TestMain:
         path = "$.X" if where == "X" else "$"
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_eval_infinite_g_entry_exit_two(self, part, tmp_path, capsys):
+        # g g^H of an infinite g once put a numpy RuntimeWarning on stderr
+        obj = group_point(3)
+        obj["g"][part][0][1] = float("inf")
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(obj))
+        assert main(["eval", "--input", str(p), "--quantity", "curvature"]) == 2
+        assert capsys.readouterr().err == (
+            "error: $.g: matrix is not unitary: ||g g^H - I||_F = nan\n"
+        )
+
     @pytest.mark.parametrize("dim, block", [(2.0, [[0, 0], [0, 0]]), (True, [[0]]),
                                             (0, [])], ids=["float", "true", "zero"])
     def test_eval_bad_dim_exit_two(self, dim, block, tmp_path, capsys):
@@ -726,6 +739,72 @@ class TestMain:
             main(["verify", "--suite", "projectors", "--samples", "1", "--tol", "x"])
             == 2
         )
+
+
+class TestCollectorPause:
+    """``eval`` pauses the cycle collector from the file read until the decoded
+    point file is dropped, and gives the caller back its setting."""
+
+    def eval_flag(self, tmp_path, n=3):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(flag_point(n)))
+        return main(["eval", "--input", str(p), "--quantity", "nu"])
+
+    def test_no_collection_inside_eval(self, tmp_path, capsys):
+        # unpaused, n = 32 ran 11 generation-0 and 1 generation-1 collections
+        # over the ~8.6k decoded lists; a pause that dropped the tree only
+        # after resuming ran one
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(flag_point(32)))
+        generations = []
+        count = lambda phase, info: phase == "start" and generations.append(
+            info["generation"])
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            assert main(["eval", "--input", str(p), "--quantity", "nu"]) == 0
+        finally:
+            gc.callbacks.remove(count)
+        assert generations == []
+        assert json.loads(capsys.readouterr().out)["quantity"] == "nu"
+
+    def test_paused_while_evaluating(self, tmp_path, capsys, monkeypatch):
+        # fails unpaused
+        seen = []
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return eval_point(*args)
+
+        monkeypatch.setattr(cli, "eval_point", spy)
+        assert self.eval_flag(tmp_path) == 0
+        assert seen == [False]
+
+    @pytest.mark.parametrize("case", ["ok", "schema", "gerbe", "missing"])
+    def test_resumed_on_every_exit(self, case, tmp_path, capsys):
+        # holds unpaused too; a pause that skipped its restore on an error fails
+        p = tmp_path / "p.json"
+        obj = {"ok": flag_point(3), "schema": flag_point(3, tangents=2),
+               "gerbe": scaled_tangents(group_point(3), 1e150)}.get(case)
+        if obj is not None:
+            p.write_text(json.dumps(obj))
+        quantity = "df" if case == "gerbe" else "nu"
+        code = main(["eval", "--input", str(p), "--quantity", quantity])
+        assert code == (0 if case == "ok" else 2)
+        err = capsys.readouterr().err
+        assert {"ok": err == "", "schema": "needs 3 tangents" in err,
+                "gerbe": "StepTooLargeError" in err,
+                "missing": "No such file" in err}[case]
+        assert gc.isenabled()
+
+    def test_caller_setting_kept(self, tmp_path, capsys):
+        # holds unpaused too; a pause that always re-enabled the collector fails
+        gc.disable()
+        try:
+            assert self.eval_flag(tmp_path) == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 def flag_instance(index, n=4):

@@ -22,7 +22,9 @@ other code names ``_resolvent`` or inverts a stack of matrices built from
 a node array.  Only the reader ``linalg.matrix_stack_from_json`` turns
 JSON rows into floats: no other code names ``fromlist`` or ``array.array``,
 and ``cli.py`` and ``linalg.py`` make no float array with
-``np.asarray``/``np.array`` outside it.
+``np.asarray``/``np.array`` outside it.  Only the helper
+``cli._collector_paused`` changes the cycle collector's state: no other code
+names ``gc.disable``, ``gc.enable``, ``gc.freeze`` or ``gc.set_threshold``.
 The package needs only numpy and orjson: no module of it imports scipy,
 and a fresh interpreter that imports it has loaded no scipy module.
 """
@@ -603,6 +605,76 @@ def test_one_matrix_reader():
     tree = ast.parse(modules[MATRIX_READER[0]])
     (reader,) = [f for f in tree.body if getattr(f, "name", None) == MATRIX_READER[1]]
     assert any(getattr(n, "attr", None) == "fromlist" for n in ast.walk(reader))
+
+
+# the one function of the package that pauses the cycle collector
+COLLECTOR_PAUSE = ("cli.py", "_collector_paused")
+COLLECTOR_SETTERS = {"disable", "enable", "freeze", "set_threshold"}
+
+
+def collector_changes_outside_pause(modules: dict[str, str]) -> list[str]:
+    """Lines naming a setter of the cycle collector, as an attribute of the
+    ``gc`` module under any alias or imported from it, anywhere but in
+    ``COLLECTOR_PAUSE``."""
+    out = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        allowed = {
+            id(n)
+            for f in tree.body
+            if (module, getattr(f, "name", None)) == COLLECTOR_PAUSE
+            for n in ast.walk(f)
+        }
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name == "gc"
+        }
+        found = set()
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in COLLECTOR_SETTERS
+                and getattr(node.value, "id", None) in aliases
+                or isinstance(node, ast.ImportFrom) and node.module == "gc"
+                and COLLECTOR_SETTERS & {a.name for a in node.names}
+            ):
+                found.add(node.lineno)
+        out += [f"{module}: line {line}" for line in sorted(found)]
+    return out
+
+
+def test_detects_a_collector_change_outside_the_pause():
+    planted = (
+        "import gc\nimport gc as collector\nfrom gc import freeze\n\n"
+        "def f():\n    gc.disable()\n    collector.set_threshold(0)\n"
+        "    gc.collect(), gc.isenabled()\n\n"
+        "def _collector_paused():\n    gc.enable()\n\n"
+        "def g(rt):\n    rt.disable()\n"
+    )
+    pause = (
+        "import gc\n\n"
+        "def _collector_paused():\n    gc.disable()\n    yield\n    gc.enable()\n\n"
+        "def after():\n    gc.freeze()\n"
+    )
+    assert collector_changes_outside_pause({"m.py": planted, "cli.py": pause}) == [
+        "m.py: line 3",
+        "m.py: line 6",
+        "m.py: line 7",
+        "m.py: line 11",
+        "cli.py: line 9",
+    ]
+
+
+def test_one_collector_pause():
+    modules = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert collector_changes_outside_pause(modules) == []
+    # and the pause itself still stops the collector
+    tree = ast.parse(modules[COLLECTOR_PAUSE[0]])
+    (pause,) = [f for f in tree.body if getattr(f, "name", None) == COLLECTOR_PAUSE[1]]
+    assert any(getattr(n, "attr", None) == "disable" for n in ast.walk(pause))
 
 
 def scipy_imports(modules: dict[str, str]) -> list[str]:

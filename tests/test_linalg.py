@@ -156,6 +156,14 @@ class TestUnitaryCheck:
         with pytest.raises(DimensionError):
             unitary_check(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("entry", [math.inf, complex(0, -math.inf), math.nan])
+    def test_non_finite_entry(self, entry):
+        # m m^H of a non-finite m once warned "invalid value encountered in matmul"
+        m = np.eye(3, dtype=complex)
+        m[0, 1] = entry
+        ok, defect = unitary_check(m)
+        assert not ok and math.isnan(defect)
+
 
 class TestRandomUnitary:
     def test_dim_one(self):

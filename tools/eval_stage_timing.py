@@ -15,9 +15,13 @@ directory and times, in this process, the stages ``eval`` goes through:
   ``weyl.pullback_nu_closed``;
 - ``print``: the record as ``eval`` prints it;
 - ``total``: ``cli.main(["eval", ..., "--no-oracle"])`` with its output
-  discarded, which should be close to the sum of the stages.
+  discarded, which should be close to the sum of the stages;
+- ``gc``: the cycle collections of any generation during ``total``,
+  counted with ``gc.callbacks`` after a ``gc.collect()``.
 
-Each cell is the median over ``--repeats`` runs, in ms.  The script uses
+Each cell is the median over ``--repeats`` runs, in ms (``gc`` in counts).
+The stages run with the collector on, so ``decode`` and ``matrices`` include
+the collections that the decoded lists set off, whatever ``total`` does.  The script uses
 only names that the point-file reader has had since the flag stacks were
 first read in ``cli``, so the same command times an older tree too:
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -52,6 +57,7 @@ from basicgerbe.linalg import (
 from basicgerbe.sampling import sample_rng
 
 STAGES = ("read", "decode", "matrices", "validate", "closed", "print", "total")
+COLUMNS = (*STAGES, "gc")
 
 
 def _pairs(values) -> str:
@@ -166,17 +172,27 @@ def _one_run(path: str, stages) -> dict:
 
 
 def time_kind(path: str, stages, repeats: int) -> dict:
-    """Median ms per stage of ``repeats`` runs on the point file at ``path``."""
-    runs = {s: [] for s in STAGES}
+    """Median ms per stage, and collections in ``total``, of ``repeats`` runs
+    on the point file at ``path``."""
+    runs = {s: [] for s in COLUMNS}
     argv = ["eval", "--input", path, "--quantity", "nu", "--no-oracle"]
+    starts = []
+    count = lambda phase, info: phase == "start" and starts.append(info)
     for _ in range(repeats):
         for name, ms in _one_run(path, stages).items():
             runs[name].append(ms)
-        with contextlib.redirect_stdout(io.StringIO()):
-            ms, code = _ms(lambda: cli.main(argv))
+        gc.collect()
+        starts.clear()
+        gc.callbacks.append(count)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                ms, code = _ms(lambda: cli.main(argv))
+        finally:
+            gc.callbacks.remove(count)
         if code != 0:
             raise SystemExit(f"eval exited {code} on {path}")
         runs["total"].append(ms)
+        runs["gc"].append(len(starts))
     return {s: statistics.median(v) for s, v in runs.items()}
 
 
@@ -188,7 +204,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     print(f"ms per stage, median of {args.repeats} runs; "
           f"OMP_NUM_THREADS={os.environ.get('OMP_NUM_THREADS', 'unset')}")
-    print(f"{'kind':<6}{'n':>5}" + "".join(f"{s:>10}" for s in STAGES))
+    print(f"{'kind':<6}{'n':>5}" + "".join(f"{s:>10}" for s in COLUMNS))
     kinds = (("group", write_group, group_stages), ("flag", write_flag, flag_stages))
     with tempfile.TemporaryDirectory() as tmp:
         for n in (int(d) for d in args.dims.split(",")):
@@ -197,8 +213,8 @@ def main(argv=None) -> int:
                 write(path, n)
                 row = time_kind(path, stages, args.repeats)
                 os.remove(path)
-                print(f"{kind:<6}{n:>5}" + "".join(f"{row[s]:>10.2f}" for s in STAGES),
-                      flush=True)
+                cells = [f"{row[s]:>10.2f}" for s in STAGES] + [f"{row['gc']:>10g}"]
+                print(f"{kind:<6}{n:>5}" + "".join(cells), flush=True)
     return 0
 
 
