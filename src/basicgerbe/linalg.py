@@ -243,12 +243,11 @@ def embed_block(g: UnitaryMatrix, big_dim: int) -> UnitaryMatrix:
 
 def embed_tangent(x: TangentVector, big_dim: int) -> TangentVector:
     """Embed a tangent vector alongside embed_block: A |-> diag(A, 0)."""
+    base = embed_block(x.base, big_dim)
     n = x.base.dim
-    if big_dim < n:
-        raise DimensionError(f"cannot embed U({n}) into U({big_dim})")
     a = np.zeros((big_dim, big_dim), dtype=complex)
     a[:n, :n] = x.direction
-    return TangentVector(embed_block(x.base, big_dim), a)
+    return TangentVector(base, a)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

@@ -385,6 +385,11 @@ class TestMain:
         assert main(argv) == 2
         assert repr(tol.split("=")[0]) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--dim", "--samples"])
+    def test_verify_non_positive_size_exit_two(self, option, capsys):
+        assert main(["verify", "--suite", "projectors", option, "0"]) == 2
+        assert "error: dim and samples must be positive" in capsys.readouterr().err
+
     def test_reports_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
@@ -425,6 +430,29 @@ class TestMain:
         assert main(["eval", "--input", str(p), "--quantity", "df"]) == 2
         assert "$.tangents[1]" in capsys.readouterr().err
 
+    def test_eval_flag_file_unsupported_quantity_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(flag_point(3)))
+        assert main(["eval", "--input", str(p), "--quantity", "curvature"]) == 2
+        assert capsys.readouterr().err == (
+            "error: $: flag-torus input does not support 'curvature'\n"
+        )
+
+    @pytest.mark.parametrize("quantity", ["curving", "nu", "df"])
+    def test_eval_repeated_torus_value_exit_two(self, quantity, tmp_path, capsys):
+        # zero dlambda stays tangent to the circle at the moved value
+        obj = flag_point(3)
+        obj["lambda"][1] = obj["lambda"][0]
+        for tangent in obj["tangents"]:
+            tangent["dlambda"] = [[0.0, 0.0]] * 3
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(obj))
+        assert main(["eval", "--input", str(p), "--quantity", quantity]) == 2
+        assert capsys.readouterr().err == (
+            "error (RegularityError): point is not regular "
+            "(repeated or close eigenvalues)\n"
+        )
+
     @pytest.mark.parametrize("quantity", ["curving", "nu", "df"])
     def test_eval_non_hermitian_dP_exit_two(self, quantity, tmp_path, capsys):
         # dP_i = [H, P_i] for Hermitian H: sums to zero, off-diagonal, but
@@ -464,27 +492,32 @@ class TestMain:
             ("tangents", 5, "$.tangents"),
             ("tangents", [5, 5, 5], "$.tangents[0]"),
             ("dlambda", 3, "$.tangents[0].dlambda"),
+            ("dlambda", [[0.0, 0.0]] * 2, "$.tangents[0]"),
             ("dP", 3, "$.tangents[0].dP"),
             ("dP", MIXED_SIZES, "$.tangents[0].dP[1]"),
+            ("dP", [matrix_to_json(np.zeros((3, 3)))] * 2, "$.tangents[0]"),
             ("lambda", 5, "$.lambda"),
+            ("lambda", [[1.0, 0.0], [0.0, 1.0]], "$"),
             ("projections", 5, "$.projections"),
             ("projections", [], "$.projections"),
             ("projections", MIXED_SIZES, "$.projections[1]"),
             ("z1", ["a", "b"], "$.z1"),
             ("z1", [[1], [0]], "$.z1"),
+            ("X", matrix_to_json(np.zeros((3, 3))), "$.X"),
             (None, 5, "$"),
         ],
         ids=[
-            "tangents-number", "tangent-number", "dlambda-number", "dP-number",
-            "dP-mixed-size", "lambda-number", "projections-number",
-            "projections-empty", "projections-mixed-size",
-            "cut-strings", "cut-lists", "top-level-number",
+            "tangents-number", "tangent-number", "dlambda-number", "dlambda-short",
+            "dP-number", "dP-mixed-size", "dP-short", "lambda-number",
+            "lambda-short", "projections-number", "projections-empty",
+            "projections-mixed-size", "cut-strings", "cut-lists", "X-size",
+            "top-level-number",
         ],
     )
     def test_eval_malformed_json_exit_two(self, field, bad, path, tmp_path, capsys):
         if field is None:
             obj, quantity = bad, "curvature"
-        elif field == "z1":
+        elif field in ("z1", "X"):
             obj, quantity = write_curvature_point(tmp_path / "p.json"), "curvature"
             obj[field] = bad
         else:

@@ -11,25 +11,32 @@ assignment and its re-export do not count.  A defaulted parameter of a
 function of the package must be passed, by keyword or by position, by some
 call to a function of that name.  Only the readers of the JSON formats,
 ``cli.py`` (the point file) and ``linalg.py`` (the matrix leaf), construct
-a ``SchemaError``.  Only the step rule ``projectors._refuse_reach``
-constructs a ``StepTooLargeError``, so every finite difference on U(n) is
-refused by the same bound.  Only the quotient ``projectors._central`` does
-arithmetic with ``FD_STEP``, so every finite difference is the same central
-quotient.  Only ``sampling.sample_rng`` calls into ``numpy.random``,
-so every random draw comes from the Generator it makes for each sample.
-Only the kernel ``contour._resolvent_integral`` builds the resolvent: no
-other code names ``_resolvent`` or inverts a stack of matrices built from
-a node array.  Only the reader ``linalg.matrix_stack_from_json`` turns
-JSON rows into floats: no other code names ``fromlist`` or ``array.array``,
-and ``cli.py`` and ``linalg.py`` make no float array with
-``np.asarray``/``np.array`` outside it.  Only the helper
-``cli._collector_paused`` changes the cycle collector's state: no other code
-names ``gc.disable``, ``gc.enable``, ``gc.freeze`` or ``gc.set_threshold``.
+a ``SchemaError``.
+
+Six jobs have one home each, a (module, top-level function) pair, and each
+guard is one call of ``lines_outside``: it parses every module once and
+reports the lines that the rule's ``lines_of`` finds outside the home, so a
+new one-home rule is a home pair plus a ``lines_of`` function.  Only the
+step rule ``projectors._refuse_reach`` constructs a ``StepTooLargeError``,
+so every finite difference on U(n) is refused by the same bound.  Only the
+quotient ``projectors._central`` does arithmetic with ``FD_STEP``, so every
+finite difference is the same central quotient.  Only
+``sampling.sample_rng`` calls into ``numpy.random``, so every random draw
+comes from the Generator it makes for each sample.  Only the kernel
+``contour._resolvent_integral`` builds the resolvent: no other code names
+``_resolvent`` or inverts a stack of matrices built from a node array.
+Only the reader ``linalg.matrix_stack_from_json`` turns JSON rows into
+floats: no other code names ``fromlist`` or ``array.array``, and ``cli.py``
+and ``linalg.py`` make no float array with ``np.asarray``/``np.array``
+outside it.  Only ``cli._collector_paused`` changes the cycle collector's
+state: no other code names ``gc.disable``, ``gc.enable``, ``gc.freeze`` or
+``gc.set_threshold``.
 The package needs only numpy and orjson: no module of it imports scipy,
 and a fresh interpreter that imports it has loaded no scipy module.
 """
 
 import ast
+import functools
 import math
 import os
 import subprocess
@@ -45,19 +52,24 @@ MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 USERS = [SRC / m for m in MODULES] + sorted(
     p for d in ("tests", "perfbench") for p in (ROOT / d).glob("*.py")
 )
+# every module of the package, __init__.py included
+PACKAGE = {p.name: p.read_text() for p in SRC.glob("*.py")}
+# each source is parsed, and each tree walked, once for all the tests
+parse = functools.cache(ast.parse)
+walk = functools.cache(lambda tree: list(ast.walk(tree)))
 
 
 def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
+    tree = parse(source)
     imported = {}
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
@@ -75,7 +87,7 @@ def test_no_unused_imports(module):
 
 def top_level_names(source: str):
     """Names bound at module level by a def, a class or a plain assignment."""
-    for node in ast.parse(source).body:
+    for node in parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -88,7 +100,7 @@ def unused_definitions(modules: dict[str, str], users: list[str]) -> list[str]:
     reads; an assignment binds its name without reading it."""
     named = set()
     for source in users:
-        for node in ast.walk(ast.parse(source)):
+        for node in walk(parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -132,11 +144,11 @@ def defaulted_parameters(source: str):
     """(function, parameter, position) for every parameter with a default;
     keyword-only ones have no position, and a method's positions start
     after its bound first parameter."""
-    tree = ast.parse(source)
+    tree = parse(source)
     methods = {
-        id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+        id(f) for c in walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
     }
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if not isinstance(node, ast.FunctionDef):
             continue
         args = node.args
@@ -154,7 +166,7 @@ def passed_arguments(users: list[str]) -> dict:
     ``*args`` or ``**kwargs`` passes every parameter."""
     calls = {}
     for source in users:
-        for node in ast.walk(ast.parse(source)):
+        for node in walk(parse(source)):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
@@ -203,14 +215,33 @@ def test_no_unset_parameters():
 SCHEMA_READERS = {"cli.py", "linalg.py"}
 
 
-def constructions(tree: ast.AST, error: str) -> list[int]:
-    """Lines of the calls under ``tree`` that construct ``error``, by its
-    bare name or as a module attribute."""
-    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+def lines_outside(modules: dict[str, str], home: tuple[str, str], lines_of) -> list[str]:
+    """``module: line N``, sorted per module, for each line that ``lines_of(module,
+    tree, skip)`` finds in a module's syntax tree, where ``skip`` holds the node
+    ids of ``home``, a (module, top-level function) pair, the rule's one home."""
+    out = []
+    for module, source in modules.items():
+        tree = parse(source)
+        skip = {id(n) for f in tree.body if (module, getattr(f, "name", None)) == home
+                for n in ast.walk(f)}
+        out += [f"{module}: line {n}" for n in sorted(set(lines_of(module, tree, skip)))]
+    return out
+
+
+def home_function(modules: dict[str, str], home: tuple[str, str]) -> ast.AST:
+    """The syntax tree of the one top-level function that ``home`` names."""
+    (f,) = [f for f in parse(modules[home[0]]).body if getattr(f, "name", None) == home[1]]
+    return f
+
+
+def constructions(tree: ast.AST, error: str, skip: set[int] = frozenset()) -> list[int]:
+    """Lines of the calls under ``tree``, outside the nodes in ``skip``, that
+    construct ``error``, by its bare name or as a module attribute."""
     return sorted(
         n.lineno
-        for n in calls
-        if (getattr(n.func, "id", None) or getattr(n.func, "attr", None)) == error
+        for n in walk(tree)
+        if isinstance(n, ast.Call) and id(n) not in skip
+        and (getattr(n.func, "id", None) or getattr(n.func, "attr", None)) == error
     )
 
 
@@ -220,7 +251,7 @@ def schema_errors_outside_readers(modules: dict[str, str]) -> list[str]:
         f"{module}: line {line}"
         for module, source in modules.items()
         if module not in SCHEMA_READERS
-        for line in constructions(ast.parse(source), "SchemaError")
+        for line in constructions(parse(source), "SchemaError")
     ]
 
 
@@ -238,8 +269,7 @@ def test_detects_a_schema_error_outside_the_readers():
 
 
 def test_schema_errors_only_in_readers():
-    modules = {m: (SRC / m).read_text() for m in MODULES}
-    assert schema_errors_outside_readers(modules) == []
+    assert schema_errors_outside_readers(PACKAGE) == []
 
 
 # the one function of the package that refuses a finite-difference step
@@ -248,17 +278,8 @@ STEP_RULE = ("projectors.py", "_refuse_reach")
 
 def step_errors_outside_the_rule(modules: dict[str, str]) -> list[str]:
     """Calls constructing a StepTooLargeError anywhere but in ``STEP_RULE``."""
-    out = []
-    for module, source in modules.items():
-        tree = ast.parse(source)
-        rule = [f for f in tree.body if (module, getattr(f, "name", None)) == STEP_RULE]
-        allowed = {line for f in rule for line in constructions(f, "StepTooLargeError")}
-        out += [
-            f"{module}: line {line}"
-            for line in constructions(tree, "StepTooLargeError")
-            if line not in allowed
-        ]
-    return out
+    return lines_outside(modules, STEP_RULE, lambda _, tree, skip: constructions(
+        tree, "StepTooLargeError", skip))
 
 
 def test_detects_a_step_error_outside_the_rule():
@@ -283,12 +304,9 @@ def test_detects_a_step_error_outside_the_rule():
 
 
 def test_one_step_rule():
-    modules = {m: (SRC / m).read_text() for m in MODULES}
-    assert step_errors_outside_the_rule(modules) == []
+    assert step_errors_outside_the_rule(PACKAGE) == []
     # and the rule itself still refuses
-    tree = ast.parse(modules[STEP_RULE[0]])
-    (rule,) = [f for f in tree.body if getattr(f, "name", None) == STEP_RULE[1]]
-    assert constructions(rule, "StepTooLargeError")
+    assert constructions(home_function(PACKAGE, STEP_RULE), "StepTooLargeError")
 
 
 # the one function of the package that takes a difference quotient
@@ -301,7 +319,7 @@ def difference_arithmetic(tree: ast.AST, skip: set[int] = frozenset()) -> list[i
     an attribute, or on a name that an assignment, a walrus or a parameter
     default binds to it.  Bound names match anywhere in ``tree``, whatever
     their scope."""
-    nodes = [n for n in ast.walk(tree) if id(n) not in skip]
+    nodes = [n for n in walk(tree) if id(n) not in skip]
     steps = {"FD_STEP"}
 
     def is_step(node) -> bool:
@@ -339,17 +357,8 @@ def difference_arithmetic(tree: ast.AST, skip: set[int] = frozenset()) -> list[i
 
 def differences_outside_the_rule(modules: dict[str, str]) -> list[str]:
     """Arithmetic on ``FD_STEP`` anywhere but in ``DIFFERENCE_RULE``."""
-    out = []
-    for module, source in modules.items():
-        tree = ast.parse(source)
-        rule = {
-            id(n)
-            for f in tree.body
-            if (module, getattr(f, "name", None)) == DIFFERENCE_RULE
-            for n in ast.walk(f)
-        }
-        out += [f"{module}: line {line}" for line in difference_arithmetic(tree, rule)]
-    return out
+    return lines_outside(modules, DIFFERENCE_RULE,
+                         lambda _, tree, skip: difference_arithmetic(tree, skip))
 
 
 def test_detects_a_difference_outside_the_rule():
@@ -377,12 +386,9 @@ def test_detects_a_difference_outside_the_rule():
 
 
 def test_one_difference_rule():
-    modules = {m: (SRC / m).read_text() for m in MODULES}
-    assert differences_outside_the_rule(modules) == []
+    assert differences_outside_the_rule(PACKAGE) == []
     # and the rule itself still takes the quotient
-    tree = ast.parse(modules[DIFFERENCE_RULE[0]])
-    (rule,) = [f for f in tree.body if getattr(f, "name", None) == DIFFERENCE_RULE[1]]
-    assert difference_arithmetic(rule)
+    assert difference_arithmetic(home_function(PACKAGE, DIFFERENCE_RULE))
 
 
 # the one function of the package that makes a random stream
@@ -393,30 +399,17 @@ def random_calls_outside_maker(modules: dict[str, str]) -> list[str]:
     """Calls reached through ``np.random`` or ``numpy.random``, and imports
     from ``numpy.random``, anywhere but in ``RNG_MAKER``; an annotation such
     as ``np.random.Generator`` is not a call."""
-    out = []
-    for module, source in modules.items():
-        tree = ast.parse(source)
-        allowed = {
-            id(n)
-            for f in tree.body
-            if (module, getattr(f, "name", None)) == RNG_MAKER
-            for n in ast.walk(f)
-        }
-        found = set()
-        for node in ast.walk(tree):
-            if id(node) in allowed:
-                continue
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                dotted = ast.unparse(node.func)
-                if dotted.startswith(("np.random.", "numpy.random.")):
-                    found.add(node.lineno)
-            elif isinstance(node, ast.ImportFrom) and node.module and (
-                node.module.startswith("numpy.random")
-                or node.module == "numpy" and "random" in {a.name for a in node.names}
-            ):
-                found.add(node.lineno)
-        out += [f"{module}: line {line}" for line in sorted(found)]
-    return out
+
+    def lines_of(_, tree, skip):
+        return [n.lineno for n in walk(tree) if id(n) not in skip and (
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and ast.unparse(n.func).startswith(("np.random.", "numpy.random."))
+            or isinstance(n, ast.ImportFrom) and n.module and (
+                n.module.startswith("numpy.random")
+                or n.module == "numpy" and "random" in {a.name for a in n.names}
+            )
+        )]
+    return lines_outside(modules, RNG_MAKER, lines_of)
 
 
 def test_detects_a_random_call_outside_the_maker():
@@ -441,8 +434,7 @@ def test_detects_a_random_call_outside_the_maker():
 
 
 def test_one_random_stream():
-    modules = {m: (SRC / m).read_text() for m in MODULES}
-    assert random_calls_outside_maker(modules) == []
+    assert random_calls_outside_maker(PACKAGE) == []
 
 
 # the one function of the package that builds the resolvent (xi - g)^{-1}
@@ -469,28 +461,17 @@ def stacked_inverse(node: ast.AST) -> bool:
 def resolvents_outside_kernel(modules: dict[str, str]) -> list[str]:
     """Lines that name ``_resolvent`` (a def, an import, a name or an
     attribute) or invert a node stack anywhere but in ``RESOLVENT_KERNEL``."""
-    out = []
-    for module, source in modules.items():
-        tree = ast.parse(source)
-        allowed = {
-            id(n)
-            for f in tree.body
-            if (module, getattr(f, "name", None)) == RESOLVENT_KERNEL
-            for n in ast.walk(f)
-        }
-        found = set()
-        for node in ast.walk(tree):
-            if id(node) in allowed:
-                continue
+
+    def lines_of(_, tree, skip):
+        for node in walk(tree):
             names = [getattr(node, "id", None), getattr(node, "attr", None)]
             if isinstance(node, ast.FunctionDef):
                 names.append(node.name)
             elif isinstance(node, ast.ImportFrom):
                 names += [alias.name for alias in node.names]
-            if "_resolvent" in names or stacked_inverse(node):
-                found.add(node.lineno)
-        out += [f"{module}: line {line}" for line in sorted(found)]
-    return out
+            if id(node) not in skip and ("_resolvent" in names or stacked_inverse(node)):
+                yield node.lineno
+    return lines_outside(modules, RESOLVENT_KERNEL, lines_of)
 
 
 def test_detects_a_resolvent_outside_the_kernel():
@@ -518,13 +499,9 @@ def test_detects_a_resolvent_outside_the_kernel():
 
 
 def test_one_resolvent_kernel():
-    modules = {m: (SRC / m).read_text() for m in MODULES}
-    assert resolvents_outside_kernel(modules) == []
+    assert resolvents_outside_kernel(PACKAGE) == []
     # and the kernel itself still inverts the node stack
-    tree = ast.parse(modules[RESOLVENT_KERNEL[0]])
-    (kernel,) = [
-        f for f in tree.body if getattr(f, "name", None) == RESOLVENT_KERNEL[1]
-    ]
+    kernel = home_function(PACKAGE, RESOLVENT_KERNEL)
     assert any(stacked_inverse(n) for n in ast.walk(kernel))
 
 
@@ -547,28 +524,15 @@ def matrix_reads_outside_reader(modules: dict[str, str]) -> list[str]:
     """Lines naming ``fromlist`` or ``array.array``, or importing from the
     ``array`` module, anywhere but in ``MATRIX_READER``; and, in the JSON
     readers, float arrays made with ``np.asarray`` or ``np.array``."""
-    out = []
-    for module, source in modules.items():
-        tree = ast.parse(source)
-        allowed = {
-            id(n)
-            for f in tree.body
-            if (module, getattr(f, "name", None)) == MATRIX_READER
-            for n in ast.walk(f)
-        }
-        found = set()
-        for node in ast.walk(tree):
-            if id(node) in allowed:
-                continue
-            if (
-                isinstance(node, ast.Attribute)
-                and (node.attr == "fromlist" or ast.unparse(node) == "array.array")
-                or isinstance(node, ast.ImportFrom) and node.module == "array"
-                or module in SCHEMA_READERS and float_array(node)
-            ):
-                found.add(node.lineno)
-        out += [f"{module}: line {line}" for line in sorted(found)]
-    return out
+
+    def lines_of(module, tree, skip):
+        return [n.lineno for n in walk(tree) if id(n) not in skip and (
+            isinstance(n, ast.Attribute)
+            and (n.attr == "fromlist" or ast.unparse(n) == "array.array")
+            or isinstance(n, ast.ImportFrom) and n.module == "array"
+            or module in SCHEMA_READERS and float_array(n)
+        )]
+    return lines_outside(modules, MATRIX_READER, lines_of)
 
 
 def test_detects_a_matrix_read_outside_the_reader():
@@ -599,11 +563,9 @@ def test_detects_a_matrix_read_outside_the_reader():
 
 
 def test_one_matrix_reader():
-    modules = {m: (SRC / m).read_text() for m in MODULES}
-    assert matrix_reads_outside_reader(modules) == []
+    assert matrix_reads_outside_reader(PACKAGE) == []
     # and the reader itself still reads its rows with fromlist
-    tree = ast.parse(modules[MATRIX_READER[0]])
-    (reader,) = [f for f in tree.body if getattr(f, "name", None) == MATRIX_READER[1]]
+    reader = home_function(PACKAGE, MATRIX_READER)
     assert any(getattr(n, "attr", None) == "fromlist" for n in ast.walk(reader))
 
 
@@ -616,34 +578,20 @@ def collector_changes_outside_pause(modules: dict[str, str]) -> list[str]:
     """Lines naming a setter of the cycle collector, as an attribute of the
     ``gc`` module under any alias or imported from it, anywhere but in
     ``COLLECTOR_PAUSE``."""
-    out = []
-    for module, source in modules.items():
-        tree = ast.parse(source)
-        allowed = {
-            id(n)
-            for f in tree.body
-            if (module, getattr(f, "name", None)) == COLLECTOR_PAUSE
-            for n in ast.walk(f)
-        }
+
+    def lines_of(_, tree, skip):
         aliases = {
             alias.asname or alias.name
-            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for node in walk(tree) if isinstance(node, ast.Import)
             for alias in node.names if alias.name == "gc"
         }
-        found = set()
-        for node in ast.walk(tree):
-            if id(node) in allowed:
-                continue
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr in COLLECTOR_SETTERS
-                and getattr(node.value, "id", None) in aliases
-                or isinstance(node, ast.ImportFrom) and node.module == "gc"
-                and COLLECTOR_SETTERS & {a.name for a in node.names}
-            ):
-                found.add(node.lineno)
-        out += [f"{module}: line {line}" for line in sorted(found)]
-    return out
+        return [n.lineno for n in walk(tree) if id(n) not in skip and (
+            isinstance(n, ast.Attribute)
+            and n.attr in COLLECTOR_SETTERS and getattr(n.value, "id", None) in aliases
+            or isinstance(n, ast.ImportFrom) and n.module == "gc"
+            and COLLECTOR_SETTERS & {a.name for a in n.names}
+        )]
+    return lines_outside(modules, COLLECTOR_PAUSE, lines_of)
 
 
 def test_detects_a_collector_change_outside_the_pause():
@@ -669,12 +617,24 @@ def test_detects_a_collector_change_outside_the_pause():
 
 
 def test_one_collector_pause():
-    modules = {p.name: p.read_text() for p in SRC.glob("*.py")}
-    assert collector_changes_outside_pause(modules) == []
+    assert collector_changes_outside_pause(PACKAGE) == []
     # and the pause itself still stops the collector
-    tree = ast.parse(modules[COLLECTOR_PAUSE[0]])
-    (pause,) = [f for f in tree.body if getattr(f, "name", None) == COLLECTOR_PAUSE[1]]
+    pause = home_function(PACKAGE, COLLECTOR_PAUSE)
     assert any(getattr(n, "attr", None) == "disable" for n in ast.walk(pause))
+
+
+@pytest.mark.parametrize("guard, module, line", [
+    (random_calls_outside_maker, "forms.py", "np.random.default_rng(0)"),
+    (differences_outside_the_rule, "forms.py", "2 * FD_STEP"),
+    (step_errors_outside_the_rule, "forms.py", 'StepTooLargeError("x")'),
+    (resolvents_outside_kernel, "projectors.py", "np.linalg.inv(xs[:, None, None] - g)"),
+    (matrix_reads_outside_reader, "cli.py", 'array.array("d")'),
+    (collector_changes_outside_pause, "cli.py", "gc.disable()"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_guard_catches_a_line_added_to_the_package(guard, module, line):
+    # the package's real imports and aliases, where the planted tests use toys
+    modules = {**PACKAGE, module: f"{PACKAGE[module]}{line}\n"}
+    assert guard(modules) == [f"{module}: line {len(modules[module].splitlines())}"]
 
 
 def scipy_imports(modules: dict[str, str]) -> list[str]:
@@ -682,7 +642,7 @@ def scipy_imports(modules: dict[str, str]) -> list[str]:
     a test dependency only."""
     out = []
     for module, source in modules.items():
-        for node in ast.walk(ast.parse(source)):
+        for node in walk(parse(source)):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -704,8 +664,7 @@ def test_detects_a_scipy_import():
 
 
 def test_no_scipy_import():
-    modules = {p.name: p.read_text() for p in SRC.glob("*.py")}
-    assert scipy_imports(modules) == []
+    assert scipy_imports(PACKAGE) == []
 
 
 def test_import_loads_no_scipy():

@@ -477,8 +477,11 @@ class TestEmbedding:
         assert np.array_equal(embed_block(g, 3).mat, g.mat)
 
     def test_too_small(self):
-        with pytest.raises(DimensionError):
-            embed_block(random_unitary(3, np.random.default_rng(0)), 2)
+        g = random_unitary(3, np.random.default_rng(0))
+        with pytest.raises(DimensionError, match=r"cannot embed U\(3\) into U\(2\)"):
+            embed_block(g, 2)
+        with pytest.raises(DimensionError, match=r"cannot embed U\(3\) into U\(2\)"):
+            embed_tangent(tangent_random(g, np.random.default_rng(1)), 2)
 
     def test_decomposition_commutes(self):
         g = random_unitary(3, np.random.default_rng(12))
