@@ -604,7 +604,7 @@ FLAG_TANGENTS = {"curving": 2, "nu": 3, "df": 3}
 CLOSED_FORM = "closed-form"
 
 # the cross-check route of each route that has one
-_ORACLE = {"residue": "quadrature", "quadrature": "residue"}
+_ORACLE = {"residue": "quadrature", "quadrature": "residue", "fd": "residue"}
 
 
 def _flag_tangents(pt: weyl.FlagTorusPoint, obj: dict, quantity: str) -> list:
@@ -692,7 +692,9 @@ def eval_point(obj: dict, quantity: str, method: str, with_oracle: bool) -> dict
                 value = forms.curvature_via_projectors(ctx, x, y, "fd")
             else:
                 value = forms.curvature_via_contour(ctx, x, y, method)
-            oracle = lambda: abs(value - forms.curvature_via_contour(ctx, x, y))
+            oracle = lambda: abs(
+                value - forms.curvature_via_contour(ctx, x, y, _ORACLE[method])
+            )
         elif quantity == "curving":
             spec = spectral_decompose(g)
             z, x, y = cut("z"), tangent("X"), tangent("Y")

@@ -47,7 +47,7 @@ def value(record):
     return complex(record["value_re"], record["value_im"])
 
 
-def flag_point(n, tangents=3):
+def flag_point(n=3, tangents=3):
     """A regular flag-torus point with ``tangents`` tangents, as JSON."""
     rng = sample_rng(0, "cli-test", 0)
     pt = sample_regular(n, rng)
@@ -59,7 +59,7 @@ def flag_point(n, tangents=3):
     return obj
 
 
-def group_point(n):
+def group_point(n=3):
     """A group point with every field a group quantity reads, as JSON."""
     rng = sample_rng(0, "cli-test", 2)
     g, spec = well_separated_unitary(n, rng)
@@ -115,17 +115,227 @@ def scaled_tangents(obj, scale):
 MIXED_SIZES = [matrix_to_json(np.eye(m)) for m in (3, 2, 3)]
 
 
-def write_curvature_point(path):
+def curvature_point():
+    """A U(2) point whose arc curvature on (X, Y) is -i/2, as JSON."""
     g = np.diag([1j, -1j])
-    obj = {
+    return {
         "g": matrix_to_json(g),
         "z1": [-np.sqrt(0.5), np.sqrt(0.5)],
         "z2": [np.sqrt(0.5), np.sqrt(0.5)],
         "X": matrix_to_json(np.array([[0, 1], [-1, 0]], dtype=complex)),
         "Y": matrix_to_json(np.array([[0, 1j], [1j, 0]], dtype=complex)),
     }
-    path.write_text(json.dumps(obj))
+
+
+def edit(build, *keys, to):
+    """A builder: ``build()`` with ``to``, or ``to(item)``, as its item at ``keys``."""
+    def edited():
+        obj = item = build()
+        for key in keys[:-1]:
+            item = item[key]
+        item[keys[-1]] = to(item[keys[-1]]) if callable(to) else to
+        return obj
+    return edited
+
+
+def repeated_value():
+    # zero dlambda stays tangent to the circle at the moved value
+    obj = flag_point()
+    obj["lambda"][1] = obj["lambda"][0]
+    for tangent in obj["tangents"]:
+        tangent["dlambda"] = [[0.0, 0.0]] * 3
     return obj
+
+
+def skew_dP():
+    # dP_i = [H, P_i] for Hermitian H: sums to zero, off-diagonal, but
+    # skew-Hermitian, so no curve of projectors has it as its velocity
+    obj, h = flag_point(), np.diag([1.0, 2.0, 3.0]) + np.ones((3, 3))
+    dp = [h @ q - q @ h for q in flag_point_from_json(obj, "$").projections]
+    obj["tangents"][1]["dP"] = [matrix_to_json(d) for d in dp]
+    return obj
+
+
+def oblique():
+    # complete, P_a P_b = delta_ab P_a, but P0 and P1 are not Hermitian
+    proj = np.array([[[1, 0.7, 0], [0, 0, 0], [0, 0, 0]],
+                     [[0, -0.7, 0], [0, 1, 0], [0, 0, 0]], np.diag([0, 0, 1])])
+    lam = np.exp(1j * np.array([0.3, 1.1, 2.0]))
+    zero = {"dlambda": [[0.0, 0.0]] * 3, "dP": [matrix_to_json(0 * proj[0])] * 3}
+    return {"lambda": [[v.real, v.imag] for v in lam],
+            "projections": [matrix_to_json(q) for q in proj], "tangents": [zero] * 3}
+
+
+def cut_at_eigenvalue():
+    g = np.diag(np.exp(1j * np.array([1.0, 2.5, 4.0])))
+    a = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=complex)
+    return {"g": matrix_to_json(g), "z": [np.cos(2.5 + 1e-8), np.sin(2.5 + 1e-8)],
+            "X": matrix_to_json(a), "Y": matrix_to_json(1j * np.abs(a))}
+
+
+ZEROS = matrix_to_json(np.zeros((3, 3)))
+DROP_LAST = lambda row: row[:-1]
+NOT_DOUBLES = "matrix entries are not doubles: must be real number, not "
+# a builder: the JSON bytes of build() with old replaced by new
+raw = lambda build, old, new: lambda: json.dumps(build()).encode().replace(old, new)
+NU, DF, CURVING, CURVATURE, PROJECTOR = ("eval --input {input} --quantity " + q for q in
+                                         "nu df curving curvature projector".split())
+TOL = "verify --suite curvature-equivalence --dim 2 --samples 1 --tol "
+NEEDS = (": needs a check of suite 'curvature-equivalence' (three-route, projector-"
+         "insertion, torus-directions, bilinear-antisymmetric) and a finite value >= 0")
+
+# each exit-2 case of main, id: (point-file builder or None, argv, stderr line)
+EXIT_TWO = {
+    # a tolerance needs a check of the suite and a finite value >= 0
+    "tol-unknown-check": (None, TOL + "three-rout=1e-30",
+     "error: tolerance 'three-rout'=1e-30" + NEEDS),
+    "tol-nan": (None, TOL + "three-route=nan",
+     "error: tolerance 'three-route'=nan" + NEEDS),
+    "tol-infinity": (None, TOL + "three-route=inf",
+     "error: tolerance 'three-route'=inf" + NEEDS),
+    "tol-negative": (None, TOL + "three-route=-1e-9",
+     "error: tolerance 'three-route'=-1e-09" + NEEDS),
+    "tol-no-equals": (None, "verify --suite projectors --samples 1 --tol x",
+     "error: expected key=value, got 'x'"),
+    "dim-not-positive": (None, "verify --suite projectors --dim 0",
+     "error: dim and samples must be positive"),
+    "samples-not-positive": (None, "verify --suite projectors --samples 0",
+     "error: dim and samples must be positive"),
+    "missing-cut": (lambda: {"g": matrix_to_json(np.eye(2))}, CURVATURE,
+     "error: $.z1: missing field"),
+    "too-few-tangents": (lambda: flag_point(tangents=2), NU,
+     "error: $.tangents: 'nu' needs 3 tangents, got 2"),
+    "dP-swap": (edit(flag_point, "tangents", 1, "dP", to=lambda d: [d[1], d[0], d[2]]),
+     DF, "error: $.tangents[1]: dP_i must be off-diagonal for P_i and sum to zero"),
+    "flag-curvature": (flag_point, CURVATURE,
+     "error: $: flag-torus input does not support 'curvature'"),
+    "repeated-curving": (repeated_value, CURVING,
+     "error (RegularityError): point is not regular (repeated or close eigenvalues)"),
+    "repeated-nu": (repeated_value, NU,
+     "error (RegularityError): point is not regular (repeated or close eigenvalues)"),
+    "repeated-df": (repeated_value, DF,
+     "error (RegularityError): point is not regular (repeated or close eigenvalues)"),
+    "skew-curving": (skew_dP, CURVING, "error: $.tangents[1]: dP_i must be Hermitian"),
+    "skew-nu": (skew_dP, NU, "error: $.tangents[1]: dP_i must be Hermitian"),
+    "skew-df": (skew_dP, DF, "error: $.tangents[1]: dP_i must be Hermitian"),
+    "oblique-nu": (oblique, NU, "error: $: projection 0 is not Hermitian of rank one"),
+    "oblique-df": (oblique, DF, "error: $: projection 0 is not Hermitian of rank one"),
+    "tangents-number": (edit(flag_point, "tangents", to=5), NU,
+     "error: $.tangents: expected a non-empty list"),
+    "tangent-number": (edit(flag_point, "tangents", to=[5, 5, 5]), NU,
+     "error: $.tangents[0]: expected an object"),
+    "dlambda-number": (edit(flag_point, "tangents", 0, "dlambda", to=3), NU,
+     "error: $.tangents[0].dlambda: expected a non-empty list"),
+    "dlambda-short": (edit(flag_point, "tangents", 0, "dlambda", to=[[0.0, 0.0]] * 2),
+     NU, "error: $.tangents[0]: tangent data shape mismatch"),
+    "dP-number": (edit(flag_point, "tangents", 0, "dP", to=3), NU,
+     "error: $.tangents[0].dP: expected a non-empty list"),
+    "dP-mixed-size": (edit(flag_point, "tangents", 0, "dP", to=MIXED_SIZES), NU,
+     "error: $.tangents[0].dP[1]: size differs from [0]"),
+    "dP-short": (edit(flag_point, "tangents", 0, "dP", to=[ZEROS] * 2), NU,
+     "error: $.tangents[0]: a tangent of U(3) needs 3 finite 3 x 3 dP_i"),
+    "lambda-number": (edit(flag_point, "lambda", to=5), NU,
+     "error: $.lambda: expected a non-empty list"),
+    "lambda-short": (edit(flag_point, "lambda", to=[[1.0, 0.0], [0.0, 1.0]]), NU,
+     "error: $: flag frame and torus values shape mismatch"),
+    "projections-number": (edit(flag_point, "projections", to=5), NU,
+     "error: $.projections: expected a non-empty list"),
+    "projections-empty": (edit(flag_point, "projections", to=[]), NU,
+     "error: $.projections: expected a non-empty list"),
+    "projections-mixed-size": (edit(flag_point, "projections", to=MIXED_SIZES), NU,
+     "error: $.projections[1]: size differs from [0]"),
+    "cut-strings": (edit(curvature_point, "z1", to=["a", "b"]), CURVATURE,
+     "error: $.z1: expected [re, im]"),
+    "cut-lists": (edit(curvature_point, "z1", to=[[1], [0]]), CURVATURE,
+     "error: $.z1: expected [re, im]"),
+    "X-size": (edit(curvature_point, "X", to=ZEROS), CURVATURE,
+     "error: $.X: tangent direction shape mismatch"),
+    "top-level-number": (lambda: 5, CURVATURE, "error: $: expected an object"),
+    # one reader reads every matrix: a string entry is not read as the number
+    # it spells, nor null as NaN, and a row must hold n entries
+    "g-string": (edit(group_point, "g", "re", 1, 0, to=repr), PROJECTOR,
+     "error: $.g: " + NOT_DOUBLES + "str"),
+    "g-null": (edit(group_point, "g", "re", 1, 0, to=None), PROJECTOR,
+     "error: $.g: " + NOT_DOUBLES + "NoneType"),
+    "g-ragged": (edit(group_point, "g", "re", 1, to=DROP_LAST), PROJECTOR,
+     "error: $.g: expected 3x3 're' and 'im' blocks"),
+    "X-string": (edit(group_point, "X", "re", 1, 0, to=repr), CURVATURE,
+     "error: $.X: " + NOT_DOUBLES + "str"),
+    "X-null": (edit(group_point, "X", "re", 1, 0, to=None), CURVATURE,
+     "error: $.X: " + NOT_DOUBLES + "NoneType"),
+    "X-ragged": (edit(group_point, "X", "re", 1, to=DROP_LAST), CURVATURE,
+     "error: $.X: expected 3x3 're' and 'im' blocks"),
+    "projection-string": (edit(flag_point, "projections", 1, "re", 1, 0, to=repr), NU,
+     "error: $.projections[1]: " + NOT_DOUBLES + "str"),
+    "projection-null": (edit(flag_point, "projections", 1, "re", 1, 0, to=None), NU,
+     "error: $.projections[1]: " + NOT_DOUBLES + "NoneType"),
+    "projection-ragged": (edit(flag_point, "projections", 1, "re", 1, to=DROP_LAST), NU,
+     "error: $.projections[1]: expected 3x3 're' and 'im' blocks"),
+    "dP-string": (edit(flag_point, "tangents", 0, "dP", 2, "re", 1, 0, to=repr), NU,
+     "error: $.tangents[0].dP[2]: " + NOT_DOUBLES + "str"),
+    "dP-null": (edit(flag_point, "tangents", 0, "dP", 2, "re", 1, 0, to=None), NU,
+     "error: $.tangents[0].dP[2]: " + NOT_DOUBLES + "NoneType"),
+    "dP-ragged": (edit(flag_point, "tangents", 0, "dP", 2, "re", 1, to=DROP_LAST), NU,
+     "error: $.tangents[0].dP[2]: expected 3x3 're' and 'im' blocks"),
+    # re + 1j * im once made 0 * inf for the real part: a NaN there, and a
+    # numpy RuntimeWarning on stderr before the error line
+    "X-infinite-im": (edit(group_point, "X", "im", 0, 1, to=np.inf), CURVATURE,
+     "error: $.X: tangent direction has non-finite entries"),
+    "projection-inf-im": (edit(flag_point, "projections", 1, "im", 0, 1, to=np.inf),
+     NU, "error: $: a full flag of U(3) needs 3 finite projections"),
+    # g g^H of an infinite g once put a numpy RuntimeWarning on stderr
+    "g-infinite-re": (edit(group_point, "g", "re", 0, 1, to=np.inf), CURVATURE,
+     "error: $.g: matrix is not unitary: ||g g^H - I||_F = nan"),
+    "g-infinite-im": (edit(group_point, "g", "im", 0, 1, to=np.inf), CURVATURE,
+     "error: $.g: matrix is not unitary: ||g g^H - I||_F = nan"),
+    # 2.0 once passed, since (2, 2) == (2.0, 2.0), and true read a 1 x 1 g
+    "dim-float": (edit(curvature_point, "g", to={"dim": 2.0, "re": [[0, 0], [0, 0]],
+                                                 "im": [[1, 0], [1, 0]]}),
+     PROJECTOR, "error: $.g: 'dim' is not an integer >= 1"),
+    "dim-true": (edit(curvature_point, "g", to={"dim": True, "re": [[0]], "im": [[1]]}),
+     PROJECTOR, "error: $.g: 'dim' is not an integer >= 1"),
+    "dim-zero": (edit(curvature_point, "g", to={"dim": 0, "re": [], "im": []}),
+     PROJECTOR, "error: $.g: 'dim' is not an integer >= 1"),
+    # |A| ~ 1e150 puts h ||A||_2 far past the cut bound at h = FD_STEP
+    "fd-step-overflow": (lambda: scaled_tangents(group_point(), 1e150), DF,
+     "error (StepTooLargeError): FD step h = 1e-05 moves an eigenvalue up to "
+     "6.637e+144, which reaches the distance 0.8019 from spec(g) to the nearest cut"),
+    "nan-cut": (edit(curvature_point, "z1", to=[float("nan"), 0.0]), CURVATURE,
+     "error: $.z1: cut point (nan+0j) is not finite"),
+    # literals orjson rejects and json accepts (or rejects as well) give the
+    # line that decoding with json alone gives.  An integer beyond 64 bits
+    # decodes as a float, and the shape check still fails on it; one beyond
+    # the double range decodes through json as an int no float can hold
+    "infinity": (edit(curvature_point, "z1", to=[np.inf, 0.0]), CURVATURE,
+     "error: $.z1: cut point (inf+0j) is not finite"),
+    "minus-infinity": (edit(curvature_point, "z1", to=[-np.inf, 0.0]), CURVATURE,
+     "error: $.z1: cut point (-inf+0j) is not finite"),
+    "1e400": (raw(edit(curvature_point, "z1", to=[12345.5, 0.0]), b"12345.5", b"1e400"),
+     CURVATURE, "error: $.z1: cut point (inf+0j) is not finite"),
+    "lone-surrogate": (edit(curvature_point, "z1", to="\ud800"), CURVATURE,
+     "error: $.z1: expected [re, im]"),
+    "dim-beyond-64-bits": (edit(curvature_point, "g", "dim", to=2**64), CURVATURE,
+     "error: $.g: 'dim' is not an integer >= 1"),
+    "invalid-utf8": (raw(edit(curvature_point, "z1", to="XX"), b'"XX"', b'"\xff\xfe"'),
+     CURVATURE,
+     "error: 'utf-8' codec can't decode byte 0xff in position 91: invalid start byte"),
+    "cut-integer-beyond-double": (edit(curvature_point, "z1", to=[10**400, 0.0]),
+     CURVATURE, "error: $.z1: [re, im] is beyond the double range"),
+    "matrix-integer-beyond-double": (edit(curvature_point, "g", "re", 0, 0, to=10**400),
+     CURVATURE,
+     "error: $.g: matrix entries are not doubles: int too large to convert to float"),
+    # json gives up on nesting this deep with a RecursionError; orjson
+    # decodes it and the schema check rejects it
+    "deep-nesting": (
+     raw(edit(curvature_point, "z1", to="DEEP"), b'"DEEP"', b"[" * 3000 + b"]" * 3000),
+     CURVATURE, "error: $.z1: expected [re, im]"),
+    "curving-cut-at-eigenvalue": (cut_at_eigenvalue, CURVING + " --no-oracle",
+     "error (IllConditionedCutError): cut within 1.00e-08 of an eigenvalue "
+     "(limit 1e-06)"),
+    "missing-file": (None, NU, "error: [Errno 2] No such file or directory: '{input}'"),
+    "invalid-json": (lambda: b"{not json", NU, "error: Expecting property name "
+     "enclosed in double quotes: line 1 column 2 (char 1)"),
+}
 
 
 class TestRunSuite:
@@ -166,8 +376,13 @@ class TestRunSuite:
         assert not report["passed"]
 
     def test_unknown_suite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             run_suite(SuiteConfig(suite="nonsense"))
+        assert str(err.value) == (
+            "unknown suite 'nonsense'; choose from ['curvature-equivalence', "
+            "'delta-curving', 'equivariance', 'gerbe-axioms', 'projectors', "
+            "'three-curvature', 'truncation', 'weyl']"
+        )
 
     def test_report_schema(self):
         report = run_suite(SuiteConfig(suite="gerbe-axioms", dim=3, samples=2, seed=2))
@@ -186,19 +401,19 @@ class TestRunSuite:
 
 
 class TestEvalPoint:
-    def test_curvature_with_oracle(self, tmp_path):
-        obj = write_curvature_point(tmp_path / "p.json")
+    def test_curvature_with_oracle(self):
+        obj = curvature_point()
         rec = eval_point(obj, "curvature", "residue", True)
         assert abs(complex(rec["value_re"], rec["value_im"]) - (-0.5j)) < 1e-10
         assert rec["residual_vs_oracle"] < 1e-10
 
-    def test_curvature_no_oracle(self, tmp_path):
-        obj = write_curvature_point(tmp_path / "p.json")
+    def test_curvature_no_oracle(self):
+        obj = curvature_point()
         rec = eval_point(obj, "curvature", "quadrature", False)
         assert rec["residual_vs_oracle"] is None
 
-    def test_projector_matrix_output(self, tmp_path):
-        obj = write_curvature_point(tmp_path / "p.json")
+    def test_projector_matrix_output(self):
+        obj = curvature_point()
         rec = eval_point(obj, "projector", "residue", True)
         assert rec["matrix"]["dim"] == 2
         assert abs(rec["matrix"]["re"][0][0] - 1.0) < 1e-10
@@ -218,6 +433,12 @@ class TestEvalPoint:
         with pytest.raises(SchemaError) as err:
             eval_point({}, "curvature", "residue", True)
         assert "$.g" in str(err.value)
+
+    def test_unknown_quantity(self):
+        # argparse's choices keep it from main, but tools call eval_point
+        with pytest.raises(SchemaError) as err:
+            eval_point(group_point(), "volume", "residue", True)
+        assert str(err.value) == "$: unknown quantity 'volume'"
 
     @pytest.mark.parametrize("keep", ["projections", "tangents", "both"])
     def test_flag_file_without_lambda(self, keep):
@@ -374,22 +595,6 @@ class TestMain:
         seen = [json.loads(r.read_text())["config"]["tolerances"] for r in reports]
         assert seen == [{"integer-trace": 0.5}, {}, {"projector-algebra": 0.5}]
 
-    @pytest.mark.parametrize(
-        "tol",
-        ["three-rout=1e-30", "three-route=nan", "three-route=inf", "three-route=-1e-9"],
-        ids=["unknown-check", "nan", "infinity", "negative"],
-    )
-    def test_verify_bad_tolerance_exit_two(self, tol, capsys):
-        argv = ["verify", "--suite", "curvature-equivalence", "--dim", "2",
-                "--samples", "1", "--tol", tol]
-        assert main(argv) == 2
-        assert repr(tol.split("=")[0]) in capsys.readouterr().err
-
-    @pytest.mark.parametrize("option", ["--dim", "--samples"])
-    def test_verify_non_positive_size_exit_two(self, option, capsys):
-        assert main(["verify", "--suite", "projectors", option, "0"]) == 2
-        assert "error: dim and samples must be positive" in capsys.readouterr().err
-
     def test_reports_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
@@ -402,205 +607,37 @@ class TestMain:
 
     def test_eval_exit_zero(self, tmp_path, capsys):
         p = tmp_path / "p.json"
-        write_curvature_point(p)
+        p.write_text(json.dumps(curvature_point()))
         code = main(["eval", "--input", str(p), "--quantity", "curvature"])
         assert code == 0
         rec = json.loads(capsys.readouterr().out)
         assert abs(rec["value_im"] + 0.5) < 1e-10
 
-    def test_eval_bad_schema_exit_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("build, argv, line", EXIT_TWO.values(), ids=list(EXIT_TWO))
+    def test_exit_two(self, build, argv, line, tmp_path, capsys):
         p = tmp_path / "p.json"
-        p.write_text(json.dumps({"g": matrix_to_json(np.eye(2))}))
-        code = main(["eval", "--input", str(p), "--quantity", "curvature"])
-        assert code == 2
-        assert "$.z1" in capsys.readouterr().err
+        if build is not None:
+            data = build()
+            p.write_bytes(data if type(data) is bytes else json.dumps(data).encode())
+        assert main([str(p) if arg == "{input}" else arg for arg in argv.split()]) == 2
+        assert capsys.readouterr() == ("", line.replace("{input}", str(p)) + "\n")
 
-    def test_eval_too_few_flag_tangents_exit_two(self, tmp_path, capsys):
-        p = tmp_path / "p.json"
-        p.write_text(json.dumps(flag_point(3, tangents=2)))
-        assert main(["eval", "--input", str(p), "--quantity", "nu"]) == 2
-        assert "needs 3 tangents" in capsys.readouterr().err
+    def test_eval_curvature_residue_oracle_is_quadrature(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # a quadrature route off by 1e-3 shows in the residue route's residual;
+        # an oracle that ran the residue route again read exactly 0
+        route = forms.curvature_via_contour
 
-    def test_eval_bad_flag_tangent_exit_two(self, tmp_path, capsys):
-        obj = flag_point(3)
-        dp = obj["tangents"][1]["dP"]
-        dp[0], dp[1] = dp[1], dp[0]
-        p = tmp_path / "p.json"
-        p.write_text(json.dumps(obj))
-        assert main(["eval", "--input", str(p), "--quantity", "df"]) == 2
-        assert "$.tangents[1]" in capsys.readouterr().err
+        def off(ctx, x, y, method="residue"):
+            return route(ctx, x, y, method) + (1e-3 if method == "quadrature" else 0.0)
 
-    def test_eval_flag_file_unsupported_quantity_exit_two(self, tmp_path, capsys):
+        monkeypatch.setattr(forms, "curvature_via_contour", off)
         p = tmp_path / "p.json"
-        p.write_text(json.dumps(flag_point(3)))
-        assert main(["eval", "--input", str(p), "--quantity", "curvature"]) == 2
-        assert capsys.readouterr().err == (
-            "error: $: flag-torus input does not support 'curvature'\n"
-        )
-
-    @pytest.mark.parametrize("quantity", ["curving", "nu", "df"])
-    def test_eval_repeated_torus_value_exit_two(self, quantity, tmp_path, capsys):
-        # zero dlambda stays tangent to the circle at the moved value
-        obj = flag_point(3)
-        obj["lambda"][1] = obj["lambda"][0]
-        for tangent in obj["tangents"]:
-            tangent["dlambda"] = [[0.0, 0.0]] * 3
-        p = tmp_path / "p.json"
-        p.write_text(json.dumps(obj))
-        assert main(["eval", "--input", str(p), "--quantity", quantity]) == 2
-        assert capsys.readouterr().err == (
-            "error (RegularityError): point is not regular "
-            "(repeated or close eigenvalues)\n"
-        )
-
-    @pytest.mark.parametrize("quantity", ["curving", "nu", "df"])
-    def test_eval_non_hermitian_dP_exit_two(self, quantity, tmp_path, capsys):
-        # dP_i = [H, P_i] for Hermitian H: sums to zero, off-diagonal, but
-        # skew-Hermitian, so no curve of projectors has it as its velocity
-        obj = flag_point(3)
-        pt = flag_point_from_json(obj, "$")
-        h = np.diag([1.0, 2.0, 3.0]) + np.ones((3, 3))
-        dp = [h @ q - q @ h for q in pt.projections]
-        obj["tangents"][1]["dP"] = [matrix_to_json(d) for d in dp]
-        p = tmp_path / "p.json"
-        p.write_text(json.dumps(obj))
-        assert main(["eval", "--input", str(p), "--quantity", quantity]) == 2
-        assert "$.tangents[1]: dP_i must be Hermitian" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("quantity", ["nu", "df"])
-    def test_eval_oblique_projectors_exit_two(self, quantity, tmp_path, capsys):
-        # complete, P_a P_b = delta_ab P_a, but P0 and P1 are not Hermitian
-        proj = np.zeros((3, 3, 3), dtype=complex)
-        proj[0, 0, 0], proj[0, 0, 1] = 1.0, 0.7
-        proj[1, 1, 1], proj[1, 0, 1] = 1.0, -0.7
-        proj[2, 2, 2] = 1.0
-        lam = np.exp(1j * np.array([0.3, 1.1, 2.0]))
-        zero = {"dlambda": [[0.0, 0.0]] * 3, "dP": [matrix_to_json(0 * proj[0])] * 3}
-        obj = {
-            "lambda": [[v.real, v.imag] for v in lam],
-            "projections": [matrix_to_json(q) for q in proj],
-            "tangents": [zero] * 3,
-        }
-        p = tmp_path / "p.json"
-        p.write_text(json.dumps(obj))
-        assert main(["eval", "--input", str(p), "--quantity", quantity]) == 2
-        assert "not Hermitian" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "field, bad, path",
-        [
-            ("tangents", 5, "$.tangents"),
-            ("tangents", [5, 5, 5], "$.tangents[0]"),
-            ("dlambda", 3, "$.tangents[0].dlambda"),
-            ("dlambda", [[0.0, 0.0]] * 2, "$.tangents[0]"),
-            ("dP", 3, "$.tangents[0].dP"),
-            ("dP", MIXED_SIZES, "$.tangents[0].dP[1]"),
-            ("dP", [matrix_to_json(np.zeros((3, 3)))] * 2, "$.tangents[0]"),
-            ("lambda", 5, "$.lambda"),
-            ("lambda", [[1.0, 0.0], [0.0, 1.0]], "$"),
-            ("projections", 5, "$.projections"),
-            ("projections", [], "$.projections"),
-            ("projections", MIXED_SIZES, "$.projections[1]"),
-            ("z1", ["a", "b"], "$.z1"),
-            ("z1", [[1], [0]], "$.z1"),
-            ("X", matrix_to_json(np.zeros((3, 3))), "$.X"),
-            (None, 5, "$"),
-        ],
-        ids=[
-            "tangents-number", "tangent-number", "dlambda-number", "dlambda-short",
-            "dP-number", "dP-mixed-size", "dP-short", "lambda-number",
-            "lambda-short", "projections-number", "projections-empty",
-            "projections-mixed-size", "cut-strings", "cut-lists", "X-size",
-            "top-level-number",
-        ],
-    )
-    def test_eval_malformed_json_exit_two(self, field, bad, path, tmp_path, capsys):
-        if field is None:
-            obj, quantity = bad, "curvature"
-        elif field in ("z1", "X"):
-            obj, quantity = write_curvature_point(tmp_path / "p.json"), "curvature"
-            obj[field] = bad
-        else:
-            obj, quantity = flag_point(3), "nu"
-            if field in ("dlambda", "dP"):
-                obj["tangents"][0][field] = bad
-            else:
-                obj[field] = bad
-        p = tmp_path / "p.json"
-        p.write_text(json.dumps(obj))
-        assert main(["eval", "--input", str(p), "--quantity", quantity]) == 2
-        assert f"error: {path}: " in capsys.readouterr().err
-
-    @pytest.mark.parametrize("bad, message", [
-        ("string", "matrix entries are not doubles"),
-        ("null", "matrix entries are not doubles"),
-        ("ragged", "expected 3x3 're' and 'im' blocks"),
-    ])
-    @pytest.mark.parametrize("where", ["g", "X", "projections[1]", "tangents[0].dP[2]"])
-    def test_eval_bad_matrix_entry_exit_two(self, where, bad, message, tmp_path,
-                                            capsys):
-        # one reader reads every matrix: a string entry is not read as the
-        # number it spells, nor null as NaN, and a row must hold n entries
-        if where in ("g", "X"):
-            obj, quantity = group_point(3), "projector" if where == "g" else "curvature"
-            m = obj[where]
-        else:
-            obj, quantity = flag_point(3), "nu"
-            dp = obj["tangents"][0]["dP"]
-            m = obj["projections"][1] if where[0] == "p" else dp[2]
-        row = m["re"][1]
-        if bad == "string":
-            row[0] = repr(row[0])
-        elif bad == "null":
-            row[0] = None
-        else:
-            row.pop()
-        p = tmp_path / "p.json"
-        p.write_text(json.dumps(obj))
-        assert main(["eval", "--input", str(p), "--quantity", quantity]) == 2
-        assert capsys.readouterr().err.startswith(f"error: $.{where}: {message}")
-
-    @pytest.mark.parametrize("where, message", [
-        ("X", "tangent direction has non-finite entries"),
-        ("projections[1]", "a full flag of U(3) needs 3 finite projections"),
-    ])
-    def test_eval_infinite_imaginary_part_exit_two(self, where, message, tmp_path,
-                                                   capsys):
-        # re + 1j * im once made 0 * inf for the real part: a NaN there, and a
-        # numpy RuntimeWarning on stderr before the error line
-        obj = group_point(3) if where == "X" else flag_point(3)
-        m = obj["X"] if where == "X" else obj["projections"][1]
-        m["im"][0][1] = float("inf")
-        p = tmp_path / "p.json"
-        p.write_text(json.dumps(obj))
-        quantity = "curvature" if where == "X" else "nu"
-        assert main(["eval", "--input", str(p), "--quantity", quantity]) == 2
-        path = "$.X" if where == "X" else "$"
-        assert capsys.readouterr().err == f"error: {path}: {message}\n"
-
-    @pytest.mark.parametrize("part", ["re", "im"])
-    def test_eval_infinite_g_entry_exit_two(self, part, tmp_path, capsys):
-        # g g^H of an infinite g once put a numpy RuntimeWarning on stderr
-        obj = group_point(3)
-        obj["g"][part][0][1] = float("inf")
-        p = tmp_path / "p.json"
-        p.write_text(json.dumps(obj))
-        assert main(["eval", "--input", str(p), "--quantity", "curvature"]) == 2
-        assert capsys.readouterr().err == (
-            "error: $.g: matrix is not unitary: ||g g^H - I||_F = nan\n"
-        )
-
-    @pytest.mark.parametrize("dim, block", [(2.0, [[0, 0], [0, 0]]), (True, [[0]]),
-                                            (0, [])], ids=["float", "true", "zero"])
-    def test_eval_bad_dim_exit_two(self, dim, block, tmp_path, capsys):
-        # 2.0 once passed, since (2, 2) == (2.0, 2.0), and true read a 1 x 1 g
-        p = tmp_path / "p.json"
-        obj = write_curvature_point(p)
-        obj["g"] = {"dim": dim, "re": block, "im": [[1] + row[1:] for row in block]}
-        p.write_text(json.dumps(obj))
-        assert main(["eval", "--input", str(p), "--quantity", "projector"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: $.g: 'dim' is not an integer >= 1")
+        p.write_text(json.dumps(group_point(4)))
+        assert main(["eval", "--input", str(p), "--quantity", "curvature"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["method"] == "residue"
+        assert abs(rec["residual_vs_oracle"] - 1e-3) < 1e-12
 
     def test_eval_quadrature_node_limit_exit_two(self, tmp_path, capsys):
         # the cut is 2e-6 from the excluded eigenvalue (CUT_EXCLUSION is
@@ -615,14 +652,6 @@ class TestMain:
         capsys.readouterr()
         assert main(args + ["--method", "quadrature"]) == 2
         assert "QuadratureError" in capsys.readouterr().err
-
-    def test_eval_overflowing_fd_step_exit_two(self, tmp_path, capsys):
-        # |A| ~ 1e150 puts h ||A||_2 far past the cut bound at h = FD_STEP
-        p = tmp_path / "p.json"
-        p.write_text(json.dumps(scaled_tangents(group_point(3), 1e150)))
-        assert main(["eval", "--input", str(p), "--quantity", "df"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error (StepTooLargeError): FD step h = 1e-05")
 
     @pytest.mark.parametrize("margin", [0.999, 1.001])
     def test_eval_fd_step_bound(self, tmp_path, capsys, margin):
@@ -648,14 +677,6 @@ class TestMain:
         reach = margin * cut_distance("z1", "z2")
         check_fd_step(tmp_path, capsys, "curvature", "XY", reach, refused=margin > 1)
 
-    def test_eval_nan_cut_exit_two(self, tmp_path, capsys):
-        p = tmp_path / "p.json"
-        obj = write_curvature_point(p)
-        obj["z1"] = [float("nan"), 0.0]
-        p.write_text(json.dumps(obj))
-        assert main(["eval", "--input", str(p), "--quantity", "curvature"]) == 2
-        assert "$.z1" in capsys.readouterr().err
-
     def test_decode_bit_identical_to_json(self):
         obj = flag_point(8)
         obj["edges"] = [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
@@ -668,74 +689,6 @@ class TestMain:
         a, b = flag_point_from_json(got, "$"), flag_point_from_json(want, "$")
         assert a.projections.tobytes() == b.projections.tobytes()
         assert a.torus_values.tobytes() == b.torus_values.tobytes()
-
-    @pytest.mark.parametrize(
-        "key, bad, raw, path",
-        [
-            ("z1", [float("inf"), 0.0], None, "$.z1"),
-            ("z1", [float("-inf"), 0.0], None, "$.z1"),
-            ("z1", [12345.5, 0.0], (b"12345.5", b"1e400"), "$.z1"),
-            ("z1", "\ud800", None, "$.z1"),
-            ("dim", 2**64, None, "$.g"),
-            ("z1", "XX", (b'"XX"', b'"\xff\xfe"'), None),
-            ("z1", [10**400, 0.0], None, "$.z1"),
-            ("re", 10**400, None, "$.g"),
-        ],
-        ids=["infinity", "minus-infinity", "1e400", "lone-surrogate",
-             "dim-beyond-64-bits", "invalid-utf8", "cut-integer-beyond-double",
-             "matrix-integer-beyond-double"],
-    )
-    def test_eval_nonstandard_json_exit_two(self, key, bad, raw, path, tmp_path,
-                                            capsys):
-        # literals orjson rejects and json accepts (or rejects as well) give
-        # the exit code and $ path that decoding with json alone gives; NaN
-        # is test_eval_nan_cut_exit_two.  An integer beyond 64 bits decodes
-        # as a float, and the shape check still fails on it; one beyond the
-        # double range decodes through json as an int no float can hold
-        p = tmp_path / "p.json"
-        obj = write_curvature_point(p)
-        if key == "dim":
-            obj["g"]["dim"] = bad
-        elif key == "re":
-            obj["g"]["re"][0][0] = bad
-        else:
-            obj[key] = bad
-        data = json.dumps(obj).encode()
-        if raw:
-            data = data.replace(*raw)
-        p.write_bytes(data)
-        assert main(["eval", "--input", str(p), "--quantity", "curvature"]) == 2
-        err = capsys.readouterr().err
-        if path is None:
-            assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
-        else:
-            assert err.startswith(f"error: {path}: ")
-
-    def test_eval_deep_nesting_exit_two(self, tmp_path, capsys):
-        # json gives up on nesting this deep with a RecursionError; orjson
-        # decodes it and the schema check rejects it
-        p = tmp_path / "p.json"
-        obj = write_curvature_point(p)
-        obj["z1"] = "DEEP"
-        p.write_text(json.dumps(obj).replace('"DEEP"', "[" * 3000 + "]" * 3000))
-        assert main(["eval", "--input", str(p), "--quantity", "curvature"]) == 2
-        assert capsys.readouterr().err.startswith("error: $.z1: ")
-
-    def test_eval_curving_cut_at_eigenvalue_exit_two(self, tmp_path, capsys):
-        g = np.diag(np.exp(1j * np.array([1.0, 2.5, 4.0])))
-        a = np.zeros((3, 3), dtype=complex)
-        a[0, 1], a[1, 0] = 1.0, -1.0
-        obj = {
-            "g": matrix_to_json(g),
-            "z": [np.cos(2.5 + 1e-8), np.sin(2.5 + 1e-8)],
-            "X": matrix_to_json(a),
-            "Y": matrix_to_json(1j * np.abs(a)),
-        }
-        p = tmp_path / "p.json"
-        p.write_text(json.dumps(obj))
-        args = ["eval", "--input", str(p), "--quantity", "curving", "--no-oracle"]
-        assert main(args) == 2
-        assert "IllConditionedCutError" in capsys.readouterr().err
 
     def test_eval_curving_on_a_near_pair(self, tmp_path, capsys):
         # eigenvalues 1e-8 apart: residue weights that lose digits to the
@@ -755,23 +708,6 @@ class TestMain:
         rec = json.loads(capsys.readouterr().out)
         assert rec["method"] == "residue"
         assert rec["residual_vs_oracle"] < 1e-10
-
-    def test_eval_missing_file_exit_two(self, tmp_path):
-        assert (
-            main(["eval", "--input", str(tmp_path / "no.json"), "--quantity", "nu"])
-            == 2
-        )
-
-    def test_eval_invalid_json_exit_two(self, tmp_path):
-        p = tmp_path / "p.json"
-        p.write_text("{not json")
-        assert main(["eval", "--input", str(p), "--quantity", "nu"]) == 2
-
-    def test_bad_tol_exit_two(self):
-        assert (
-            main(["verify", "--suite", "projectors", "--samples", "1", "--tol", "x"])
-            == 2
-        )
 
 
 class TestCollectorPause:

@@ -227,6 +227,12 @@ class TestQuadrature:
             want += [stop] * (total // stop) + [total % stop] * (total % stop > 0)
         assert seen == want
 
+    def test_non_finite_integrand(self):
+        with pytest.raises(EvaluationError) as err:
+            quad_integrate(Contour(0.2, 1.2), lambda xs: np.full(len(xs), np.nan),
+                           vectorized=True)
+        assert str(err.value) == "integrand is not finite on the contour"
+
     def test_node_limit_raises(self):
         c = Contour(0.2, 1.2)
         with pytest.raises(QuadratureError, match="6 panels at 64 nodes each: last"):

@@ -35,6 +35,13 @@ def descending_triple(spec, rng):
     return descending_cuts(spec, rng, 3)
 
 
+def diag_element(angles, u, v):
+    """The canonical element 1 over diag(e^{i angles}) and the cuts at u and v."""
+    g = UnitaryMatrix(np.diag(np.exp(1j * np.array(angles))))
+    ctx = classify(cut_point(u), cut_point(v), spectral_decompose(g))
+    return fiber_element(ctx, 1.0)
+
+
 class TestDetLineElement:
     def test_frame_width_must_match_arc(self):
         rng = sample_rng(0, "fiber-test", 0)
@@ -110,15 +117,10 @@ class TestGerbeProduct:
 
     def test_base_point_mismatch(self):
         # same cuts over another element of the same or of another U(n)
-        def element(angles, u, v):
-            g = UnitaryMatrix(np.diag(np.exp(1j * np.array(angles))))
-            spec = spectral_decompose(g)
-            return fiber_element(classify(cut_point(u), cut_point(v), spec), 1.0)
-
-        a = element([1.0, 3.0, 5.0], 4.0, 2.0)
+        a = diag_element([1.0, 3.0, 5.0], 4.0, 2.0)
         for angles in ([1.0, 3.0, 5.1], [1.0, 3.0]):
             with pytest.raises(IncomparableError, match="group elements"):
-                gerbe_product(a, element(angles, 2.0, 0.5))
+                gerbe_product(a, diag_element(angles, 2.0, 0.5))
 
     def test_norm_multiplicative(self):
         for k in range(20):
@@ -135,6 +137,27 @@ class TestGerbeProduct:
             _, spec = well_separated_unitary(5, rng)
             z1, z2, z3, z4 = descending_cuts(spec, rng, 4)
             assert associativity_check(z1, z2, z3, z4, spec, rng) < 1e-9
+
+
+@pytest.mark.parametrize("error, message, call", [
+    (IncomparableError, "elements live over different points",
+     lambda a: same_element(a, diag_element([1, 3, 5.1], 4, 2))),
+    (IncomparableError, "pairing needs a dual element and a det element",
+     lambda a: dual_pairing(a, a)),
+    (IncomparableError, "elements live over different arcs",
+     lambda a: dual_pairing(swap_transport(diag_element([1, 3, 5], 4, 0.5)), a)),
+    (DimensionError, "conjugator dimension mismatch",
+     lambda a: conjugate_fiber(UnitaryMatrix(np.eye(4)), a, a.ctx.spec)),
+    (DimensionError, "conjugator dimension mismatch",
+     lambda a: UnitaryMatrix(a.ctx.spec.matrix).conjugate_by(UnitaryMatrix(np.eye(4)))),
+], ids=["same-element", "pairing-kinds", "pairing-arcs", "conjugate-fiber",
+        "conjugate-by"])
+def test_refused_with_its_message(error, message, call):
+    # a over diag(e^i, e^3i, e^5i), cuts at 4 and 2, against an element over
+    # another g, over other cuts, of the wrong kind, or a conjugator of U(4)
+    with pytest.raises(error) as err:
+        call(diag_element([1, 3, 5], 4, 2))
+    assert str(err.value) == message
 
 
 class TestSwapTransport:

@@ -13,6 +13,8 @@ from basicgerbe import (
     UnitaryMatrix,
     arc_projector,
     classify,
+    curvature_via_contour,
+    curving_eval,
     cut_point,
     embed_block,
     projector_derivative,
@@ -270,10 +272,21 @@ class TestArcProjector:
         )
         assert np.array_equal(arc_projector(ctx, "quadrature"), whole)
 
-    def test_unknown_method(self, diag_spec):
+    @pytest.mark.parametrize("route", ["arc_projector", "projector_derivative",
+                                       "curvature_via_contour", "curving_eval"])
+    def test_unknown_method(self, diag_spec, route):
+        # each route function names the method it does not have
         ctx = classify(cut_point(3 * np.pi / 4), cut_point(np.pi / 4), diag_spec)
-        with pytest.raises(ValueError):
-            arc_projector(ctx, method="cubature")
+        x = tangent_random(UnitaryMatrix(diag_spec.matrix), np.random.default_rng(0))
+        call = {
+            "arc_projector": lambda m: arc_projector(ctx, m),
+            "projector_derivative": lambda m: projector_derivative(ctx, x, m),
+            "curvature_via_contour": lambda m: curvature_via_contour(ctx, x, x, m),
+            "curving_eval": lambda m: curving_eval(ctx.z1, diag_spec, x, x, m),
+        }[route]
+        with pytest.raises(ValueError) as err:
+            call("cubature")
+        assert str(err.value) == "unknown method 'cubature'"
 
 
 class TestArcBasis:
