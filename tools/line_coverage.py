@@ -58,10 +58,9 @@ def main(argv: list[str]) -> int:
         name = frame.f_code.co_filename
         if name not in inside:
             inside[name] = os.path.realpath(name).startswith(prefix)
-            ran.setdefault(name, set())
         if not inside[name]:
             return None
-        ran[name].add(frame.f_lineno)
+        ran.setdefault(name, set()).add(frame.f_lineno)
         return local
 
     sys.path.insert(0, str(SRC))
@@ -81,8 +80,7 @@ def main(argv: list[str]) -> int:
 
     hit: dict[Path, set[int]] = {}
     for name, lines in ran.items():
-        if inside[name]:
-            hit.setdefault(Path(os.path.realpath(name)), set()).update(lines)
+        hit.setdefault(Path(os.path.realpath(name)), set()).update(lines)
     missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text().splitlines()
