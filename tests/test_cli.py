@@ -336,6 +336,9 @@ EXIT_TWO = {
     "invalid-json": (lambda: b"{not json", NU, "error: Expecting property name "
      "enclosed in double quotes: line 1 column 2 (char 1)"),
 }
+# rows that keep the test names they had before the table, run by name below
+NAMED = {"tol-no-equals", "missing-cut", "nan-cut", "deep-nesting", "missing-file",
+         "invalid-json"}
 
 
 class TestRunSuite:
@@ -613,14 +616,33 @@ class TestMain:
         rec = json.loads(capsys.readouterr().out)
         assert abs(rec["value_im"] + 0.5) < 1e-10
 
-    @pytest.mark.parametrize("build, argv, line", EXIT_TWO.values(), ids=list(EXIT_TWO))
-    def test_exit_two(self, build, argv, line, tmp_path, capsys):
+    @pytest.mark.parametrize("row", [row for row in EXIT_TWO if row not in NAMED])
+    def test_exit_two(self, row, tmp_path, capsys):
+        build, argv, line = EXIT_TWO[row]
         p = tmp_path / "p.json"
         if build is not None:
             data = build()
             p.write_bytes(data if type(data) is bytes else json.dumps(data).encode())
         assert main([str(p) if arg == "{input}" else arg for arg in argv.split()]) == 2
         assert capsys.readouterr() == ("", line.replace("{input}", str(p)) + "\n")
+
+    def test_bad_tol_exit_two(self, tmp_path, capsys):
+        self.test_exit_two("tol-no-equals", tmp_path, capsys)
+
+    def test_eval_bad_schema_exit_two(self, tmp_path, capsys):
+        self.test_exit_two("missing-cut", tmp_path, capsys)
+
+    def test_eval_nan_cut_exit_two(self, tmp_path, capsys):
+        self.test_exit_two("nan-cut", tmp_path, capsys)
+
+    def test_eval_deep_nesting_exit_two(self, tmp_path, capsys):
+        self.test_exit_two("deep-nesting", tmp_path, capsys)
+
+    def test_eval_missing_file_exit_two(self, tmp_path, capsys):
+        self.test_exit_two("missing-file", tmp_path, capsys)
+
+    def test_eval_invalid_json_exit_two(self, tmp_path, capsys):
+        self.test_exit_two("invalid-json", tmp_path, capsys)
 
     def test_eval_curvature_residue_oracle_is_quadrature(self, tmp_path, capsys,
                                                          monkeypatch):
