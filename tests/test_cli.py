@@ -37,6 +37,7 @@ from basicgerbe.sampling import (
     sample_rng,
     well_separated_unitary,
 )
+from refusals import refused, refusal_test
 
 # (name, identity, tolerance, samples, failures) per check of every suite
 # at dim 3, 5 samples, seed 0
@@ -79,12 +80,13 @@ def cut_distance(*cuts):
     return min(np.min(np.abs(lam - complex(*obj[z]))) for z in cuts)
 
 
-def check_fd_step(tmp_path, capsys, quantity, tangents, reach, refused):
+def check_fd_step(tmp_path, capsys, quantity, tangents, reach, moved):
     """``eval --method fd`` at ``group_point(3)``, its tangents scaled so that
     the largest h ||A||_2 among ``tangents`` is ``reach``, h = FD_STEP.
 
-    A refused step exits 2 naming the step, any other gives a finite value;
-    returns stderr.
+    With ``moved`` None the step gives a finite value; otherwise it is refused,
+    with exit 2 and the one line naming the step, in which ``moved`` reads
+    "<move>, which reaches the distance <distance>".
     """
     obj = group_point(3)
     top = max(
@@ -95,12 +97,12 @@ def check_fd_step(tmp_path, capsys, quantity, tangents, reach, refused):
     p.write_text(json.dumps(scaled_tangents(obj, reach / (FD_STEP * top))))
     code = main(["eval", "--input", str(p), "--quantity", quantity, "--method", "fd"])
     out, err = capsys.readouterr()
-    if refused:
-        assert code == 2
-        assert err.startswith("error (StepTooLargeError): FD step h = 1e-05")
+    if moved:
+        assert (code, out) == (2, "")
+        assert err == ("error (StepTooLargeError): FD step h = 1e-05 moves an "
+                       f"eigenvalue up to {moved} from spec(g) to the nearest cut\n")
     else:
         assert code == 0 and np.isfinite(value(json.loads(out)))
-    return err
 
 
 def scaled_tangents(obj, scale):
@@ -173,6 +175,15 @@ def cut_at_eigenvalue():
             "X": matrix_to_json(a), "Y": matrix_to_json(1j * np.abs(a))}
 
 
+def ambiguous_run():
+    # e^i, e^{i(1 + 5e-10)} and e^{i(1 + 1.2e-9)}: each within CLUSTER_TOL of the
+    # next, the run wider than it, so no split into clusters holds
+    g = np.diag(np.exp(1j * np.array([1.0, 1.0 + 5e-10, 1.0 + 1.2e-9, 3.0])))
+    return {"g": matrix_to_json(g), "z1": [np.cos(2.0), np.sin(2.0)],
+            "z2": [np.cos(0.5), np.sin(0.5)]}
+
+
+FLAG, GROUP = flag_point(), group_point()
 ZEROS = matrix_to_json(np.zeros((3, 3)))
 DROP_LAST = lambda row: row[:-1]
 NOT_DOUBLES = "matrix entries are not doubles: must be real number, not "
@@ -332,6 +343,27 @@ EXIT_TWO = {
     "curving-cut-at-eigenvalue": (cut_at_eigenvalue, CURVING + " --no-oracle",
      "error (IllConditionedCutError): cut within 1.00e-08 of an eigenvalue "
      "(limit 1e-06)"),
+    # the point's own checks: a tangent, a torus value, a cut or a cut pair
+    "dlambda-nan": (edit(flag_point, "tangents", 0, "dlambda", 0, to=[np.nan, 0.0]), NU,
+     "error: $.tangents[0]: tangent data has non-finite entries"),
+    # dlambda_0 = lambda_0 points straight out of the circle
+    "dlambda-radial": (
+     edit(flag_point, "tangents", 0, "dlambda", 0, to=FLAG["lambda"][0]), NU,
+     "error: $.tangents[0]: dlambda is not tangent to the unit circle"),
+    "lambda-off-circle": (edit(flag_point, "lambda", 0, to=[2.0, 0.0]), NU,
+     "error: $: torus values must be finite, of unit modulus"),
+    "cut-off-circle": (edit(group_point, "z1", to=[2.0, 0.0]), PROJECTOR,
+     "error: $.z1: |z| = 2.0 is not on the unit circle"),
+    "cut-at-identity": (edit(group_point, "z1", to=[1.0, 0.0]), PROJECTOR,
+     "error: $.z1: the identity 1 is not a cut point"),
+    "equal-cuts": (edit(group_point, "z2", to=GROUP["z1"]), PROJECTOR,
+     "error (IncomparableError): equal cut points are incomparable"),
+    "negative-projector": (
+     lambda: {**group_point(), "z1": GROUP["z2"], "z2": GROUP["z1"]}, PROJECTOR,
+     "error (EmptySpaceError): negative context: swap the cuts and work with the dual "
+     "line"),
+    "ambiguous-cluster": (ambiguous_run, PROJECTOR, "error (AmbiguousClusterError): "
+     "eigenvalue run spans 1.200e-09 >= tolerance 1.000e-09"),
     "missing-file": (None, NU, "error: [Errno 2] No such file or directory: '{input}'"),
     "invalid-json": (lambda: b"{not json", NU, "error: Expecting property name "
      "enclosed in double quotes: line 1 column 2 (char 1)"),
@@ -379,13 +411,11 @@ class TestRunSuite:
         assert not report["passed"]
 
     def test_unknown_suite(self):
-        with pytest.raises(ValueError) as err:
-            run_suite(SuiteConfig(suite="nonsense"))
-        assert str(err.value) == (
-            "unknown suite 'nonsense'; choose from ['curvature-equivalence', "
-            "'delta-curving', 'equivariance', 'gerbe-axioms', 'projectors', "
-            "'three-curvature', 'truncation', 'weyl']"
-        )
+        refused(ValueError, "unknown suite 'nonsense'; choose from "
+                "['curvature-equivalence', 'delta-curving', 'equivariance', "
+                "'gerbe-axioms', 'projectors', 'three-curvature', 'truncation', "
+                "'weyl']",
+                lambda: run_suite(SuiteConfig(suite="nonsense")))
 
     def test_report_schema(self):
         report = run_suite(SuiteConfig(suite="gerbe-axioms", dim=3, samples=2, seed=2))
@@ -424,24 +454,18 @@ class TestEvalPoint:
 
     def test_non_finite_value_or_residual(self, monkeypatch):
         # tr(A [B, C]) overflows for directions of norm 1e110
-        with pytest.raises(EvaluationError, match="not finite"):
-            eval_point(scaled_tangents(group_point(3), 1e110), "nu", "residue", True)
+        refused(EvaluationError, "nu: the value or its residual is not finite",
+                lambda: eval_point(scaled_tangents(group_point(3), 1e110), "nu",
+                                   "residue", True))
         # a finite value whose oracle is not
         monkeypatch.setattr(forms, "three_curvature", lambda *args: complex("nan"))
         assert np.isfinite(eval_point(group_point(3), "df", "fd", False)["value_re"])
-        with pytest.raises(EvaluationError, match="not finite"):
-            eval_point(group_point(3), "df", "fd", True)
+        refused(EvaluationError, "df: the value or its residual is not finite",
+                lambda: eval_point(group_point(3), "df", "fd", True))
 
     def test_missing_field(self):
-        with pytest.raises(SchemaError) as err:
-            eval_point({}, "curvature", "residue", True)
-        assert "$.g" in str(err.value)
-
-    def test_unknown_quantity(self):
-        # argparse's choices keep it from main, but tools call eval_point
-        with pytest.raises(SchemaError) as err:
-            eval_point(group_point(), "volume", "residue", True)
-        assert str(err.value) == "$: unknown quantity 'volume'"
+        refused(SchemaError, "$.g: missing field",
+                lambda: eval_point({}, "curvature", "residue", True))
 
     @pytest.mark.parametrize("keep", ["projections", "tangents", "both"])
     def test_flag_file_without_lambda(self, keep):
@@ -451,8 +475,8 @@ class TestEvalPoint:
         del obj["lambda"]
         if keep != "both":
             del obj[{"projections": "tangents", "tangents": "projections"}[keep]]
-        with pytest.raises(SchemaError, match=r"^\$\.lambda: missing field"):
-            eval_point(obj, "nu", "residue", True)
+        refused(SchemaError, "$.lambda: missing field",
+                lambda: eval_point(obj, "nu", "residue", True))
         # beside a "g", the same fields leave a group point a group point
         group = {**group_point(3), **obj}
         assert eval_point(group, "nu", "residue", True)["method"] == "closed-form"
@@ -492,17 +516,6 @@ class TestEvalPoint:
         monkeypatch.setattr(weyl.FlagTorusPoint, "__post_init__", counting)
         eval_point(obj, quantity, "residue", True)
         assert len(built) == 1
-
-    def test_flag_tangent_error_paths(self):
-        obj = flag_point(3)
-        dp = obj["tangents"][1]["dP"]
-        dp[0], dp[1] = dp[1], dp[0]
-        with pytest.raises(SchemaError, match=r"^\$\.tangents\[1\]: .*off-diagonal"):
-            eval_point(obj, "df", "residue", True)
-        obj = flag_point(3)
-        del obj["tangents"][0]["dlambda"]
-        with pytest.raises(SchemaError, match=r"^\$\.tangents\[0\]\.dlambda: "):
-            eval_point(obj, "df", "residue", True)
 
     def test_curvature_fd_matches_residue(self):
         rng = sample_rng(0, "cli-test", 1)
@@ -673,7 +686,10 @@ class TestMain:
         assert main(args) == 0
         capsys.readouterr()
         assert main(args + ["--method", "quadrature"]) == 2
-        assert "QuadratureError" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error (QuadratureError): no convergence on "
+                                       "6 panels at 1024 nodes each: last difference "
+                                       "2.43e-02 between the 1024-node Gauss and "
+                                       "2049-node Kronrod estimates\n")
 
     @pytest.mark.parametrize("margin", [0.999, 1.001])
     def test_eval_fd_step_bound(self, tmp_path, capsys, margin):
@@ -681,15 +697,16 @@ class TestMain:
         # eigenvalues of iA, stays below the distance from spec(g) to z, and
         # exits 2 naming the step from there on
         reach = margin * cut_distance("z")
-        check_fd_step(tmp_path, capsys, "df", "XYZ", reach, refused=margin > 1)
+        moved = {0.999: None, 1.001: "0.8027, which reaches the distance 0.8019"}
+        check_fd_step(tmp_path, capsys, "df", "XYZ", reach, moved[margin])
 
     def test_eval_fd_step_past_the_cut_exit_two(self, tmp_path, capsys):
         # at h max |mu| = 0.999 UNITARITY_TOL / eps, about 4.5e3, the phases
         # of exp(hA) wind round the circle hundreds of times, so the central
         # difference means nothing: exit 2 naming the step
         reach = 0.999 * UNITARITY_TOL / np.finfo(float).eps
-        err = check_fd_step(tmp_path, capsys, "df", "XYZ", reach, refused=True)
-        assert "reaches the distance" in err
+        moved = "3191, which reaches the distance 0.8019"
+        check_fd_step(tmp_path, capsys, "df", "XYZ", reach, moved)
 
     @pytest.mark.parametrize("margin", [0.999, 1.001, 5.0])
     def test_eval_curvature_fd_step_bound(self, tmp_path, capsys, margin):
@@ -697,7 +714,9 @@ class TestMain:
         # distance from spec(g) to the nearer of z1 and z2; past it the arc
         # may gain or lose an eigenvalue, and the step is refused
         reach = margin * cut_distance("z1", "z2")
-        check_fd_step(tmp_path, capsys, "curvature", "XY", reach, refused=margin > 1)
+        moved = {0.999: None, 1.001: "0.1674, which reaches the distance 0.1673",
+                 5.0: "0.6855, which reaches the distance 0.1673"}
+        check_fd_step(tmp_path, capsys, "curvature", "XY", reach, moved[margin])
 
     def test_decode_bit_identical_to_json(self):
         obj = flag_point(8)
@@ -782,10 +801,11 @@ class TestCollectorPause:
         quantity = "df" if case == "gerbe" else "nu"
         code = main(["eval", "--input", str(p), "--quantity", quantity])
         assert code == (0 if case == "ok" else 2)
-        err = capsys.readouterr().err
-        assert {"ok": err == "", "schema": "needs 3 tangents" in err,
-                "gerbe": "StepTooLargeError" in err,
-                "missing": "No such file" in err}[case]
+        # the line of the EXIT_TWO row with the same point file and quantity
+        row = {"schema": "too-few-tangents", "gerbe": "fd-step-overflow",
+               "missing": "missing-file"}.get(case)
+        line = EXIT_TWO[row][2].replace("{input}", str(p)) + "\n" if row else ""
+        assert capsys.readouterr().err == line
         assert gc.isenabled()
 
     def test_caller_setting_kept(self, tmp_path, capsys):
@@ -826,16 +846,27 @@ class TestFlagJson:
         assert np.allclose(pt2.projections, pt.projections)
 
     def test_missing_field(self):
-        with pytest.raises(SchemaError) as err:
-            flag_point_from_json({"lambda": [[0.0, 1.0]]}, "$")
-        assert "projections" in str(err.value)
+        refused(SchemaError, "$.projections: missing field",
+                lambda: flag_point_from_json({"lambda": [[0.0, 1.0]]}, "$"))
 
     def test_bad_complex(self):
-        with pytest.raises(SchemaError) as err:
-            flag_point_from_json({"lambda": [[0.0]], "projections": []}, "$")
-        assert "lambda[0]" in str(err.value)
+        refused(SchemaError, "$.lambda[0]: expected [re, im]",
+                lambda: flag_point_from_json({"lambda": [[0.0]], "projections": []},
+                                             "$"))
 
-    def test_first_bad_field_in_reading_order(self):
-        # a bad "lambda" is named before a missing "projections"
-        with pytest.raises(SchemaError, match=r"^\$\.lambda\[0\]: "):
-            flag_point_from_json({"lambda": [[0.0]]}, "$")
+
+REFUSALS = {
+    # argparse's choices keep it from main, but tools call eval_point
+    "unknown-quantity": (SchemaError, "$: unknown quantity 'volume'",
+     lambda: eval_point(group_point(), "volume", "residue", True)),
+    "dP-swap": (SchemaError,
+     "$.tangents[1]: dP_i must be off-diagonal for P_i and sum to zero",
+     lambda: eval_point(EXIT_TWO["dP-swap"][0](), "df", "residue", True)),
+    "dlambda-missing": (SchemaError, "$.tangents[0].dlambda: missing field",
+     lambda: eval_point(edit(flag_point, "tangents", 0, to=lambda t: {"dP": t["dP"]})(),
+                        "df", "residue", True)),
+    # a bad "lambda" is named before a missing "projections"
+    "lambda-first": (SchemaError, "$.lambda[0]: expected [re, im]",
+     lambda: flag_point_from_json({"lambda": [[0.0]]}, "$")),
+}
+test_refused = refusal_test(REFUSALS)

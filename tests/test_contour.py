@@ -31,6 +31,7 @@ from basicgerbe import (
     spectrum_contour,
 )
 from basicgerbe.contour import DEFAULT_NODES, MAX_NODES, _kronrod, _newton, log_cut_array
+from refusals import refused, refusal_test
 from residue_reference import UnsupportedOrderError, residue_eval
 
 
@@ -40,21 +41,15 @@ def winding(contour, pole):
 
 class TestCutCirclePoint:
     def test_rejects_identity(self):
-        with pytest.raises(BoundaryError):
-            CutCirclePoint(1.0 + 0j)
+        refused(BoundaryError, "the identity 1 is not a cut point",
+                lambda: CutCirclePoint(1.0 + 0j))
 
     def test_rejects_off_circle(self):
-        with pytest.raises(BoundaryError):
-            CutCirclePoint(2j)
+        refused(BoundaryError, "|z| = 2.0 is not on the unit circle",
+                lambda: CutCirclePoint(2j))
 
     def test_angle_range(self):
         assert abs(cut_point(-np.pi / 2).angle - 3 * np.pi / 2) < 1e-12
-
-    def test_rejects_non_finite(self):
-        for v in (complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.0, np.nan)):
-            with pytest.raises(BoundaryError):
-                CutCirclePoint(v)
-
 
 class TestCircleOrder:
     # The order follows its definition: z1 > z2 iff z2 reaches z1 by a
@@ -68,8 +63,8 @@ class TestCircleOrder:
 
     def test_equal_incomparable(self):
         z = cut_point(1.0)
-        with pytest.raises(IncomparableError):
-            circle_gt(z, cut_point(1.0))
+        refused(IncomparableError, "equal cut points are incomparable",
+                lambda: circle_gt(z, cut_point(1.0)))
 
     def test_exactly_one_direction(self):
         rng = np.random.default_rng(0)
@@ -124,13 +119,14 @@ class TestContours:
 
     def test_null_pair_rejected(self):
         ctx = classify(cut_point(np.pi / 8), cut_point(np.pi / 4), self.spec)
-        with pytest.raises(EmptySpaceError):
-            ctx.contour
+        refused(EmptySpaceError, "no eigenvalues between the cut points",
+                lambda: ctx.contour)
 
     def test_cut_near_eigenvalue_rejected(self):
         z = cut_point(np.pi / 2 + 1e-8)
-        with pytest.raises(IllConditionedCutError):
-            classify(z, cut_point(np.pi / 4), self.spec)
+        refused(IllConditionedCutError,
+                "cut within 1.00e-08 of an eigenvalue (limit 1e-06)",
+                lambda: classify(z, cut_point(np.pi / 4), self.spec))
 
     def test_windings_match_betweenness(self):
         # the contour of an arc context winds once round exactly the
@@ -227,16 +223,12 @@ class TestQuadrature:
             want += [stop] * (total // stop) + [total % stop] * (total % stop > 0)
         assert seen == want
 
-    def test_non_finite_integrand(self):
-        with pytest.raises(EvaluationError) as err:
-            quad_integrate(Contour(0.2, 1.2), lambda xs: np.full(len(xs), np.nan),
-                           vectorized=True)
-        assert str(err.value) == "integrand is not finite on the contour"
-
     def test_node_limit_raises(self):
         c = Contour(0.2, 1.2)
-        with pytest.raises(QuadratureError, match="6 panels at 64 nodes each: last"):
-            quad_integrate(c, lambda xi: 1.0 / (xi - 0.51 * np.exp(0.7j)), max_nodes=64)
+        refused(QuadratureError, "no convergence on 6 panels at 64 nodes each: last "
+                "difference 6.05e-03 between the 64-node Gauss and 129-node Kronrod "
+                "estimates", lambda: quad_integrate(
+                    c, lambda xi: 1.0 / (xi - 0.51 * np.exp(0.7j)), max_nodes=64))
 
     @pytest.mark.parametrize("edge", [0.2, 1.2])
     @pytest.mark.parametrize("offset", [1e-3, -1e-3])
@@ -517,12 +509,6 @@ class TestGaussKronrod:
             tracemalloc.stop()
         assert peak < 1e6
 
-    def test_newton_raises_without_a_zero(self):
-        # cos(2 theta) + 2 has no real zero
-        with pytest.raises(EvaluationError, match="did not converge"):
-            _newton(2.0, np.array([1.0, 2.0]), np.array([0.3, 1.0]))
-
-
 class TestResidues:
     def test_pair_sum_matches_quadrature(self):
         li, lj = np.exp(0.4j), np.exp(1.9j)
@@ -536,8 +522,8 @@ class TestResidues:
         assert abs(val - 0.5) < 1e-12  # -(1/2) lam^{-2} at lam = i
 
     def test_order_cap(self):
-        with pytest.raises(UnsupportedOrderError):
-            residue_eval([(1j, 4)])
+        refused(UnsupportedOrderError, "pole order 4 is not supported",
+                lambda: residue_eval([(1j, 4)]))
 
     def test_random_configs_vs_quadrature(self):
         rng = np.random.default_rng(5)
@@ -554,3 +540,21 @@ class TestResidues:
             )
             got = residue_eval([(la, 1), (lb, 2)], with_log=z)
             assert abs(want - got) < 1e-10
+
+
+REFUSALS = {
+    "cut-nan": (BoundaryError, "cut point (nan+0j) is not finite",
+     lambda: CutCirclePoint(complex(np.nan, 0.0))),
+    "cut-inf": (BoundaryError, "cut point (inf+0j) is not finite",
+     lambda: CutCirclePoint(complex(np.inf, 0.0))),
+    "cut-nan-im": (BoundaryError, "cut point nanj is not finite",
+     lambda: CutCirclePoint(complex(0.0, np.nan))),
+    "integrand-nan": (EvaluationError, "integrand is not finite on the contour",
+     lambda: quad_integrate(Contour(0.2, 1.2), lambda xs: np.full(len(xs), np.nan),
+                            vectorized=True)),
+    # cos(2 theta) + 2 has no real zero
+    "newton-no-zero": (EvaluationError, "Gauss-Kronrod nodes did not converge: "
+     "Newton's method on a cosine series of degree 2",
+     lambda: _newton(2.0, np.array([1.0, 2.0]), np.array([0.3, 1.0]))),
+}
+test_refused = refusal_test(REFUSALS)

@@ -46,6 +46,7 @@ from basicgerbe.sampling import (
     sample_rng,
     well_separated_unitary,
 )
+from refusals import refused, refusal_test
 from residue_reference import residue_eval
 from wedge_reference import wedge_trace_eval
 
@@ -117,8 +118,8 @@ class TestWedgeTrace:
         assert abs(wedge_trace_eval([eye] * 3, [s1, s1, s2])) < 1e-12
 
     def test_count_mismatch(self):
-        with pytest.raises(DimensionError):
-            wedge_trace_eval([np.eye(2)], [np.eye(2), np.eye(2)])
+        refused(DimensionError, "coefficient/slot count mismatch",
+                lambda: wedge_trace_eval([np.eye(2)], [np.eye(2), np.eye(2)]))
 
 
 class TestCurvature:
@@ -208,17 +209,6 @@ class TestStratumRule:
                 assert route(null, x, y) == 0j, name
         assert proper >= 10
 
-    def test_frame_size_error_names_the_stratum(self):
-        rng, _, spec, pos, _, _ = random_instance(1400, n=3)
-        null = classify(*random_null_pair(spec, rng), spec)
-        wide = np.zeros((3, pos.arc_dim + 1))  # one column too many
-        for ctx, name in ((pos, "positive"), (pos.swapped(), "negative")):
-            with pytest.raises(DimensionError, match=f"the {name} context"):
-                DetLineElement(ctx, wide, 1.0)
-        with pytest.raises(DimensionError, match="the null context"):
-            DetLineElement(null, np.zeros((3, 1)), 1.0)
-
-
 class TestWedgeResolventTrace:
     @pytest.mark.parametrize("n", [2, 5, 16])
     @pytest.mark.parametrize("inserted", [False, True])
@@ -299,15 +289,10 @@ class TestCurving:
             rng, g, spec, _, x, y = random_instance(700 + k)
             z = random_null_pair(spec, rng)[0]
             assert abs(curving_z_derivative_fd(z, spec, x, y)) < 1e-6
-
-    def test_cut_derivative_refuses_a_step_past_an_eigenvalue(self):
-        # a cut 5e-6 from an eigenvalue clears CUT_EXCLUSION, but z e^{+-ih}
-        # lie on both sides of it; 2e-5 away the stencil stays in one gap
+        # 2e-5 from an eigenvalue the stencil z e^{+-ih} stays in one gap
         rng = sample_rng(0, "probe", 0)
         g, spec = well_separated_unitary(3, rng)
         x, y = tangent_random(g, rng), tangent_random(g, rng)
-        with pytest.raises(StepTooLargeError, match="^FD step h = 1e-05 "):
-            curving_z_derivative_fd(cut_point(spec.angles[1] + 5e-6), spec, x, y)
         z = cut_point(spec.angles[1] + 2e-5)
         assert abs(curving_z_derivative_fd(z, spec, x, y)) < 1e-6
 
@@ -335,14 +320,6 @@ class TestCurving:
             want = mp_curving_weights(z, lam)
             err = np.abs(_curving_weights(z, lam) - want)
             assert np.max(err / np.maximum(1.0, np.abs(want))) <= 2e-15
-
-    @pytest.mark.parametrize("method", ["residue", "quadrature"])
-    def test_cut_at_eigenvalue_rejected(self, method):
-        g = UnitaryMatrix(np.diag(np.exp(1j * np.array([1.0, 2.5, 4.0]))))
-        rng = np.random.default_rng(3)
-        x, y = tangent_random(g, rng), tangent_random(g, rng)
-        with pytest.raises(IllConditionedCutError):
-            curving_eval(cut_point(2.5 + 1e-8), spectral_decompose(g), x, y, method)
 
     def test_dim_one_vanishes(self):
         g = UnitaryMatrix(np.diag([np.exp(0.9j)]))
@@ -497,14 +474,6 @@ class TestThreeForm:
         assert len(set(seen)) == 6
         assert g.mat.tobytes() not in seen
 
-    def test_curving_differential_needs_decomposition_of_base(self):
-        rng, g, spec, _, x, y = random_instance(1320, n=3)
-        z = tangent_random(g, rng)
-        cut = random_null_pair(spec, rng)[0]
-        other = spectral_decompose(random_unitary(3, rng))
-        with pytest.raises(IncomparableError):
-            exterior_derivative_fd(cut, other, x, y, z)
-
 
 def holonomy_instance(index, n, suite="forms-conn"):
     rng = sample_rng(0, suite, index)
@@ -562,12 +531,45 @@ class TestConnection:
                 hol2 = connection_holonomy(ctx2, a2, b2)
                 assert abs(np.angle(hol) - np.angle(hol2)) < 1e-14
 
-    def test_holonomy_needs_a_positive_context(self):
-        _, _, _, ctx, x, y = holonomy_instance(0, 3)
-        with pytest.raises(EmptySpaceError):
-            connection_holonomy(ctx.swapped(), x.direction, y.direction)
 
-    def test_holonomy_rejects_a_square_that_changes_the_arc(self):
-        _, _, _, ctx, x, y = holonomy_instance(0, 4)
-        with pytest.raises(StepTooLargeError):
-            connection_holonomy(ctx, x.direction, y.direction, h=20.0)
+def large_square():
+    _, _, _, ctx, x, y = holonomy_instance(0, 4)
+    return connection_holonomy(ctx, x.direction, y.direction, h=20.0)
+
+
+# eigenvalues at angles 1, 2.5 and 4, and the arc context of cuts at angles u, v
+SPEC3 = spectral_decompose(UnitaryMatrix(np.diag(np.exp([1j, 2.5j, 4j]))))
+X3 = tangent_random(UnitaryMatrix(SPEC3.matrix), np.random.default_rng(3))
+arc = lambda u, v: classify(cut_point(u), cut_point(v), SPEC3)
+FRAME = "frame has {} columns, the {} context's arc has dimension {}"
+NEAR = "cut within 1.00e-08 of an eigenvalue (limit 1e-06)"
+
+REFUSALS = {
+    # one column too many for the arc of e^i and e^2.5i and for its dual, or for
+    # the empty arc from 2 down to 1.5
+    "frame-positive": (DimensionError, FRAME.format(3, "positive", 2),
+     lambda: DetLineElement(arc(3, 0.5), np.zeros((3, 3)), 1.0)),
+    "frame-negative": (DimensionError, FRAME.format(3, "negative", 2),
+     lambda: DetLineElement(arc(0.5, 3), np.zeros((3, 3)), 1.0)),
+    "frame-null": (DimensionError, FRAME.format(1, "null", 0),
+     lambda: DetLineElement(arc(2, 1.5), np.zeros((3, 1)), 1.0)),
+    # a cut 5e-6 from an eigenvalue clears CUT_EXCLUSION, but z e^{+-ih} lie on
+    # both sides of it
+    "cut-derivative-step": (StepTooLargeError, "FD step h = 1e-05 moves an eigenvalue "
+     "up to 1e-05, which reaches the distance 5e-06 from spec(g) to the nearest cut",
+     lambda: curving_z_derivative_fd(cut_point(2.5 + 5e-6), SPEC3, X3, X3)),
+    "curving-cut-residue": (IllConditionedCutError, NEAR,
+     lambda: curving_eval(cut_point(2.5 + 1e-8), SPEC3, X3, X3)),
+    "curving-cut-quadrature": (IllConditionedCutError, NEAR,
+     lambda: curving_eval(cut_point(2.5 + 1e-8), SPEC3, X3, X3, "quadrature")),
+    # the decomposition of another element than the tangents' base
+    "differential-other-base": (IncomparableError,
+     "spec is not the decomposition of the base point", lambda: exterior_derivative_fd(
+         cut_point(2), spectral_decompose(UnitaryMatrix(np.eye(3))), X3, X3, X3)),
+    "holonomy-negative": (EmptySpaceError, "arc basis requires a positive context",
+     lambda: connection_holonomy(arc(0.5, 3), X3.direction, X3.direction)),
+    "holonomy-large-square": (StepTooLargeError, "FD step h = 10 moves an eigenvalue "
+     "up to 9.169, which reaches the distance 0.7402 from spec(g) to the nearest cut",
+     large_square),
+}
+test_refused = refusal_test(REFUSALS)

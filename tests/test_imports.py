@@ -13,10 +13,11 @@ call to a function of that name.  Only the readers of the JSON formats,
 ``cli.py`` (the point file) and ``linalg.py`` (the matrix leaf), construct
 a ``SchemaError``.
 
-Six jobs have one home each, a (module, top-level function) pair, and each
-guard is one call of ``lines_outside``: it parses every module once and
-reports the lines that the rule's ``lines_of`` finds outside the home, so a
-new one-home rule is a home pair plus a ``lines_of`` function.  Only the
+Six jobs of the package and one of its tests have one home each, a (module,
+top-level function) pair, and each guard is one call of ``lines_outside``:
+it parses every module once and reports the lines that the rule's
+``lines_of`` finds outside the home, so a new one-home rule is a home pair
+plus a ``lines_of`` function.  Only the
 step rule ``projectors._refuse_reach`` constructs a ``StepTooLargeError``,
 so every finite difference on U(n) is refused by the same bound.  Only the
 quotient ``projectors._central`` does arithmetic with ``FD_STEP``, so every
@@ -30,7 +31,9 @@ floats: no other code names ``fromlist`` or ``array.array``, and ``cli.py``
 and ``linalg.py`` make no float array with ``np.asarray``/``np.array``
 outside it.  Only ``cli._collector_paused`` changes the cycle collector's
 state: no other code names ``gc.disable``, ``gc.enable``, ``gc.freeze`` or
-``gc.set_threshold``.
+``gc.set_threshold``.  In the tests, only ``refusals.refused`` catches an
+error with ``pytest.raises``, so every refusal is checked by its type and
+its whole message; three tests that cannot use it are named as exceptions.
 The package needs only numpy and orjson: no module of it imports scipy,
 and a fresh interpreter that imports it has loaded no scipy module.
 """
@@ -621,6 +624,70 @@ def test_one_collector_pause():
     # and the pause itself still stops the collector
     pause = home_function(PACKAGE, COLLECTOR_PAUSE)
     assert any(getattr(n, "attr", None) == "disable" for n in ast.walk(pause))
+
+
+# the one helper that catches an error in the tests, and the three tests that
+# catch one it cannot: a raise on one branch of a parametrization, one inside
+# an installed tracer, and numpy's own error for a write to a read-only array
+REFUSAL_HELPER = ("refusals.py", "refused")
+RAISES_ALLOWED = {"test_vectorized_one_call_per_segment_per_pass",
+                  "test_benchmark_tracer_classes_give_up_at_max",
+                  "test_cached_basis_is_read_only_and_unchanged"}
+TESTS = {p.name: p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))}
+
+
+def raises_outside_refused(modules: dict[str, str]) -> list[str]:
+    """Lines naming ``raises`` of the ``pytest`` module, under any alias or
+    imported from it, anywhere but in ``REFUSAL_HELPER`` and the tests named
+    in ``RAISES_ALLOWED``."""
+
+    def lines_of(_, tree, skip):
+        aliases = {
+            alias.asname or alias.name
+            for node in walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name == "pytest"
+        }
+        allowed = skip | {id(n) for f in walk(tree)
+                          if getattr(f, "name", None) in RAISES_ALLOWED
+                          for n in ast.walk(f)}
+        return [n.lineno for n in walk(tree) if id(n) not in allowed and (
+            isinstance(n, ast.Attribute)
+            and n.attr == "raises" and getattr(n.value, "id", None) in aliases
+            or isinstance(n, ast.ImportFrom) and n.module == "pytest"
+            and "raises" in {a.name for a in n.names}
+        )]
+    return lines_outside(modules, REFUSAL_HELPER, lines_of)
+
+
+def test_detects_a_raises_outside_refused():
+    planted = (
+        "import pytest\nimport pytest as pt\nfrom pytest import raises\n\n"
+        "def test_a():\n    with pytest.raises(ValueError):\n        f()\n\n"
+        "class TestB:\n    def test_b(self):\n        pt.raises(ValueError, f)\n\n"
+        "    def test_cached_basis_is_read_only_and_unchanged(self):\n"
+        "        with pytest.raises(ValueError):\n            f()\n\n"
+        "def refused(error, message, call):\n    pytest.raises(error)\n"
+    )
+    helper = (
+        "import pytest\n\n"
+        "def refused(error, message, call):\n    with pytest.raises(error):\n"
+        "        call()\n\n"
+        "def refusal_test(table):\n    return pytest.raises\n"
+    )
+    assert raises_outside_refused({"test_m.py": planted, "refusals.py": helper}) == [
+        "test_m.py: line 3",
+        "test_m.py: line 6",
+        "test_m.py: line 11",
+        "test_m.py: line 18",
+        "refusals.py: line 8",
+    ]
+
+
+def test_one_refusal_idiom():
+    assert raises_outside_refused(TESTS) == []
+    # and the helper itself still catches the error
+    helper = home_function(TESTS, REFUSAL_HELPER)
+    assert any(getattr(n, "attr", None) == "raises" for n in ast.walk(helper))
 
 
 @pytest.mark.parametrize("guard, module, line", [

@@ -35,6 +35,7 @@ from basicgerbe.linalg import (
 from basicgerbe.projectors import _step
 from basicgerbe.sampling import _gap_list, sample_rng
 from basicgerbe.weyl import sample_regular
+from refusals import refused, refusal_test
 
 EPS = np.finfo(float).eps
 
@@ -153,8 +154,8 @@ class TestUnitaryCheck:
         assert not ok and defect > 1.0
 
     def test_non_square(self):
-        with pytest.raises(DimensionError):
-            unitary_check(np.ones((2, 3)))
+        refused(DimensionError, "expected a square matrix, got shape (2, 3)",
+                lambda: unitary_check(np.ones((2, 3))))
 
     @pytest.mark.parametrize("entry", [math.inf, complex(0, -math.inf), math.nan])
     def test_non_finite_entry(self, entry):
@@ -176,8 +177,8 @@ class TestRandomUnitary:
         assert np.array_equal(a.mat, b.mat)
 
     def test_zero_dim_rejected(self):
-        with pytest.raises(DimensionError):
-            random_unitary(0, np.random.default_rng(1))
+        refused(DimensionError, "dimension must be at least 1",
+                lambda: random_unitary(0, np.random.default_rng(1)))
 
     def test_unitary_spectrum_sweep(self):
         rng = np.random.default_rng(42)
@@ -247,8 +248,9 @@ class TestSpectralDecompose:
         # each neighbor within tol, total spread above it
         angles = np.arange(5) * 0.6 * CLUSTER_TOL
         g = UnitaryMatrix(np.diag(np.exp(1j * angles)))
-        with pytest.raises(AmbiguousClusterError):
-            spectral_decompose(g)
+        refused(AmbiguousClusterError,
+                "eigenvalue run spans 2.400e-09 >= tolerance 1.000e-09",
+                lambda: spectral_decompose(g))
 
     def test_regular_memory_is_quadratic(self):
         # a regular U(128) has 128 clusters; one dense n x n projector per
@@ -396,13 +398,9 @@ class TestShiftedStep:
     def test_just_above_the_bound(self, t):
         spec = self.spec()
         a = self.direction(1.001 * self.bound(spec) / abs(t))
-        with pytest.raises(StepTooLargeError, match=f"^FD step h = {abs(t):g} "):
-            _step(spec, a, t, self.CUT)
-
-    def test_refuses_a_non_finite_phase(self):
-        with pytest.raises(StepTooLargeError):
-            _step(self.spec(), self.direction(1.0), np.inf, self.CUT)
-
+        refused(StepTooLargeError, f"FD step h = {abs(t):g} moves an eigenvalue up to "
+                "0.9598, which reaches the distance 0.9589 from spec(g) to the nearest "
+                "cut", lambda: _step(spec, a, t, self.CUT))
 
 class TestEigenbasisSum:
     def test_matches_projector_loop(self):
@@ -449,23 +447,8 @@ class TestTangentRandom:
 
     def test_rejects_non_skew(self):
         g = random_unitary(2, np.random.default_rng(1))
-        with pytest.raises(DimensionError):
-            TangentVector(g, np.eye(2))
-
-    def test_rejects_non_finite(self):
-        g = random_unitary(2, np.random.default_rng(1))
-        a = np.array([[0.0, np.nan], [np.nan, 0.0]], dtype=complex)
-        with pytest.raises(DimensionError):
-            TangentVector(g, a)
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("scale", [1e160, 1e200])
-    def test_rejects_overflowing_norm(self, scale):
-        # both norms overflow to inf, and inf > inf would let a + a^H != 0 pass
-        g = random_unitary(2, np.random.default_rng(1))
-        with pytest.raises(DimensionError, match="overflows"):
-            TangentVector(g, scale * np.eye(2))
-
+        refused(DimensionError, "tangent direction is not skew-Hermitian",
+                lambda: TangentVector(g, np.eye(2)))
 
 class TestEmbedding:
     def test_scalar_into_three(self):
@@ -478,10 +461,9 @@ class TestEmbedding:
 
     def test_too_small(self):
         g = random_unitary(3, np.random.default_rng(0))
-        with pytest.raises(DimensionError, match=r"cannot embed U\(3\) into U\(2\)"):
-            embed_block(g, 2)
-        with pytest.raises(DimensionError, match=r"cannot embed U\(3\) into U\(2\)"):
-            embed_tangent(tangent_random(g, np.random.default_rng(1)), 2)
+        x = tangent_random(g, np.random.default_rng(1))
+        for call in (lambda: embed_block(g, 2), lambda: embed_tangent(x, 2)):
+            refused(DimensionError, "cannot embed U(3) into U(2)", call)
 
     def test_decomposition_commutes(self):
         g = random_unitary(3, np.random.default_rng(12))
@@ -517,17 +499,17 @@ class TestMatrixJson:
         assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
 
     def test_missing_field(self):
-        with pytest.raises(SchemaError) as err:
-            matrix_from_json({"dim": 2, "re": [[1, 0], [0, 1]]})
-        assert ".im" in str(err.value)
+        refused(SchemaError, "$.im: missing field",
+                lambda: matrix_from_json({"dim": 2, "re": [[1, 0], [0, 1]]}))
 
     def test_shape_mismatch(self):
-        with pytest.raises(SchemaError):
-            matrix_from_json({"dim": 2, "re": [[1.0]], "im": [[0.0]]})
+        refused(SchemaError, "$: expected 2x2 're' and 'im' blocks",
+                lambda: matrix_from_json({"dim": 2, "re": [[1.0]], "im": [[0.0]]}))
 
     def test_non_numeric(self):
-        with pytest.raises(SchemaError):
-            matrix_from_json({"dim": 1, "re": [["x"]], "im": [[0.0]]})
+        refused(SchemaError, "$: matrix entries are not doubles: must be real number, "
+                "not str", lambda: matrix_from_json({"dim": 1, "re": [["x"]],
+                                                     "im": [[0.0]]}))
 
     def test_booleans_read_as_zero_and_one(self):
         got = matrix_from_json({"dim": 2, "re": [[True, 0], [False, -1]],
@@ -572,22 +554,41 @@ class TestMatrixStack:
         assert got.shape == (1, 3, 3)
         assert got[0].tobytes() == matrix_from_json(m, "$.g").tobytes()
 
-    @pytest.mark.parametrize(
-        "index, change, message",
-        [
-            (1, {"dim": 2}, r"^\$\[1\]: size differs from \[0\]"),
-            (2, {"dim": 3.0}, r"^\$\[2\]: 'dim' is not an integer >= 1"),
-            (0, {"re": [[0.0] * 3] * 2}, r"^\$\[0\]: expected 3x3 're' and 'im'"),
-            (2, {"im": [[0.0] * 3] * 2 + [[0.0] * 4]}, r"^\$\[2\]: expected 3x3"),
-            (1, {"im": [[0.0] * 3] * 2 + [None]}, r"^\$\[1\]: expected 3x3"),
-            (1, {"re": [[0.0] * 3] * 2 + [[0.0, "0", 0.0]]},
-             r"^\$\[1\]: matrix entries are not doubles"),
-        ],
-        ids=["size-differs", "float-dim", "short-block", "long-row", "null-row",
-             "string-entry"],
-    )
-    def test_first_fault_at_its_path(self, index, change, message):
-        stack = self.flag_stack(3)
-        stack[index] = {**stack[index], **change}
-        with pytest.raises(SchemaError, match=message):
-            matrix_stack_from_json([(m, f"$[{i}]") for i, m in enumerate(stack)])
+
+def first_fault(index, change):
+    """A call: read a U(3) flag stack after ``change`` to its matrix ``index``."""
+    return lambda: matrix_stack_from_json([
+        ({**m, **change} if i == index else m, f"$[{i}]")
+        for i, m in enumerate(TestMatrixStack.flag_stack(3))])
+
+
+SHIFT, G2 = TestShiftedStep(), random_unitary(2, np.random.default_rng(1))
+ROWS = [[0.0] * 3] * 2  # two rows of a 3 x 3 block
+
+REFUSALS = {
+    "step-inf": (StepTooLargeError, "FD step h = inf moves an eigenvalue up to inf, "
+     "which reaches the distance 0.9589 from spec(g) to the nearest cut",
+     lambda: _step(SHIFT.spec(), SHIFT.direction(1.0), np.inf, SHIFT.CUT)),
+    "tangent-non-finite": (DimensionError, "tangent direction has non-finite entries",
+     lambda: TangentVector(G2, np.array([[0, np.nan], [np.nan, 0]], dtype=complex))),
+    # both norms overflow to inf, and inf > inf would let a + a^H != 0 pass
+    "tangent-norm-1e160": (DimensionError, "tangent direction norm overflows",
+     lambda: TangentVector(G2, 1e160 * np.eye(2))),
+    "tangent-norm-1e200": (DimensionError, "tangent direction norm overflows",
+     lambda: TangentVector(G2, 1e200 * np.eye(2))),
+    # the first fault of a stack read, at its path
+    "size-differs": (SchemaError, "$[1]: size differs from [0]",
+     first_fault(1, {"dim": 2})),
+    "float-dim": (SchemaError, "$[2]: 'dim' is not an integer >= 1",
+     first_fault(2, {"dim": 3.0})),
+    "short-block": (SchemaError, "$[0]: expected 3x3 're' and 'im' blocks",
+     first_fault(0, {"re": ROWS})),
+    "long-row": (SchemaError, "$[2]: expected 3x3 're' and 'im' blocks",
+     first_fault(2, {"im": ROWS + [[0.0] * 4]})),
+    "null-row": (SchemaError, "$[1]: expected 3x3 're' and 'im' blocks",
+     first_fault(1, {"im": ROWS + [None]})),
+    "string-entry": (SchemaError,
+     "$[1]: matrix entries are not doubles: must be real number, not str",
+     first_fault(1, {"re": ROWS + [[0.0, "0", 0.0]]})),
+}
+test_refused = refusal_test(REFUSALS)

@@ -34,6 +34,7 @@ from basicgerbe.sampling import (
     sample_rng,
     well_separated_unitary,
 )
+from refusals import refused
 
 
 @pytest.fixture
@@ -58,8 +59,10 @@ class TestClassify:
         assert (ctx.arc_indices.start, ctx.arc_indices.stop) == (0, 0)
 
     def test_cut_on_eigenvalue(self, diag_spec):
-        with pytest.raises(IllConditionedCutError):
-            classify(cut_point(np.pi / 2 + 1e-9), cut_point(np.pi / 4), diag_spec)
+        refused(IllConditionedCutError,
+                "cut within 1.00e-09 of an eigenvalue (limit 1e-06)",
+                lambda: classify(cut_point(np.pi / 2 + 1e-9), cut_point(np.pi / 4),
+                                 diag_spec))
 
     def test_swapped(self, diag_spec):
         ctx = classify(cut_point(3 * np.pi / 4), cut_point(np.pi / 4), diag_spec)
@@ -183,8 +186,9 @@ class TestArcMemo:
     def test_rejected_cut_raises_every_call(self, diag_spec):
         near = cut_point(np.pi / 2 + 0.5 * CUT_EXCLUSION)
         for _ in range(2):
-            with pytest.raises(IllConditionedCutError):
-                classify(near, cut_point(np.pi / 4), diag_spec)
+            refused(IllConditionedCutError,
+                    "cut within 5.00e-07 of an eigenvalue (limit 1e-06)",
+                    lambda: classify(near, cut_point(np.pi / 4), diag_spec))
         assert diag_spec.arcs == {}
 
     def test_cached_basis_is_read_only_and_unchanged(self):
@@ -241,8 +245,9 @@ class TestArcProjector:
 
     def test_negative_rejected(self, diag_spec):
         ctx = classify(cut_point(np.pi / 4), cut_point(3 * np.pi / 4), diag_spec)
-        with pytest.raises(EmptySpaceError):
-            arc_projector(ctx)
+        refused(EmptySpaceError,
+                "negative context: swap the cuts and work with the dual line",
+                lambda: arc_projector(ctx))
 
     def test_residue_vs_quadrature_sweep(self):
         for k in range(30):
@@ -280,9 +285,7 @@ class TestArcProjector:
                      lambda m: projector_derivative(ctx, x, m),
                      lambda m: curvature_via_contour(ctx, x, x, m),
                      lambda m: curving_eval(ctx.z1, diag_spec, x, x, m)):
-            with pytest.raises(ValueError) as err:
-                call("cubature")
-            assert str(err.value) == "unknown method 'cubature'"
+            refused(ValueError, "unknown method 'cubature'", lambda: call("cubature"))
 
 
 class TestArcBasis:
@@ -306,8 +309,8 @@ class TestArcBasis:
 
     def test_requires_positive(self, diag_spec):
         ctx = classify(cut_point(np.pi / 8), cut_point(np.pi / 4), diag_spec)
-        with pytest.raises(EmptySpaceError):
-            ctx.basis
+        refused(EmptySpaceError, "arc basis requires a positive context",
+                lambda: ctx.basis)
 
 
 class TestProjectorDerivative:
@@ -351,14 +354,16 @@ class TestProjectorDerivative:
 
         g = UnitaryMatrix(diag_spec.matrix)
         a = TangentVector(g, np.diag([1j, -1j]))
-        with pytest.raises(StepTooLargeError):
-            projector_derivative(ctx, a, method="fd")
+        refused(StepTooLargeError, "FD step h = 1e-05 moves an eigenvalue up to 1e-05, "
+                "which reaches the distance 2e-06 from spec(g) to the nearest cut",
+                lambda: projector_derivative(ctx, a, method="fd"))
 
     def test_negative_rejected(self, diag_spec):
         g = UnitaryMatrix(diag_spec.matrix)
         ctx = classify(cut_point(np.pi / 4), cut_point(3 * np.pi / 4), diag_spec)
-        with pytest.raises(EmptySpaceError):
-            projector_derivative(ctx, tangent_random(g, np.random.default_rng(0)))
+        x = tangent_random(g, np.random.default_rng(0))
+        refused(EmptySpaceError, "projector derivative requires a positive context",
+                lambda: projector_derivative(ctx, x))
 
 
 class TestStep:
@@ -424,8 +429,8 @@ class TestSingleProjectorDerivative:
         g = UnitaryMatrix(np.diag([1.0 * 1j, np.exp(1j * (np.pi / 2 + 1e-4)), -1.0]))
         spec = spectral_decompose(g)
         x = tangent_random(g, np.random.default_rng(0))
-        with pytest.raises(GapError):
-            single_projector_derivative(spec, 0, x)
+        refused(GapError, "eigenvalue 0 is within 1.00e-04 of a neighbor",
+                lambda: single_projector_derivative(spec, 0, x))
 
 
 class TestSampling:

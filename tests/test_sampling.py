@@ -1,8 +1,8 @@
 import numpy as np
-import pytest
 
 from basicgerbe import SamplingError, UnitaryMatrix, sample_regular, spectral_decompose
 from basicgerbe.sampling import random_cuts, random_null_pair, well_separated_unitary
+from refusals import refusal_test
 
 
 class Stuck:
@@ -23,15 +23,14 @@ class Stuck:
 SPEC = spectral_decompose(UnitaryMatrix(np.diag(np.exp([1j, 3j, 5j]))))
 
 
-@pytest.mark.parametrize("draw, message", [
-    (lambda rng: well_separated_unitary(3, rng),
-     "no well-separated spectrum in 200 draws"),
-    (lambda rng: random_cuts(SPEC, rng, 5),
-     "not enough angular gaps for the requested cuts"),
-    (lambda rng: random_null_pair(SPEC, rng), "failed to draw a distinct null pair"),
-    (lambda rng: sample_regular(3, rng), "no regular spectrum found in 1000 draws"),
-], ids=["well-separated", "cuts", "null-pair", "regular"])
-def test_sampler_gives_up(draw, message):
-    with pytest.raises(SamplingError) as err:
-        draw(Stuck())
-    assert str(err.value) == message
+REFUSALS = {
+    "well-separated": (SamplingError, "no well-separated spectrum in 200 draws",
+                       lambda: well_separated_unitary(3, Stuck())),
+    "cuts": (SamplingError, "not enough angular gaps for the requested cuts",
+             lambda: random_cuts(SPEC, Stuck(), 5)),
+    "null-pair": (SamplingError, "failed to draw a distinct null pair",
+                  lambda: random_null_pair(SPEC, Stuck())),
+    "regular": (SamplingError, "no regular spectrum found in 1000 draws",
+                lambda: sample_regular(3, Stuck())),
+}
+test_refused = refusal_test(REFUSALS)

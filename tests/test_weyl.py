@@ -32,6 +32,7 @@ from basicgerbe.cli import SuiteConfig, run_suite
 from basicgerbe.sampling import random_cuts, sample_rng
 from basicgerbe.weyl import PROJECTOR_TOL
 from flag_reference import pullback_curving, pullback_df
+from refusals import refused, refusal_test
 
 
 def regular_instance(index, n=4):
@@ -86,16 +87,6 @@ class TestFlagTorusPoint:
         overlap = np.abs(np.sum(again.frame.conj() * pt.frame, axis=0))
         assert np.max(np.abs(overlap - 1.0)) < 1e-12
 
-    def test_frame_must_be_unitary(self):
-        lam = np.exp(1j * np.array([0.3, 1.1]))
-        q = np.array([[1.0, 0.1], [0.0, 1.0]])
-        with pytest.raises(DimensionError, match="not complete and orthogonal"):
-            FlagTorusPoint(q, lam)
-        # each projector Hermitian of rank one, but onto lines 45 degrees apart
-        p = np.stack([np.outer(c, c) for c in ([1.0, 0.0], np.ones(2) / 2**0.5)])
-        with pytest.raises(DimensionError, match="not complete and orthogonal"):
-            stack_point(p, lam)
-
     def test_sample_regular_memory_is_quadratic(self):
         # an n x n x n projector stack at n = 128 would take 32 MB
         rng = sample_rng(0, "weyl-test", 128)
@@ -106,20 +97,13 @@ class TestFlagTorusPoint:
     def test_incomplete_rejected(self):
         q = np.eye(3)
         proj = np.stack([np.outer(q[:, i], q[:, i]) for i in range(2)])
-        with pytest.raises(DimensionError):
-            stack_point(proj, np.exp(1j * np.array([0.3, 1.1])))
-
-    def test_zero_rank_family_rejected(self):
-        # complete, Hermitian and orthogonal, but P_0 = 0 and P_1 has rank 2
-        p = np.zeros((3, 3, 3))
-        p[1, 0, 0] = p[1, 1, 1] = p[2, 2, 2] = 1.0
-        with pytest.raises(DimensionError):
-            stack_point(p, np.exp(1j * np.array([2.0, 4.0, 1.0])))
+        refused(DimensionError, "a full flag of U(3) needs 3 finite projections",
+                lambda: stack_point(proj, np.exp(1j * np.array([0.3, 1.1]))))
 
     def test_non_orthogonal_rejected(self):
         p = np.stack([np.diag([1.0, 0.0]), np.diag([0.3, 1.0])])
-        with pytest.raises(DimensionError):
-            stack_point(p, np.exp(1j * np.array([0.3, 1.1])))
+        refused(DimensionError, "projection 1 is not Hermitian of rank one",
+                lambda: stack_point(p, np.exp(1j * np.array([0.3, 1.1]))))
 
     @pytest.mark.parametrize("e, accepted", [(1e-3, False), (1e-7, True)])
     def test_orthogonality_bound(self, e, accepted):
@@ -130,8 +114,8 @@ class TestFlagTorusPoint:
         if accepted:
             stack_point(p, lam)
         else:
-            with pytest.raises(DimensionError, match="rank one"):
-                stack_point(p, lam)
+            refused(DimensionError, "projection 0 is not Hermitian of rank one",
+                    lambda: stack_point(p, lam))
 
     @pytest.mark.parametrize(
         "rank, defect",
@@ -166,87 +150,40 @@ class TestFlagTorusPoint:
             stack_point(p, lam)
         else:
             assert over == [(m - 1, 0)]
-            with pytest.raises(DimensionError):
-                stack_point(p, lam)
-
-    def test_oblique_rejected(self):
-        # complete idempotents with P_a P_b = 0, but P0 and P1 not Hermitian
-        p = np.zeros((3, 3, 3), dtype=complex)
-        p[0, 0, 0], p[0, 0, 1] = 1.0, 0.7
-        p[1, 1, 1], p[1, 0, 1] = 1.0, -0.7
-        p[2, 2, 2] = 1.0
-        with pytest.raises(DimensionError, match="not Hermitian"):
-            stack_point(p, np.exp(1j * np.array([0.3, 1.1, 2.0])))
+            message = ("projection 0 is not Hermitian of rank one" if rank == 1
+                       else "a full flag of U(3) needs 3 finite projections")
+            refused(DimensionError, message, lambda: stack_point(p, lam))
 
     def test_non_unit_values_rejected(self):
         p = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
-        with pytest.raises(DimensionError):
-            stack_point(p, np.array([2.0, 1j]))
+        refused(DimensionError, "torus values must be finite, of unit modulus",
+                lambda: stack_point(p, np.array([2.0, 1j])))
 
     def test_repeated_values_irregular(self):
         p = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
         pt = stack_point(p, np.array([1j, 1j * np.exp(1e-8j)]))
         assert not pt.is_regular()
 
-    def test_non_finite_rejected(self):
-        p = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
-        with pytest.raises(DimensionError):
-            stack_point(p, np.array([1j, complex(np.nan, 0.0)]))
-        p[0, 0, 1] = np.nan
-        with pytest.raises(DimensionError):
-            stack_point(p, np.array([1j, -1j]))
-
 
 class TestFlagTangent:
     def test_radial_dlam_rejected(self):
         _, pt, _ = regular_instance(1)
-        with pytest.raises(DimensionError):
-            stack_tangent(pt, pt.torus_values.copy(), np.zeros_like(pt.projections))
+        refused(DimensionError, "dlambda is not tangent to the unit circle",
+                lambda: stack_tangent(pt, pt.torus_values.copy(),
+                                      np.zeros_like(pt.projections)))
 
     def test_dP_sum_must_vanish(self):
         _, pt, tans = regular_instance(2)
         bad = tans[0].dP.copy()
         bad[0] += np.eye(pt.dim) * 0.1
-        with pytest.raises(DimensionError):
-            stack_tangent(pt, tans[0].dlam, bad)
-
-    def test_diagonal_dP_rejected(self):
-        # a block of dP_i inside P_i moves P_i off the projectors
-        _, pt, tans = regular_instance(5)
-        last = pt.dim - 1
-        bad = tans[0].dP.copy()
-        bad[last] += 0.1 * pt.projections[last]
-        bad[0] -= 0.1 * pt.projections[last]
-        with pytest.raises(DimensionError, match="off-diagonal"):
-            stack_tangent(pt, tans[0].dlam, bad)
-
-    def test_non_hermitian_dP_rejected(self):
-        # dP_i = [H, P_i] for Hermitian H is skew-Hermitian; it sums to zero
-        # and is off-diagonal for P_i, so only the Hermitian check sees it
-        _, pt, tans = regular_instance(7)
-        b = random_unitary(pt.dim, np.random.default_rng(7)).mat
-        h = b + b.conj().T
-        dp = np.stack([h @ p - p @ h for p in pt.projections])
-        with pytest.raises(DimensionError, match="Hermitian"):
-            stack_tangent(pt, tans[0].dlam, dp)
-
-    def test_non_finite_rejected(self):
-        _, pt, tans = regular_instance(4)
-        dlam = tans[0].dlam.copy()
-        dlam[0] = np.nan
-        with pytest.raises(DimensionError):
-            stack_tangent(pt, dlam, tans[0].dP)
-
-    def test_generator_diagonal_rejected(self):
-        # the diagonal moves no P_i, and the closed forms read it as zero
-        _, pt, tans = regular_instance(8)
-        gen = tans[0].generator + 1j * np.eye(pt.dim)
-        with pytest.raises(DimensionError, match="zero diagonal"):
-            FlagTangent(pt, tans[0].dlam, gen)
+        refused(DimensionError, "dP_i must be off-diagonal for P_i and sum to zero",
+                lambda: stack_tangent(pt, tans[0].dlam, bad))
 
     @pytest.mark.parametrize("e, accepted", [(1e-3, False), (1e-7, True)])
-    @pytest.mark.parametrize("route, message", [("stack", "off-diagonal"),
-                                                ("generator", "Hermitian")])
+    @pytest.mark.parametrize("route, message", [
+        ("stack", "dP_i must be off-diagonal for P_i and sum to zero"),
+        ("generator", "dP_i must be Hermitian"),
+    ], ids=["stack-off-diagonal", "generator-Hermitian"])
     def test_tangent_bound(self, route, message, e, accepted):
         # a step U = 1 + eS + O(e^2) along a skew-Hermitian S: the stack
         # U P_i U^H - P_i is off [eS, P_i] and the generator of U - 1 is off
@@ -263,8 +200,7 @@ class TestFlagTangent:
         if accepted:
             build()
         else:
-            with pytest.raises(DimensionError, match=message):
-                build()
+            refused(DimensionError, message, build)
 
     def test_random_tangent_memory_is_quadratic(self):
         # one n x n x n dP stack at n = 128 would take 32 MB
@@ -319,28 +255,8 @@ class TestWeylMap:
 
     def test_preimage_rejects_irregular(self):
         g = UnitaryMatrix(np.diag([1j, 1j, -1j]))
-        with pytest.raises(RegularityError):
-            preimage_count(spectral_decompose(g))
-
-    def test_preimage_rejects_close_eigenvalues(self):
-        # 1e-8 apart: separate clusters (tol 1e-9), closer than REGULARITY_GAP
-        q = random_unitary(3, np.random.default_rng(6)).mat
-        lam = np.array([1j, 1j * np.exp(1e-8j), -1j])
-        g = UnitaryMatrix((q * lam) @ q.conj().T)
-        spec = spectral_decompose(g)
-        assert len(np.unique(spec.eigenvalues)) == 3
-        with pytest.raises(RegularityError):
-            preimage_count(spec)
-
-    def test_preimage_rejects_non_unitary_eigenbasis(self):
-        # one eigenvector tilted toward another: the rank-one projectors
-        # are no longer orthogonal, so the family guard must fail
-        pt = sample_regular(3, sample_rng(1, "weyl-test", 3))
-        spec = spectral_decompose(weyl_apply(pt))
-        u = spec.frame.copy()
-        u[:, 0] = (u[:, 0] + 1e-3 * u[:, 1]) / np.linalg.norm(u[:, 0] + 1e-3 * u[:, 1])
-        with pytest.raises(DimensionError, match="not unitary"):
-            preimage_count(dataclasses.replace(spec, frame=u))
+        refused(RegularityError, "g is not regular (repeated or close eigenvalues)",
+                lambda: preimage_count(spectral_decompose(g)))
 
     def test_mc_pullback_exact(self):
         # linearization: dg = sum dlam_i P_i + sum lam_j dP_j = g * pullback
@@ -423,3 +339,67 @@ class TestPullbackForms:
         v1 = pullback_curving_closed(pt, z1, tans[0], tans[1])
         v2 = pullback_curving_closed(pt, z2, tans[0], tans[1])
         assert abs(v1 - v2) < 1e-10
+
+
+def close_pair():
+    # 1e-8 apart: separate clusters (tol 1e-9), closer than REGULARITY_GAP
+    spec = spectral_decompose(UnitaryMatrix(np.diag([1j, 1j * np.exp(1e-8j), -1j])))
+    assert len(np.unique(spec.eigenvalues)) == 3
+    return preimage_count(spec)
+
+
+def tilted_eigenbasis():
+    # one eigenvector tilted toward another: the rank-one projectors are no
+    # longer orthogonal, so the family guard must fail
+    spec = spectral_decompose(weyl_apply(PT))
+    u = spec.frame.copy()
+    u[:, 0] = (u[:, 0] + 1e-3 * u[:, 1]) / np.linalg.norm(u[:, 0] + 1e-3 * u[:, 1])
+    return preimage_count(dataclasses.replace(spec, frame=u))
+
+
+# a regular point of U(4) and a tangent T at it; E_k projects C^3 onto e_k
+_, PT, (T, *_) = regular_instance(5)
+E0, E1, E2 = (np.diag(row) for row in np.eye(3))
+LAM2, LAM3 = np.exp([0.3j, 1.1j]), np.exp([0.3j, 1.1j, 2.0j])
+H = np.diag([1.0, 2.0, 3.0, 4.0]) + np.ones((4, 4))  # Hermitian
+NOT_COMPLETE = "projections are not complete and orthogonal"
+
+REFUSALS = {
+    "frame-not-unitary": (DimensionError, NOT_COMPLETE,
+     lambda: FlagTorusPoint(np.array([[1.0, 0.1], [0.0, 1.0]]), LAM2)),
+    # each projector Hermitian of rank one, but onto lines 45 degrees apart
+    "lines-not-orthogonal": (DimensionError, NOT_COMPLETE,
+     lambda: stack_point([np.outer(c, c) for c in ([1, 0], [0.5**0.5] * 2)], LAM2)),
+    # complete, Hermitian and orthogonal, but P_0 = 0 and P_1 has rank 2
+    "zero-rank-family": (DimensionError, "projection 1 is not Hermitian of rank one",
+     lambda: stack_point([0 * E0, E0 + E1, E2], np.exp([2j, 4j, 1j]))),
+    # complete idempotents with P_a P_b = 0, but P0 and P1 not Hermitian
+    "oblique": (DimensionError, "projection 0 is not Hermitian of rank one",
+     lambda: stack_point([E0 + 0.7 * np.eye(3, k=1), E1 - 0.7 * np.eye(3, k=1), E2],
+                         LAM3)),
+    "non-finite-value": (DimensionError, "torus values must be finite, of unit modulus",
+     lambda: stack_point([E0[:2, :2], E1[:2, :2]], np.array([1j, np.nan]))),
+    "non-finite-projection": (DimensionError,
+     "a full flag of U(2) needs 2 finite projections",
+     lambda: stack_point([[[1, np.nan], [0, 0]], E1[:2, :2]], np.array([1j, -1j]))),
+    # a block of dP_i inside P_i moves P_i off the projectors: dP_0 gives 0.1 P_3
+    # to dP_3
+    "diagonal-dP": (DimensionError, "dP_i must be off-diagonal for P_i and sum to zero",
+     lambda: stack_tangent(PT, T.dlam, T.dP + np.multiply.outer([-0.1, 0, 0, 0.1],
+                                                               PT.projections[3]))),
+    # dP_i = [H, P_i] for Hermitian H is skew-Hermitian; it sums to zero and is
+    # off-diagonal for P_i, so only the Hermitian check sees it
+    "skew-dP": (DimensionError, "dP_i must be Hermitian",
+     lambda: stack_tangent(PT, T.dlam, H @ PT.projections - PT.projections @ H)),
+    "non-finite-dlambda": (DimensionError, "tangent data has non-finite entries",
+     lambda: stack_tangent(PT, np.r_[np.nan, T.dlam[1:]], T.dP)),
+    # the diagonal moves no P_i, and the closed forms read it as zero
+    "generator-diagonal": (DimensionError,
+     "the frame generator must have a zero diagonal",
+     lambda: FlagTangent(PT, T.dlam, T.generator + 1j * np.eye(4))),
+    "close-eigenvalues": (RegularityError,
+     "g is not regular (repeated or close eigenvalues)", close_pair),
+    "tilted-eigenbasis": (DimensionError, "eigenbasis of g is not unitary",
+     tilted_eigenbasis),
+}
+test_refused = refusal_test(REFUSALS)
