@@ -545,16 +545,14 @@ FRAME = "frame has {} columns, the {} context's arc has dimension {}"
 NEAR = "cut within 1.00e-08 of an eigenvalue (limit 1e-06)"
 
 REFUSALS = {
-    # one column too many for the arc of e^i and e^2.5i and for its dual, or for
-    # the empty arc from 2 down to 1.5
+    # one column too many for the arc of e^i and e^2.5i, its dual, and an empty arc
     "frame-positive": (DimensionError, FRAME.format(3, "positive", 2),
      lambda: DetLineElement(arc(3, 0.5), np.zeros((3, 3)), 1.0)),
     "frame-negative": (DimensionError, FRAME.format(3, "negative", 2),
      lambda: DetLineElement(arc(0.5, 3), np.zeros((3, 3)), 1.0)),
     "frame-null": (DimensionError, FRAME.format(1, "null", 0),
      lambda: DetLineElement(arc(2, 1.5), np.zeros((3, 1)), 1.0)),
-    # a cut 5e-6 from an eigenvalue clears CUT_EXCLUSION, but z e^{+-ih} lie on
-    # both sides of it
+    # 5e-6 from an eigenvalue the cut clears CUT_EXCLUSION, but z e^{+-ih} straddle it
     "cut-derivative-step": (StepTooLargeError, "FD step h = 1e-05 moves an eigenvalue "
      "up to 1e-05, which reaches the distance 5e-06 from spec(g) to the nearest cut",
      lambda: curving_z_derivative_fd(cut_point(2.5 + 5e-6), SPEC3, X3, X3)),
@@ -568,6 +566,7 @@ REFUSALS = {
          cut_point(2), spectral_decompose(UnitaryMatrix(np.eye(3))), X3, X3, X3)),
     "holonomy-negative": (EmptySpaceError, "arc basis requires a positive context",
      lambda: connection_holonomy(arc(0.5, 3), X3.direction, X3.direction)),
+    # a square of side 20 whose corners could carry an eigenvalue across a cut
     "holonomy-large-square": (StepTooLargeError, "FD step h = 10 moves an eigenvalue "
      "up to 9.169, which reaches the distance 0.7402 from spec(g) to the nearest cut",
      large_square),

@@ -577,24 +577,29 @@ COLLECTOR_PAUSE = ("cli.py", "_collector_paused")
 COLLECTOR_SETTERS = {"disable", "enable", "freeze", "set_threshold"}
 
 
+def members_named(tree: ast.AST, module: str, names: set[str], skip) -> list[int]:
+    """Lines under ``tree``, outside the nodes in ``skip``, that name one of
+    ``names`` as an attribute of ``module`` under any alias or import it
+    from ``module``."""
+    aliases = {
+        alias.asname or alias.name
+        for node in walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == module
+    }
+    return [n.lineno for n in walk(tree) if id(n) not in skip and (
+        isinstance(n, ast.Attribute)
+        and n.attr in names and getattr(n.value, "id", None) in aliases
+        or isinstance(n, ast.ImportFrom) and n.module == module
+        and names & {a.name for a in n.names}
+    )]
+
+
 def collector_changes_outside_pause(modules: dict[str, str]) -> list[str]:
     """Lines naming a setter of the cycle collector, as an attribute of the
     ``gc`` module under any alias or imported from it, anywhere but in
     ``COLLECTOR_PAUSE``."""
-
-    def lines_of(_, tree, skip):
-        aliases = {
-            alias.asname or alias.name
-            for node in walk(tree) if isinstance(node, ast.Import)
-            for alias in node.names if alias.name == "gc"
-        }
-        return [n.lineno for n in walk(tree) if id(n) not in skip and (
-            isinstance(n, ast.Attribute)
-            and n.attr in COLLECTOR_SETTERS and getattr(n.value, "id", None) in aliases
-            or isinstance(n, ast.ImportFrom) and n.module == "gc"
-            and COLLECTOR_SETTERS & {a.name for a in n.names}
-        )]
-    return lines_outside(modules, COLLECTOR_PAUSE, lines_of)
+    return lines_outside(modules, COLLECTOR_PAUSE, lambda _, tree, skip: members_named(
+        tree, "gc", COLLECTOR_SETTERS, skip))
 
 
 def test_detects_a_collector_change_outside_the_pause():
@@ -642,20 +647,9 @@ def raises_outside_refused(modules: dict[str, str]) -> list[str]:
     in ``RAISES_ALLOWED``."""
 
     def lines_of(_, tree, skip):
-        aliases = {
-            alias.asname or alias.name
-            for node in walk(tree) if isinstance(node, ast.Import)
-            for alias in node.names if alias.name == "pytest"
-        }
-        allowed = skip | {id(n) for f in walk(tree)
-                          if getattr(f, "name", None) in RAISES_ALLOWED
-                          for n in ast.walk(f)}
-        return [n.lineno for n in walk(tree) if id(n) not in allowed and (
-            isinstance(n, ast.Attribute)
-            and n.attr == "raises" and getattr(n.value, "id", None) in aliases
-            or isinstance(n, ast.ImportFrom) and n.module == "pytest"
-            and "raises" in {a.name for a in n.names}
-        )]
+        allowed = {id(n) for f in walk(tree)
+                   if getattr(f, "name", None) in RAISES_ALLOWED for n in ast.walk(f)}
+        return members_named(tree, "pytest", {"raises"}, skip | allowed)
     return lines_outside(modules, REFUSAL_HELPER, lines_of)
 
 

@@ -507,9 +507,9 @@ class TestMatrixJson:
                 lambda: matrix_from_json({"dim": 2, "re": [[1.0]], "im": [[0.0]]}))
 
     def test_non_numeric(self):
-        refused(SchemaError, "$: matrix entries are not doubles: must be real number, "
-                "not str", lambda: matrix_from_json({"dim": 1, "re": [["x"]],
-                                                     "im": [[0.0]]}))
+        refused(SchemaError,
+                "$: matrix entries are not doubles: must be real number, not str",
+                lambda: matrix_from_json({"dim": 1, "re": [["x"]], "im": [[0.0]]}))
 
     def test_booleans_read_as_zero_and_one(self):
         got = matrix_from_json({"dim": 2, "re": [[True, 0], [False, -1]],

@@ -362,13 +362,12 @@ _, PT, (T, *_) = regular_instance(5)
 E0, E1, E2 = (np.diag(row) for row in np.eye(3))
 LAM2, LAM3 = np.exp([0.3j, 1.1j]), np.exp([0.3j, 1.1j, 2.0j])
 H = np.diag([1.0, 2.0, 3.0, 4.0]) + np.ones((4, 4))  # Hermitian
-NOT_COMPLETE = "projections are not complete and orthogonal"
 
 REFUSALS = {
-    "frame-not-unitary": (DimensionError, NOT_COMPLETE,
+    "frame-not-unitary": (DimensionError, "projections are not complete and orthogonal",
      lambda: FlagTorusPoint(np.array([[1.0, 0.1], [0.0, 1.0]]), LAM2)),
     # each projector Hermitian of rank one, but onto lines 45 degrees apart
-    "lines-not-orthogonal": (DimensionError, NOT_COMPLETE,
+    "lines-45-degrees": (DimensionError, "projections are not complete and orthogonal",
      lambda: stack_point([np.outer(c, c) for c in ([1, 0], [0.5**0.5] * 2)], LAM2)),
     # complete, Hermitian and orthogonal, but P_0 = 0 and P_1 has rank 2
     "zero-rank-family": (DimensionError, "projection 1 is not Hermitian of rank one",
