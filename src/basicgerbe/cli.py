@@ -327,11 +327,10 @@ def _equivariance(cfg: SuiteConfig, i: int, rng) -> dict:
     speck = spectral_decompose(gk)
     out = {}
 
-    ctx = classify(z1, z2, spec).positive
-    if ctx is not None:
-        p = projectors.arc_projector(ctx)
-        pk = projectors.arc_projector(classify(ctx.z1, ctx.z2, speck))
-        out["projector-conjugation"] = _max_abs(pk - k.mat @ p @ k.mat.conj().T)
+    # z1 > z2 lie in distinct gaps, so (z1, z2) is a positive pair
+    p = projectors.arc_projector(classify(z1, z2, spec))
+    pk = projectors.arc_projector(classify(z1, z2, speck))
+    out["projector-conjugation"] = _max_abs(pk - k.mat @ p @ k.mat.conj().T)
 
     a = fibers.random_element(classify(z1, z2, spec), rng)
     b = fibers.random_element(classify(z2, z3, spec), rng)

@@ -4,7 +4,8 @@ The circle U(1) with the identity removed carries the partial order
 "z1 > z2 iff z2 rotates counter-clockwise into z1 without passing 1".
 This module implements that order, the family of branch logarithms log_z
 with cut along the ray through z and log_z(1) = 0 (``log_cut_array``), the
-cut-exclusion check, the annular-sector contour
+phi-functions of their differences that the curving reads on both charts
+(``_log_gap_phi``), the cut-exclusion check, the annular-sector contour
 (``projectors.ArcContext.contour`` builds the one round a spectral arc) and
 adaptive Gauss-Kronrod contour quadrature.
 
@@ -51,6 +52,8 @@ DEFAULT_NODES = 32
 MAX_NODES = 1024
 BLOCK_ENTRIES = 2**13  # complex entries of one resolvent block: 128 KiB
 QUAD_RTOL = 1e-12
+# phi_2's Taylor coefficients 1 / (k + 2)! past 1/2, k = 1..17; 1/20! < 1e-18
+_PHI2_TAYLOR = 1.0 / np.array([math.factorial(k + 2) for k in range(1, 18)], float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +102,28 @@ def log_cut_array(z: CutCirclePoint, xs: np.ndarray) -> np.ndarray:
     phi = np.angle(xs)
     phi -= TWO_PI * np.floor((phi - (a - TWO_PI)) / TWO_PI)
     return np.log(np.abs(xs)) + 1j * phi
+
+
+def _log_gap_phi(z: CutCirclePoint, lam: np.ndarray):
+    """(s, phi_1(s), phi_2(s)) at the log gaps s_ij = log_z lam_i - log_z lam_j.
+
+    phi_1(s) = (e^s - 1) / s and phi_2(s) = (e^s - 1 - s) / s^2 (Hochbruck &
+    Ostermann, Acta Numer. 2010), so lam_i - lam_j = lam_j s phi_1(s).  For
+    |s| < 1, phi_2 is its Taylor series, which cancels no digits; elsewhere
+    phi_1 is read off that identity, as lam_i - lam_j keeps its digits where
+    e^s - 1 would not: for a pair on either side of the cut, s is near +-2 pi i.
+    """
+    logs = log_cut_array(z, lam)
+    s = logs[:, None] - logs[None, :]
+    small = np.abs(s) < 1.0
+    t = np.where(small, 1.0, s)
+    phi1 = (lam[:, None] - lam) / (lam * t)
+    phi2 = (phi1 - 1.0) / t
+    ss = s[small]
+    powers = np.cumprod(np.broadcast_to(ss, (_PHI2_TAYLOR.size, ss.size)), axis=0)
+    phi2[small] = 0.5 + _PHI2_TAYLOR @ powers
+    phi1[small] = 1.0 + ss * phi2[small]
+    return s, phi1, phi2
 
 
 # ---------------------------------------------------------------------------

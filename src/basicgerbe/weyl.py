@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import CutCirclePoint, _check_cuts, log_cut_array
+from .contour import CutCirclePoint, _check_cuts, _log_gap_phi
 from .errors import DimensionError, RegularityError, SamplingError
 from .linalg import (
     SpectralDecomposition,
@@ -213,12 +213,11 @@ def preimage_count(spec: SpectralDecomposition) -> int:
         raise DimensionError("eigenbasis of g is not unitary")
     if not _separated(lam, REGULARITY_GAP):
         raise RegularityError("g is not regular (repeated or close eigenvalues)")
-    # P_i = b_i b_i^H for the unit rows b_i of b, so the table is
-    # ||(g - lambda_j) b_i||, built one column j at a time to stay n x n
-    gb = b @ spec.matrix.T
-    resid = np.stack([np.linalg.norm(gb - v * b, axis=1) for v in lam], axis=1)
-    match = np.array_equal(resid <= 1e-10 * spec.dim, np.eye(spec.dim, dtype=bool))
-    return math.factorial(spec.dim) if match else 0
+    # with P_i = b_i b_i^H, entry (i, j) of the table is ||(g - lambda_j) b_i||;
+    # off the diagonal it is >= |lambda_i - lambda_j| - ||(g - lambda_i) b_i||,
+    # so >= 1e-6 - 1e-10 n > 1e-10 n for n < 5000 once the diagonal passes
+    resid = np.linalg.norm(b @ spec.matrix.T - lam[:, None] * b, axis=1)
+    return math.factorial(spec.dim) if np.all(resid <= 1e-10 * spec.dim) else 0
 
 
 def sample_regular(n: int, rng) -> FlagTorusPoint:
@@ -254,16 +253,14 @@ def pullback_curving_closed(
 ) -> complex:
     """Closed form of the pulled-back curving at a regular point:
 
-    (i / 4 pi) sum_{i != k}
-        (log_z lam_i - log_z lam_k + 1 - lam_i / lam_k) tr(P_i dP_k dP_k).
+    (i / 4 pi) sum_{i != k} (s + 1 - e^s) tr(P_i dP_k dP_k), for the log gap
+    s = log_z lam_i - log_z lam_k, summed as -s^2 phi_2(s) (``_log_gap_phi``).
     """
     _require_regular(pt)
     _check_cuts(pt.torus_values, z)
-    lam = pt.torus_values
-    logs = log_cut_array(z, lam)
+    s, _, phi2 = _log_gap_phi(z, pt.torus_values)
     # zero on the diagonal, where the sum excludes i == k
-    coeffs = logs[:, None] - logs[None, :] + 1 - lam[:, None] / lam[None, :]
-    val = np.sum(coeffs * _p_bracket(tan1.generator, tan2.generator))
+    val = np.sum(-s**2 * phi2 * _p_bracket(tan1.generator, tan2.generator))
     return complex(1j / (4 * math.pi) * val)
 
 

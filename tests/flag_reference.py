@@ -3,14 +3,15 @@
 ``basicgerbe.weyl`` sums the pulled-back curving and its exterior
 derivative from each tangent's n x n frame generator.  This slower route
 forms the (n, n, n) stacks dP_i and takes every trace as an einsum over
-them, so the tests can hold the generator formulas against it.
+them, with the curving's coefficients at 50 digits (``curving_reference``),
+so the tests can hold the generator formulas against it.
 """
 
 import math
 
 import numpy as np
 
-from basicgerbe.contour import log_cut_array
+from curving_reference import mp_flag_coefficients
 
 
 def trace_table(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -24,13 +25,9 @@ def frame_trace_table(q: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray
 
 
 def pullback_curving(pt, z, tan1, tan2) -> complex:
-    """(i / 4 pi) sum_{i != k} (log_z lam_i - log_z lam_k + (lam_k - lam_i) / lam_k)
-    tr(P_i dP_k dP_k)."""
-    lam = pt.torus_values
-    logs = log_cut_array(z, lam)
-    coeffs = (
-        logs[:, None] - logs[None, :] + (lam[None, :] - lam[:, None]) / lam[None, :]
-    )
+    """(i / 4 pi) sum_{i != k} (s + 1 - e^s) tr(P_i dP_k dP_k), with the log
+    gaps s = log_z lam_i - log_z lam_k and s + 1 - e^s at 50 digits."""
+    coeffs = mp_flag_coefficients(z, pt.torus_values)
     val = np.sum(coeffs * frame_trace_table(pt.frame, tan1.dP, tan2.dP))
     return complex(1j / (4 * math.pi) * val)
 

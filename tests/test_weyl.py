@@ -327,6 +327,17 @@ class TestPullbackForms:
         assert abs(curving - pullback_curving(pt, z, tans[0], tans[1])) < 1e-13
         assert abs(pullback_df_closed(pt, *tans) - pullback_df(pt, *tans)) < 1e-13
 
+    @pytest.mark.parametrize("gap", [1e-1, 1e-3, 1e-5])
+    def test_curving_of_a_near_pair_matches_mpmath(self, gap):
+        # s + 1 - e^s formed as written cancels about -2 log10(gap) digits
+        lam = np.exp(1j * np.array([1.0, 1.0 + gap]))
+        pt = FlagTorusPoint(np.eye(2), lam)
+        t1 = FlagTangent(pt, 1j * lam * [0.3, -0.2], np.array([[0, 1], [-1, 0]]))
+        t2 = FlagTangent(pt, 1j * lam * [0.1, 0.5], np.array([[0, 1j], [1j, 0]]))
+        want = pullback_curving(pt, cut_point(4.5), t1, t2)
+        got = pullback_curving_closed(pt, cut_point(4.5), t1, t2)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
     def test_curving_constant_within_gap(self):
         # moving the cut inside one spectral gap leaves the pullback unchanged
         _, pt, tans = regular_instance(120)
