@@ -9,23 +9,29 @@ phi-functions of their differences that the curving reads on both charts
 (``projectors.ArcContext.contour`` builds the one round a spectral arc) and
 adaptive Gauss-Kronrod contour quadrature.
 
-In polar coordinates (r, theta) the annular sector
-{1-rho <= |xi| <= 1+rho, theta_lo <= arg xi <= theta_hi} is the rectangle
-[1-rho, 1+rho] x [theta_lo, theta_hi], and its panels are straight pieces
-of that rectangle's boundary, mapped by xi = r e^{i theta}: each arc of
-radius r is cut into equal panels at most 4 |log r| wide in angle, and each
-radial side is cut at r = 1, so every pole on the unit circle stays outside
-the golden Bernstein ellipse of each arc panel and sits at an end of a
-radial one.  Quadrature applies one Gauss-Kronrod rule to every panel: a
-pass evaluates the 2n+1 Kronrod nodes of every panel once, n of which are
-the nodes of the n-point Gauss-Legendre rule, and returns the Kronrod
-estimate once the Gauss estimate agrees with it to QUAD_RTOL relative to
-max(1, |value|).  It starts at Gauss n = DEFAULT_NODES = 32 and doubles n;
-if the two still differ at n = MAX_NODES = 1024 (2049 nodes per panel), it
-raises QuadratureError.  A vectorized integrand gets all panels of a pass
-in as few calls as hold them, at most ``max_nodes`` nodes each.  Every
-integral of the resolvent (xi - g)^{-1} goes through ``_resolvent_integral``,
-which builds it in blocks of BLOCK_ENTRIES // n^2 nodes (128 KiB stacks)."""
+With log xi = u + i theta, the annular sector
+{e^-rho <= |xi| <= e^rho, theta_lo <= arg xi <= theta_hi} is the rectangle
+[-rho, rho] x [theta_lo, theta_hi], and its panels are straight pieces of
+that rectangle's boundary, mapped by the conformal xi = e^{u + i theta}:
+each arc u = +-rho is cut into equal panels at most 4 rho wide, and each
+radial side is cut at u = 0, so every pole on the unit circle stays outside
+the golden Bernstein ellipse of each arc panel, drawn in the (u, theta)
+plane, and sits at an end of a radial one.  The reflection
+xi -> 1 / conj(xi), u -> -u, maps the contour onto itself, and for a
+unitary g it maps resolvents to one another:
+R(1 / conj(xi)) = -conj(xi) R(xi)^H g^H with R(xi) = (xi - g)^{-1}.
+Quadrature applies one Gauss-Kronrod rule to every panel: a pass evaluates
+the 2n+1 Kronrod nodes of every panel once, n of which are the nodes of the
+n-point Gauss-Legendre rule, and returns the Kronrod estimate once the Gauss
+estimate agrees with it to QUAD_RTOL relative to max(1, |value|).  It starts
+at Gauss n = DEFAULT_NODES = 32 and doubles n; if the two still differ at
+n = MAX_NODES = 1024 (2049 nodes per panel), it raises QuadratureError.  A
+vectorized integrand gets all panels of a pass in as few calls as hold them,
+at most ``max_nodes`` nodes each: a block of outer nodes (|xi| >= 1), then
+their mirror images in the same order.  Every integral of the resolvent
+goes through ``_resolvent_integral``, which inverts xi - g at the outer
+nodes only, takes the mirror resolvents from the reflection, and works in
+blocks of at most BLOCK_ENTRIES // n^2 nodes of both kinds (128 KiB stacks)."""
 
 from __future__ import annotations
 
@@ -132,7 +138,7 @@ def _log_gap_phi(z: CutCirclePoint, lam: np.ndarray):
 
 @dataclass(frozen=True)
 class Contour:
-    """CCW boundary of {1-rho <= |xi| <= 1+rho, theta_lo <= arg xi <= theta_hi}."""
+    """CCW boundary of {e^-rho <= |xi| <= e^rho, theta_lo <= arg xi <= theta_hi}."""
 
     theta_lo: float
     theta_hi: float
@@ -140,17 +146,18 @@ class Contour:
 
     @property
     def segments(self) -> np.ndarray:
-        """The panels in CCW order, one row (r0, theta0, r1, theta1) each:
-        the outer arc, a radial side, the inner arc, the other radial side."""
-        r_in, r_out = 1.0 - self.rho, 1.0 + self.rho
-        rows = []
-        for r, a, b, r_next in ((r_out, self.theta_lo, self.theta_hi, r_in),
-                                (r_in, self.theta_hi, self.theta_lo, r_out)):
-            k = max(1, math.ceil(abs(b - a) / (4 * abs(math.log(r)))))
-            ts = np.linspace(a, b, k + 1)
-            rows += [(r, t0, r, t1) for t0, t1 in zip(ts[:-1], ts[1:])]
-            rows += [(r, b, 1.0, b), (1.0, b, r_next, b)]
-        return np.array(rows)
+        """The panels, one row (u0, theta0, u1, theta1) each, straight in
+        log xi = u + i theta: in CCW order the outer arc u = rho and the
+        outer halves of the radial sides, each row followed by its mirror
+        under u -> -u, traversed in reverse."""
+        rho, lo, hi = self.rho, self.theta_lo, self.theta_hi
+        k = max(1, math.ceil(abs(hi - lo) / (4 * rho)))
+        ts = np.linspace(lo, hi, k + 1)
+        outer = np.array([(rho, t0, rho, t1) for t0, t1 in zip(ts[:-1], ts[1:])]
+                         + [(rho, hi, 0.0, hi), (0.0, lo, rho, lo)])
+        mirror = outer[:, [2, 3, 0, 1]]
+        mirror[:, 0::2] = 0.0 - mirror[:, 0::2]  # 0.0, not -0.0, at u = 0
+        return np.stack((outer, mirror), axis=1).reshape(-1, 4)
 
 
 def _cut_distance(eigenvalues: np.ndarray, *cuts: CutCirclePoint) -> float:
@@ -275,22 +282,26 @@ def _quad_once(panels: np.ndarray, integrand, nodes: int, max_nodes: int,
     """The Kronrod and the Gauss estimate, stacked, from one evaluation of
     the 2n+1 Kronrod nodes of every panel."""
     t, w = _kronrod(nodes)
-    # r and theta move linearly along each panel; xi = r e^{i theta}
-    r0, th0, r1, th1 = panels.T[:, :, None]
-    dr, dth = r1 - r0, th1 - th0
-    r, e = r0 + dr * t, np.exp(1j * (th0 + dth * t))
-    xs = (r * e).ravel()
-    wds = (w[:, None] * ((dr + 1j * dth * r) * e)).reshape(2, -1)
-    total = 0j
-    for i in range(0, len(xs), max_nodes):  # all panels, max_nodes per call
-        chunk = xs[i:i + max_nodes]
+    # log xi moves linearly along each outer panel (the even rows); the
+    # reversed mirror visits 1 / conj(xi) at 1 - t, where the rule is the same
+    u0, th0, u1, th1 = panels[0::2].T[:, :, None]
+    dlog = (u1 - u0) + 1j * (th1 - th0)
+    logs = u0 + 1j * th0 + dlog * t
+    xs, ms = np.exp(logs), np.exp(-logs.conj())
+    wds = (w[:, None] * (dlog * xs)).reshape(2, -1)
+    wms = (w[:, None] * (dlog.conj() * ms)).reshape(2, -1)
+    xs, ms = xs.ravel(), ms.ravel()
+    half, total = max(1, max_nodes // 2), 0j
+    for i in range(0, len(xs), half):  # all panels, max_nodes per call
+        chunk = np.concatenate((xs[i:i + half], ms[i:i + half]))
         if vectorized:
             vals = np.asarray(integrand(chunk), dtype=complex)
         else:
             vals = np.asarray([integrand(complex(x)) for x in chunk], dtype=complex)
         if not np.all(np.isfinite(vals)):
             raise EvaluationError("integrand is not finite on the contour")
-        total = total + np.tensordot(wds[:, i:i + max_nodes], vals, axes=(1, 0))
+        weights = np.concatenate((wds[:, i:i + half], wms[:, i:i + half]), axis=1)
+        total = total + np.tensordot(weights, vals, axes=(1, 0))
     return np.asarray(total) / (2j * np.pi)
 
 
@@ -312,7 +323,9 @@ def quad_integrate(
     QuadratureError is raised if they still differ at n = ``max_nodes``,
     2 max_nodes + 1 nodes per panel.  The integrand may return a scalar or
     an ndarray; with ``vectorized`` it receives the nodes of all panels, at
-    most ``max_nodes`` per call (leading axis = nodes).
+    most ``max_nodes`` per call (leading axis = nodes): up to max_nodes // 2
+    nodes of the outer panels (the even rows), then their mirrors
+    1 / conj(xi) on the odd rows, in the same order.
     """
     panels, nodes = contour.segments, start_nodes
     while True:
@@ -334,16 +347,30 @@ def _resolvent_integral(contour: Contour, g: np.ndarray, phi):
 
     The one place the resolvent is built.  ``phi(xs, r)`` maps a block of
     nodes and the resolvent stacked at them to one value per node.  Each
-    chunk of ``quad_integrate`` is cut into blocks of at most
-    max(1, BLOCK_ENTRIES // n^2) nodes, so every (block, n, n) stack of
-    phi's stays within a core's L2.
+    chunk of ``quad_integrate`` holds outer nodes xi and then their mirrors
+    1 / conj(xi); it is cut into blocks of at most
+    max(1, BLOCK_ENTRIES // (2 n^2)) outer nodes, and phi gets each block
+    with its mirrors, so every (block, n, n) stack of phi's stays within a
+    core's L2.  R = (xi - g)^{-1} is inverted at the outer nodes only; as
+    g^H = g^{-1}, R(1 / conj(xi)) = -conj(xi) R^H g^H = (-xi R g)^H, one
+    (block n, n) product.
     """
-    block, eye = max(1, BLOCK_ENTRIES // g.size), np.eye(len(g))
+    n = len(g)
+    block, eye = max(1, BLOCK_ENTRIES // (2 * g.size)), np.eye(n)
 
     def integrand(xs: np.ndarray) -> np.ndarray:
-        return np.concatenate([
-            phi(b, np.linalg.inv(b[:, None, None] * eye - g))
-            for b in np.split(xs, range(block, len(xs), block))
-        ])
+        half = len(xs) // 2
+        outer, mirror = [], []
+        for i in range(0, half, block):
+            b = xs[i:min(i + block, half)]
+            k = len(b)
+            r = np.empty((2 * k, n, n), complex)
+            r[:k] = np.linalg.inv(b[:, None, None] * eye - g)
+            rg = (r[:k].reshape(k * n, n) @ g).reshape(k, n, n)
+            r[k:] = (-b[:, None, None] * rg).conj().transpose(0, 2, 1)
+            v = phi(np.concatenate((b, xs[half + i:half + i + k])), r)
+            outer.append(v[:k])
+            mirror.append(v[k:])
+        return np.concatenate(outer + mirror)
 
     return quad_integrate(contour, integrand, vectorized=True)

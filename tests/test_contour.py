@@ -30,10 +30,23 @@ from basicgerbe import (
     spectral_decompose,
     spectrum_contour,
 )
-from basicgerbe.contour import DEFAULT_NODES, MAX_NODES, _kronrod, _newton, log_cut_array
+from basicgerbe.contour import (
+    DEFAULT_NODES,
+    MAX_NODES,
+    _kronrod,
+    _newton,
+    _resolvent_integral,
+    log_cut_array,
+)
 from basicgerbe.forms import _curving_weights
+from basicgerbe.linalg import UNITARITY_TOL, random_unitary, unitary_check
+from basicgerbe.sampling import random_positive_context
 from curving_reference import mp_curving_weights
 from refusals import refused, refusal_test
+
+
+# 2% of its radius inside the inner arc |xi| = e^-0.5 of a default contour
+NEAR_INNER_ARC = 1.02 * np.exp(-0.5 + 0.7j)
 
 
 def winding(contour, pole):
@@ -133,8 +146,6 @@ class TestContours:
         # the contour of an arc context winds once round exactly the
         # eigenvalues between its cuts, in either cut order
         rng = np.random.default_rng(4)
-        from basicgerbe import random_unitary
-
         checked = 0
         for _ in range(20):
             spec = spectral_decompose(random_unitary(4, rng))
@@ -158,8 +169,8 @@ class TestContours:
         assert abs(winding(c, 1j) - 1.0) < 1e-12
         assert abs(winding(c, -1j) - 1.0) < 1e-12
         # trace stays off the negative real axis
-        for r0, th0, r1, th1 in c.segments:
-            pts = np.linspace(r0, r1, 64) * np.exp(1j * np.linspace(th0, th1, 64))
+        for u0, th0, u1, th1 in c.segments:
+            pts = np.exp(np.linspace(u0, u1, 64) + 1j * np.linspace(th0, th1, 64))
             on_ray = (np.abs(pts.imag) < 1e-9) & (pts.real < 0)
             assert not on_ray.any()
 
@@ -202,12 +213,12 @@ class TestQuadrature:
 
     @pytest.mark.parametrize(
         "pole, start, stop, passes",
-        [(np.exp(0.7j), DEFAULT_NODES, 1024, 1), (0.51 * np.exp(0.7j), 8, 64, 4)],
+        [(np.exp(0.7j), DEFAULT_NODES, 1024, 1), (NEAR_INNER_ARC, 8, 64, 4)],
     )
     def test_vectorized_one_call_per_segment_per_pass(self, pole, start, stop, passes):
         # pass p evaluates the 2 start 2**p + 1 Kronrod nodes of every panel,
-        # in as few calls of at most max_nodes nodes as hold them; the pole
-        # 0.01 from the inner arc does not converge by Gauss n = 64
+        # in as few calls as hold them, each of max_nodes / 2 outer nodes and
+        # their mirrors; the pole by the inner arc does not converge by n = 64
         c = Contour(0.2, 1.2)
         seen = []
 
@@ -218,10 +229,10 @@ class TestQuadrature:
         gives_up = pytest.raises(QuadratureError) if passes == 4 else contextlib.nullcontext()
         with gives_up:
             quad_integrate(c, integrand, start_nodes=start, max_nodes=stop, vectorized=True)
-        want = []
+        want, half = [], stop // 2
         for p in range(passes):
-            total = len(c.segments) * (2 * start * 2**p + 1)
-            want += [stop] * (total // stop) + [total % stop] * (total % stop > 0)
+            outer = len(c.segments) // 2 * (2 * start * 2**p + 1)
+            want += [stop] * (outer // half) + [2 * (outer % half)] * (outer % half > 0)
         assert seen == want
 
     def test_node_limit_raises(self):
@@ -229,7 +240,7 @@ class TestQuadrature:
         refused(QuadratureError, "no convergence on 6 panels at 64 nodes each: last "
                 "difference 6.05e-03 between the 64-node Gauss and 129-node Kronrod "
                 "estimates", lambda: quad_integrate(
-                    c, lambda xi: 1.0 / (xi - 0.51 * np.exp(0.7j)), max_nodes=64))
+                    c, lambda xi: 1.0 / (xi - NEAR_INNER_ARC), max_nodes=64))
 
     @pytest.mark.parametrize("edge", [0.2, 1.2])
     @pytest.mark.parametrize("offset", [1e-3, -1e-3])
@@ -248,32 +259,43 @@ class TestPanels:
 
     @pytest.mark.parametrize("lo, hi, rho", CASES)
     def test_arc_panels_at_most_four_log_radius_wide(self, lo, hi, rho):
+        # rows are (u0, theta0, u1, theta1) with log xi = u + i theta; the
+        # arcs |xi| = e^{+-rho} lie at u = +-rho
         rows = Contour(lo, hi, rho).segments
-        for r in (1 - rho, 1 + rho):
-            _, th0, _, th1 = rows[(rows[:, 0] == r) & (rows[:, 2] == r)].T
+        for u in (-rho, rho):
+            _, th0, _, th1 = rows[(rows[:, 0] == u) & (rows[:, 2] == u)].T
             widths = np.abs(th1 - th0)
-            assert widths.max() <= 4 * abs(math.log(r)) + 1e-15
+            assert widths.max() <= 4 * rho + 1e-15
             assert abs(widths.sum() - (hi - lo)) < 1e-12
 
     @pytest.mark.parametrize("lo, hi, rho", CASES)
     def test_radial_edges_split_at_unit_circle(self, lo, hi, rho):
         rows = Contour(lo, hi, rho).segments
         radial = rows[rows[:, 1] == rows[:, 3]]
-        r_in, r_out = 1 - rho, 1 + rho
-        assert np.array_equal(radial, [[r_out, hi, 1, hi], [1, hi, r_in, hi],
-                                       [r_in, lo, 1, lo], [1, lo, r_out, lo]])
+        assert np.array_equal(radial, [[rho, hi, 0, hi], [0, hi, -rho, hi],
+                                       [0, lo, rho, lo], [-rho, lo, 0, lo]])
 
     @pytest.mark.parametrize("lo, hi, rho", CASES)
     def test_closed(self, lo, hi, rho):
-        # each row ends exactly where the next starts, the last where the first does
+        # every odd row is the row before it under u -> -u, reversed; going
+        # from each row to the one that starts where it ends walks every row
+        # once and back to the first, counter-clockwise round the rectangle
         rows = Contour(lo, hi, rho).segments
-        assert rows[0, 0] == 1 + rho and rows[0, 1] == lo
-        assert np.array_equal(rows[:, 2:], np.roll(rows[:, :2], -1, axis=0))
+        assert np.array_equal(rows[1::2], rows[0::2][:, [2, 3, 0, 1]] * [-1, 1, -1, 1])
+        assert rows[0, 0] == rho and rows[0, 1] == lo
+        starts, ends = rows[:, :2].tolist(), rows[:, 2:].tolist()
+        order = [0]
+        while ends[order[-1]] != starts[0] and len(order) <= len(rows):
+            order.append(starts.index(ends[order[-1]]))
+        assert sorted(order) == list(range(len(rows)))
+        u0, th0, u1, th1 = rows.T
+        assert abs((u0 @ th1 - u1 @ th0) / 2 - 2 * rho * (hi - lo)) < 1e-12
 
     @pytest.mark.parametrize("lo, hi, rho", CASES)
     def test_nodes_on_arcs_and_radial_lines(self, lo, hi, rho):
-        # every pass evaluates r e^{i theta} on arcs and start + (end - start) t
-        # on radial lines, at the Gauss-Kronrod nodes t of each row
+        # a pass evaluates e^{w0 + (w1 - w0) t}, w = u + i theta, at the
+        # Gauss-Kronrod nodes t of every row, so on the arcs |xi| = e^{+-rho}
+        # and on the radial lines, each node once
         c = Contour(lo, hi, rho)
         seen = []
 
@@ -282,17 +304,76 @@ class TestPanels:
             return np.ones_like(xs)
 
         quad_integrate(c, integrand, vectorized=True)
-        got, want, n = np.concatenate(seen), [], DEFAULT_NODES
-        while sum(map(len, want)) < len(got):
-            t, _ = _kronrod(n)
-            for r0, th0, r1, th1 in c.segments:
-                if r0 == r1:
-                    want.append(r0 * np.exp(1j * (th0 + (th1 - th0) * t)))
-                else:
-                    start, end = r0 * np.exp(1j * th0), r1 * np.exp(1j * th1)
-                    want.append(start + (end - start) * t)
-            n *= 2
-        assert np.max(np.abs(got - np.concatenate(want))) < 1e-15
+        got = np.concatenate(seen)
+        t, _ = _kronrod(DEFAULT_NODES)
+        u0, th0, u1, th1 = c.segments.T[:, :, None]
+        want = np.exp(u0 + 1j * th0 + ((u1 - u0) + 1j * (th1 - th0)) * t).ravel()
+        dist = np.abs(got[:, None] - want[None, :])
+        assert len(got) == len(want)
+        assert dist.min(axis=0).max() < 1e-15 and dist.min(axis=1).max() < 1e-15
+        on_arc = np.abs(np.abs(np.log(np.abs(got))) - rho) < 1e-15
+        ang = (np.angle(got) - lo) % (2 * np.pi)
+        on_side = np.minimum(ang, 2 * np.pi - ang) < 1e-15
+        on_side |= np.abs(ang - (hi - lo) % (2 * np.pi)) < 1e-15
+        assert np.all(on_arc | on_side)
+
+
+class TestReflection:
+    # g^H = g^{-1} gives R(1 / conj(xi)) = -conj(xi) R(xi)^H g^H, which
+    # _resolvent_integral uses for every mirror node
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_mirror_resolvent_to_rounding(self, n):
+        # every stack phi receives is (xi - g)^{-1} at its nodes, to rounding,
+        # for a Haar g: inverted at the outer nodes, reflected at their mirrors
+        rng = np.random.default_rng(n)
+        g = random_unitary(n, rng).mat
+        ctx = random_positive_context(spectral_decompose(UnitaryMatrix(g)), rng)
+        worst, mirrored = 0.0, 0
+
+        def phi(xs, r):
+            nonlocal worst, mirrored
+            want = np.linalg.inv(xs[:, None, None] * np.eye(n) - g)
+            err = np.linalg.norm(r - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+            worst = max(worst, err.max())
+            mirrored += np.sum(np.abs(xs) < 1)
+            return r
+
+        _resolvent_integral(ctx.contour, g, phi)
+        assert mirrored > 0 and worst < 1e-13
+
+    def test_chunks_are_outer_then_mirror(self):
+        # the second half of every chunk is 1 / conj of the first, node by node
+        c = Contour(-1.0, 5.0, 0.25)
+        chunks = []
+
+        def integrand(xs):
+            chunks.append(xs.copy())
+            return 1.0 / (xs - np.exp(0.7j))
+
+        quad_integrate(c, integrand, start_nodes=8, max_nodes=64, vectorized=True)
+        assert len(chunks) > 4
+        for xs in chunks:
+            outer, mirror = np.split(xs, 2)
+            assert len(xs) <= 64 and np.all(np.abs(outer) >= 1)
+            assert np.max(np.abs(mirror * outer.conj() - 1)) < 4 * np.finfo(float).eps
+
+    def test_unitarity_defect_at_tolerance(self):
+        # the reflection takes g^H for g^{-1}; a g scaled to a unitarity defect
+        # of 0.9 UNITARITY_TOL n, with a 0.005 eigenvalue gap inside the arc,
+        # keeps the projectors' residue-vs-quadrature tolerance
+        n = 6
+        angles = np.array([0.8, 0.805, 1.7, 2.6, 3.6, 4.8])
+        for seed in range(4):
+            v = random_unitary(n, np.random.default_rng(seed)).mat
+            g = (v * np.exp(1j * angles)) @ v.conj().T
+            g *= 1 + 0.9 * UNITARITY_TOL * math.sqrt(n) / 2
+            defect = unitary_check(g)[1]
+            assert 0.85 * UNITARITY_TOL * n < defect <= UNITARITY_TOL * n
+            ctx = classify(cut_point(3.1), cut_point(0.4),
+                           spectral_decompose(UnitaryMatrix(g)))
+            residual = np.linalg.norm(arc_projector(ctx, "quadrature") - arc_projector(ctx))
+            assert residual < 1e-10
 
 
 def benchmark_tracer():
@@ -305,22 +386,22 @@ def benchmark_tracer():
 
 def test_benchmark_tracer_counts_quadrature_nodes():
     # perfbench/tracing.py reads quad_integrate's arguments by name and takes
-    # len(contour.segments) as the panel count; 7 panels, 65 nodes each
+    # len(contour.segments) as the panel count; 8 panels, 65 nodes each
     g = UnitaryMatrix(np.diag(np.exp([0.5j, 2j, 4j])))
     ctx = classify(cut_point(3.0), cut_point(1.0), spectral_decompose(g))
     tracer = benchmark_tracer()
     with tracer.installed(basicgerbe, spans=False):
         arc_projector(ctx, "quadrature")
-    assert tracer.quad == [("", 7 * 65, 1, False)]
+    assert tracer.quad == [("", 8 * 65, 1, False)]
 
 
 def test_benchmark_tracer_classes_give_up_at_max():
     # 6 panels of 17, 33, 65 and 129 nodes: the tracer infers 4 passes from
     # the node count and that the last one reached max_nodes
     tracer = benchmark_tracer()
-    pole = 0.51 * np.exp(0.7j)
     with tracer.installed(basicgerbe, spans=False), pytest.raises(QuadratureError):
-        basicgerbe.contour.quad_integrate(Contour(0.2, 1.2), lambda xs: 1.0 / (xs - pole),
+        basicgerbe.contour.quad_integrate(Contour(0.2, 1.2),
+                                          lambda xs: 1.0 / (xs - NEAR_INNER_ARC),
                                           start_nodes=8, max_nodes=64, vectorized=True)
     assert tracer.quad == [("", 1464, 4, True)]
 

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import basicgerbe.contour
 from basicgerbe import (
     Classification,
     EmptySpaceError,
@@ -23,7 +24,7 @@ from basicgerbe import (
     spectral_decompose,
     tangent_random,
 )
-from basicgerbe.contour import BLOCK_ENTRIES, CUT_EXCLUSION, Contour, quad_integrate
+from basicgerbe.contour import BLOCK_ENTRIES, CUT_EXCLUSION, Contour
 from basicgerbe.fibers import _canonical_frame
 from basicgerbe.projectors import FD_STEP, _step
 from basicgerbe.sampling import (
@@ -262,20 +263,18 @@ class TestArcProjector:
             assert abs(np.trace(pr) - len(ctx.arc_indices)) < 1e-12
             assert np.linalg.norm(ctx.spec.matrix @ pr - pr @ ctx.spec.matrix) < 1e-12
 
-    def test_quadrature_blocks_are_invisible(self):
-        # at n = 16 a block holds 32 nodes, fewer than one 65-node panel, so
-        # every pass is split; each inverse is LAPACK's on one matrix, and the
-        # values are those of one inverse over each whole chunk, bit for bit
-        assert BLOCK_ENTRIES // 16**2 == 32
+    def test_quadrature_blocks_are_invisible(self, monkeypatch):
+        # at n = 16 a block holds 16 outer nodes and their 16 mirrors, and 4
+        # and 4 under a budget of 2^11 entries: fewer than one 65-node panel,
+        # so every pass is split.  Each inverse is LAPACK's on one matrix and
+        # each mirror a row block of one product, so the blocks move no bit
+        assert BLOCK_ENTRIES // (2 * 16**2) == 16
         rng = sample_rng(0, "proj-blocks", 0)
         g = random_unitary(16, rng)
         ctx = random_positive_context(spectral_decompose(g), rng)
-        whole = quad_integrate(
-            ctx.contour,
-            lambda xs: np.linalg.inv(xs[:, None, None] * np.eye(16) - g.mat),
-            vectorized=True,
-        )
-        assert np.array_equal(arc_projector(ctx, "quadrature"), whole)
+        default = arc_projector(ctx, "quadrature")
+        monkeypatch.setattr(basicgerbe.contour, "BLOCK_ENTRIES", 2**11)
+        assert np.array_equal(arc_projector(ctx, "quadrature"), default)
 
     def test_unknown_method(self, diag_spec):
         # each route function names the method it does not have

@@ -1,16 +1,18 @@
 """Time the resolvent integrands of contour quadrature, per node.
 
 Every quadrature route hands ``contour.quad_integrate`` one vectorized
-integrand built by the kernel ``contour._resolvent_integral``: it inverts
-xi - g in blocks of at most max(1, BLOCK_ENTRIES // n^2) nodes and applies
-the route's phi to each block.  For each route (the arc projector, the
-curvature wedge, the projector-inserted wedge and the curving) at
-n = 2, 4, 8, 16, 32, this catches that integrand and the first chunk of
-nodes it is given, then times the integrand alone on that chunk: best of
-seven rounds, each repeating it for at least 0.1 s.  It prints microseconds
-per node.  Then it repeats the curvature wedge for block budgets
-BLOCK_ENTRIES = 2^11 ... 2^15 complex entries, so the constant can be
-re-derived on another host.
+integrand built by the kernel ``contour._resolvent_integral``.  A chunk of
+nodes holds outer nodes xi, then their mirrors 1 / conj(xi); the kernel
+inverts xi - g at the outer nodes, in blocks of at most
+max(1, BLOCK_ENTRIES // 2n^2), takes each block's mirror resolvents as
+(-xi R g)^H, and applies the route's phi to the block and its mirrors.  For
+each route (the arc projector, the curvature wedge, the projector-inserted
+wedge and the curving) at n = 2, 4, 8, 16, 32, this catches that integrand
+and the first chunk of nodes it is given, then times the integrand alone on
+that chunk: best of seven rounds, each repeating it for at least 0.1 s.  It
+prints microseconds per node, mirrors included.  Then it repeats the
+curvature wedge for block budgets BLOCK_ENTRIES = 2^11 ... 2^15 complex
+entries, so the constant can be re-derived on another host.
 
     OMP_NUM_THREADS=1 PYTHONPATH=src python3 tools/quad_kernel_timing.py
 
