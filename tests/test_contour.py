@@ -359,9 +359,12 @@ class TestReflection:
             assert np.max(np.abs(mirror * outer.conj() - 1)) < 4 * np.finfo(float).eps
 
     def test_unitarity_defect_at_tolerance(self):
-        # the reflection takes g^H for g^{-1}; a g scaled to a unitarity defect
-        # of 0.9 UNITARITY_TOL n, with a 0.005 eigenvalue gap inside the arc,
-        # keeps the projectors' residue-vs-quadrature tolerance
+        # the reflection takes g^H for g^{-1}, which moves the mirror half's
+        # poles by about the unitarity defect; a g scaled to a defect of
+        # 0.9 UNITARITY_TOL n, with a 0.005 eigenvalue gap inside the arc,
+        # keeps the projectors' residue-vs-quadrature tolerance (at most
+        # 3.3e-12 here); a cut inside that gap, 0.0025 from two poles, would
+        # read up to 3.4e-10
         n = 6
         angles = np.array([0.8, 0.805, 1.7, 2.6, 3.6, 4.8])
         for seed in range(4):

@@ -117,8 +117,9 @@ class TestCurvature:
             assert abs(a - c) < 1e-8
 
     def test_quadrature_peak_memory(self):
-        # at n = 32 the resolvent kernel holds blocks of 8 nodes and peaks at
-        # 0.96 MB here; unblocked stacks of all 585 nodes peak at 67 MB
+        # at n = 32 the resolvent kernel holds blocks of 4 outer nodes and
+        # their 4 mirrors and peaks at 1.04 MB here; unblocked stacks of a
+        # whole 585-node chunk peaked at 67 MB
         rng = sample_rng(0, "forms-memory", 32)
         g = random_unitary(32, rng)
         ctx = random_positive_context(spectral_decompose(g), rng)
