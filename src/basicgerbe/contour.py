@@ -27,8 +27,9 @@ estimate agrees with it to QUAD_RTOL relative to max(1, |value|).  It starts
 at Gauss n = DEFAULT_NODES = 32 and doubles n; if the two still differ at
 n = MAX_NODES = 1024 (2049 nodes per panel), it raises QuadratureError.  A
 vectorized integrand gets all panels of a pass in as few calls as hold them,
-at most ``max_nodes`` nodes each: a block of outer nodes (|xi| >= 1), then
-their mirror images in the same order.  Every integral of the resolvent
+at most ``max_nodes`` nodes each.  With half = max_nodes // 2, a chunk is
+``np.stack((outer, mirror))[:, i:i+half].ravel()``: outer nodes (|xi| >= 1),
+then their mirror images in the same order.  Every integral of the resolvent
 goes through ``_resolvent_integral``, which inverts xi - g at the outer
 nodes only, takes the mirror resolvents from the reflection, and works in
 blocks of at most BLOCK_ENTRIES // n^2 nodes of both kinds (128 KiB stacks)."""
@@ -277,34 +278,6 @@ def _kronrod(n: int):
             np.concatenate((w, w[:, n - 1::-1]), axis=1))
 
 
-def _quad_once(panels: np.ndarray, integrand, nodes: int, max_nodes: int,
-               vectorized: bool):
-    """The Kronrod and the Gauss estimate, stacked, from one evaluation of
-    the 2n+1 Kronrod nodes of every panel."""
-    t, w = _kronrod(nodes)
-    # log xi moves linearly along each outer panel (the even rows); the
-    # reversed mirror visits 1 / conj(xi) at 1 - t, where the rule is the same
-    u0, th0, u1, th1 = panels[0::2].T[:, :, None]
-    dlog = (u1 - u0) + 1j * (th1 - th0)
-    logs = u0 + 1j * th0 + dlog * t
-    xs, ms = np.exp(logs), np.exp(-logs.conj())
-    wds = (w[:, None] * (dlog * xs)).reshape(2, -1)
-    wms = (w[:, None] * (dlog.conj() * ms)).reshape(2, -1)
-    xs, ms = xs.ravel(), ms.ravel()
-    half, total = max(1, max_nodes // 2), 0j
-    for i in range(0, len(xs), half):  # all panels, max_nodes per call
-        chunk = np.concatenate((xs[i:i + half], ms[i:i + half]))
-        if vectorized:
-            vals = np.asarray(integrand(chunk), dtype=complex)
-        else:
-            vals = np.asarray([integrand(complex(x)) for x in chunk], dtype=complex)
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationError("integrand is not finite on the contour")
-        weights = np.concatenate((wds[:, i:i + half], wms[:, i:i + half]), axis=1)
-        total = total + np.tensordot(weights, vals, axes=(1, 0))
-    return np.asarray(total) / (2j * np.pi)
-
-
 def quad_integrate(
     contour: Contour,
     integrand,
@@ -323,13 +296,31 @@ def quad_integrate(
     QuadratureError is raised if they still differ at n = ``max_nodes``,
     2 max_nodes + 1 nodes per panel.  The integrand may return a scalar or
     an ndarray; with ``vectorized`` it receives the nodes of all panels, at
-    most ``max_nodes`` per call (leading axis = nodes): up to max_nodes // 2
+    most ``max_nodes`` per call (leading axis = nodes): with half =
+    max_nodes // 2, a chunk is ``np.stack((outer, mirror))[:, i:i+half].ravel()``,
     nodes of the outer panels (the even rows), then their mirrors
     1 / conj(xi) on the odd rows, in the same order.
     """
     panels, nodes = contour.segments, start_nodes
+    # log xi moves linearly along each outer panel (the even rows); the
+    # reversed mirror visits 1 / conj(xi) at 1 - t, where the rule is the same
+    u0, th0, u1, th1 = panels[0::2].T[:, :, None]
+    dlog = (u1 - u0) + 1j * (th1 - th0)
+    dlogs, half = np.stack((dlog, dlog.conj())), max(1, max_nodes // 2)
     while True:
-        kronrod, gauss = _quad_once(panels, integrand, nodes, max_nodes, vectorized)
+        t, w = _kronrod(nodes)
+        logs = u0 + 1j * th0 + dlog * t
+        xs = np.exp(np.stack((logs, -logs.conj())))
+        ws = (w[:, None, None] * (dlogs * xs)).reshape(2, 2, -1)
+        xs, total = xs.reshape(2, -1), 0j
+        for i in range(0, xs.shape[1], half):  # all panels, max_nodes per call
+            chunk = xs[:, i:i + half].ravel()
+            vals = np.asarray(integrand(chunk) if vectorized else
+                              [integrand(complex(x)) for x in chunk], dtype=complex)
+            if not np.all(np.isfinite(vals)):
+                raise EvaluationError("integrand is not finite on the contour")
+            total = total + np.tensordot(ws[:, :, i:i + half].reshape(2, -1), vals, 1)
+        kronrod, gauss = np.asarray(total) / (2j * np.pi)
         diff = float(np.max(np.abs(kronrod - gauss)))
         if diff <= QUAD_RTOL * max(1.0, float(np.max(np.abs(kronrod)))):
             return kronrod if kronrod.shape else complex(kronrod)
@@ -347,30 +338,29 @@ def _resolvent_integral(contour: Contour, g: np.ndarray, phi):
 
     The one place the resolvent is built.  ``phi(xs, r)`` maps a block of
     nodes and the resolvent stacked at them to one value per node.  Each
-    chunk of ``quad_integrate`` holds outer nodes xi and then their mirrors
-    1 / conj(xi); it is cut into blocks of at most
-    max(1, BLOCK_ENTRIES // (2 n^2)) outer nodes, and phi gets each block
-    with its mirrors, so every (block, n, n) stack of phi's stays within a
-    core's L2.  R = (xi - g)^{-1} is inverted at the outer nodes only; as
-    g^H = g^{-1}, R(1 / conj(xi)) = -conj(xi) R^H g^H = (-xi R g)^H, one
-    (block n, n) product.
+    chunk of ``quad_integrate`` is ``np.stack((outer, mirror))[:, i:i+half].ravel()``,
+    outer nodes xi and then their mirrors 1 / conj(xi), which the integrand
+    reshapes back to (2, half).  It cuts that into (2, k) blocks of
+    k <= max(1, BLOCK_ENTRIES // (2 n^2)), hands phi each block raveled, so
+    every (2k, n, n) stack of phi's stays within a core's L2, and stitches
+    phi's values as (2, k, ...) stacks.  R = (xi - g)^{-1} is inverted at
+    the outer nodes only; as g^H = g^{-1},
+    R(1 / conj(xi)) = -conj(xi) R^H g^H = (-xi R g)^H, one (k n, n) product.
     """
     n = len(g)
     block, eye = max(1, BLOCK_ENTRIES // (2 * g.size)), np.eye(n)
 
     def integrand(xs: np.ndarray) -> np.ndarray:
-        half = len(xs) // 2
-        outer, mirror = [], []
-        for i in range(0, half, block):
-            b = xs[i:min(i + block, half)]
-            k = len(b)
+        xs, vals = xs.reshape(2, -1), []
+        for i in range(0, xs.shape[1], block):
+            b = xs[:, i:i + block]
+            k = b.shape[1]
             r = np.empty((2 * k, n, n), complex)
-            r[:k] = np.linalg.inv(b[:, None, None] * eye - g)
+            r[:k] = np.linalg.inv(b[0, :, None, None] * eye - g)
             rg = (r[:k].reshape(k * n, n) @ g).reshape(k, n, n)
-            r[k:] = (-b[:, None, None] * rg).conj().transpose(0, 2, 1)
-            v = phi(np.concatenate((b, xs[half + i:half + i + k])), r)
-            outer.append(v[:k])
-            mirror.append(v[k:])
-        return np.concatenate(outer + mirror)
+            r[k:] = (-b[0, :, None, None] * rg).conj().transpose(0, 2, 1)
+            v = phi(b.ravel(), r)
+            vals.append(v.reshape(2, k, *v.shape[1:]))
+        return np.concatenate(vals, axis=1).reshape(-1, *vals[0].shape[2:])
 
     return quad_integrate(contour, integrand, vectorized=True)

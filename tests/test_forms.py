@@ -32,7 +32,7 @@ from basicgerbe import (
     tangent_random,
     three_curvature,
 )
-from basicgerbe import projectors
+from basicgerbe import contour, projectors
 from basicgerbe.forms import (
     LOOP_STEP,
     _curving_weights,
@@ -41,6 +41,7 @@ from basicgerbe.forms import (
 )
 from basicgerbe.sampling import (
     descending_cuts,
+    random_cuts,
     random_null_pair,
     random_positive_context,
     sample_rng,
@@ -296,6 +297,26 @@ class TestCurving:
             want = mp_curving_weights(z, lam)
             err = np.abs(_curving_weights(z, lam) - want)
             assert np.max(err / np.maximum(1.0, np.abs(want))) <= 2e-15
+
+    @pytest.mark.parametrize("n", [5, 16])
+    @pytest.mark.parametrize("route", ["curvature", "curving"])
+    def test_quadrature_blocks_are_invisible(self, monkeypatch, route, n):
+        # the scalar-phi routes, stitched from (outer, mirror) block stacks:
+        # at n = 16 a block holds 16 outer nodes and their mirrors under the
+        # default budget and 4 under 2^11 entries, so every chunk is split
+        # differently and no bit may move; the curving's phi reads the nodes
+        # themselves through log_cut_array
+        rng = sample_rng(0, "forms-blocks", n)
+        g = random_unitary(n, rng)
+        spec = spectral_decompose(g)
+        ctx = random_positive_context(spec, rng)
+        x, y = tangent_random(g, rng), tangent_random(g, rng)
+        (z,) = random_cuts(spec, rng, 1)
+        call = {"curvature": lambda: curvature_via_contour(ctx, x, y, "quadrature"),
+                "curving": lambda: curving_eval(z, spec, x, y, "quadrature")}[route]
+        default = call()
+        monkeypatch.setattr(contour, "BLOCK_ENTRIES", 2**11)
+        assert call() == default
 
     def test_dim_one_vanishes(self):
         g = UnitaryMatrix(np.diag([np.exp(0.9j)]))
