@@ -22,7 +22,8 @@ import numpy as np
 
 from .contour import POINT_TOL, CutCirclePoint
 from .errors import DimensionError, IncomparableError
-from .linalg import SpectralDecomposition, UnitaryMatrix, _perm_sign, random_unitary
+from .linalg import UNITARITY_TOL, SpectralDecomposition, UnitaryMatrix, _perm_sign
+from .linalg import random_unitary
 from .projectors import ArcContext, Classification, classify
 
 ELEMENT_TOL = 1e-9
@@ -84,8 +85,8 @@ def canonical_scalar(a: DetLineElement) -> complex:
 
 
 def _same_base(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether a and b are one group element, to 1e-12 n in norm."""
-    return a.shape == b.shape and float(np.linalg.norm(a - b)) <= 1e-12 * a.shape[0]
+    """Whether a and b are one group element, to UNITARITY_TOL n in norm."""
+    return a.shape == b.shape and float(np.linalg.norm(a - b)) <= UNITARITY_TOL * len(a)
 
 
 def _same_ctx(a: ArcContext, b: ArcContext) -> bool:
@@ -219,6 +220,6 @@ def weyl_line_map(
 ) -> DetLineElement:
     """Fiber map over t -> g t g^{-1} on a torus; ``spec`` decomposes g t g^{-1}."""
     t = a.ctx.spec.matrix
-    if float(np.linalg.norm(t - np.diag(np.diagonal(t)))) > 1e-12 * a.ctx.dim:
+    if float(np.linalg.norm(t - np.diag(np.diagonal(t)))) > UNITARITY_TOL * a.ctx.dim:
         raise DimensionError("base element is not a torus (diagonal) matrix")
     return conjugate_fiber(g, a, spec)

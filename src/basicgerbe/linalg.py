@@ -22,6 +22,7 @@ import numpy as np
 from .errors import AmbiguousClusterError, DimensionError, SchemaError
 
 UNITARITY_TOL = 1e-12
+POLAR_STEP_TOL = 1e-14  # above this defect / n, g is stored one step nearer unitary
 CLUSTER_TOL = 1e-9
 
 TWO_PI = 2.0 * np.pi
@@ -47,12 +48,14 @@ class UnitaryMatrix:
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=complex)
-        object.__setattr__(self, "mat", mat)
         ok, defect = unitary_check(mat)
         if not ok:
             raise DimensionError(
                 f"matrix is not unitary: ||g g^H - I||_F = {defect:.3e}"
             )
+        if defect > POLAR_STEP_TOL * len(mat):  # Newton-Schulz: defect d -> O(d^2)
+            mat = mat - 0.5 * (mat @ mat.conj().T - np.eye(len(mat))) @ mat
+        object.__setattr__(self, "mat", mat)
 
     @property
     def dim(self) -> int:

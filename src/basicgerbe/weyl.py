@@ -217,7 +217,7 @@ def preimage_count(spec: SpectralDecomposition) -> int:
     # off the diagonal it is >= |lambda_i - lambda_j| - ||(g - lambda_i) b_i||,
     # so >= 1e-6 - 1e-10 n > 1e-10 n for n < 5000 once the diagonal passes
     resid = np.linalg.norm(b @ spec.matrix.T - lam[:, None] * b, axis=1)
-    return math.factorial(spec.dim) if np.all(resid <= 1e-10 * spec.dim) else 0
+    return math.factorial(spec.dim) if np.all(resid <= PROJECTOR_TOL * spec.dim) else 0
 
 
 def sample_regular(n: int, rng) -> FlagTorusPoint:

@@ -363,8 +363,7 @@ class TestReflection:
         # poles by about the unitarity defect; a g scaled to a defect of
         # 0.9 UNITARITY_TOL n, with a 0.005 eigenvalue gap inside the arc,
         # keeps the projectors' residue-vs-quadrature tolerance (at most
-        # 3.3e-12 here); a cut inside that gap, 0.0025 from two poles, would
-        # read up to 3.4e-10
+        # 3.3e-12 here); the next test puts a cut inside that gap
         n = 6
         angles = np.array([0.8, 0.805, 1.7, 2.6, 3.6, 4.8])
         for seed in range(4):
@@ -377,6 +376,24 @@ class TestReflection:
                            spectral_decompose(UnitaryMatrix(g)))
             residual = np.linalg.norm(arc_projector(ctx, "quadrature") - arc_projector(ctx))
             assert residual < 1e-10
+
+    def test_unitarity_defect_with_a_cut_in_the_gap(self):
+        # the setup above with the second cut at 0.8025, 0.0025 from both
+        # eigenvalues of the gap: the errors of all three routes grow like
+        # defect / gap, and read 3.0-3.4e-10 when g was stored as given;
+        # UnitaryMatrix stores it one Newton-Schulz step nearer unitary
+        n = 6
+        angles = np.array([0.8, 0.805, 1.7, 2.6, 3.6, 4.8])
+        for seed in range(4):
+            v = random_unitary(n, np.random.default_rng(seed)).mat
+            g = (v * np.exp(1j * angles)) @ v.conj().T
+            g *= 1 + 0.9 * UNITARITY_TOL * math.sqrt(n) / 2
+            assert unitary_check(g)[1] > 0.85 * UNITARITY_TOL * n
+            ctx = classify(cut_point(3.1), cut_point(0.8025),
+                           spectral_decompose(UnitaryMatrix(g)))
+            assert ctx.arc_indices == range(1, 4)
+            residual = np.linalg.norm(arc_projector(ctx, "quadrature") - arc_projector(ctx))
+            assert residual < 1e-12
 
 
 def benchmark_tracer():

@@ -28,7 +28,9 @@ from basicgerbe import (
 from basicgerbe.cli import _decode, flag_point_to_json
 from basicgerbe.linalg import (
     CLUSTER_TOL,
+    POLAR_STEP_TOL,
     TWO_PI,
+    UNITARITY_TOL,
     _eigenbasis_sum,
     matrix_stack_from_json,
 )
@@ -164,6 +166,24 @@ class TestUnitaryCheck:
         m[0, 1] = entry
         ok, defect = unitary_check(m)
         assert not ok and math.isnan(defect)
+
+    @pytest.mark.parametrize("defect", [0.5 * POLAR_STEP_TOL, 2 * POLAR_STEP_TOL,
+                                        0.9 * UNITARITY_TOL])
+    def test_polar_step_above_threshold_only(self, defect):
+        # a Haar g scaled so that ||g g^H - I||_F is about defect * n: below
+        # POLAR_STEP_TOL n it is stored bit for bit, above it after one
+        # Newton-Schulz step, whose defect is O(defect^2) plus rounding
+        n = 6
+        for seed in range(4):
+            m = random_unitary(n, np.random.default_rng(seed)).mat
+            m = m * (1 + defect * math.sqrt(n) / 2)
+            before = unitary_check(m)[1]
+            assert 0.9 * defect * n < before < 1.1 * defect * n
+            stored = UnitaryMatrix(m).mat
+            if before <= POLAR_STEP_TOL * n:
+                assert np.array_equal(stored, m)
+            else:
+                assert unitary_check(stored)[1] <= POLAR_STEP_TOL * n
 
 
 class TestRandomUnitary:
